@@ -5,11 +5,22 @@ For d <= 30 (and leading products comfortably inside the double range)
 values are accumulated by direct multiplication, which makes results
 bit-reproducible against the brute-force oracle; beyond that everything
 switches to log space.
+
+Threshold counting walks only the excitations of (1, ..., 1).  Divided by
+the leading product, a tuple's value is the product of the ratios
+lam(k, j_k)/lam(k, 1) over its coordinates with j_k >= 2, and almost every
+counted tuple has few of those, so a count costs about one step per counted
+tuple instead of one per dimension.  Tuples within a small relative window
+of the threshold are decided by the dense dimension-order evaluation, in
+direct or log space as above, so counts agree bit for bit with that
+evaluation, ties included: a product equal to the threshold is never
+counted.
 """
 from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +33,12 @@ COUNTING_CAP = 10**8
 
 _DIRECT_DIM_LIMIT = 30
 _DIRECT_LOG_FLOOR = -300.0
-_BLOCK = 1 << 13
+# The borderline window is (3d + 20) * _WINDOW_ULPS wide per unit of the log
+# magnitudes involved (see _count_impl).  Both evaluations of a tuple take
+# fewer than 3d + 20 rounded steps, each off by at most an ulp of those
+# magnitudes (4 for numpy's log); the factor 4 is margin.
+_WINDOW_ULPS = 4 * 2.0 ** -53
+_FIRST_RATIOS = 32
 
 
 @dataclass(frozen=True)
@@ -126,12 +142,15 @@ def product_eigenvalues_top(problem: ProductProblem, m: int, cap: int = ENUMERAT
 def count_products_above(problem: ProductProblem, T: float, cap: int = COUNTING_CAP) -> CountResult:
     """|{(j_1..j_d) : prod_k lam(k, j_k) > T}|, saturating at cap.
 
-    Depth-first in dimension order; at depth k a branch survives while
-    prefix * lam(k, j) * SuffixMax(k) > T with strict inequality.  The last
-    dimension is counted in vectorized blocks.
+    The count is the one the dense dimension-order counter gives: strict
+    ``>``, so products equal to T are excluded, with the products formed by
+    direct multiplication for d <= 30 and as sums of logs beyond (see the
+    module docstring).  The tuples are enumerated by the sparse-excitation
+    walk of :func:`_count_impl`.
     """
-    if T <= 0:
-        raise InvalidInputError("threshold must be positive (the count would be infinite)")
+    if not math.isfinite(T) or T <= 0:
+        raise InvalidInputError(
+            f"threshold must be positive and finite, got {T} (a count at 0 would be infinite)")
     if cap < 1:
         raise InvalidInputError(f"cap must be >= 1, got {cap}")
     if problem.uses_log:
@@ -146,56 +165,126 @@ def count_products_above_log(problem: ProductProblem, log_T: float,
     Counts in log space regardless of dimension, so thresholds outside the
     double range stay usable.
     """
+    if not math.isfinite(log_T):
+        raise InvalidInputError(f"log threshold must be finite, got {log_T}")
     if cap < 1:
         raise InvalidInputError(f"cap must be >= 1, got {cap}")
     return _count_impl(problem, log_T, cap, log_space=True)
 
 
 def _count_impl(problem, T, cap, log_space):
+    """Walk the excitations of (1, ..., 1) above the normalised threshold.
+
+    A node is a tuple, held as its log normalised value
+    ``V = sum_k ln(lam(k, j_k) / lam(k, 1))`` (zero at the root) and the
+    chain of its excited coordinates.  Its children excite one more
+    dimension after its last excited one.  ``neg[k]`` lists
+    ``-ln(lam(k, j) / lam(k, 1))`` for j = 2, 3, ... (ascending; zero
+    eigenvalues give +inf), so the children of a node in dimension k that
+    clear a bound are a prefix found by bisection.  The walk over a node's
+    dimensions stops once the node times the largest second ratio
+    ``h_k = lam(k,2)/lam(k,1)`` among those left falls below the threshold;
+    h need not be monotone in k.
+
+    Values more than ``w`` above the normalised threshold ``ln t`` are
+    counted and those more than ``w`` below it dropped with their subtrees,
+    where ``w`` bounds the rounding of this walk and of the dense counter's
+    evaluation order (for subnormal direct products, an absolute slack on
+    T).  Values in between are decided by :func:`_dense_rule`.  Every tuple's decision is monotone in each
+    coordinate, so the first rejected child in a dimension ends that
+    dimension's children.
+    """
     d = problem.d
     facs = problem.factors
-    sfx = problem.log_suffix_leading if log_space else problem.suffix_leading
-    count = 0
-    pushes = 0
-    # Each pushed prefix contributes at least one counted tuple, so pushes
-    # are bounded by the cap as well.
-    stack = [(0, 0.0 if log_space else 1.0)]
+    log_leads = problem.log_leads
+    log_L = problem.log_leading_product
+    if log_space:
+        log_hi = log_lo = T
+    else:
+        # A direct product step that goes subnormal is off by up to 2**-1075,
+        # times the factors after it (at most the largest leading suffix).
+        slack = d * 2.0 ** -1074 * float(problem.suffix_leading.max())
+        log_hi = math.log(T + slack)
+        log_lo = math.log(T - slack) if T > slack else -math.inf
+    w = _WINDOW_ULPS * (3 * d + 20) * (
+        1.0 + float(np.abs(log_leads).sum()) + abs(log_hi) + abs(log_hi - log_L))
+    lo, hi = log_lo - log_L - w, log_hi - log_L + w
+
+    def accepted(exc, k, j):
+        js = [1] * d
+        js[k] = j
+        while exc is not None:
+            kk, jj, exc = exc
+            js[kk] = jj
+        return _dense_rule(problem, js, T, log_space)
+
+    if not (0.0 > lo and (0.0 > hi or _dense_rule(problem, [1] * d, T, log_space))):
+        return CountResult(0, False, cap)
+    count = 1
+    if count >= cap:
+        return CountResult(cap, True, cap)
+    with np.errstate(divide="ignore"):
+        log_h = np.log([f.second for f in facs]) - log_leads
+    # hmax[k] = ln max_{k' >= k} h_k'; -inf past the last dimension
+    hmax = np.maximum.accumulate(log_h[::-1])[::-1].tolist()
+    hmax.append(-math.inf)
+    neg = [[] for _ in range(d)]
+    stack = [(0.0, 0, None)]
     while stack:
-        k, P = stack.pop()
-        fac = facs[k]
-        if k == d - 1:
-            j0 = 1
-            width = 64  # most branches die early; widen only while surviving
-            while True:
-                if log_space:
-                    vals = P + fac.log_eigenvalues_block(j0, j0 + width)
-                else:
-                    vals = P * fac.eigenvalues_block(j0, j0 + width)
-                good = vals > T
-                n_good = int(good.argmin()) if not good.all() else vals.size
-                count += n_good
-                if count >= cap:
-                    return CountResult(cap, True, cap)
-                if n_good < vals.size:
-                    break
-                j0 += width
-                width = min(width * 4, _BLOCK)
-        else:
-            s = float(sfx[k + 1])
-            j = 1
-            while True:
-                lam = fac.eigenvalue(j)
-                if lam <= 0.0:
-                    break
-                pfx = (P + math.log(lam)) if log_space else (P * lam)
-                if not ((pfx + s) > T if log_space else (pfx * s) > T):
-                    break
-                stack.append((k + 1, pfx))
-                pushes += 1
-                if pushes >= cap:
-                    return CountResult(cap, True, cap)
-                j += 1
+        V, k0, exc = stack.pop()
+        for k in range(k0, d):
+            if V + hmax[k] <= lo:
+                break
+            nl = neg[k]
+            key = V - lo
+            m = bisect_left(nl, key)
+            while m == len(nl) < cap:
+                _grow(nl, facs[k], float(log_leads[k]), cap)
+                m = bisect_left(nl, key, m)
+            n_ok = bisect_left(nl, V - hi, 0, m)
+            while n_ok < m and accepted(exc, k, n_ok + 2):
+                n_ok += 1
+            count += n_ok
+            if count >= cap:
+                return CountResult(cap, True, cap)
+            if k + 1 < d:
+                n_int = bisect_left(nl, V + hmax[k + 1] - lo, 0, n_ok)
+                stack.extend([(V - nl[i], k + 1, (k, i + 2, exc)) for i in range(n_int)])
     return CountResult(count, False, cap)
+
+
+def _grow(nl, fac, log_lead, cap):
+    """Extend a ratio list (index i holds j = i + 2) to twice its length, at most cap."""
+    n = len(nl)
+    block = fac.eigenvalues_block(n + 2, min(max(2 * n, _FIRST_RATIOS), cap) + 2)
+    with np.errstate(divide="ignore"):
+        nl.extend((log_lead - np.log(block)).tolist())
+
+
+def _dense_rule(problem, js, T, log_space):
+    """The dense dimension-order counter's decision for the one tuple js.
+
+    Prefixes are multiplied (or, in log space, summed with ``math.log``) in
+    dimension order.  Each prefix times the leading product of the remaining
+    dimensions must exceed T, and so must the full product, whose last
+    factor numpy multiplies (or takes the log of).
+    """
+    facs = problem.factors
+    d = problem.d
+    sfx = problem.log_suffix_leading if log_space else problem.suffix_leading
+    P = 0.0 if log_space else 1.0
+    for k in range(d - 1):
+        lam = facs[k].eigenvalue(js[k])
+        if lam <= 0.0:
+            return False
+        P = P + math.log(lam) if log_space else P * lam
+        if not ((P + sfx[k + 1]) > T if log_space else (P * sfx[k + 1]) > T):
+            return False
+    last = facs[d - 1].eigenvalues_block(js[d - 1], js[d - 1] + 1)
+    if log_space:
+        with np.errstate(divide="ignore"):
+            return bool(P + np.log(last)[0] > T)
+    return bool(P * last[0] > T)
 
 
 def trace_sum(problem: ProductProblem, tau: float, tol: float = 1e-12) -> float:

@@ -195,14 +195,12 @@ def _b_star(b: SequenceDescriptor) -> float:
 class FactorSpectrum:
     """One dimension's eigenvalue sequence with cached block evaluation."""
 
-    __slots__ = ("k", "leading", "truncation_tol", "approximate", "_block",
-                 "_cache", "_log_cache")
+    __slots__ = ("k", "leading", "truncation_tol", "approximate", "_block", "_cache")
 
     def __init__(self, k, block, truncation_tol=_REL_TOL, approximate=False):
         self.k = int(k)
         self._block = block
         self._cache = np.asarray(block(np.arange(1, 65)), dtype=float)
-        self._log_cache = None
         self.leading = float(self._cache[0])
         self.truncation_tol = float(truncation_tol)
         self.approximate = bool(approximate)
@@ -220,7 +218,6 @@ class FactorSpectrum:
         if J > self._cache.size:
             n = 1 << max(7, (J - 1).bit_length())
             self._cache = np.asarray(self._block(np.arange(1, n + 1)), dtype=float)
-            self._log_cache = None
         return self._cache[:J]
 
     def eigenvalues_block(self, j0: int, j1: int) -> np.ndarray:
@@ -228,16 +225,6 @@ class FactorSpectrum:
         if j1 <= self._cache.size + 1:
             return self._cache[j0 - 1:j1 - 1]
         return np.asarray(self._block(np.arange(j0, j1)), dtype=float)
-
-    def log_eigenvalues_block(self, j0: int, j1: int) -> np.ndarray:
-        """ln of eigenvalues_block; zero eigenvalues map to -inf."""
-        if j1 <= self._cache.size + 1:
-            if self._log_cache is None or self._log_cache.size < self._cache.size:
-                with np.errstate(divide="ignore"):
-                    self._log_cache = np.log(self._cache)
-            return self._log_cache[j0 - 1:j1 - 1]
-        with np.errstate(divide="ignore"):
-            return np.log(self.eigenvalues_block(j0, j1))
 
     @property
     def second(self) -> float:

@@ -2,14 +2,15 @@
 
 Everything here recomputes quantities by a route different from the library:
 tail sums use direct summation with Euler-Maclaurin or geometric remainders
-(never the zeta reduction), and box sums enumerate index tuples explicitly.
+(never the zeta reduction), box sums enumerate index tuples explicitly, and
+threshold counts come from the dense dimension-order counter.
 """
 import math
 import random
 
 import numpy as np
 
-from tractal import spectra
+from tractal import products, spectra
 from tractal.sequences import SequenceDescriptor as S
 
 _EM_HEAD = 2000
@@ -100,6 +101,63 @@ def box_products(problem, J):
         arr = fac.eigenvalues_up_to(J)
         vals = arr.copy() if vals is None else np.multiply.outer(vals, arr).ravel()
     return vals
+
+
+def dense_count(problem, T, cap, log_space):
+    """The dense dimension-order threshold counter, kept as the reference
+    for the library's sparse-excitation engine.
+
+    Depth-first in dimension order; at depth k a prefix survives while
+    prefix * lam(k, j) * (leading product of the later dimensions) > T, with
+    T and the products in log space when log_space is set.  The last
+    dimension is counted in vectorized blocks.  Every prefix pushed counts
+    toward the cap as well, so a count can saturate below cap tuples.
+    Returns a ``products.CountResult``.
+    """
+    d = problem.d
+    facs = problem.factors
+    sfx = problem.log_suffix_leading if log_space else problem.suffix_leading
+    count = 0
+    pushes = 0
+    stack = [(0, 0.0 if log_space else 1.0)]
+    while stack:
+        k, P = stack.pop()
+        fac = facs[k]
+        if k == d - 1:
+            j0 = 1
+            width = 64  # most branches die early; widen only while surviving
+            while True:
+                block = fac.eigenvalues_block(j0, j0 + width)
+                if log_space:
+                    with np.errstate(divide="ignore"):
+                        vals = P + np.log(block)
+                else:
+                    vals = P * block
+                good = vals > T
+                n_good = int(good.argmin()) if not good.all() else vals.size
+                count += n_good
+                if count >= cap:
+                    return products.CountResult(cap, True, cap)
+                if n_good < vals.size:
+                    break
+                j0 += width
+                width = min(width * 4, 1 << 13)
+        else:
+            s = float(sfx[k + 1])
+            j = 1
+            while True:
+                lam = fac.eigenvalue(j)
+                if lam <= 0.0:
+                    break
+                pfx = (P + math.log(lam)) if log_space else (P * lam)
+                if not ((pfx + s) > T if log_space else (pfx * s) > T):
+                    break
+                stack.append((k + 1, pfx))
+                pushes += 1
+                if pushes >= cap:
+                    return products.CountResult(cap, True, cap)
+                j += 1
+    return products.CountResult(count, False, cap)
 
 
 def random_family(rng: random.Random, allow_wiener=True, allow_custom=True):

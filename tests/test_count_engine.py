@@ -1,0 +1,234 @@
+"""The sparse-excitation counting engine against the dense counter and the box.
+
+``helpers.dense_count`` is the dimension-order counter the engine replaced;
+the engine must reproduce its counts exactly, ties included, in both the
+direct and the log-space evaluation order.
+"""
+import math
+import random
+import time
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tractal import complexity, products, spectra
+from tractal.errors import InvalidInputError
+from tractal.products import (
+    CountResult,
+    ProductProblem,
+    count_products_above,
+    count_products_above_log,
+)
+from tractal.sequences import SequenceDescriptor as S
+
+import helpers
+
+KINDS = ("family", "permuted", "scaled", "custom_zero_tail", "anchor")
+CAP = 400
+ANCHOR = spectra.korobov(S.constant(1.0), S.power(1.0, -2.0))
+
+
+def make_problem(rng, kind, d):
+    """A seeded problem of the given kind; permuted and scaled ones have
+    second ratios out of dimension order."""
+    if kind == "anchor":
+        return ProductProblem.from_family(ANCHOR, d)
+    if kind == "custom_zero_tail":
+        # few distinct ratios, so equal products are common
+        tables = []
+        for _ in range(d):
+            lead = rng.choice((0.5, 1.0, 2.0))
+            ratios = sorted((rng.choice((1.0, 0.5, 0.3, 0.25, 0.125))
+                             for _ in range(rng.randint(1, 5))), reverse=True)
+            tables.append([lead] + [lead * r for r in ratios])
+        spec = spectra.custom_tabulated(tables, tau0=0.0)
+        return ProductProblem.from_family(spec, d)
+    _, spec = helpers.random_family(rng, allow_custom=False)
+    p = ProductProblem.from_family(spec, d)
+    if kind == "permuted":
+        factors = list(p.factors)
+        rng.shuffle(factors)
+        return ProductProblem(factors)
+    if kind == "scaled":
+        return p.scaled([rng.choice((0.25, 0.5, 1.0, 3.0, 7.5)) for _ in range(d)])
+    return p
+
+
+def dense_value(problem, js, log_space):
+    """A tuple's product in the dense counter's evaluation order."""
+    lams = [f.eigenvalue(j) for f, j in zip(problem.factors, js)]
+    if log_space:
+        return sum(math.log(x) for x in lams[:-1]) + float(np.log(np.array(lams[-1:]))[0])
+    v = 1.0
+    for x in lams:
+        v = v * x
+    return v
+
+
+def near_top_tuple(rng, problem):
+    """Up to three coordinates excited to j <= 4, none onto a zero eigenvalue."""
+    js = [1] * problem.d
+    for k in rng.sample(range(problem.d), min(problem.d, rng.randint(0, 3))):
+        j = rng.randint(2, 4)
+        js[k] = j if problem.factors[k].eigenvalue(j) > 0.0 else 2
+    return js
+
+
+def engine(problem, T, log_space, cap=CAP):
+    if log_space:
+        return count_products_above_log(problem, T, cap=cap)
+    return count_products_above(problem, T, cap=cap)
+
+
+def assert_matches_dense(problem, T, log_space, cap=CAP):
+    """The engine's count equals the dense counter's; returns the dense
+    count, or None when the dense counter cannot decide.
+
+    The dense counter also saturates when its pushed prefixes reach its
+    cap, and prefixes can clear the leading-suffix check yet all end in
+    rejected tuples (ties with lam(k,1)), so it runs with room for d + 1
+    prefixes per tuple, and a saturation the engine does not see is
+    retried with a cap of 10**6.
+    """
+    got = engine(problem, T, log_space, cap)
+    want = helpers.dense_count(problem, T, cap * (problem.d + 1), log_space)
+    if want.saturated and not got.saturated:
+        want = helpers.dense_count(problem, T, 10 ** 6, log_space)
+        if want.saturated:
+            return None
+    if want.saturated or want.count >= cap:
+        assert got == CountResult(cap, True, cap), (got, want)
+    else:
+        assert got == CountResult(want.count, False, cap), (got, want)
+    return want.count
+
+
+def check_case(seed):
+    """One seeded problem, a tie threshold and a nearby random one, in every
+    mode the problem allows; returns the number of comparisons made."""
+    rng = random.Random(seed)
+    kind = rng.choice(KINDS)
+    d = rng.choice((rng.randint(1, 6), rng.randint(25, 40)))
+    p = make_problem(rng, kind, d)
+    modes = [True] if p.uses_log else [True, False]
+    made = 0
+    for log_space in modes:
+        if kind == "anchor":
+            k, m = rng.randint(1, 6), rng.randint(1, 6)
+            tie = (p.log_leading_product - 2.0 * math.log(k * m) if log_space
+                   else p.leading_product / (k * m) ** 2)
+        else:
+            tie = dense_value(p, near_top_tuple(rng, p), log_space)
+        jitter = rng.uniform(-1.0, 1.0)
+        near = tie + jitter if log_space else tie * math.exp(jitter)
+        for T, on_tie in ((tie, True), (near, False)):
+            want = assert_matches_dense(p, T, log_space)
+            made += 1
+            # on a tie the dense rule's prefix checks, rounded in another
+            # order, can reject a product the box puts a rounding above T
+            if (not on_tie and want is not None and want < CAP and d <= 4
+                    and not log_space and T > products.oracle_validity_floor(p, 25)):
+                assert want == int((helpers.box_products(p, 25) > T).sum()), (seed, T)
+    return made
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32))
+@settings(max_examples=120, deadline=None)
+def test_engine_matches_dense_counter(seed):
+    assert check_case(seed) > 0
+
+
+@pytest.mark.parametrize("d", [8, 20, 35])
+def test_anchor_ties_in_both_modes(d):
+    """Thresholds exactly on the anchor family's products lam_{d,1}/(k*m)**2."""
+    p = ProductProblem.from_family(ANCHOR, d)
+    for km in (4, 6, 8, 12, 16):
+        assert assert_matches_dense(
+            p, p.log_leading_product - 2.0 * math.log(km), True, cap=10 ** 5) is not None
+        if not p.uses_log:
+            assert assert_matches_dense(
+                p, p.leading_product / km ** 2, False, cap=10 ** 5) is not None
+
+
+def test_borderline_recheck_runs_on_ties(monkeypatch):
+    """On the tie query the dense rule decides the tuples in the window, and
+    it rejects those whose product equals the threshold."""
+    calls = []
+    rule = products._dense_rule
+
+    def recorded(*args):
+        calls.append((list(args[1]), rule(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(products, "_dense_rule", recorded)
+    p = ProductProblem.from_family(ANCHOR, 20)
+    T = p.leading_product / 16 ** 2
+    assert assert_matches_dense(p, T, False, cap=10 ** 5) is not None
+    tied = [ok for js, ok in calls if dense_value(p, js, False) == T]
+    assert tied and not any(tied)
+
+
+@pytest.mark.parametrize("gamma_sq, T", [(0.05, 1e-310), (0.02, 5e-324), (0.05, 1e-320)])
+def test_subnormal_direct_thresholds(gamma_sq, T):
+    """Direct products near these thresholds are subnormal, where rounding
+    is absolute rather than relative."""
+    p = ProductProblem.from_family(spectra.gaussian(S.constant(gamma_sq)), 2)
+    assert not p.uses_log
+    assert assert_matches_dense(p, T, False, cap=10 ** 5) > 10 ** 4
+
+
+def test_anchor_count_pinned():
+    """ROADMAP anchor: korobov r_k = 1, g_k = k**-2, d = 20, eps = 2e-3."""
+    p = ProductProblem.from_family(ANCHOR, 20)
+    res = complexity.info_complexity(p, complexity.ComplexityQuery(2e-3, 20, "nor"))
+    assert res.n == 194867 and not res.saturated
+
+
+def test_tiny_log_threshold_saturates_without_growing_ratio_lists(monkeypatch):
+    """At ln T = -700 a korobov count is astronomically large; it must stop
+    at the cap having evaluated eigenvalues only up to about j = cap."""
+    highest = []
+    block = spectra.FactorSpectrum.eigenvalues_block
+
+    def recorded(self, j0, j1):
+        highest.append(j1)
+        return block(self, j0, j1)
+
+    monkeypatch.setattr(spectra.FactorSpectrum, "eigenvalues_block", recorded)
+    p = ProductProblem.from_family(spectra.korobov(S.constant(1.0), S.constant(0.5)), 10)
+    start = time.perf_counter()
+    res = count_products_above_log(p, -700.0, cap=1000)
+    elapsed = time.perf_counter() - start
+    assert res == CountResult(1000, True, 1000)
+    assert max(highest) <= 1002
+    assert elapsed < 5.0
+
+
+@pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_direct_threshold_must_be_positive_and_finite(T):
+    with pytest.raises(InvalidInputError):
+        count_products_above(ProductProblem.from_family(ANCHOR, 3), T)
+
+
+@pytest.mark.parametrize("log_T", [math.nan, math.inf, -math.inf])
+def test_log_threshold_must_be_finite(log_T):
+    with pytest.raises(InvalidInputError):
+        count_products_above_log(ProductProblem.from_family(ANCHOR, 3), log_T)
+
+
+def test_counting_leaves_factors_unchanged():
+    """Counting in either space reads eigenvalue blocks and sets no attribute
+    of any factor."""
+    p = ProductProblem.from_family(ANCHOR, 6)
+
+    def state():
+        return [[getattr(f, a) for a in spectra.FactorSpectrum.__slots__] for f in p.factors]
+
+    before = state()
+    cache = [f._cache.copy() for f in p.factors]
+    count_products_above(p, 1e-4)
+    count_products_above_log(p, -9.0)
+    assert all(x is y for now, then in zip(state(), before) for x, y in zip(now, then))
+    assert all(np.array_equal(f._cache, c) for f, c in zip(p.factors, cache))
