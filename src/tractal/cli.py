@@ -12,7 +12,6 @@ import os
 import random
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -63,8 +62,27 @@ def _check_fields(doc, required, optional, context):
         raise InvalidInputError(f"{context}: missing fields {sorted(missing)}")
 
 
+def _number(value, what, optional=False):
+    """A JSON number as a float.  Booleans, strings, lists and NaN are not
+    numbers; None (absent or null) is allowed only for an optional field."""
+    if value is None and optional:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:
+        raise InvalidInputError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer beyond the double range
+        raise InvalidInputError(f"{what} is out of range: {value}")
+
+
+def _numbers(value, what):
+    if not isinstance(value, list):
+        raise InvalidInputError(f"{what} must be a list of numbers, got {value!r}")
+    return [_number(v, what) for v in value]
+
+
 def parse_sequence(doc, name) -> SequenceDescriptor:
-    if not isinstance(doc, dict) or "kind" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("kind"), str):
         raise InvalidInputError(f"{name}: expected an object with a 'kind' field")
     kind = doc["kind"]
     if kind not in _SEQ_FIELDS:
@@ -72,20 +90,22 @@ def parse_sequence(doc, name) -> SequenceDescriptor:
     required, optional = _SEQ_FIELDS[kind]
     _check_fields(doc, required, optional, name)
     if kind == "constant":
-        return SequenceDescriptor.constant(doc["c"])
+        return SequenceDescriptor.constant(_number(doc["c"], f"{name}: c"))
     if kind == "power":
-        return SequenceDescriptor.power(doc["c"], doc["alpha"])
+        return SequenceDescriptor.power(_number(doc["c"], f"{name}: c"),
+                                         _number(doc["alpha"], f"{name}: alpha"))
     if kind == "log_growth":
-        return SequenceDescriptor.log_growth(doc["theta"])
+        return SequenceDescriptor.log_growth(_number(doc["theta"], f"{name}: theta"))
     return SequenceDescriptor.explicit(
-        doc["values"],
-        liminf_log_ratio=doc.get("liminf_log_ratio"),
-        limit=doc.get("limit"),
+        _numbers(doc["values"], f"{name}: values"),
+        liminf_log_ratio=_number(doc.get("liminf_log_ratio"), f"{name}: liminf_log_ratio",
+                                 optional=True),
+        limit=_number(doc.get("limit"), f"{name}: limit", optional=True),
     )
 
 
 def parse_family(doc) -> spectra.FamilySpec:
-    if not isinstance(doc, dict) or "family" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("family"), str):
         raise InvalidInputError("family document must be an object with a 'family' field")
     fam = doc["family"]
     if fam not in _FAMILY_FIELDS:
@@ -101,19 +121,27 @@ def parse_family(doc) -> spectra.FamilySpec:
     if fam == "gaussian":
         return spectra.gaussian(parse_sequence(doc["gamma_sq"], "gamma_sq"))
     if fam == "analytic_korobov":
-        if not isinstance(doc["omega"], (int, float)):
-            raise InvalidInputError("omega must be a number")
         return spectra.analytic_korobov(
-            float(doc["omega"]), parse_sequence(doc["a"], "a"), parse_sequence(doc["b"], "b"))
+            _number(doc["omega"], "omega"),
+            parse_sequence(doc["a"], "a"), parse_sequence(doc["b"], "b"))
     tail = None
     if doc.get("tail") is not None:
         tdoc = doc["tail"]
+        if not isinstance(tdoc, dict):
+            raise InvalidInputError(f"tail must be an object, got {tdoc!r}")
         _check_fields(tdoc, {"kind"}, {"ratio", "exponent"}, "tail")
-        tail = spectra.TailModel(kind=tdoc["kind"], ratio=tdoc.get("ratio", 0.0),
-                                 exponent=tdoc.get("exponent", 0.0))
+        tail = spectra.TailModel(
+            kind=tdoc["kind"],
+            ratio=_number(tdoc.get("ratio", 0.0), "tail: ratio"),
+            exponent=_number(tdoc.get("exponent", 0.0), "tail: exponent"))
+    if not isinstance(doc["tables"], list):
+        raise InvalidInputError(f"tables must be a list of lists, got {doc['tables']!r}")
     return spectra.custom_tabulated(
-        doc["tables"], tail=tail, tau0=doc.get("tau0"),
-        a_star=doc.get("a_star"), b_limit=doc.get("b_limit"))
+        [_numbers(row, f"table {i + 1}") for i, row in enumerate(doc["tables"])],
+        tail=tail,
+        tau0=_number(doc.get("tau0"), "tau0", optional=True),
+        a_star=_number(doc.get("a_star"), "a_star", optional=True),
+        b_limit=_number(doc.get("b_limit"), "b_limit", optional=True))
 
 
 def sequence_document(seq: SequenceDescriptor) -> dict:
@@ -208,17 +236,18 @@ def _parse_int_list(text):
     return out
 
 
-def _thread_count():
+def _check_thread_env():
+    """TRACTAL_THREADS, if set, must be an integer >= 1.  Sweeps run serially
+    whatever its value; a bad value is still an input error."""
     raw = os.environ.get("TRACTAL_THREADS")
     if raw is None:
-        return 1
+        return
     try:
         n = int(raw)
     except ValueError:
         raise InvalidInputError(f"TRACTAL_THREADS must be an integer >= 1, got {raw!r}")
     if n < 1:
         raise InvalidInputError(f"TRACTAL_THREADS must be >= 1, got {n}")
-    return n
 
 
 def _emit(text, out_path):
@@ -291,13 +320,8 @@ def run_sweep(args) -> int:
     eps_list = sorted(_parse_float_list(args.epsilon), reverse=True)
     d_list = sorted(set(_parse_int_list(args.d)))
     grid = [(d, eps) for d in d_list for eps in eps_list]
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda p: _sweep_point(spec, args.criterion, p[1], p[0], args.cap), grid))
-    else:
-        results = [_sweep_point(spec, args.criterion, eps, d, args.cap) for d, eps in grid]
+    _check_thread_env()
+    results = [_sweep_point(spec, args.criterion, eps, d, args.cap) for d, eps in grid]
     if args.strict and any(r.saturated for r in results):
         print("a sweep point saturated at the cap under --strict", file=sys.stderr)
         return EXIT_RESOURCE_CAP

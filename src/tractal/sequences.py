@@ -54,8 +54,8 @@ class SequenceDescriptor:
 
     @classmethod
     def log_growth(cls, theta: float) -> "SequenceDescriptor":
-        if theta <= 0:
-            raise InvalidInputError(f"log_growth rate must be positive, got {theta}")
+        if not 0 < theta < INF:
+            raise InvalidInputError(f"log_growth rate must be positive and finite, got {theta}")
         return cls(kind="log_growth", theta=float(theta))
 
     @classmethod
@@ -79,7 +79,10 @@ class SequenceDescriptor:
         if self.kind == "constant":
             return self.c
         if self.kind == "power":
-            return self.c * float(k) ** self.alpha
+            try:
+                return self.c * float(k) ** self.alpha
+            except OverflowError:  # k**alpha beyond the double range
+                return self.c * INF
         if self.kind == "log_growth":
             return float(math.ceil(self.theta * math.log(k + 1)))
         if k <= len(self.values):

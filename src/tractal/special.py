@@ -1,35 +1,22 @@
-"""Zeta-type special functions used by the closed-form spectra."""
+"""Zeta-type special functions used by the closed-form spectra.
+
+Zeta values come from ``scipy.special.zeta``, as do the Hurwitz tails in
+:mod:`tractal.spectra`; nothing is summed by hand."""
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
-import numpy as np
+from scipy.special import zeta as _zeta
 
 from .errors import InvalidInputError
 
-_EM_CUTOFF = 10**6
 
-
-@lru_cache(maxsize=512)
 def riemann_zeta(s: float) -> float:
-    """zeta(s) for s > 1 to relative accuracy 1e-12.
-
-    Direct pairwise summation to N = 1e6 plus the Euler-Maclaurin tail
-    N**(1-s)/(s-1) - N**-s/2 + s*N**(-s-1)/12 - s(s+1)(s+2)N**(-s-3)/720.
-    """
+    """zeta(s) for s > 1, from ``scipy.special.zeta`` (relative error ~1e-16)."""
     s = float(s)
     if s <= 1.0:
         raise InvalidInputError(f"zeta is evaluated only for s > 1, got {s}")
-    if s > 60.0:
-        # 2**-s already below resolution; the leading term is exact.
-        return 1.0 + 2.0 ** -s + 3.0 ** -s
-    N = _EM_CUTOFF
-    head = float(np.sum(np.arange(1, N + 1, dtype=float) ** -s))
-    tail = N ** (1.0 - s) / (s - 1.0) - 0.5 * N ** -s
-    tail += s * N ** (-s - 1.0) / 12.0
-    tail -= s * (s + 1.0) * (s + 2.0) * N ** (-s - 3.0) / 720.0
-    return head + tail
+    return float(_zeta(s))
 
 
 def g_function(x: float) -> float:
@@ -42,12 +29,12 @@ def g_function(x: float) -> float:
     return (2.0 / math.pi) ** x * (1.0 - 2.0 ** -x) * riemann_zeta(x)
 
 
-@lru_cache(maxsize=1)
 def g_root() -> float:
     """The unique x in (1, 2) with G(x) = 1, by bisection to 1e-10.
 
     The bracket is guaranteed: G blows up at 1+ and G(2) = 1/2 < 1.  The
-    lower end starts at 1 + 1e-6 to stay clear of the pole.
+    lower end starts at 1 + 1e-6 to stay clear of the pole.  The 34 steps
+    take well under a millisecond, so the root is not cached.
     """
     lo, hi = 1.0 + 1e-6, 2.0
     while hi - lo > 1e-10:

@@ -32,7 +32,7 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.special import gamma as _gamma_fn, gammaincc as _gammaincc
+from scipy.special import gamma as _gamma_fn, gammaincc as _gammaincc, zeta as _zeta
 
 from .errors import (
     ApproximateOnlyError,
@@ -41,7 +41,6 @@ from .errors import (
     UndecidableError,
 )
 from .sequences import SequenceDescriptor, validate_sequence
-from .special import riemann_zeta
 from .xreal import INF, Interval
 
 _REL_TOL = 1e-12
@@ -161,6 +160,9 @@ def custom_tabulated(tables, tail=None, tau0=None, a_star=None, b_limit=None) ->
         rows.append(row)
     if not rows:
         raise InvalidInputError("custom family needs at least one eigenvalue table")
+    for name, val in (("tau0", tau0), ("a_star", a_star), ("b_limit", b_limit)):
+        if val is not None and not val >= 0:
+            raise InvalidInputError(f"declared {name} must be nonnegative, got {val}")
     return FamilySpec(
         family=Family.CUSTOM,
         tables=tuple(rows),
@@ -193,7 +195,8 @@ def _b_star(b: SequenceDescriptor) -> float:
 
 
 class FactorSpectrum:
-    """One dimension's eigenvalue sequence with cached block evaluation."""
+    """One dimension's eigenvalue sequence, immutable once built: the first 64
+    values are a read-only head, and longer requests are never stored."""
 
     __slots__ = ("k", "leading", "truncation_tol", "approximate", "_block", "_cache")
 
@@ -201,6 +204,7 @@ class FactorSpectrum:
         self.k = int(k)
         self._block = block
         self._cache = np.asarray(block(np.arange(1, 65)), dtype=float)
+        self._cache.setflags(write=False)
         self.leading = float(self._cache[0])
         self.truncation_tol = float(truncation_tol)
         self.approximate = bool(approximate)
@@ -215,13 +219,10 @@ class FactorSpectrum:
         return float(self._block(np.asarray([j]))[0])
 
     def eigenvalues_up_to(self, J: int) -> np.ndarray:
-        if J > self._cache.size:
-            n = 1 << max(7, (J - 1).bit_length())
-            self._cache = np.asarray(self._block(np.arange(1, n + 1)), dtype=float)
-        return self._cache[:J]
+        return self.eigenvalues_block(1, J + 1)
 
     def eigenvalues_block(self, j0: int, j1: int) -> np.ndarray:
-        """Values for indices j0 <= j < j1 without growing the cache."""
+        """Values for j0 <= j < j1: a read-only view of the head, or a fresh array."""
         if j1 <= self._cache.size + 1:
             return self._cache[j0 - 1:j1 - 1]
         return np.asarray(self._block(np.arange(j0, j1)), dtype=float)
@@ -372,13 +373,13 @@ def tail_sum_H(spec: FamilySpec, k: int, tau: float) -> float:
         x = tau * (2.0 * spec.r.value(k) + 2.0)
         if x <= 1.0:
             return INF
-        # sum over j>=2 of (3/(2j-1))**x, via sum_{j>=1} (2j-1)**-x = (1-2**-x) zeta(x)
-        return 3.0 ** x * ((1.0 - 2.0 ** -x) * riemann_zeta(x) - 1.0)
+        # sum_{j>=2} (3/(2j-1))**x = 1.5**x zeta(x, 1.5) = 1 + sum_{n>=1} (1.5/(1.5+n))**x
+        return 1.0 + _power_tail(x, 1.5)
     if fam is Family.KOROBOV:
         x = 2.0 * spec.r.value(k) * tau
         if x <= 1.0:
             return INF
-        return 2.0 * riemann_zeta(x)
+        return 2.0 * float(_zeta(x))
     if fam is Family.GAUSSIAN:
         w = gaussian_omega(spec.gamma_sq.value(k))
         return 1.0 / (1.0 - w ** tau)
@@ -422,7 +423,6 @@ def _custom_tail_sum(spec, k, tau):
     tail = spec.tail
     if tail is None:
         return finite
-    J = row.size
     last_ratio = (row[-1] / lam2) ** tau
     if tail.kind == "geometric":
         q = tail.ratio ** tau
@@ -430,9 +430,24 @@ def _custom_tail_sum(spec, k, tau):
     x = tail.exponent * tau
     if x <= 1.0:
         return INF
-    # sum_{j>J} (J/j)**x = J**x * (zeta(x) - sum_{j<=J} j**-x)
-    head = float(np.sum(np.arange(1, J + 1, dtype=float) ** -x))
-    return finite + last_ratio * J ** x * (riemann_zeta(x) - head)
+    return finite + last_ratio * _power_tail(x, row.size)
+
+
+def _power_tail(x, a):
+    """sum_{n>=1} (a/(a+n))**x = a**x zeta(x, a+1) for x > 1, a >= 1 (DLMF 25.11.1).
+
+    Evaluated as (a/b)**x * (b**x zeta(x, b)), b = a + 1, with nothing
+    subtracted.  Where b**x would overflow, the multiplication theorem (DLMF
+    25.11.15) with m = floor(b) moves every Hurwitz argument into [1, 3): the
+    sum is (a/m)**x * sum_{k<m} zeta(x, (b+k)/m), which underflows only where
+    the sum itself is below the double range.
+    """
+    b = a + 1.0
+    if x * math.log(b) < 700.0:
+        return (a / b) ** x * (b ** x * float(_zeta(x, b)))
+    m = math.floor(b)
+    scale = math.exp(-x * math.log1p((m - a) / a))
+    return scale * float(np.sum(_zeta(x, (b + np.arange(m)) / m)))
 
 
 def tau_zero(spec: FamilySpec) -> Interval:
@@ -489,7 +504,7 @@ def _tail_bound_fn(spec, k, tau):
     if fam in (Family.EULER, Family.WIENER):
         x = tau * (2.0 * spec.r.value(k) + 2.0)
         def bound(J):
-            return 3.0 ** x * (2.0 * J - 1.0) ** (1.0 - x) / (2.0 * (x - 1.0))
+            return (3.0 / (2.0 * J - 1.0)) ** x * (2.0 * J - 1.0) / (2.0 * (x - 1.0))
         return bound
     if fam is Family.KOROBOV:
         x = 2.0 * spec.r.value(k) * tau
@@ -528,7 +543,7 @@ def _tail_bound_fn(spec, k, tau):
             return inside + last_ratio * q ** start / (1.0 - q)
         x = tail.exponent * tau
         M = max(J, row.size)
-        return inside + last_ratio * row.size ** x * M ** (1.0 - x) / (x - 1.0)
+        return inside + last_ratio * (row.size / M) ** x * M / (x - 1.0)
 
     return bound
 

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tractal import cli
 
@@ -238,3 +244,110 @@ def test_explicit_sequence_document(capsys, family_file):
     assert code == 0
     rep = json.loads(out)
     assert rep["spt"] is False and rep["qpt"] is True
+
+
+@pytest.mark.parametrize("doc", [
+    {"family": "wiener", "r": {"kind": "constant", "c": "abc"}},
+    {"family": "wiener", "r": {"kind": "constant", "c": "1"}},
+    {"family": "wiener", "r": {"kind": "constant", "c": True}},
+    {"family": "wiener", "r": {"kind": "constant", "c": [1]}},
+    {"family": "wiener", "r": {"kind": "constant", "c": 10 ** 400}},
+    {"family": "korobov", "r": {"kind": "power", "c": 1, "alpha": None},
+     "g": {"kind": "constant", "c": 1}},
+    {"family": "euler", "r": {"kind": "log_growth", "theta": "2"}},
+    {"family": "euler", "r": {"kind": "explicit", "values": [0, "1"]}},
+    {"family": "euler", "r": {"kind": "explicit", "values": 5}},
+    {"family": "euler", "r": {"kind": "explicit", "values": [0, 1], "limit": "z"}},
+    {"family": "euler", "r": {"kind": "explicit", "values": [0, 1], "liminf_log_ratio": [2]}},
+    {"family": "analytic_korobov", "omega": True, "a": {"kind": "constant", "c": 1},
+     "b": {"kind": "constant", "c": 1}},
+    {"family": "custom", "tables": 5},
+    {"family": "custom", "tables": [[1, "x"]]},
+    {"family": "custom", "tables": [5]},
+    {"family": "custom", "tables": [[1, 0.5]], "tail": {"kind": "geometric", "ratio": "0.5"}},
+    {"family": "custom", "tables": [[1, 0.5]], "tail": {"kind": "power", "exponent": {}}},
+    {"family": "custom", "tables": [[1, 0.5]], "tail": "power"},
+    {"family": "custom", "tables": [[1, 0.5]], "tau0": "0"},
+    {"family": "custom", "tables": [[1, 0.5]], "a_star": False},
+    {"family": "custom", "tables": [[1, 0.5]], "b_limit": -1.0},
+    {"family": ["euler"], "r": {"kind": "constant", "c": 1}},
+    {"family": "euler", "r": {"kind": {}, "c": 1}},
+])
+def test_malformed_document_is_invalid_input(capsys, family_file, doc):
+    path = family_file("bad.json", doc)
+    code, _, err = run(capsys, ["classify", "--family", path])
+    assert code == 3 and err.startswith("error: ")
+
+
+VALID_DOCS = [
+    KOROBOV_DOC,
+    GAUSS_DOC,
+    {"family": "euler", "r": {"kind": "log_growth", "theta": 1.0}},
+    {"family": "wiener", "r": {"kind": "constant", "c": 1}},
+    {"family": "analytic_korobov", "omega": 0.5, "a": {"kind": "power", "c": 1, "alpha": 1},
+     "b": {"kind": "constant", "c": 1}},
+    {"family": "custom", "tables": [[1.0, 0.5, 0.25], [1.0, 0.25]],
+     "tail": {"kind": "power", "exponent": 3}, "tau0": 0.5, "a_star": 1.0, "b_limit": 1.0},
+    {"family": "custom", "tables": [[1.0, 0.5]], "tail": {"kind": "geometric", "ratio": 0.5}},
+    {"family": "korobov",
+     "r": {"kind": "explicit", "values": [1, 2, 3], "liminf_log_ratio": 1.0, "limit": 0.0},
+     "g": {"kind": "explicit", "values": [1, 0.5], "liminf_log_ratio": 2.0, "limit": 0.0}},
+]
+
+ODD_VALUES = ["abc", "1", "power", "geometric", True, False, None, 0, 1, -1, 0.5, 2.5,
+              1e6, -1e6, 1e300, 10 ** 400, float("inf"), float("-inf"), float("nan"),
+              [], [1], [[1, "x"]], {}, {"kind": "constant", "c": 1}]
+
+
+def _paths(node, prefix=()):
+    """The key path of every node, the root's () included."""
+    yield prefix
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid family document with one or two nodes replaced or deleted."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(VALID_DOCS))))
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        value = json.loads(json.dumps(draw(st.sampled_from(ODD_VALUES))))
+        if not path:
+            doc = value
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    return doc
+
+
+@given(mutated_documents(), st.sampled_from([
+    ["classify", "--criterion", "nor"],
+    ["classify", "--criterion", "abs"],
+    ["complexity", "--epsilon", "0.5", "--d", "2", "--cap", "1000"],
+]))
+@settings(max_examples=200, deadline=None)
+def test_mutated_documents_keep_the_exit_code_contract(doc, command):
+    # an exception escaping main would be a traceback with exit code 1
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "family.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = cli.main(command[:1] + ["--family", path] + command[1:])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()

@@ -328,3 +328,69 @@ def test_criterion_support():
     assert unit.criterion_support == {"abs", "nor"}
     scaled = spectra.custom_tabulated([[2.0, 1.0]], tau0=0.0)
     assert scaled.criterion_support == {"nor"}
+
+
+# ---------------------------------------------------------------------------
+# closed-form tails from scipy's Hurwitz zeta
+# ---------------------------------------------------------------------------
+
+FLAT_POWER_TABLE = spectra.custom_tabulated(
+    [[1.0] + [0.5] * 999], tail=spectra.TailModel("power", exponent=3.0), tau0=0.5)
+
+
+def _flat_power_direct(tau, terms=200_000):
+    """999 unit ratios in the table, then sum_{j>1000} (1000/j)**(3 tau) term by term."""
+    j = np.arange(1001, 1001 + terms, dtype=float)
+    return 999.0 + float(np.sum((1000.0 / j) ** (3.0 * tau)))
+
+
+@pytest.mark.parametrize("r", [3, 8, 12, 20, 30])
+def test_euler_tail_matches_partial_sum(r):
+    # x = 2r + 2 >= 8, so 10^4 terms leave a tail below 1e-30
+    x = 2.0 * r + 2.0
+    j = np.arange(2, 10_002, dtype=float)
+    direct = float(np.sum((3.0 / (2.0 * j - 1.0)) ** x))
+    assert tail_sum_H(spectra.euler(S.constant(r)), 1, 1.0) == pytest.approx(direct, rel=1e-12)
+
+
+@pytest.mark.parametrize("r", [20, 500, 4999])
+def test_euler_truncation_index_finite_for_steep_factors(r):
+    spec = spectra.euler(S.constant(r))
+    H = tail_sum_H(spec, 1, 1.0)
+    assert 1.0 <= H <= 1.0 + 1e-9  # the j = 3 term is 0.6**(2r+2)
+    J = truncation_index(spec, 1, 1.0, 1e-12)
+    bound = spectra._tail_bound_fn(spec, 1, 1.0)
+    assert 2 <= J < 10 and bound(J) < 1e-12 * H
+    assert math.isfinite(bound(2))
+
+
+def test_custom_power_tail_flat_table():
+    assert tail_sum_H(FLAT_POWER_TABLE, 1, 2.0) == pytest.approx(1198.5004999995333, rel=1e-12)
+
+
+@pytest.mark.parametrize("tau", [40.0, 400.0, 10_000.0 / 3.0])
+def test_custom_power_tail_steep_exponents(tau):
+    # x = 3 tau from 120 to 10^4: 1000**x overflows, the sum stays near 999
+    H = tail_sum_H(FLAT_POWER_TABLE, 1, tau)
+    assert H == pytest.approx(_flat_power_direct(tau), rel=1e-12)
+    bound = spectra._tail_bound_fn(FLAT_POWER_TABLE, 1, tau)
+    assert all(math.isfinite(bound(J)) for J in (2, 1000, 2000, 10**6))
+    assert truncation_index(FLAT_POWER_TABLE, 1, tau, 1e-12) > 1000
+
+
+# ---------------------------------------------------------------------------
+# FactorSpectrum immutability
+# ---------------------------------------------------------------------------
+
+def test_factor_head_is_read_only_and_long_requests_leave_it():
+    fac = spectra.korobov(S.constant(1.25), S.constant(0.375)).factor(1)
+    head, second = fac._cache, fac.second
+    with pytest.raises(ValueError):
+        fac.eigenvalues_up_to(5)[1] = 0.9
+    with pytest.raises(ValueError):
+        fac.eigenvalues_block(2, 4)[0] = 0.9
+    long = fac.eigenvalues_up_to(1000)
+    assert long.size == 1000 and np.array_equal(long[:64], head)
+    long[1] = 0.9  # beyond the head the caller owns a fresh array
+    assert fac._cache is head and head.size == 64
+    assert fac.second == second == 0.375
