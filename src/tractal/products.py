@@ -6,6 +6,9 @@ values are accumulated by direct multiplication, which makes results
 bit-reproducible against the brute-force oracle; beyond that everything
 switches to log space.
 
+Top-m enumeration walks a tree on the index lattice in which each tuple has
+one parent, so it pushes no tuple twice and keeps no visited set.
+
 Threshold counting walks only the excitations of (1, ..., 1).  Divided by
 the leading product, a tuple's value is the product of the ratios
 lam(k, j_k)/lam(k, 1) over its coordinates with j_k >= 2, and almost every
@@ -39,6 +42,10 @@ _DIRECT_LOG_FLOOR = -300.0
 # magnitudes (4 for numpy's log); the factor 4 is margin.
 _WINDOW_ULPS = 4 * 2.0 ** -53
 _FIRST_RATIOS = 32
+# A ratio list grows past this length only after reading the ratio at which
+# its coordinate alone would saturate the count (see _count_impl).  Shorter
+# lists are small, and the read would cost almost every count time for nothing.
+_UNCHECKED_RATIOS = 1024
 
 
 @dataclass(frozen=True)
@@ -101,8 +108,10 @@ class ProductProblem:
 def product_eigenvalues_top(problem: ProductProblem, m: int, cap: int = ENUMERATION_CAP) -> np.ndarray:
     """The m largest product eigenvalues, nonincreasing, with multiplicity.
 
-    Best-first search over the index lattice from (1, ..., 1); successors
-    increment one coordinate.  Ties pop in lexicographic index order.
+    Best-first search from (1, ..., 1) over the tree in which a tuple's parent
+    lowers its last coordinate above 1 by one.  A child's key refolds its
+    parent's d terms with one replaced by a smaller one, so it never ranks
+    above its parent.
     """
     if m < 1:
         raise InvalidInputError(f"m must be >= 1, got {m}")
@@ -111,31 +120,23 @@ def product_eigenvalues_top(problem: ProductProblem, m: int, cap: int = ENUMERAT
     d = problem.d
     facs = problem.factors
     use_log = problem.uses_log
+    fold = sum if use_log else math.prod
+    term = math.log if use_log else float
 
-    def key_of(idx):
-        if use_log:
-            return sum(math.log(facs[k].eigenvalue(idx[k])) for k in range(d))
-        v = 1.0
-        for k in range(d):
-            v = v * facs[k].eigenvalue(idx[k])
-        return v
-
-    start = (1,) * d
-    heap = [(-key_of(start), start)]
-    seen = {start}
+    heap = [(-fold([term(f.leading) for f in facs]), (1,) * d, 0)]
     out = np.empty(m)
     for i in range(m):
         if not heap:
             raise InvalidInputError("spectrum exhausted before m values (zero eigenvalue hit)")
-        negkey, idx = heapq.heappop(heap)
+        negkey, idx, last = heapq.heappop(heap)
         out[i] = math.exp(-negkey) if use_log else -negkey
-        for k in range(d):
-            nxt = idx[:k] + (idx[k] + 1,) + idx[k + 1:]
-            if nxt not in seen:
-                lam = facs[k].eigenvalue(nxt[k])
-                if lam > 0.0:
-                    seen.add(nxt)
-                    heapq.heappush(heap, (-key_of(nxt), nxt))
+        terms = [term(f.eigenvalue(j)) for f, j in zip(facs, idx)]
+        for k in range(last, d):
+            lam = facs[k].eigenvalue(idx[k] + 1)
+            if lam > 0.0:
+                own, terms[k] = terms[k], term(lam)
+                heapq.heappush(heap, (-fold(terms), idx[:k] + (idx[k] + 1,) + idx[k + 1:], k))
+                terms[k] = own
     return out
 
 
@@ -239,7 +240,15 @@ def _count_impl(problem, T, cap, log_space):
             key = V - lo
             m = bisect_left(nl, key)
             while m == len(nl) < cap:
-                _grow(nl, facs[k], float(log_leads[k]), cap)
+                # A long list grows again only if this dimension alone does
+                # not fill the rest of the count, so no list grows toward cap.
+                room = cap - count
+                if len(nl) >= _UNCHECKED_RATIOS and (
+                        nl[room - 1] if room <= len(nl) else
+                        _ratios(facs[k], log_leads[k], room + 1, room + 2)[0]) < V - hi:
+                    return CountResult(cap, True, cap)
+                nl.extend(_ratios(facs[k], log_leads[k], len(nl) + 2,
+                                  min(max(2 * len(nl), _FIRST_RATIOS), cap) + 2))
                 m = bisect_left(nl, key, m)
             n_ok = bisect_left(nl, V - hi, 0, m)
             while n_ok < m and accepted(exc, k, n_ok + 2):
@@ -253,12 +262,10 @@ def _count_impl(problem, T, cap, log_space):
     return CountResult(count, False, cap)
 
 
-def _grow(nl, fac, log_lead, cap):
-    """Extend a ratio list (index i holds j = i + 2) to twice its length, at most cap."""
-    n = len(nl)
-    block = fac.eigenvalues_block(n + 2, min(max(2 * n, _FIRST_RATIOS), cap) + 2)
+def _ratios(fac, log_lead, j0, j1):
+    """-ln(lam(j) / lam(1)) for j0 <= j < j1, as a list; +inf at zero eigenvalues."""
     with np.errstate(divide="ignore"):
-        nl.extend((log_lead - np.log(block)).tolist())
+        return (log_lead - np.log(fac.eigenvalues_block(j0, j1))).tolist()
 
 
 def _dense_rule(problem, js, T, log_space):
@@ -287,20 +294,17 @@ def _dense_rule(problem, js, T, log_space):
     return bool(P * last[0] > T)
 
 
-def trace_sum(problem: ProductProblem, tau: float, tol: float = 1e-12) -> float:
+def trace_sum(problem: ProductProblem, tau: float) -> float:
     """sum_j lam_{d,j}**tau = prod_k sum_j lam(k,j)**tau."""
-    return math.exp(log_trace_sum(problem, tau, tol))
+    return math.exp(log_trace_sum(problem, tau))
 
 
-def log_trace_sum(problem: ProductProblem, tau: float, tol: float = 1e-12) -> float:
+def log_trace_sum(problem: ProductProblem, tau: float) -> float:
     """ln of the trace sum; use this form for large d to avoid overflow."""
     if problem.family is None:
         raise InvalidInputError("trace sums need a family-backed problem")
     if tau <= 0:
         raise InvalidInputError(f"tau must be positive, got {tau}")
-    # factor sums carry ~1e-12 relative error each (closed forms much less)
-    if tol < problem.d * 5e-15:
-        raise InvalidInputError(f"cannot certify relative tolerance {tol} at d={problem.d}")
     total = 0.0
     for k in range(1, problem.d + 1):
         try:
@@ -339,8 +343,3 @@ def oracle_validity_floor(problem: ProductProblem, J: int) -> float:
                 prod *= f2.leading
         floors.append(fac.eigenvalue(J) * prod)
     return max(floors)
-
-
-def oracle_count_above(problem: ProductProblem, J: int, T: float) -> int:
-    """Count from the brute-force box; caller checks the validity floor."""
-    return int((brute_force_oracle(problem, J) > T).sum())

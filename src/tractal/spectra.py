@@ -198,15 +198,14 @@ class FactorSpectrum:
     """One dimension's eigenvalue sequence, immutable once built: the first 64
     values are a read-only head, and longer requests are never stored."""
 
-    __slots__ = ("k", "leading", "truncation_tol", "approximate", "_block", "_cache")
+    __slots__ = ("k", "leading", "approximate", "_block", "_cache")
 
-    def __init__(self, k, block, truncation_tol=_REL_TOL, approximate=False):
+    def __init__(self, k, block, approximate=False):
         self.k = int(k)
         self._block = block
         self._cache = np.asarray(block(np.arange(1, 65)), dtype=float)
         self._cache.setflags(write=False)
         self.leading = float(self._cache[0])
-        self.truncation_tol = float(truncation_tol)
         self.approximate = bool(approximate)
         if not self.leading > 0:
             raise InvalidInputError(f"leading eigenvalue must be positive at k={k}")
@@ -237,7 +236,7 @@ class FactorSpectrum:
             raise InvalidInputError(f"scale constant must be positive, got {c}")
         block = self._block
         return FactorSpectrum(self.k, lambda j: c * np.asarray(block(j), dtype=float),
-                              self.truncation_tol, self.approximate)
+                              self.approximate)
 
 
 def _euler_block(r_k: float):

@@ -2,15 +2,18 @@
 
 Everything here recomputes quantities by a route different from the library:
 tail sums use direct summation with Euler-Maclaurin or geometric remainders
-(never the zeta reduction), box sums enumerate index tuples explicitly, and
-threshold counts come from the dense dimension-order counter.
+(never the zeta reduction), box sums enumerate index tuples explicitly,
+threshold counts come from the dense dimension-order counter, and top-m
+values from a best-first search over the whole index lattice.
 """
+import heapq
 import math
 import random
 
 import numpy as np
 
 from tractal import products, spectra
+from tractal.errors import InvalidInputError
 from tractal.sequences import SequenceDescriptor as S
 
 _EM_HEAD = 2000
@@ -158,6 +161,45 @@ def dense_count(problem, T, cap, log_space):
                     return products.CountResult(cap, True, cap)
                 j += 1
     return products.CountResult(count, False, cap)
+
+
+def lattice_top(problem, m):
+    """The m largest product eigenvalues by best-first search over the whole
+    index lattice, kept as the reference for the library's tree walk.
+
+    Every lattice neighbour of a popped tuple is pushed unless already seen,
+    and each key is recomputed from all d eigenvalues: a product in
+    dimension order, or in log space the sum of their logs.
+    """
+    d = problem.d
+    facs = problem.factors
+    use_log = problem.uses_log
+
+    def key_of(idx):
+        if use_log:
+            return sum(math.log(facs[k].eigenvalue(idx[k])) for k in range(d))
+        v = 1.0
+        for k in range(d):
+            v = v * facs[k].eigenvalue(idx[k])
+        return v
+
+    start = (1,) * d
+    heap = [(-key_of(start), start)]
+    seen = {start}
+    out = np.empty(m)
+    for i in range(m):
+        if not heap:
+            raise InvalidInputError("spectrum exhausted before m values (zero eigenvalue hit)")
+        negkey, idx = heapq.heappop(heap)
+        out[i] = math.exp(-negkey) if use_log else -negkey
+        for k in range(d):
+            nxt = idx[:k] + (idx[k] + 1,) + idx[k + 1:]
+            if nxt not in seen:
+                lam = facs[k].eigenvalue(nxt[k])
+                if lam > 0.0:
+                    seen.add(nxt)
+                    heapq.heappush(heap, (-key_of(nxt), nxt))
+    return out
 
 
 def random_family(rng: random.Random, allow_wiener=True, allow_custom=True):

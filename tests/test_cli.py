@@ -194,6 +194,26 @@ def test_oracle_compare(capsys, family_file):
     assert doc["count_mismatches"] == 0
 
 
+def test_oracle_compare_skips_values_below_the_box_floor(capsys, family_file):
+    """With J = 30 the 200th korobov product lies below the box's validity
+    floor, where the box misses products; only the values above it compare."""
+    path = family_file("k.json", KOROBOV_DOC)
+    code, out, _ = run(capsys, ["oracle-compare", "--family", path, "--d", "2"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["m"] == 200 and 0 < doc["top_compared"] < 200
+    assert doc["top_max_abs_deviation"] == 0.0 and doc["pass"] is True
+    code, out, _ = run(capsys, ["oracle-compare", "--family", path, "--d", "2", "--j", "60"])
+    assert code == 0 and json.loads(out)["top_compared"] == 200
+
+
+@pytest.mark.parametrize("d", ["2:4", "2,3"])
+def test_oracle_compare_takes_one_dimension(capsys, family_file, d):
+    path = family_file("k.json", KOROBOV_DOC)
+    code, out, err = run(capsys, ["oracle-compare", "--family", path, "--d", d])
+    assert code == 3 and out == "" and "one --d value" in err
+
+
 def test_analytic_korobov_document(capsys, family_file):
     doc = {"family": "analytic_korobov", "omega": 0.5,
            "a": {"kind": "log_growth", "theta": 2.0}, "b": {"kind": "constant", "c": 1.0}}

@@ -1,12 +1,13 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tractal import products, spectra
+from tractal import complexity, products, spectra
 from tractal.errors import CapExceededError, DivergenceError, InvalidInputError
 from tractal.products import (
     ProductProblem,
@@ -19,6 +20,7 @@ from tractal.products import (
 from tractal.sequences import SequenceDescriptor as S
 
 import helpers
+from test_count_engine import KINDS, make_problem
 
 OMEGA1 = spectra.gaussian_omega(1.0)
 
@@ -61,6 +63,26 @@ def test_top_cap():
     p = gaussian_problem(2)
     with pytest.raises(CapExceededError):
         product_eigenvalues_top(p, 100, cap=50)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32))
+@settings(max_examples=100, deadline=None)
+def test_top_matches_lattice_walk(seed):
+    """The tree walk returns the whole-lattice walk's values bit for bit, in
+    direct space (d <= 5) and log space (d >= 31), and raises the same error
+    when a zero-tail spectrum runs out."""
+    rng = random.Random(seed)
+    d = rng.randint(1, 5) if rng.random() < 0.6 else rng.randint(31, 60)
+    p = make_problem(rng, rng.choice(KINDS), d)
+    m = rng.randint(1, 300 if d <= 5 else 20)
+    try:
+        want = helpers.lattice_top(p, m)
+    except InvalidInputError as exc:
+        with pytest.raises(InvalidInputError) as got:
+            product_eigenvalues_top(p, m)
+        assert str(got.value) == str(exc)
+        return
+    assert product_eigenvalues_top(p, m).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +128,21 @@ def test_count_monotone_in_threshold(t1, t2):
     assert count_products_above(p, lo).count >= count_products_above(p, hi).count
 
 
+def test_saturating_coordinate_keeps_ratio_lists_short():
+    """At ln T = -700 the first coordinate alone saturates a korobov count;
+    the walk reads the saturating ratio instead of growing its list toward
+    the cap (tens of MB at cap 10**6)."""
+    p = ProductProblem.from_family(spectra.korobov(S.constant(1.0), S.constant(0.5)), 10)
+    tracemalloc.start()
+    try:
+        res = products.count_products_above_log(p, -700.0, cap=10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res == products.CountResult(10 ** 6, True, 10 ** 6)
+    assert peak < 10 ** 6
+
+
 def test_log_space_count_matches_combinatorics():
     # homogeneous gaussian at d=31 runs in log space; products are
     # lam1 * omega**s with multiplicity C(s+d-1, d-1)
@@ -141,6 +178,16 @@ def test_trace_divergence_names_dimension():
     p = unit_korobov_problem(3)
     with pytest.raises(DivergenceError, match="dimension 1"):
         trace_sum(p, 0.5)
+
+
+@pytest.mark.parametrize("d", [201, 400])
+@pytest.mark.parametrize("tau", [0.5, 1.0])
+def test_log_trace_sum_at_large_d(d, tau):
+    """The trace factors into the normalised trace and the leading product
+    at every d."""
+    p = gaussian_problem(d, S.power(1.0, -2.0))
+    want = complexity.log_normalized_trace(p, tau) + tau * p.log_leading_product
+    assert products.log_trace_sum(p, tau) == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
 def test_trace_identity_against_box(tmp_path):
