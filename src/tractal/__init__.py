@@ -22,7 +22,6 @@ from .spectra import (
     second_ratio,
     tail_sum_H,
     tau_zero,
-    truncation_index,
     wiener,
 )
 from .products import (

@@ -344,6 +344,10 @@ def run_oracle_compare(args) -> int:
     if J ** d > products.ENUMERATION_CAP:
         raise CapExceededError(f"J**d = {J ** d} exceeds the enumeration cap")
     oracle = products.brute_force_oracle(problem, J)
+    if oracle[0] == 0.0:
+        raise InvalidInputError(
+            "every product in the box underflows to 0 in double precision; "
+            "nothing to compare")
     m = min(args.m, oracle.size)
     top = products.product_eigenvalues_top(problem, m)
     floor = products.oracle_validity_floor(problem, J)

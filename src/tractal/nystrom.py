@@ -115,34 +115,6 @@ def quadrature_rule(domain: str, n: int):
     raise InvalidInputError(f"unknown domain {domain!r}")
 
 
-def kernel_value(spec: KernelSpec, x: float, y: float) -> float:
-    """Pointwise kernel evaluation.
-
-    The iterated euler kernel is an operator power of the min kernel and is
-    only realized at the matrix level for r >= 1; requesting it pointwise
-    raises.  The wiener integrand is a polynomial of degree 2r, so the
-    integral over [0, min(x, y)] is evaluated exactly with an (r+1)-point
-    Gauss-Legendre rule.
-    """
-    if spec.kind == "euler_iterated":
-        if spec.r >= 1:
-            raise NoClosedFormError("iterated euler kernels are matrix-form only for r >= 1")
-        return min(x, y)
-    if spec.kind == "wiener_integral":
-        if spec.r == 0:
-            return min(x, y)
-        m = min(x, y)
-        q, wq = np.polynomial.legendre.leggauss(spec.r + 1)
-        u = (q + 1.0) / 2.0 * m
-        vals = (x - u) ** spec.r * (y - u) ** spec.r
-        return float(np.dot(wq / 2.0, vals) * m / factorial(spec.r) ** 2)
-    if spec.kind == "korobov_series":
-        j = np.arange(1, spec.series_cutoff + 1, dtype=float)
-        return 1.0 + 2.0 * spec.beta * float(
-            np.sum(j ** (-2.0 * spec.alpha) * np.cos(2.0 * math.pi * j * (x - y))))
-    return math.exp(-spec.gamma_sq * (x - y) ** 2)
-
-
 def kernel_matrix(spec: KernelSpec, nodes: np.ndarray) -> np.ndarray:
     """Kernel evaluated on a node grid (the min-kernel base for euler)."""
     x = np.asarray(nodes, dtype=float)
@@ -185,10 +157,12 @@ def _symmetrized_eigs(spec: KernelSpec, n: int) -> np.ndarray:
     x, w = quadrature_rule(spec.domain, n)
     K = kernel_matrix(spec, x)
     sw = np.sqrt(w)
-    A = K * np.outer(sw, sw)
+    lam = np.linalg.eigvalsh(K * np.outer(sw, sw))
     if spec.kind == "euler_iterated" and spec.r >= 1:
-        A = np.linalg.matrix_power(A, spec.r + 1)
-    return np.linalg.eigvalsh(A)[::-1]
+        # the iterated operator is A**(r+1); A is symmetric, so its
+        # eigenvalues are those of A raised to r+1
+        lam = np.sort(lam ** (spec.r + 1))
+    return lam[::-1]
 
 
 @lru_cache(maxsize=256)

@@ -22,6 +22,7 @@ counted.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
@@ -317,18 +318,25 @@ def log_trace_sum(problem: ProductProblem, tau: float) -> float:
 def brute_force_oracle(problem: ProductProblem, J: int) -> np.ndarray:
     """All products over the box j_k <= J, sorted descending.
 
-    Exact reference only for thresholds above
-    max_k lam(k, J) * prod_{k' != k} lam(k', 1); see
+    Each product is formed as the top-m walk forms it: by direct
+    multiplication, or, for problems in log space, as ``math.exp`` of the
+    dimension-order ``sum`` of ``math.log`` terms.  Exact reference only for
+    thresholds above max_k lam(k, J) * prod_{k' != k} lam(k', 1); see
     :func:`oracle_validity_floor`.
     """
     if J < 1:
         raise InvalidInputError(f"J must be >= 1, got {J}")
     if J ** problem.d > ENUMERATION_CAP:
         raise CapExceededError(f"J**d = {J ** problem.d} exceeds {ENUMERATION_CAP}")
-    vals = None
-    for fac in problem.factors:
-        arr = fac.eigenvalues_up_to(J)
-        vals = arr.copy() if vals is None else np.multiply.outer(vals, arr).ravel()
+    rows = [fac.eigenvalues_up_to(J) for fac in problem.factors]
+    if problem.uses_log:
+        logs = [[math.log(v) for v in row] for row in rows]
+        vals = np.fromiter(map(math.exp, map(sum, itertools.product(*logs))),
+                           dtype=float, count=J ** problem.d)
+    else:
+        vals = rows[0].copy()
+        for row in rows[1:]:
+            vals = np.multiply.outer(vals, row).ravel()
     return np.sort(vals)[::-1]
 
 

@@ -4,8 +4,8 @@ Each family describes, per dimension ``k``, a nonincreasing sequence of
 operator eigenvalues ``lam(k, j)``.  This module evaluates those eigenvalues
 in closed form, together with the derived quantities the rest of the package
 is built on: the second ratio ``h_k = lam(k,2)/lam(k,1)``, the tail ratio sum
-``H(k, tau) = sum_{j>=2} (lam(k,j)/lam(k,2))**tau``, its divergence threshold
-``tau0``, and certified truncation indices.
+``H(k, tau) = sum_{j>=2} (lam(k,j)/lam(k,2))**tau`` and its divergence
+threshold ``tau0``.
 
 Family summary (``j >= 1``, ``m = floor(j/2)``):
 
@@ -101,16 +101,12 @@ class FamilySpec:
 
     @property
     def criterion_support(self) -> frozenset:
-        if self.family in (Family.KOROBOV, Family.ANALYTIC_KOROBOV):
-            return frozenset((ABS, NOR))
-        if self.family in (Family.EULER, Family.GAUSSIAN):
-            # ABS is covered by the family-specific exponent formulas.
-            return frozenset((ABS, NOR))
-        if self.family is Family.CUSTOM:
-            if all(row[0] == 1.0 for row in self.tables):
-                return frozenset((ABS, NOR))
+        # ABS needs unit leading eigenvalues, or an ABS exponent formula
+        # (euler, gaussian); only wiener and rescaled tables have neither.
+        if self.family is Family.WIENER or (
+                self.family is Family.CUSTOM and any(row[0] != 1.0 for row in self.tables)):
             return frozenset((NOR,))
-        return frozenset((NOR,))
+        return frozenset((ABS, NOR))
 
     def factor(self, k: int) -> "FactorSpectrum":
         return _factor(self, k)
@@ -470,81 +466,6 @@ def tau_zero(spec: FamilySpec) -> Interval:
     warnings.warn("tabulated spectrum has no declared tau0; reporting the "
                   "uninformative interval [0, +oo)", stacklevel=2)
     return Interval(0.0, INF)
-
-
-def truncation_index(spec: FamilySpec, k: int, tau: float, tol: float) -> int:
-    """Smallest J >= 2 whose analytic tail bound past J is below tol*H(k,tau)."""
-    if tol <= 0:
-        raise InvalidInputError(f"tol must be positive, got {tol}")
-    H = tail_sum_H(spec, k, tau)
-    if math.isinf(H):
-        raise DivergenceError("no finite truncation: the tail ratio sum diverges",
-                              dimension=k)
-    budget = tol * H
-    bound = _tail_bound_fn(spec, k, tau)
-    J = 2
-    while bound(J) >= budget:
-        if J > 10**9:
-            raise DivergenceError("truncation index exceeds 1e9", dimension=k)
-        J *= 2
-    lo, hi = max(2, J // 2), J  # bound(hi) < budget <= bound(lo) unless hi == 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if bound(mid) < budget:
-            hi = mid
-        else:
-            lo = mid + 1
-    return hi
-
-
-def _tail_bound_fn(spec, k, tau):
-    """Closed-form upper bound for sum_{j>J} (lam(k,j)/lam(k,2))**tau."""
-    fam = spec.family
-    if fam in (Family.EULER, Family.WIENER):
-        x = tau * (2.0 * spec.r.value(k) + 2.0)
-        def bound(J):
-            return (3.0 / (2.0 * J - 1.0)) ** x * (2.0 * J - 1.0) / (2.0 * (x - 1.0))
-        return bound
-    if fam is Family.KOROBOV:
-        x = 2.0 * spec.r.value(k) * tau
-        def bound(J):
-            M = J // 2
-            extra = float(M) ** -x if J % 2 == 0 else 0.0
-            return extra + 2.0 * M ** (1.0 - x) / (x - 1.0)
-        return bound
-    if fam is Family.GAUSSIAN:
-        w = gaussian_omega(spec.gamma_sq.value(k))
-        wt = w ** tau
-        def bound(J):
-            return w ** (tau * (J - 1.0)) / (1.0 - wt)
-        return bound
-    if fam is Family.ANALYTIC_KOROBOV:
-        a_k, b_k = spec.a.value(k), spec.b.value(k)
-        c = tau * a_k * math.log(1.0 / spec.omega)
-        def bound(J):
-            M = J // 2
-            extra = math.exp(-c * (M ** b_k - 1.0)) if J % 2 == 0 else 0.0
-            return extra + 2.0 * math.exp(c) * _exp_power_integral(c, b_k, M + 1) \
-                + 2.0 * math.exp(-c * ((M + 1) ** b_k - 1.0))
-        return bound
-    row = np.asarray(spec.tables[min(k, len(spec.tables)) - 1], dtype=float)
-    lam2 = row[1]
-    tail = spec.tail
-
-    def bound(J):
-        inside = float(np.sum((row[J:] / lam2) ** tau)) if J < row.size else 0.0
-        if tail is None:
-            return inside
-        last_ratio = (row[-1] / lam2) ** tau
-        if tail.kind == "geometric":
-            q = tail.ratio ** tau
-            start = max(J + 1 - row.size, 1)
-            return inside + last_ratio * q ** start / (1.0 - q)
-        x = tail.exponent * tau
-        M = max(J, row.size)
-        return inside + last_ratio * (row.size / M) ** x * M / (x - 1.0)
-
-    return bound
 
 
 def factor_power_sum(spec: FamilySpec, k: int, tau: float) -> float:

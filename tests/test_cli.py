@@ -214,6 +214,33 @@ def test_oracle_compare_takes_one_dimension(capsys, family_file, d):
     assert code == 3 and out == "" and "one --d value" in err
 
 
+def test_oracle_compare_box_underflow_is_invalid_input(capsys, family_file):
+    """Products of three tables led by 1e-110 lie below the smallest double."""
+    row = [1e-110, 5e-111, 1e-111]
+    path = family_file("u.json", {"family": "custom", "tables": [row, row, row],
+                                  "tail": {"kind": "geometric", "ratio": 0.5}})
+    code, out, err = run(capsys, ["oracle-compare", "--family", path, "--d", "3",
+                                  "--m", "50", "--j", "20"])
+    assert code == 3 and out == ""
+    assert err.startswith("error:") and "underflow" in err and "Traceback" not in err
+
+
+def test_oracle_compare_log_space_problem(capsys, family_file):
+    """A leading product below e^-300 puts d = 3 in log space; the box then
+    forms its products the way the top walk does and they agree bit for bit."""
+    doc = {"family": "custom",
+           "tables": [[1e-105, 7.9e-106, 4.9e-106], [1e-105, 4.9e-106, 1e-106],
+                      [1e-100, 5.6e-101, 1.6e-101]],
+           "tail": {"kind": "geometric", "ratio": 0.67}}
+    path = family_file("l.json", doc)
+    code, out, _ = run(capsys, ["oracle-compare", "--family", path, "--d", "3",
+                                "--m", "50", "--j", "20"])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["pass"] is True and rep["top_max_abs_deviation"] == 0.0
+    assert rep["top_compared"] > 0 and rep["count_mismatches"] == 0
+
+
 def test_analytic_korobov_document(capsys, family_file):
     doc = {"family": "analytic_korobov", "omega": 0.5,
            "a": {"kind": "log_growth", "theta": 2.0}, "b": {"kind": "constant", "c": 1.0}}

@@ -10,7 +10,6 @@ from tractal.nystrom import (
     euler_iterated,
     gaussian_weighted,
     kernel_matrix,
-    kernel_value,
     korobov_series,
     quadrature_rule,
     spectrum_estimate,
@@ -57,32 +56,31 @@ def test_polynomial_exactness():
 # kernel evaluation
 # ---------------------------------------------------------------------------
 
-def test_min_kernel_value():
-    assert kernel_value(wiener_integral(0), 0.3, 0.7) == 0.3
-    assert kernel_value(euler_iterated(0), 0.3, 0.7) == 0.3
+def test_min_kernel_entries():
+    x = np.array([0.3, 0.7])
+    for spec in (wiener_integral(0), euler_iterated(0)):
+        assert kernel_matrix(spec, x)[0, 1] == kernel_matrix(spec, x)[1, 0] == 0.3
 
 
 def test_gaussian_kernel_diagonal():
-    assert kernel_value(gaussian_weighted(1.0), 1.234, 1.234) == 1.0
+    K = kernel_matrix(gaussian_weighted(1.0), np.array([1.234, -0.5]))
+    assert K[0, 0] == K[1, 1] == 1.0
 
 
 def test_korobov_kernel_half_shift():
     spec = korobov_series(1.0, 1.0, series_cutoff=10 ** 5)
-    val = kernel_value(spec, 0.75, 0.25)
+    val = kernel_matrix(spec, np.array([0.75, 0.25]))[0, 1]
     assert val == pytest.approx(1.0 - math.pi ** 2 / 6.0, abs=1e-8)
 
 
-def test_wiener_kernel_value_r1():
+def test_wiener_kernel_entry_r1():
     # int_0^m (x-u)(y-u) du = m*(x*y - (x+y)*m/2 + m^2/3)
     x, y = 0.3, 0.7
     m = 0.3
     expect = m * (x * y - (x + y) * m / 2.0 + m * m / 3.0)
-    assert kernel_value(wiener_integral(1), x, y) == pytest.approx(expect, rel=1e-14)
-
-
-def test_euler_pointwise_rejected():
-    with pytest.raises(NoClosedFormError, match="matrix-form only"):
-        kernel_value(euler_iterated(1), 0.5, 0.5)
+    K = kernel_matrix(wiener_integral(1), np.array([x, y]))
+    assert K[0, 1] == pytest.approx(expect, rel=1e-14)
+    assert K[1, 0] == pytest.approx(expect, rel=1e-14)
 
 
 def test_euler_base_matrix_is_min_kernel():

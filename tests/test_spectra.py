@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tractal import spectra
-from tractal.errors import ApproximateOnlyError, DivergenceError, InvalidInputError
+from tractal.errors import ApproximateOnlyError, InvalidInputError
 from tractal.sequences import SequenceDescriptor as S
 from tractal.spectra import (
     factor_eigenvalue,
@@ -14,7 +14,6 @@ from tractal.spectra import (
     second_ratio,
     tail_sum_H,
     tau_zero,
-    truncation_index,
 )
 
 import helpers
@@ -232,19 +231,8 @@ def test_tau_zero_custom():
 
 
 # ---------------------------------------------------------------------------
-# truncation_index
+# tail ratio sums
 # ---------------------------------------------------------------------------
-
-def test_truncation_index_gaussian_closed_form():
-    spec = spectra.gaussian(S.constant(1.0))
-    assert truncation_index(spec, 1, 1.0, 1e-12) == 30
-
-
-@pytest.mark.parametrize("name,spec", all_families()[:5])
-def test_truncation_index_whole_tail_allowed(name, spec):
-    tau = tau_zero(spec).hi + 0.5 if name != "wiener" else 1.0
-    assert truncation_index(spec, 1, tau, 1.0) == 2
-
 
 def test_analytic_korobov_sublinear_exponent():
     # b < 1 exercises the incomplete-gamma tail machinery
@@ -259,44 +247,6 @@ def test_analytic_korobov_sublinear_exponent():
             break
         m += 1
     assert tail_sum_H(spec, 1, tau) == pytest.approx(direct, rel=1e-12)
-    J = truncation_index(spec, 1, tau, 1e-10)
-    fac = spec.factor(1)
-    tail_true = float(np.sum((fac.eigenvalues_block(J + 1, J + 4000) / fac.second) ** tau))
-    assert tail_true < 1e-10 * tail_sum_H(spec, 1, tau)
-    assert spectra._tail_bound_fn(spec, 1, tau)(J - 1) >= 1e-10 * tail_sum_H(spec, 1, tau)
-
-
-def test_truncation_index_divergent():
-    spec = spectra.euler(S.constant(0))
-    with pytest.raises(DivergenceError):
-        truncation_index(spec, 1, 0.4, 1e-6)
-
-
-def test_truncation_index_bound_is_valid_and_minimal():
-    spec = spectra.korobov(S.constant(1.0), S.constant(1.0))
-    tau, tol = 2.0, 1e-8
-    J = truncation_index(spec, 1, tau, tol)
-    H = tail_sum_H(spec, 1, tau)
-    bound = spectra._tail_bound_fn(spec, 1, tau)
-    assert bound(J) < tol * H <= bound(J - 1)
-    # the bound really dominates the true tail
-    fac = spec.factor(1)
-    true_tail = helpers.factor_tau_tail(spec, 1, tau, J) / fac.second ** tau
-    assert true_tail <= bound(J)
-    assert true_tail < tol * H
-
-
-@given(st.floats(min_value=0.2, max_value=3.0), st.floats(min_value=1e-14, max_value=0.5))
-@settings(max_examples=60, deadline=None)
-def test_truncation_index_minimality_property(tau, tol):
-    spec = spectra.gaussian(S.constant(1.0))
-    J = truncation_index(spec, 1, tau, tol)
-    H = tail_sum_H(spec, 1, tau)
-    bound = spectra._tail_bound_fn(spec, 1, tau)
-    assert J >= 2
-    assert bound(J) < tol * H
-    if J > 2:
-        assert bound(J - 1) >= tol * H
 
 
 # ---------------------------------------------------------------------------
@@ -324,6 +274,9 @@ def test_criterion_support():
     assert spectra.wiener(S.constant(1)).criterion_support == {"nor"}
     assert spectra.korobov(S.constant(1.0), S.constant(0.5)).criterion_support == {"abs", "nor"}
     assert spectra.euler(S.constant(0)).criterion_support == {"abs", "nor"}
+    assert spectra.gaussian(S.constant(1.0)).criterion_support == {"abs", "nor"}
+    assert spectra.analytic_korobov(
+        0.5, S.constant(1.0), S.constant(1.0)).criterion_support == {"abs", "nor"}
     unit = spectra.custom_tabulated([[1.0, 0.5]], tau0=0.0)
     assert unit.criterion_support == {"abs", "nor"}
     scaled = spectra.custom_tabulated([[2.0, 1.0]], tau0=0.0)
@@ -354,14 +307,9 @@ def test_euler_tail_matches_partial_sum(r):
 
 
 @pytest.mark.parametrize("r", [20, 500, 4999])
-def test_euler_truncation_index_finite_for_steep_factors(r):
-    spec = spectra.euler(S.constant(r))
-    H = tail_sum_H(spec, 1, 1.0)
+def test_euler_tail_finite_for_steep_factors(r):
+    H = tail_sum_H(spectra.euler(S.constant(r)), 1, 1.0)
     assert 1.0 <= H <= 1.0 + 1e-9  # the j = 3 term is 0.6**(2r+2)
-    J = truncation_index(spec, 1, 1.0, 1e-12)
-    bound = spectra._tail_bound_fn(spec, 1, 1.0)
-    assert 2 <= J < 10 and bound(J) < 1e-12 * H
-    assert math.isfinite(bound(2))
 
 
 def test_custom_power_tail_flat_table():
@@ -373,9 +321,6 @@ def test_custom_power_tail_steep_exponents(tau):
     # x = 3 tau from 120 to 10^4: 1000**x overflows, the sum stays near 999
     H = tail_sum_H(FLAT_POWER_TABLE, 1, tau)
     assert H == pytest.approx(_flat_power_direct(tau), rel=1e-12)
-    bound = spectra._tail_bound_fn(FLAT_POWER_TABLE, 1, tau)
-    assert all(math.isfinite(bound(J)) for J in (2, 1000, 2000, 10**6))
-    assert truncation_index(FLAT_POWER_TABLE, 1, tau, 1e-12) > 1000
 
 
 # ---------------------------------------------------------------------------
