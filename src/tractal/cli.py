@@ -9,13 +9,11 @@ import argparse
 import json
 import math
 import os
-import random
 import sys
-import tempfile
 
 import numpy as np
 
-from . import complexity, nystrom, products, spectra, tractability
+from . import complexity, products, spectra, tractability
 from .errors import (
     CapExceededError,
     InvalidInputError,
@@ -252,6 +250,8 @@ def _check_thread_env():
 
 def _emit(text, out_path):
     if out_path:
+        import tempfile
+
         directory = os.path.dirname(os.path.abspath(out_path))
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tractal-")
         try:
@@ -357,7 +357,9 @@ def run_oracle_compare(args) -> int:
     t_lo = max(floor * 1.0000001, oracle[-1])
     t_hi = oracle[0]
     mismatches = 0
-    thresholds = np.geomspace(max(t_lo, 1e-300), t_hi, 17)[:-1] * 0.9999
+    # clamp at the smallest positive double: a box of subnormal products
+    # still has thresholds below its largest product
+    thresholds = np.geomspace(max(t_lo, math.ulp(0.0)), t_hi, 17)[:-1] * 0.9999
     for T in thresholds:
         if T <= floor:
             continue
@@ -400,26 +402,36 @@ def _direct_tail_power_sum(factor, tau, j_start, rel_floor=1e-16, max_terms=10**
 
 
 def _check_nystrom(name, spec, nodes, m, threshold):
+    from . import nystrom
+
     report = nystrom.verify_against_closed_form(spec, nodes, m)
     return {"name": name, "deviation": report.max_deviation,
             "threshold": threshold, "pass": report.max_deviation < threshold}
 
 
 def _suite_euler_nystrom():
+    from . import nystrom
+
     return [_check_nystrom(f"euler-r{r}-400-nodes", nystrom.euler_iterated(r), 400, 6, 1e-4)
             for r in (0, 1)]
 
 
 def _suite_wiener_nystrom():
+    from . import nystrom
+
     return [_check_nystrom("wiener-r0-400-nodes", nystrom.wiener_integral(0), 400, 6, 1e-5)]
 
 
 def _suite_gaussian_nystrom():
+    from . import nystrom
+
     return [_check_nystrom(f"gaussian-g2-{g2}-100-nodes", nystrom.gaussian_weighted(g2), 100, 6, 1e-8)
             for g2 in (0.25, 1.0, 4.0)]
 
 
 def _suite_korobov_nystrom():
+    from . import nystrom
+
     spec = nystrom.korobov_series(1.0, 1.0, series_cutoff=10**4)
     return [_check_nystrom("korobov-a1-b1-400-nodes", spec, 400, 5, 1e-6)]
 
@@ -458,6 +470,8 @@ def _suite_eq21():
 
 
 def _suite_counting_oracle():
+    import random
+
     rng = random.Random(20240901)
     mismatches = 0
     trials = 25

@@ -32,7 +32,6 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy.special import gamma as _gamma_fn, gammaincc as _gammaincc, zeta as _zeta
 
 from .errors import (
     ApproximateOnlyError,
@@ -41,6 +40,7 @@ from .errors import (
     UndecidableError,
 )
 from .sequences import SequenceDescriptor, validate_sequence
+from .special import scipy_special
 from .xreal import INF, Interval
 
 _REL_TOL = 1e-12
@@ -374,7 +374,7 @@ def tail_sum_H(spec: FamilySpec, k: int, tau: float) -> float:
         x = 2.0 * spec.r.value(k) * tau
         if x <= 1.0:
             return INF
-        return 2.0 * float(_zeta(x))
+        return 2.0 * float(scipy_special().zeta(x))
     if fam is Family.GAUSSIAN:
         w = gaussian_omega(spec.gamma_sq.value(k))
         return 1.0 / (1.0 - w ** tau)
@@ -407,8 +407,9 @@ def _analytic_korobov_tail_sum(omega, a_k, b_k, tau):
 
 def _exp_power_integral(c, b, lower):
     """integral_{lower}^{oo} exp(-c*x**b) dx via the incomplete gamma function."""
+    sp = scipy_special()
     s = 1.0 / b
-    return _gamma_fn(s) * _gammaincc(s, c * lower ** b) / (b * c ** s)
+    return sp.gamma(s) * sp.gammaincc(s, c * lower ** b) / (b * c ** s)
 
 
 def _custom_tail_sum(spec, k, tau):
@@ -437,12 +438,13 @@ def _power_tail(x, a):
     sum is (a/m)**x * sum_{k<m} zeta(x, (b+k)/m), which underflows only where
     the sum itself is below the double range.
     """
+    zeta = scipy_special().zeta
     b = a + 1.0
     if x * math.log(b) < 700.0:
-        return (a / b) ** x * (b ** x * float(_zeta(x, b)))
+        return (a / b) ** x * (b ** x * float(zeta(x, b)))
     m = math.floor(b)
     scale = math.exp(-x * math.log1p((m - a) / a))
-    return scale * float(np.sum(_zeta(x, (b + np.arange(m)) / m)))
+    return scale * float(np.sum(zeta(x, (b + np.arange(m)) / m)))
 
 
 def tau_zero(spec: FamilySpec) -> Interval:

@@ -5,11 +5,12 @@ import os
 import tempfile
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tractal import cli
+from tractal import cli, products
 
 
 @pytest.fixture
@@ -225,20 +226,33 @@ def test_oracle_compare_box_underflow_is_invalid_input(capsys, family_file):
     assert err.startswith("error:") and "underflow" in err and "Traceback" not in err
 
 
-def test_oracle_compare_log_space_problem(capsys, family_file):
+def test_oracle_compare_log_space_problem(capsys, family_file, monkeypatch):
     """A leading product below e^-300 puts d = 3 in log space; the box then
-    forms its products the way the top walk does and they agree bit for bit."""
+    forms its products the way the top walk does and they agree bit for bit.
+    The box's largest product is subnormal (~1e-310), so the count thresholds
+    must reach below it for any count comparison to be more than 0 == 0."""
     doc = {"family": "custom",
            "tables": [[1e-105, 7.9e-106, 4.9e-106], [1e-105, 4.9e-106, 1e-106],
                       [1e-100, 5.6e-101, 1.6e-101]],
            "tail": {"kind": "geometric", "ratio": 0.67}}
     path = family_file("l.json", doc)
+    thresholds = []
+    count = products.count_products_above
+
+    def recording(problem, threshold, *args, **kwargs):
+        thresholds.append(threshold)
+        return count(problem, threshold, *args, **kwargs)
+
+    monkeypatch.setattr(products, "count_products_above", recording)
     code, out, _ = run(capsys, ["oracle-compare", "--family", path, "--d", "3",
                                 "--m", "50", "--j", "20"])
     assert code == 0
     rep = json.loads(out)
     assert rep["pass"] is True and rep["top_max_abs_deviation"] == 0.0
     assert rep["top_compared"] > 0 and rep["count_mismatches"] == 0
+    box = products.brute_force_oracle(
+        products.ProductProblem.from_family(cli.parse_family(doc), 3), 20)
+    assert any(np.count_nonzero(box > t) > 0 for t in thresholds)
 
 
 def test_analytic_korobov_document(capsys, family_file):

@@ -1,0 +1,60 @@
+"""Commands that evaluate no zeta or gamma must not import scipy.
+
+Each case runs ``cli.main`` in a fresh interpreter, since scipy is what
+dominates a command's start-up and an import anywhere in the package would
+load it for every command."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from tractal import cli
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# runs the command, then reports on stderr whether scipy was imported
+PROBE = ("import sys\n"
+         "from tractal import cli\n"
+         "code = cli.main(sys.argv[1:])\n"
+         "print('scipy loaded:', 'scipy' in sys.modules, file=sys.stderr)\n"
+         "sys.exit(code)\n")
+
+KOROBOV_DOC = {"family": "korobov", "r": {"kind": "constant", "c": 1},
+               "g": {"kind": "power", "c": 1, "alpha": -2}}
+GAUSS_DOC = {"family": "gaussian", "gamma_sq": {"kind": "power", "c": 1, "alpha": -1}}
+EULER_DOC = {"family": "euler", "r": {"kind": "constant", "c": 0}}
+
+
+def fresh_run(argv):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("doc, argv", [
+    (KOROBOV_DOC, ["sweep", "--epsilon", "0.5,0.25", "--d", "1:6"]),
+    (GAUSS_DOC, ["sweep", "--epsilon", "0.5,0.25", "--d", "1:6"]),
+    (KOROBOV_DOC, ["classify", "--criterion", "nor"]),
+], ids=["korobov-sweep", "gaussian-sweep", "korobov-classify"])
+def test_command_without_special_functions_leaves_scipy_unloaded(tmp_path, doc, argv):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = fresh_run([argv[0], "--family", str(path), *argv[1:]])
+    assert code == 0 and out
+    assert "scipy loaded: False" in err
+
+
+def test_euler_abs_classify_loads_scipy_and_matches_in_process(tmp_path, capsys):
+    path = tmp_path / "euler.json"
+    path.write_text(json.dumps(EULER_DOC))
+    argv = ["classify", "--family", str(path), "--criterion", "abs"]
+    code, out, err = fresh_run(argv)
+    assert code == 0
+    assert "scipy loaded: True" in err
+    assert cli.main(argv) == 0
+    assert out == capsys.readouterr().out and json.loads(out)["p_star"]
