@@ -360,11 +360,17 @@ def run_oracle_compare(args) -> int:
     # clamp at the smallest positive double: a box of subnormal products
     # still has thresholds below its largest product
     thresholds = np.geomspace(max(t_lo, math.ulp(0.0)), t_hi, 17)[:-1] * 0.9999
+    # a log-space count compares log sums with ln T; their exp can round
+    # onto a subnormal threshold
+    log_box = products.brute_force_log_oracle(problem, J) if problem.uses_log else None
     for T in thresholds:
         if T <= floor:
             continue
         a = products.count_products_above(problem, float(T)).count
-        b = int((oracle > T).sum())
+        if log_box is None:
+            b = int((oracle > T).sum())
+        else:
+            b = int((log_box > math.log(T)).sum())
         if a != b:
             mismatches += 1
     doc = {

@@ -6,18 +6,19 @@ values are accumulated by direct multiplication, which makes results
 bit-reproducible against the brute-force oracle; beyond that everything
 switches to log space.
 
-Top-m enumeration walks a tree on the index lattice in which each tuple has
-one parent, so it pushes no tuple twice and keeps no visited set.
-
-Threshold counting walks only the excitations of (1, ..., 1).  Divided by
-the leading product, a tuple's value is the product of the ratios
+Counting and top-m both walk only the excitations of (1, ..., 1).  Divided
+by the leading product, a tuple's value is the product of the ratios
 lam(k, j_k)/lam(k, 1) over its coordinates with j_k >= 2, and almost every
-counted tuple has few of those, so a count costs about one step per counted
-tuple instead of one per dimension.  Tuples within a small relative window
-of the threshold are decided by the dense dimension-order evaluation, in
-direct or log space as above, so counts agree bit for bit with that
-evaluation, ties included: a product equal to the threshold is never
-counted.
+tuple near the top has few of those, so a tuple's log value costs one
+subtraction from its parent's, whatever d is.  Both walks read the ratios
+from the same lazily grown ``-ln`` lists and prune on the same bound.
+
+A count decides the tuples within a small relative window of the threshold
+by the dense dimension-order evaluation, in direct or log space as above, so
+counts agree bit for bit with that evaluation, ties included: a product
+equal to the threshold is never counted.  Top-m visits the tuples best
+first by log value and keeps the m best exact dimension-order products;
+the log value only rules out tuples that lie a window below the m-th.
 """
 from __future__ import annotations
 
@@ -109,10 +110,25 @@ class ProductProblem:
 def product_eigenvalues_top(problem: ProductProblem, m: int, cap: int = ENUMERATION_CAP) -> np.ndarray:
     """The m largest product eigenvalues, nonincreasing, with multiplicity.
 
-    Best-first search from (1, ..., 1) over the tree in which a tuple's parent
-    lowers its last coordinate above 1 by one.  A child's key refolds its
-    parent's d terms with one replaced by a smaller one, so it never ranks
-    above its parent.
+    Each value is its tuple's dimension-order fold: ``math.prod`` of the d
+    eigenvalues in direct space, ``math.exp`` of the ``sum`` of their
+    ``math.log`` in log space (see the module docstring).
+
+    The tuples are the excitations of (1, ..., 1), as in
+    :func:`_count_impl`: a node's children excite one dimension after its
+    last excited one, and a child's log normalised value ``V`` is its
+    parent's minus one ``-ln`` ratio.  A frontier visits them best ``V``
+    first, and a min-heap keeps the m best folds found so far.  A child's
+    later siblings enter the frontier once it is visited, and its children
+    in dimensions >= k as one entry keyed by the bound ``hmax[k]``, so a
+    visit costs a fold and a few pushes, not one per dimension.
+
+    Once the frontier's best ``V`` lies a borderline window below the heap's
+    least fold, no tuple left can rank, and the walk stops.  A visited tuple
+    whose fold is no larger than the heap's least is dropped with its later
+    siblings and its subtree: replacing one term by one no larger never
+    raises a fold.  So a band of tuples tied with the m-th value costs about
+    m visits per dimension, not its size.
     """
     if m < 1:
         raise InvalidInputError(f"m must be >= 1, got {m}")
@@ -123,22 +139,62 @@ def product_eigenvalues_top(problem: ProductProblem, m: int, cap: int = ENUMERAT
     use_log = problem.uses_log
     fold = sum if use_log else math.prod
     term = math.log if use_log else float
+    band = _band(problem, use_log)
+    neg, hmax = _walk_tables(problem)
+    # ext[k][i] is the fold term of lam(k, i + 2), read through eigenvalue():
+    # a block evaluation need not give the same doubles past the cached head
+    ext = [[] for _ in range(d)]
+    root = [term(f.leading) for f in facs]
+    heap = [fold(root)]
+    lo = -math.inf  # no child is dropped unfolded until the heap holds m folds
+    frontier = []
+    seq = itertools.count()
 
-    heap = [(-fold([term(f.leading) for f in facs]), (1,) * d, 0)]
-    out = np.empty(m)
-    for i in range(m):
-        if not heap:
-            raise InvalidInputError("spectrum exhausted before m values (zero eigenvalue hit)")
-        negkey, idx, last = heapq.heappop(heap)
-        out[i] = math.exp(-negkey) if use_log else -negkey
-        terms = [term(f.eigenvalue(j)) for f, j in zip(facs, idx)]
-        for k in range(last, d):
-            lam = facs[k].eigenvalue(idx[k] + 1)
-            if lam > 0.0:
-                own, terms[k] = terms[k], term(lam)
-                heapq.heappush(heap, (-fold(terms), idx[:k] + (idx[k] + 1,) + idx[k + 1:], k))
-                terms[k] = own
-    return out
+    def ratio(k, i):
+        nl = neg[k]
+        if i == len(nl):
+            nl.extend(_ratios(facs[k], problem.log_leads[k], i + 2,
+                              min(max(2 * i, _FIRST_RATIOS), m - 1) + 2))
+        return nl[i]
+
+    def push(key, k, i, V, terms):
+        if key > lo:  # never at a zero eigenvalue, where the key is -inf
+            heapq.heappush(frontier, (-key, next(seq), k, i, V, terms))
+
+    if m > 1:
+        push(hmax[0], 0, -1, 0.0, root)
+    while frontier:
+        key, _, k, i, V, parent = heapq.heappop(frontier)
+        if -key <= lo:  # so is every node left, and every node not yet pushed
+            break
+        if i < 0:
+            # the node's children in dimensions >= k, keyed by their bound hmax
+            push(V - ratio(k, 0), k, 0, V, parent)
+            push(V + hmax[k + 1], k + 1, -1, V, parent)
+            continue
+        xl = ext[k]
+        if i == len(xl):
+            xl.append(term(facs[k].eigenvalue(i + 2)))
+        terms = parent.copy()
+        terms[k] = xl[i]
+        f = fold(terms)
+        if len(heap) < m:
+            heapq.heappush(heap, f)
+        elif f > heap[0]:
+            heapq.heapreplace(heap, f)
+        else:
+            continue
+        if len(heap) == m:
+            lo = band(heap[0])[0]
+        # a node and m - 1 children ranked before a child fill the heap with
+        # folds no smaller than its own, so no node needs m children
+        if i + 2 < m:
+            push(V - ratio(k, i + 1), k, i + 1, V, parent)
+        push(-key + hmax[k + 1], k + 1, -1, -key, terms)
+    if len(heap) < m:
+        raise InvalidInputError("spectrum exhausted before m values (zero eigenvalue hit)")
+    heap.sort(reverse=True)
+    return np.array([math.exp(v) for v in heap] if use_log else heap)
 
 
 def count_products_above(problem: ProductProblem, T: float, cap: int = COUNTING_CAP) -> CountResult:
@@ -188,29 +244,16 @@ def _count_impl(problem, T, cap, log_space):
     ``h_k = lam(k,2)/lam(k,1)`` among those left falls below the threshold;
     h need not be monotone in k.
 
-    Values more than ``w`` above the normalised threshold ``ln t`` are
-    counted and those more than ``w`` below it dropped with their subtrees,
-    where ``w`` bounds the rounding of this walk and of the dense counter's
-    evaluation order (for subnormal direct products, an absolute slack on
-    T).  Values in between are decided by :func:`_dense_rule`.  Every tuple's decision is monotone in each
+    Values above the band of :func:`_band` are counted and those below it
+    dropped with their subtrees.  Values in between are decided by
+    :func:`_dense_rule`.  Every tuple's decision is monotone in each
     coordinate, so the first rejected child in a dimension ends that
     dimension's children.
     """
     d = problem.d
     facs = problem.factors
     log_leads = problem.log_leads
-    log_L = problem.log_leading_product
-    if log_space:
-        log_hi = log_lo = T
-    else:
-        # A direct product step that goes subnormal is off by up to 2**-1075,
-        # times the factors after it (at most the largest leading suffix).
-        slack = d * 2.0 ** -1074 * float(problem.suffix_leading.max())
-        log_hi = math.log(T + slack)
-        log_lo = math.log(T - slack) if T > slack else -math.inf
-    w = _WINDOW_ULPS * (3 * d + 20) * (
-        1.0 + float(np.abs(log_leads).sum()) + abs(log_hi) + abs(log_hi - log_L))
-    lo, hi = log_lo - log_L - w, log_hi - log_L + w
+    lo, hi = _band(problem, log_space)(T)
 
     def accepted(exc, k, j):
         js = [1] * d
@@ -225,12 +268,7 @@ def _count_impl(problem, T, cap, log_space):
     count = 1
     if count >= cap:
         return CountResult(cap, True, cap)
-    with np.errstate(divide="ignore"):
-        log_h = np.log([f.second for f in facs]) - log_leads
-    # hmax[k] = ln max_{k' >= k} h_k'; -inf past the last dimension
-    hmax = np.maximum.accumulate(log_h[::-1])[::-1].tolist()
-    hmax.append(-math.inf)
-    neg = [[] for _ in range(d)]
+    neg, hmax = _walk_tables(problem)
     stack = [(0.0, 0, None)]
     while stack:
         V, k0, exc = stack.pop()
@@ -261,6 +299,49 @@ def _count_impl(problem, T, cap, log_space):
                 n_int = bisect_left(nl, V + hmax[k + 1] - lo, 0, n_ok)
                 stack.extend([(V - nl[i], k + 1, (k, i + 2, exc)) for i in range(n_int)])
     return CountResult(count, False, cap)
+
+
+def _band(problem, log_space):
+    """The borderline band of an excitation walk, as a function of T.
+
+    It maps a threshold T (ln T in log space) to the normalised ``(lo, hi)``:
+    ``ln T - ln L`` widened by a window ``w`` on each side, where L is the
+    leading product.  ``w`` bounds the rounding of the walk's log values and
+    of the dimension-order evaluations, plus, for subnormal direct products,
+    an absolute slack on T.  So a tuple whose log normalised value lies
+    above ``hi`` has every dimension-order evaluation above T, and one at or
+    below ``lo`` has every such evaluation at or below T.
+    """
+    log_L = problem.log_leading_product
+    scale = _WINDOW_ULPS * (3 * problem.d + 20)
+    base = 1.0 + float(np.abs(problem.log_leads).sum())
+    # A direct product step that goes subnormal is off by up to 2**-1075,
+    # times the factors after it (at most the largest leading suffix).
+    slack = 0.0 if log_space else (
+        problem.d * 2.0 ** -1074 * float(problem.suffix_leading.max()))
+
+    def band(T):
+        if log_space:
+            log_hi = log_lo = T
+        else:
+            log_hi = math.log(T + slack)
+            log_lo = math.log(T - slack) if T > slack else -math.inf
+        w = scale * (base + abs(log_hi) + abs(log_hi - log_L))
+        return log_lo - log_L - w, log_hi - log_L + w
+
+    return band
+
+
+def _walk_tables(problem):
+    """Empty ``-ln`` ratio lists, one per dimension, and ``hmax``.
+
+    ``hmax[k] = ln max_{k' >= k} h_k'``, with -inf past the last dimension.
+    """
+    with np.errstate(divide="ignore"):
+        log_h = np.log([f.second for f in problem.factors]) - problem.log_leads
+    hmax = np.maximum.accumulate(log_h[::-1])[::-1].tolist()
+    hmax.append(-math.inf)
+    return [[] for _ in range(problem.d)], hmax
 
 
 def _ratios(fac, log_lead, j0, j1):
@@ -324,20 +405,34 @@ def brute_force_oracle(problem: ProductProblem, J: int) -> np.ndarray:
     thresholds above max_k lam(k, J) * prod_{k' != k} lam(k', 1); see
     :func:`oracle_validity_floor`.
     """
+    if problem.uses_log:
+        return np.fromiter(map(math.exp, brute_force_log_oracle(problem, J)),
+                           dtype=float, count=J ** problem.d)
+    vals = None
+    for row in _box_rows(problem, J):
+        vals = row.copy() if vals is None else np.multiply.outer(vals, row).ravel()
+    return np.sort(vals)[::-1]
+
+
+def brute_force_log_oracle(problem: ProductProblem, J: int) -> np.ndarray:
+    """The logs of all products over the box j_k <= J, sorted descending.
+
+    Each is the dimension-order ``sum`` of ``math.log`` terms, as the top-m
+    walk forms it in log space; the log-space count compares such sums, not
+    their ``exp``, with ln T.  A zero eigenvalue gives -inf.
+    """
+    logs = [[math.log(v) if v > 0.0 else -math.inf for v in row]
+            for row in _box_rows(problem, J)]
+    vals = np.fromiter(map(sum, itertools.product(*logs)), dtype=float, count=J ** problem.d)
+    return np.sort(vals)[::-1]
+
+
+def _box_rows(problem, J):
     if J < 1:
         raise InvalidInputError(f"J must be >= 1, got {J}")
     if J ** problem.d > ENUMERATION_CAP:
         raise CapExceededError(f"J**d = {J ** problem.d} exceeds {ENUMERATION_CAP}")
-    rows = [fac.eigenvalues_up_to(J) for fac in problem.factors]
-    if problem.uses_log:
-        logs = [[math.log(v) for v in row] for row in rows]
-        vals = np.fromiter(map(math.exp, map(sum, itertools.product(*logs))),
-                           dtype=float, count=J ** problem.d)
-    else:
-        vals = rows[0].copy()
-        for row in rows[1:]:
-            vals = np.multiply.outer(vals, row).ravel()
-    return np.sort(vals)[::-1]
+    return [fac.eigenvalues_up_to(J) for fac in problem.factors]
 
 
 def oracle_validity_floor(problem: ProductProblem, J: int) -> float:

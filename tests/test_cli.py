@@ -255,6 +255,34 @@ def test_oracle_compare_log_space_problem(capsys, family_file, monkeypatch):
     assert any(np.count_nonzero(box > t) > 0 for t in thresholds)
 
 
+def test_oracle_compare_counts_against_log_sums(capsys, family_file):
+    """At T = 5e-324 this log-space box has log sums above ln T whose exp
+    rounds to T itself; counts must be compared with the log sums."""
+    doc = {"family": "custom",
+           "tables": [[1e-105, 5e-106, 2e-106, 1e-106], [1e-105, 4e-106, 1e-106],
+                      [1e-100, 3e-101, 1e-101, 5e-102]],
+           "tail": {"kind": "geometric", "ratio": 0.25}, "tau0": 0.0}
+    path = family_file("s.json", doc)
+    code, out, _ = run(capsys, ["oracle-compare", "--family", path, "--d", "3",
+                                "--m", "200", "--j", "30"])
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["count_mismatches"] == 0 and rep["pass"] is True
+
+
+@pytest.mark.parametrize("m, want", [(5, 0), (50, 3)])
+def test_oracle_compare_log_space_zero_tail(capsys, family_file, m, want):
+    """Tables with no tail have zero eigenvalues past their end, which a
+    log-space box holds as products of 0; 8 tuples are nonzero."""
+    doc = {"family": "custom", "tables": [[1e-105, 5e-106], [1e-105, 4e-106], [1e-100, 3e-101]],
+           "tau0": 0.0}
+    path = family_file("z.json", doc)
+    code, out, err = run(capsys, ["oracle-compare", "--family", path, "--d", "3",
+                                  "--m", str(m), "--j", "4"])
+    assert code == want and "Traceback" not in err
+    assert want or json.loads(out)["pass"] is True
+
+
 def test_analytic_korobov_document(capsys, family_file):
     doc = {"family": "analytic_korobov", "omega": 0.5,
            "a": {"kind": "log_growth", "theta": 2.0}, "b": {"kind": "constant", "c": 1.0}}

@@ -65,16 +65,22 @@ def test_top_cap():
         product_eigenvalues_top(p, 100, cap=50)
 
 
+def generated_top_case(seed):
+    """A seeded problem and m: d from 1-5 (m <= 300) or 6-30 (m <= 60), both
+    mostly direct space, or 31-60 (log space, m <= 20)."""
+    rng = random.Random(seed)
+    d, m_max = rng.choice(((rng.randint(1, 5), 300), (rng.randint(6, 30), 60),
+                           (rng.randint(31, 60), 20)))
+    return make_problem(rng, rng.choice(KINDS), d), rng.randint(1, m_max)
+
+
 @given(st.integers(min_value=0, max_value=2 ** 32))
 @settings(max_examples=100, deadline=None)
 def test_top_matches_lattice_walk(seed):
-    """The tree walk returns the whole-lattice walk's values bit for bit, in
-    direct space (d <= 5) and log space (d >= 31), and raises the same error
-    when a zero-tail spectrum runs out."""
-    rng = random.Random(seed)
-    d = rng.randint(1, 5) if rng.random() < 0.6 else rng.randint(31, 60)
-    p = make_problem(rng, rng.choice(KINDS), d)
-    m = rng.randint(1, 300 if d <= 5 else 20)
+    """The excitation walk returns the whole-lattice walk's values bit for
+    bit, in direct and log space, and raises the same error when a zero-tail
+    spectrum runs out."""
+    p, m = generated_top_case(seed)
     try:
         want = helpers.lattice_top(p, m)
     except InvalidInputError as exc:
@@ -83,6 +89,40 @@ def test_top_matches_lattice_walk(seed):
         assert str(got.value) == str(exc)
         return
     assert product_eigenvalues_top(p, m).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("problem, m", [
+    (ProductProblem.from_family(spectra.custom_tabulated([[1.0, 1.0, 0.5]] * 40, tau0=0.0), 40),
+     20),
+    (unit_korobov_problem(40), 50),
+], ids=["halving-tables-d40", "unit-korobov-d40"])
+def test_top_tie_bands_match_lattice_walk(problem, m):
+    """2**40 and 3**40 tuples tie with the leading product 1: the walk must
+    stop after about m visits per dimension, not enumerate the tie band."""
+    top = product_eigenvalues_top(problem, m)
+    assert top.tobytes() == helpers.lattice_top(problem, m).tobytes()
+    assert np.array_equal(top, np.ones(m))
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32))
+@settings(max_examples=60, deadline=None)
+def test_counts_between_top_values(seed):
+    """Between distinct consecutive top values top[i] > top[i+1], the count
+    at their midpoint is i + 1, in direct and in log space.  Pairs closer
+    than 1e-12 relative are skipped: there the order of two products depends
+    on the evaluation order, which the fold and the dense rule do not share."""
+    p, m = generated_top_case(seed)
+    try:
+        top = product_eigenvalues_top(p, m)
+    except InvalidInputError:
+        return
+    for i in range(m - 1):
+        a, b = float(top[i]), float(top[i + 1])
+        if b < a * (1.0 - 1e-12):
+            mid = 0.5 * (a + b)
+            assert products.count_products_above_log(p, math.log(mid)).count == i + 1
+            if not p.uses_log:
+                assert count_products_above(p, mid).count == i + 1
 
 
 # ---------------------------------------------------------------------------
