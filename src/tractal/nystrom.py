@@ -11,6 +11,12 @@ the diagonal (min-type, periodic series) limit plain convergence to second
 order in the node count, so estimates combine the n-node and 2n-node grids:
 the returned eigenvalues are the Richardson combination (4*lam_2n - lam_n)/3
 and the n -> 2n gap is reported alongside as the refinement error.
+
+The Gauss-Legendre rule is numpy's ``leggauss``, bit for bit, with its roots
+found from the tridiagonal Jacobi matrix in O(n**2) (scipy's LAPACK
+``dsterf``, imported on first use, so importing this module loads no scipy).
+The korobov series kernel sums its cosine terms as blocks of Gram products
+G @ G.T of the per-node features sqrt(w_j) * (cos 2*pi*j*x, sin 2*pi*j*x).
 """
 from __future__ import annotations
 
@@ -29,6 +35,7 @@ UNIT_INTERVAL = "unit_interval"
 WEIGHTED_LINE = "weighted_line"
 
 _NEGATIVE_TOL = 1e-10
+_KOROBOV_BLOCK = 256  # series terms per Gram product in the korobov kernel
 
 
 @dataclass(frozen=True)
@@ -103,7 +110,7 @@ def quadrature_rule(domain: str, n: int):
     if n < 1:
         raise InvalidInputError(f"need at least 1 node, got {n}")
     if domain == UNIT_INTERVAL:
-        x, w = np.polynomial.legendre.leggauss(n)
+        x, w = _gauss_legendre(n)
         return (x + 1.0) / 2.0, w / 2.0
     if domain == WEIGHTED_LINE:
         with np.errstate(all="ignore"):  # finiteness is checked right below
@@ -136,28 +143,55 @@ def kernel_matrix(spec: KernelSpec, nodes: np.ndarray) -> np.ndarray:
     return np.exp(-spec.gamma_sq * np.subtract.outer(x, x) ** 2)
 
 
+def _gauss_legendre(n):
+    """numpy's ``leggauss(n)`` with its roots taken from the tridiagonal
+    Jacobi matrix by LAPACK ``dsterf`` in O(n**2) (Golub and Welsch) instead
+    of a dense eigen-solve of the companion matrix.  The Newton step and the
+    weights follow ``leggauss`` line for line, and so do its results."""
+    from scipy.linalg import lapack
+
+    legendre = np.polynomial.legendre
+    c = np.array([0] * n + [1])
+    scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+    off = np.arange(1, n) * scl[:n - 1] * scl[1:n]
+    x, info = lapack.dsterf(np.zeros(n), off) if n > 1 else (np.zeros(1), 0)
+    if info:
+        raise np.linalg.LinAlgError(f"dsterf did not converge for the {n}-node rule")
+    dy = legendre.legval(x, c)
+    df = legendre.legval(x, legendre.legder(c))
+    x -= dy / df
+    fm = legendre.legval(x, c[1:])
+    fm /= np.abs(fm).max()
+    df /= np.abs(df).max()
+    w = 1 / (fm * df)
+    w = (w + w[::-1]) / 2
+    x = (x - x[::-1]) / 2
+    w *= 2.0 / w.sum()
+    return x, w
+
+
 def _korobov_series_matrix(x, alpha, beta, J):
-    # cos(2*pi*j*diff) by the three-term recurrence on the upper triangle
-    iu = np.triu_indices(x.size)
-    diff = x[iu[0]] - x[iu[1]]
-    c1 = np.cos(2.0 * math.pi * diff)
-    vals = 1.0 + 2.0 * beta * c1
-    prev = np.ones_like(c1)
-    cur = c1
-    for j in range(2, J + 1):
-        prev, cur = cur, 2.0 * c1 * cur - prev
-        vals += 2.0 * beta * j ** (-2.0 * alpha) * cur
-    K = np.empty((x.size, x.size))
-    K[iu] = vals
-    K[(iu[1], iu[0])] = vals
+    # 2*beta*j**(-2*alpha)*cos(2*pi*j*(x - y)) = g_j(x) . g_j(y) with
+    # g_j = sqrt(2*beta*j**(-2*alpha)) * (cos 2*pi*j*x, sin 2*pi*j*x), so a
+    # block of terms is one Gram product G @ G.T, which BLAS forms exactly
+    # symmetric
+    K = np.ones((x.size, x.size))
+    tx = 2.0 * math.pi * x
+    for start in range(1, J + 1, _KOROBOV_BLOCK):
+        j = np.arange(start, min(start + _KOROBOV_BLOCK, J + 1), dtype=float)
+        sw = np.sqrt(2.0 * beta * j ** (-2.0 * alpha))
+        theta = np.multiply.outer(tx, j)
+        G = np.hstack([np.cos(theta) * sw, np.sin(theta) * sw])
+        K += G @ G.T
     return K
 
 
 def _symmetrized_eigs(spec: KernelSpec, n: int) -> np.ndarray:
     x, w = quadrature_rule(spec.domain, n)
-    K = kernel_matrix(spec, x)
     sw = np.sqrt(w)
-    lam = np.linalg.eigvalsh(K * np.outer(sw, sw))
+    A = np.outer(sw, sw)
+    A *= kernel_matrix(spec, x)  # the kernel matrix is freed before the solve
+    lam = np.linalg.eigvalsh(A)
     if spec.kind == "euler_iterated" and spec.r >= 1:
         # the iterated operator is A**(r+1); A is symmetric, so its
         # eigenvalues are those of A raised to r+1

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import helpers
 from tractal import nystrom
 from tractal.errors import InvalidInputError, NoClosedFormError
 from tractal.nystrom import (
@@ -34,6 +35,19 @@ def test_weights_sum_to_one(n):
         _, w = quadrature_rule(domain, n)
         assert float(w.sum()) == pytest.approx(1.0, rel=1e-13)
         assert np.all(w > 0)
+
+
+# 1..64, and the node counts of the bench, `verify` and acceptance (n and 2n)
+LEGENDRE_NODE_COUNTS = [*range(1, 65), *range(148, 153), *range(296, 305), 400,
+                        *range(596, 605), 800]
+
+
+@pytest.mark.parametrize("n", LEGENDRE_NODE_COUNTS)
+def test_gauss_legendre_rule_is_numpy_leggauss(n):
+    x, w = quadrature_rule(nystrom.UNIT_INTERVAL, n)
+    xr, wr = np.polynomial.legendre.leggauss(n)
+    assert x.tobytes() == ((xr + 1.0) / 2.0).tobytes()
+    assert w.tobytes() == (wr / 2.0).tobytes()
 
 
 def test_hermite_single_node():
@@ -71,6 +85,39 @@ def test_korobov_kernel_half_shift():
     spec = korobov_series(1.0, 1.0, series_cutoff=10 ** 5)
     val = kernel_matrix(spec, np.array([0.75, 0.25]))[0, 1]
     assert val == pytest.approx(1.0 - math.pi ** 2 / 6.0, abs=1e-8)
+
+
+KOROBOV_BLOCK = nystrom._KOROBOV_BLOCK
+
+
+@pytest.mark.parametrize("J", [1, KOROBOV_BLOCK - 1, KOROBOV_BLOCK, KOROBOV_BLOCK + 1, 2000])
+@pytest.mark.parametrize("alpha", [0.6, 1.0, 1.5, 2.0, 3.0])
+def test_korobov_kernel_matches_recurrence(alpha, J):
+    # a 10-node grid keeps |x - y| away from 1, where the recurrence itself
+    # drifts (see test_korobov_kernel_accurate_at_grid_corners)
+    x, _ = quadrature_rule(nystrom.UNIT_INTERVAL, 10)
+    for beta in (0.5, 1.0):
+        K = kernel_matrix(korobov_series(alpha, beta, series_cutoff=J), x)
+        assert np.array_equal(K, K.T)
+        np.testing.assert_allclose(K, helpers.korobov_recurrence_matrix(x, alpha, beta, J),
+                                   rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("alpha", [0.6, 1.0, 2.0])
+def test_korobov_kernel_accurate_at_grid_corners(alpha):
+    # the two ends of the 300-node grid, where |x - y| is closest to 1,
+    # against the series summed term by term in extended precision
+    x, _ = quadrature_rule(nystrom.UNIT_INTERVAL, 300)
+    x = np.concatenate([x[:4], x[-4:]])
+    J = 2000
+    j = np.arange(1, J + 1, dtype=np.longdouble)
+    coeff = 2.0 * j ** (-2.0 * np.longdouble(alpha))
+    diff = np.subtract.outer(x, x).astype(np.longdouble)
+    two_pi = 4.0 * np.arccos(np.longdouble(0.0))
+    exact = 1.0 + np.cos(two_pi * diff[..., None] * j) @ coeff
+    scale = 1.0 + float(coeff.sum())  # the sum of the terms' magnitudes
+    K = kernel_matrix(korobov_series(alpha, 1.0, series_cutoff=J), x)
+    assert float(np.abs(K - exact).max()) <= 1e-13 * scale
 
 
 def test_wiener_kernel_entry_r1():
@@ -118,6 +165,19 @@ def test_korobov_estimates_match_closed_form():
 def test_wiener_r0_estimates():
     rep = verify_against_closed_form(wiener_integral(0), 400, 6)
     assert rep.max_deviation < 1e-5
+
+
+@pytest.mark.parametrize("spec, nodes", [
+    (euler_iterated(0), (150, 300)), (euler_iterated(1), (150, 300)),
+    (wiener_integral(0), (150, 300)), (wiener_integral(1), (150, 300)),
+    (wiener_integral(2), (150, 300)), (gaussian_weighted(1.0), (50, 100)),
+], ids=["euler-r0", "euler-r1", "wiener-r0", "wiener-r1", "wiener-r2", "gaussian"])
+def test_estimates_bit_identical_to_numpy_rules(spec, nodes):
+    for n in nodes:
+        est = spectrum_estimate(spec, n, 6)
+        lam, refinement = helpers.numpy_rule_estimate(spec, n, 6)
+        assert est.eigenvalues.tobytes() == lam.tobytes()
+        assert est.refinement_error.tobytes() == refinement.tobytes()
 
 
 def test_wiener_r1_no_closed_form():

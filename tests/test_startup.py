@@ -1,8 +1,9 @@
-"""Commands that evaluate no zeta or gamma must not import scipy.
+"""Commands that evaluate no zeta or gamma must not import scipy, and neither
+must importing ``tractal.nystrom``.
 
-Each case runs ``cli.main`` in a fresh interpreter, since scipy is what
-dominates a command's start-up and an import anywhere in the package would
-load it for every command."""
+Each case runs in a fresh interpreter, since scipy is what dominates a
+command's start-up and an import anywhere in the package would load it for
+every command."""
 import json
 import os
 import subprocess
@@ -28,10 +29,10 @@ GAUSS_DOC = {"family": "gaussian", "gamma_sq": {"kind": "power", "c": 1, "alpha"
 EULER_DOC = {"family": "euler", "r": {"kind": "constant", "c": 0}}
 
 
-def fresh_run(argv):
+def fresh_run(code, *argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", PROBE, *argv], env=env,
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           capture_output=True, text=True, timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -44,7 +45,7 @@ def fresh_run(argv):
 def test_command_without_special_functions_leaves_scipy_unloaded(tmp_path, doc, argv):
     path = tmp_path / "family.json"
     path.write_text(json.dumps(doc))
-    code, out, err = fresh_run([argv[0], "--family", str(path), *argv[1:]])
+    code, out, err = fresh_run(PROBE, argv[0], "--family", str(path), *argv[1:])
     assert code == 0 and out
     assert "scipy loaded: False" in err
 
@@ -53,8 +54,14 @@ def test_euler_abs_classify_loads_scipy_and_matches_in_process(tmp_path, capsys)
     path = tmp_path / "euler.json"
     path.write_text(json.dumps(EULER_DOC))
     argv = ["classify", "--family", str(path), "--criterion", "abs"]
-    code, out, err = fresh_run(argv)
+    code, out, err = fresh_run(PROBE, *argv)
     assert code == 0
     assert "scipy loaded: True" in err
     assert cli.main(argv) == 0
     assert out == capsys.readouterr().out and json.loads(out)["p_star"]
+
+
+def test_nystrom_import_leaves_scipy_unloaded():
+    # the Legendre rule imports scipy.linalg when first built, not at import
+    code, out, _ = fresh_run("import sys, tractal.nystrom; print('scipy' in sys.modules)")
+    assert code == 0 and out.strip() == "False"
