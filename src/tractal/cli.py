@@ -142,51 +142,6 @@ def parse_family(doc) -> spectra.FamilySpec:
         b_limit=_number(doc.get("b_limit"), "b_limit", optional=True))
 
 
-def sequence_document(seq: SequenceDescriptor) -> dict:
-    if seq.kind == "constant":
-        return {"kind": "constant", "c": seq.c}
-    if seq.kind == "power":
-        return {"kind": "power", "c": seq.c, "alpha": seq.alpha}
-    if seq.kind == "log_growth":
-        return {"kind": "log_growth", "theta": seq.theta}
-    if seq.evaluator is not None:
-        raise InvalidInputError("evaluator-backed explicit sequences are not serializable")
-    doc = {"kind": "explicit", "values": list(seq.values)}
-    if seq.declared_liminf_log_ratio is not None:
-        doc["liminf_log_ratio"] = seq.declared_liminf_log_ratio
-    if seq.declared_limit is not None:
-        doc["limit"] = seq.declared_limit
-    return doc
-
-
-def family_document(spec: spectra.FamilySpec) -> dict:
-    """The JSON document for a family spec; inverse of parse_family."""
-    fam = spec.family.value
-    if fam in ("euler", "wiener"):
-        return {"family": fam, "r": sequence_document(spec.r)}
-    if fam == "korobov":
-        return {"family": fam, "r": sequence_document(spec.r),
-                "g": sequence_document(spec.g)}
-    if fam == "gaussian":
-        return {"family": fam, "gamma_sq": sequence_document(spec.gamma_sq)}
-    if fam == "analytic_korobov":
-        return {"family": fam, "omega": spec.omega,
-                "a": sequence_document(spec.a), "b": sequence_document(spec.b)}
-    doc = {"family": "custom", "tables": [list(row) for row in spec.tables]}
-    if spec.tail is not None:
-        tdoc = {"kind": spec.tail.kind}
-        if spec.tail.kind == "geometric":
-            tdoc["ratio"] = spec.tail.ratio
-        else:
-            tdoc["exponent"] = spec.tail.exponent
-        doc["tail"] = tdoc
-    for key, val in (("tau0", spec.declared_tau0), ("a_star", spec.declared_a_star),
-                     ("b_limit", spec.declared_b_limit)):
-        if val is not None:
-            doc[key] = val
-    return doc
-
-
 def _load_family(path) -> spectra.FamilySpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -253,15 +208,18 @@ def _emit(text, out_path):
         import tempfile
 
         directory = os.path.dirname(os.path.abspath(out_path))
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tractal-")
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp, out_path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tractal-")
+            try:
+                with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+                os.replace(tmp, out_path)
+            except BaseException:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+                raise
+        except OSError as exc:
+            raise InvalidInputError(f"cannot write output file: {exc}")
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -577,26 +535,30 @@ def build_parser():
         description="Information complexity and tractability for tensor-product spectra")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, family=True):
-        if family:
-            p.add_argument("--family", required=True, help="path to a family JSON document")
-        p.add_argument("--criterion", choices=("abs", "nor"), default="nor")
-        p.add_argument("--epsilon", default="0.5", help="comma-separated list")
-        p.add_argument("--d", default="1", help="comma-separated list; a:b for ranges")
-        p.add_argument("--cap", type=int, default=products.COUNTING_CAP)
-        p.add_argument("--strict", action="store_true")
-        p.add_argument("--out", default=None, help="write output to this path atomically")
-
-    common(sub.add_parser("classify", help="tractability flags and exponents"))
-    common(sub.add_parser("complexity", help="information complexity at one (epsilon, d)"))
-    common(sub.add_parser("sweep", help="CSV of n(epsilon, d) over a grid"))
-    p_verify = sub.add_parser("verify", help="run a named verification suite")
-    p_verify.add_argument("--suite", default="all")
-    p_verify.add_argument("--out", default=None)
-    p_oc = sub.add_parser("oracle-compare", help="enumeration vs brute-force oracle")
-    common(p_oc)
-    p_oc.add_argument("--m", type=int, default=200)
-    p_oc.add_argument("--j", type=int, default=30)
+    options = {
+        "--family": dict(required=True, help="path to a family JSON document"),
+        "--criterion": dict(choices=("abs", "nor"), default="nor"),
+        "--epsilon": dict(default="0.5", help="comma-separated list"),
+        "--d": dict(default="1", help="comma-separated list; a:b for ranges"),
+        "--cap": dict(type=int, default=products.COUNTING_CAP),
+        "--strict": dict(action="store_true"),
+        "--suite": dict(default="all"),
+        "--m": dict(type=int, default=200),
+        "--j": dict(type=int, default=30),
+        "--out": dict(default=None, help="write output to this path atomically"),
+    }
+    counting = ("--family", "--criterion", "--epsilon", "--d", "--cap", "--strict", "--out")
+    for name, text, names in (
+            ("classify", "tractability flags and exponents",
+             ("--family", "--criterion", "--out")),
+            ("complexity", "information complexity at one (epsilon, d)", counting),
+            ("sweep", "CSV of n(epsilon, d) over a grid", counting),
+            ("verify", "run a named verification suite", ("--suite", "--out")),
+            ("oracle-compare", "enumeration vs brute-force oracle",
+             ("--family", "--d", "--m", "--j", "--out"))):
+        p = sub.add_parser(name, help=text)
+        for opt in names:
+            p.add_argument(opt, **options[opt])
     return parser
 
 

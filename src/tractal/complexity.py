@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, InvalidInputError, UnsupportedCriterionError
+from .errors import InvalidInputError, UnsupportedCriterionError
 from .xreal import ceil_exp
 from . import products, spectra
 from .products import COUNTING_CAP, ENUMERATION_CAP, ProductProblem
@@ -87,10 +87,7 @@ def log_normalized_trace(problem: ProductProblem, tau: float) -> float:
     """ln sum_j (lam_{d,j}/lam_{d,1})**tau via the per-factor identity."""
     if problem.family is None:
         raise InvalidInputError("normalized traces need a family-backed problem")
-    total = 0.0
-    for k in range(1, problem.d + 1):
-        total += math.log(spectra.normalized_factor_power_sum(problem.family, k, tau))
-    return total
+    return float(spectra.log_trace_profile(problem.family, tau, problem.d, normalized=True)[-1])
 
 
 def pt_functional(spec, tau: float, q: float, D: int) -> np.ndarray:
@@ -103,15 +100,7 @@ def pt_functional(spec, tau: float, q: float, D: int) -> np.ndarray:
         raise InvalidInputError(f"tau must be positive, got {tau}")
     if D < 1:
         raise InvalidInputError(f"D must be >= 1, got {D}")
-    log_terms = np.empty(D)
-    for k in range(1, D + 1):
-        try:
-            log_terms[k - 1] = math.log(spectra.normalized_factor_power_sum(spec, k, tau))
-        except DivergenceError as exc:
-            raise DivergenceError(
-                f"factor power sum diverges at dimension {k} for tau={tau}",
-                dimension=k) from exc
-    cum = np.cumsum(log_terms)
+    cum = spectra.log_trace_profile(spec, tau, D, normalized=True)
     d = np.arange(1, D + 1, dtype=float)
     return np.exp(cum / tau - q * np.log(d))
 
@@ -125,13 +114,6 @@ def qpt_functional(spec, tau: float, D: int) -> np.ndarray:
     out = np.empty(D)
     for d in range(1, D + 1):
         x = tau * (1.0 + math.log(d))
-        total = 0.0
-        for k in range(1, d + 1):
-            try:
-                total += math.log(spectra.normalized_factor_power_sum(spec, k, x))
-            except DivergenceError as exc:
-                raise DivergenceError(
-                    f"factor power sum diverges at dimension {k} for exponent {x}",
-                    dimension=k) from exc
+        total = float(spectra.log_trace_profile(spec, x, d, normalized=True)[-1])
         out[d - 1] = math.exp(total / tau - 2.0 * math.log(d))
     return out

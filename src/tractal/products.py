@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError, DivergenceError, InvalidInputError
+from .errors import CapExceededError, InvalidInputError
 from . import spectra
 
 ENUMERATION_CAP = 10**7
@@ -387,13 +387,7 @@ def log_trace_sum(problem: ProductProblem, tau: float) -> float:
         raise InvalidInputError("trace sums need a family-backed problem")
     if tau <= 0:
         raise InvalidInputError(f"tau must be positive, got {tau}")
-    total = 0.0
-    for k in range(1, problem.d + 1):
-        try:
-            total += math.log(spectra.factor_power_sum(problem.family, k, tau))
-        except DivergenceError:
-            raise DivergenceError(f"trace diverges at dimension {k}", dimension=k)
-    return total
+    return float(spectra.log_trace_profile(problem.family, tau, problem.d, normalized=False)[-1])
 
 
 def brute_force_oracle(problem: ProductProblem, J: int) -> np.ndarray:

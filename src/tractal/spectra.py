@@ -470,23 +470,32 @@ def tau_zero(spec: FamilySpec) -> Interval:
     return Interval(0.0, INF)
 
 
-def factor_power_sum(spec: FamilySpec, k: int, tau: float) -> float:
-    """sum_j lam(k,j)**tau = lam(k,1)**tau + lam(k,2)**tau * H(k,tau)."""
-    H = tail_sum_H(spec, k, tau)
-    if math.isinf(H):
-        raise DivergenceError(f"factor power sum diverges at dimension {k} for tau={tau}",
-                              dimension=k)
-    fac = _factor(spec, k)
-    return fac.leading ** tau + fac.second ** tau * H
+def log_trace_profile(spec: FamilySpec, tau: float, D: int, normalized: bool) -> np.ndarray:
+    """Entry d-1 is ln sum_j lam_{d,j}**tau = sum_{k<=d} ln sum_j lam(k,j)**tau.
 
-
-def normalized_factor_power_sum(spec: FamilySpec, k: int, tau: float) -> float:
-    """sum_j (lam(k,j)/lam(k,1))**tau = 1 + h_k**tau * H(k,tau)."""
-    H = tail_sum_H(spec, k, tau)
-    if math.isinf(H):
-        raise DivergenceError(f"normalized power sum diverges at dimension {k} for tau={tau}",
-                              dimension=k)
-    return 1.0 + second_ratio(spec, k) ** tau * H
+    Each factor's power sum is lam(k,1)**tau + lam(k,2)**tau * H(k,tau); the
+    normalized trace divides every lam(k,j) by lam(k,1).  The logs are added
+    in dimension order by a plain left fold, not by ``sum``, which compensates
+    from Python 3.12 on, so the entries do not depend on the Python version.
+    """
+    out = np.empty(D)
+    total = 0.0
+    for k in range(1, D + 1):
+        try:
+            H = tail_sum_H(spec, k, tau)
+        except DivergenceError:  # a tail series that did not converge
+            H = INF
+        if math.isinf(H):
+            raise DivergenceError(f"trace diverges at dimension {k} for tau={tau}",
+                                  dimension=k)
+        if normalized:
+            lead, second = 1.0, second_ratio(spec, k)
+        else:
+            fac = _factor(spec, k)
+            lead, second = fac.leading, fac.second
+        total += math.log(lead ** tau + second ** tau * H)
+        out[k - 1] = total
+    return out
 
 
 # ---------------------------------------------------------------------------

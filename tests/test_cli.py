@@ -158,6 +158,33 @@ def test_sweep_strict_abort_leaves_no_file(capsys, family_file, tmp_path):
     assert not os.path.exists(out_path)
 
 
+@pytest.mark.parametrize("command, target", [
+    (["complexity", "--epsilon", "0.5", "--d", "2"], "missing/x.json"),
+    (["sweep", "--epsilon", "0.5", "--d", "1:3"], "existing"),
+], ids=["complexity-missing-directory", "sweep-onto-directory"])
+def test_unwritable_out_is_invalid_input(capsys, family_file, tmp_path, command, target):
+    path = family_file("g.json", GAUSS_DOC)
+    (tmp_path / "existing").mkdir()
+    code, _, err = run(capsys, command[:1] + ["--family", path, "--out",
+                                              str(tmp_path / target)] + command[1:])
+    assert code == 3
+    assert err.startswith("error: cannot write output file")
+    assert not list(tmp_path.rglob(".tractal-*"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--d", "3"],
+    ["classify", "--strict"],
+    ["oracle-compare", "--d", "2", "--epsilon", "0.5"],
+    ["oracle-compare", "--d", "2", "--criterion", "abs"],
+])
+def test_options_a_command_does_not_read_are_rejected(capsys, family_file, argv):
+    path = family_file("g.json", GAUSS_DOC)
+    code, _, err = run(capsys, argv[:1] + ["--family", path] + argv[1:])
+    assert code == 3
+    assert "unrecognized arguments" in err
+
+
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, ["verify", "--suite", "nope"])
     assert code == 3 and "unknown suite" in err
@@ -303,26 +330,32 @@ def test_custom_document(capsys, family_file):
     assert json.loads(out)["n"] >= 1
 
 
-def test_family_document_round_trip():
+def test_family_documents_parse():
     import math
     from tractal import spectra
     from tractal.sequences import SequenceDescriptor as S
-    specs = [
-        spectra.euler(S.explicit([0, 1, 2])),
-        spectra.korobov(S.constant(1.5), S.power(1.0, -2.0)),
-        spectra.gaussian(S.power(2.0, -1.0)),
-        spectra.analytic_korobov(0.5, S.log_growth(1.0), S.constant(1.0)),
-        spectra.custom_tabulated([[1.0, 0.5], [1.0, 0.25]], tau0=0.0, a_star=2.0,
-                                 tail=spectra.TailModel("geometric", ratio=0.5)),
+    cases = [
+        ({"family": "euler", "r": {"kind": "explicit", "values": [0, 1, 2]}},
+         spectra.euler(S.explicit([0, 1, 2]))),
+        ({"family": "korobov", "r": {"kind": "constant", "c": 1.5},
+          "g": {"kind": "power", "c": 1.0, "alpha": -2.0}},
+         spectra.korobov(S.constant(1.5), S.power(1.0, -2.0))),
+        ({"family": "gaussian", "gamma_sq": {"kind": "power", "c": 2.0, "alpha": -1.0}},
+         spectra.gaussian(S.power(2.0, -1.0))),
+        ({"family": "analytic_korobov", "omega": 0.5,
+          "a": {"kind": "log_growth", "theta": 1.0}, "b": {"kind": "constant", "c": 1.0}},
+         spectra.analytic_korobov(0.5, S.log_growth(1.0), S.constant(1.0))),
+        ({"family": "custom", "tables": [[1.0, 0.5], [1.0, 0.25]],
+          "tail": {"kind": "geometric", "ratio": 0.5}, "tau0": 0.0, "a_star": 2.0},
+         spectra.custom_tabulated([[1.0, 0.5], [1.0, 0.25]], tau0=0.0, a_star=2.0,
+                                  tail=spectra.TailModel("geometric", ratio=0.5))),
     ]
-    for spec in specs:
-        doc = cli.family_document(spec)
-        json.dumps(doc)
-        back = cli.parse_family(json.loads(json.dumps(doc)))
-        assert back.family == spec.family
+    for doc, spec in cases:
+        got = cli.parse_family(doc)
+        assert got.family == spec.family
         for k in (1, 2, 5):
             assert math.isclose(
-                back.factor(k).eigenvalue(3), spec.factor(k).eigenvalue(3),
+                got.factor(k).eigenvalue(3), spec.factor(k).eigenvalue(3),
                 rel_tol=1e-15)
 
 

@@ -9,6 +9,7 @@ from tractal.complexity import (
     ComplexityQuery,
     info_complexity,
     lemma_bound,
+    log_normalized_trace,
     minimal_error,
     pt_functional,
     qpt_functional,
@@ -149,13 +150,22 @@ def test_pt_functional_examples():
     grow = pt_functional(UNIT_KOROBOV, 1.0, 0.0, 10)
     assert grow[9] / grow[8] == pytest.approx(1.0 + math.pi ** 2 / 3.0, rel=1e-9)
     single = pt_functional(GAUSS1, 1.3, 0.0, 1)
-    expect = spectra.normalized_factor_power_sum(GAUSS1, 1, 1.3) ** (1 / 1.3)
+    H = spectra.tail_sum_H(GAUSS1, 1, 1.3)
+    expect = (1.0 + spectra.second_ratio(GAUSS1, 1) ** 1.3 * H) ** (1 / 1.3)
     assert single[0] == pytest.approx(expect, rel=1e-13)
 
 
-def test_pt_functional_divergence_names_dimension():
-    with pytest.raises(DivergenceError, match="dimension 1"):
-        pt_functional(UNIT_KOROBOV, 0.4, 0.0, 3)
+@pytest.mark.parametrize("evaluate", [
+    lambda: pt_functional(UNIT_KOROBOV, 0.4, 0.0, 3),
+    lambda: qpt_functional(UNIT_KOROBOV, 0.4, 3),
+    lambda: lemma_bound(ProductProblem.from_family(UNIT_KOROBOV, 3), 0.5, 0.4),
+    lambda: log_normalized_trace(ProductProblem.from_family(UNIT_KOROBOV, 3), 0.4),
+], ids=["pt_functional", "qpt_functional", "lemma_bound", "log_normalized_trace"])
+def test_divergence_names_dimension(evaluate):
+    # tau = 0.4 lies below tau0 = 1/2 of the unit korobov family
+    with pytest.raises(DivergenceError, match="dimension 1") as info:
+        evaluate()
+    assert info.value.dimension == 1
 
 
 def test_qpt_functional_reduces_to_pt_at_d1():
