@@ -189,20 +189,6 @@ def _parse_int_list(text):
     return out
 
 
-def _check_thread_env():
-    """TRACTAL_THREADS, if set, must be an integer >= 1.  Sweeps run serially
-    whatever its value; a bad value is still an input error."""
-    raw = os.environ.get("TRACTAL_THREADS")
-    if raw is None:
-        return
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InvalidInputError(f"TRACTAL_THREADS must be an integer >= 1, got {raw!r}")
-    if n < 1:
-        raise InvalidInputError(f"TRACTAL_THREADS must be >= 1, got {n}")
-
-
 def _emit(text, out_path):
     if out_path:
         import tempfile
@@ -249,9 +235,7 @@ def run_complexity(args) -> int:
     if len(eps_list) != 1 or len(d_list) != 1:
         raise InvalidInputError("complexity takes a single epsilon and a single d; use sweep for grids")
     eps, d = eps_list[0], d_list[0]
-    problem = products.ProductProblem.from_family(spec, d)
-    query = complexity.ComplexityQuery(epsilon=eps, d=d, criterion=args.criterion)
-    result = complexity.info_complexity(problem, query, cap=args.cap)
+    result = _sweep_point(spec, args.criterion, eps, d, args.cap)
     doc = {
         "epsilon": eps,
         "d": d,
@@ -278,7 +262,6 @@ def run_sweep(args) -> int:
     eps_list = sorted(_parse_float_list(args.epsilon), reverse=True)
     d_list = sorted(set(_parse_int_list(args.d)))
     grid = [(d, eps) for d in d_list for eps in eps_list]
-    _check_thread_env()
     results = [_sweep_point(spec, args.criterion, eps, d, args.cap) for d, eps in grid]
     if args.strict and any(r.saturated for r in results):
         print("a sweep point saturated at the cap under --strict", file=sys.stderr)
@@ -299,8 +282,6 @@ def run_oracle_compare(args) -> int:
     d = d_list[0]
     problem = products.ProductProblem.from_family(spec, d)
     J = args.j
-    if J ** d > products.ENUMERATION_CAP:
-        raise CapExceededError(f"J**d = {J ** d} exceeds the enumeration cap")
     oracle = products.brute_force_oracle(problem, J)
     if oracle[0] == 0.0:
         raise InvalidInputError(
@@ -349,8 +330,9 @@ def run_oracle_compare(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _direct_tail_power_sum(factor, tau, j_start, rel_floor=1e-16, max_terms=10**6):
-    """sum_{j >= j_start} lam(j)**tau by blockwise direct summation."""
+def _direct_tail_power_sum(factor, tau, j_start):
+    """sum_{j >= j_start} lam(j)**tau by blockwise direct summation, stopping
+    at a block below 1e-16 of the total or after 10**6 terms."""
     total = 0.0
     j0 = j_start
     block = 4096
@@ -358,46 +340,38 @@ def _direct_tail_power_sum(factor, tau, j_start, rel_floor=1e-16, max_terms=10**
         arr = factor.eigenvalues_block(j0, j0 + block) ** tau
         s = float(arr.sum())
         total += s
-        if s <= rel_floor * max(total, 1e-300) or arr[-1] == 0.0:
+        if s <= 1e-16 * max(total, 1e-300) or arr[-1] == 0.0:
             return total
         j0 += block
-        if j0 - j_start > max_terms:
+        if j0 - j_start > 10**6:
             return total
 
 
-def _check_nystrom(name, spec, nodes, m, threshold):
-    from . import nystrom
-
-    report = nystrom.verify_against_closed_form(spec, nodes, m)
-    return {"name": name, "deviation": report.max_deviation,
-            "threshold": threshold, "pass": report.max_deviation < threshold}
-
-
-def _suite_euler_nystrom():
-    from . import nystrom
-
-    return [_check_nystrom(f"euler-r{r}-400-nodes", nystrom.euler_iterated(r), 400, 6, 1e-4)
-            for r in (0, 1)]
+# Nystrom suites: (check name, nystrom kernel constructor, its arguments,
+# nodes, eigenvalues compared, threshold on the largest relative deviation)
+_NYSTROM_SUITES = {
+    "euler-nystrom": [(f"euler-r{r}-400-nodes", "euler_iterated", (r,), 400, 6, 1e-4)
+                      for r in (0, 1)],
+    "wiener-nystrom": [("wiener-r0-400-nodes", "wiener_integral", (0,), 400, 6, 1e-5)],
+    "gaussian-nystrom": [(f"gaussian-g2-{g2}-100-nodes", "gaussian_weighted", (g2,), 100, 6, 1e-8)
+                         for g2 in (0.25, 1.0, 4.0)],
+    "korobov-nystrom": [("korobov-a1-b1-400-nodes", "korobov_series", (1.0, 1.0, 10**4),
+                         400, 5, 1e-6)],
+}
 
 
-def _suite_wiener_nystrom():
-    from . import nystrom
+def _nystrom_suite(rows):
+    def suite():
+        from . import nystrom
 
-    return [_check_nystrom("wiener-r0-400-nodes", nystrom.wiener_integral(0), 400, 6, 1e-5)]
-
-
-def _suite_gaussian_nystrom():
-    from . import nystrom
-
-    return [_check_nystrom(f"gaussian-g2-{g2}-100-nodes", nystrom.gaussian_weighted(g2), 100, 6, 1e-8)
-            for g2 in (0.25, 1.0, 4.0)]
-
-
-def _suite_korobov_nystrom():
-    from . import nystrom
-
-    spec = nystrom.korobov_series(1.0, 1.0, series_cutoff=10**4)
-    return [_check_nystrom("korobov-a1-b1-400-nodes", spec, 400, 5, 1e-6)]
+        checks = []
+        for name, kernel, params, nodes, m, threshold in rows:
+            spec = getattr(nystrom, kernel)(*params)
+            dev = nystrom.verify_against_closed_form(spec, nodes, m).max_deviation
+            checks.append({"name": name, "deviation": dev,
+                           "threshold": threshold, "pass": dev < threshold})
+        return checks
+    return suite
 
 
 def _eq21_specs():
@@ -496,10 +470,7 @@ def _suite_exponent_crosscheck():
 
 
 _SUITES = {
-    "euler-nystrom": _suite_euler_nystrom,
-    "wiener-nystrom": _suite_wiener_nystrom,
-    "gaussian-nystrom": _suite_gaussian_nystrom,
-    "korobov-nystrom": _suite_korobov_nystrom,
+    **{name: _nystrom_suite(rows) for name, rows in _NYSTROM_SUITES.items()},
     "eq21-identity": _suite_eq21,
     "counting-oracle": _suite_counting_oracle,
     "g-function": _suite_g_function,

@@ -9,7 +9,7 @@ import numpy as np
 from .errors import InvalidInputError, UnsupportedCriterionError
 from .xreal import ceil_exp
 from . import products, spectra
-from .products import COUNTING_CAP, ENUMERATION_CAP, ProductProblem
+from .products import COUNTING_CAP, ProductProblem
 
 
 @dataclass(frozen=True)
@@ -34,14 +34,14 @@ class ComplexityResult:
     saturated: bool
 
 
-def minimal_error(problem: ProductProblem, n: int, cap: int = ENUMERATION_CAP) -> float:
+def minimal_error(problem: ProductProblem, n: int) -> float:
     """e(n) = sqrt of the (n+1)-st largest product eigenvalue; e(0) is the
     initial error sqrt(prod_k lam(k,1))."""
     if n < 0:
         raise InvalidInputError(f"n must be >= 0, got {n}")
     if n == 0:
         return math.exp(0.5 * problem.log_leading_product)
-    top = products.product_eigenvalues_top(problem, n + 1, cap=cap)
+    top = products.product_eigenvalues_top(problem, n + 1)
     return math.sqrt(top[-1])
 
 
@@ -95,6 +95,7 @@ def pt_functional(spec, tau: float, q: float, D: int) -> np.ndarray:
 
     Boundedness of this profile over all d is the polynomial-tractability
     criterion; a finite window can only support the verdict, never prove it.
+    Values beyond the double range are inf.
     """
     if tau <= 0:
         raise InvalidInputError(f"tau must be positive, got {tau}")
@@ -102,7 +103,8 @@ def pt_functional(spec, tau: float, q: float, D: int) -> np.ndarray:
         raise InvalidInputError(f"D must be >= 1, got {D}")
     cum = spectra.log_trace_profile(spec, tau, D, normalized=True)
     d = np.arange(1, D + 1, dtype=float)
-    return np.exp(cum / tau - q * np.log(d))
+    with np.errstate(over="ignore"):
+        return np.exp(cum / tau - q * np.log(d))
 
 
 def qpt_functional(spec, tau: float, D: int) -> np.ndarray:
@@ -115,5 +117,8 @@ def qpt_functional(spec, tau: float, D: int) -> np.ndarray:
     for d in range(1, D + 1):
         x = tau * (1.0 + math.log(d))
         total = float(spectra.log_trace_profile(spec, x, d, normalized=True)[-1])
-        out[d - 1] = math.exp(total / tau - 2.0 * math.log(d))
+        try:
+            out[d - 1] = math.exp(total / tau - 2.0 * math.log(d))
+        except OverflowError:
+            out[d - 1] = math.inf
     return out

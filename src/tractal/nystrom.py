@@ -23,13 +23,13 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from math import factorial
 
 import numpy as np
 
 from .errors import InvalidInputError, NoClosedFormError
 from . import spectra
+from .sequences import SequenceDescriptor
 
 UNIT_INTERVAL = "unit_interval"
 WEIGHTED_LINE = "weighted_line"
@@ -199,16 +199,6 @@ def _symmetrized_eigs(spec: KernelSpec, n: int) -> np.ndarray:
     return lam[::-1]
 
 
-@lru_cache(maxsize=256)
-def _estimate_cached(spec: KernelSpec, n_nodes: int, m: int):
-    coarse = _symmetrized_eigs(spec, n_nodes)[:m]
-    fine = _symmetrized_eigs(spec, 2 * n_nodes)[:m]
-    combined = (4.0 * fine - coarse) / 3.0
-    # exactly tied eigenvalue pairs can come back microscopically inverted
-    order = np.argsort(-combined, kind="stable")
-    return combined[order], np.abs(fine - coarse)[order]
-
-
 def spectrum_estimate(spec: KernelSpec, n_nodes: int, m: int) -> SpectrumEstimate:
     """Top m operator eigenvalues from the n and 2n node grids.
 
@@ -219,8 +209,12 @@ def spectrum_estimate(spec: KernelSpec, n_nodes: int, m: int) -> SpectrumEstimat
         raise InvalidInputError(f"m={m} exceeds the node count {n_nodes}")
     if m < 1:
         raise InvalidInputError(f"m must be >= 1, got {m}")
-    combined, refinement = _estimate_cached(spec, n_nodes, m)
-    combined = combined.copy()
+    coarse = _symmetrized_eigs(spec, n_nodes)[:m]
+    fine = _symmetrized_eigs(spec, 2 * n_nodes)[:m]
+    combined = (4.0 * fine - coarse) / 3.0
+    # exactly tied eigenvalue pairs can come back microscopically inverted
+    order = np.argsort(-combined, kind="stable")
+    combined = combined[order]
     if combined.min() < -_NEGATIVE_TOL:
         raise InvalidInputError(
             f"eigenvalue {combined.min():.3e} below -1e-10: kernel is not PSD")
@@ -228,24 +222,22 @@ def spectrum_estimate(spec: KernelSpec, n_nodes: int, m: int) -> SpectrumEstimat
         warnings.warn("clipping eigenvalues in [-1e-10, 0) to zero", stacklevel=2)
         combined = np.maximum(combined, 0.0)
     return SpectrumEstimate(eigenvalues=combined, node_count=n_nodes,
-                            refinement_error=refinement)
+                            refinement_error=np.abs(fine - coarse)[order])
 
 
 def closed_form_eigenvalues(spec: KernelSpec, m: int) -> np.ndarray:
-    """Reference spectrum for kernels that have one."""
-    j = np.arange(1, m + 1, dtype=float)
+    """Reference spectrum for kernels that have one: the first m eigenvalues
+    of the matching ``spectra`` family factor (a read-only view for m <= 64)."""
     if spec.kind == "euler_iterated" or (spec.kind == "wiener_integral" and spec.r == 0):
-        return (math.pi * (j - 0.5)) ** (-(2.0 * spec.r + 2.0))
-    if spec.kind == "wiener_integral":
+        family = spectra.euler(SequenceDescriptor.constant(spec.r))
+    elif spec.kind == "wiener_integral":
         raise NoClosedFormError(f"wiener kernels with r={spec.r} >= 1 have no closed form")
-    if spec.kind == "korobov_series":
-        vals = np.empty(m)
-        vals[0] = 1.0
-        jj = np.arange(2, m + 1)
-        vals[1:] = spec.beta * np.floor(jj / 2.0) ** (-2.0 * spec.alpha)
-        return vals
-    w = spectra.gaussian_omega(spec.gamma_sq)
-    return (1.0 - w) * w ** (j - 1.0)
+    elif spec.kind == "korobov_series":
+        family = spectra.korobov(SequenceDescriptor.constant(spec.alpha),
+                                 SequenceDescriptor.constant(spec.beta))
+    else:
+        family = spectra.gaussian(SequenceDescriptor.constant(spec.gamma_sq))
+    return family.factor(1).eigenvalues_up_to(m)
 
 
 def verify_against_closed_form(spec: KernelSpec, n_nodes: int, m: int) -> DeviationReport:

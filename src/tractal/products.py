@@ -377,8 +377,12 @@ def _dense_rule(problem, js, T, log_space):
 
 
 def trace_sum(problem: ProductProblem, tau: float) -> float:
-    """sum_j lam_{d,j}**tau = prod_k sum_j lam(k,j)**tau."""
-    return math.exp(log_trace_sum(problem, tau))
+    """sum_j lam_{d,j}**tau = prod_k sum_j lam(k,j)**tau; inf beyond the double range."""
+    log_value = log_trace_sum(problem, tau)
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        return math.inf
 
 
 def log_trace_sum(problem: ProductProblem, tau: float) -> float:

@@ -128,26 +128,6 @@ def test_sweep_byte_stability(capsys, family_file, tmp_path):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
-def test_sweep_threads_match_serial(capsys, family_file, tmp_path, monkeypatch):
-    path = family_file("g.json", GAUSS_DOC)
-    serial, threaded = str(tmp_path / "s.csv"), str(tmp_path / "t.csv")
-    code, _, _ = run(capsys, ["sweep", "--family", path, "--epsilon", "0.5,0.25",
-                              "--d", "1:5", "--out", serial])
-    assert code == 0
-    monkeypatch.setenv("TRACTAL_THREADS", "4")
-    code, _, _ = run(capsys, ["sweep", "--family", path, "--epsilon", "0.5,0.25",
-                              "--d", "1:5", "--out", threaded])
-    assert code == 0
-    assert open(serial).read() == open(threaded).read()
-
-
-def test_sweep_bad_thread_env(capsys, family_file, monkeypatch):
-    path = family_file("g.json", GAUSS_DOC)
-    monkeypatch.setenv("TRACTAL_THREADS", "zero")
-    code, _, _ = run(capsys, ["sweep", "--family", path, "--epsilon", "0.5", "--d", "1"])
-    assert code == 3
-
-
 def test_sweep_strict_abort_leaves_no_file(capsys, family_file, tmp_path):
     path = family_file("uk.json", UNIT_KOROBOV_DOC)
     out_path = str(tmp_path / "never.csv")
@@ -203,6 +183,22 @@ def test_verify_exponent_crosscheck(capsys):
     assert code == 0 and json.loads(out)["pass"] is True
 
 
+@pytest.mark.parametrize("suite, names", [
+    ("euler-nystrom", ["euler-r0-400-nodes", "euler-r1-400-nodes"]),
+    ("wiener-nystrom", ["wiener-r0-400-nodes"]),
+    ("gaussian-nystrom", [f"gaussian-g2-{g2}-100-nodes" for g2 in (0.25, 1.0, 4.0)]),
+    ("eq21-identity", [f"eq21-{name}-d3-tau1"
+                       for name in ("euler", "korobov", "gaussian", "analytic_korobov")]),
+    ("counting-oracle", ["counting-oracle-25-instances"]),
+])
+def test_verify_suite_checks(capsys, suite, names):
+    code, out, _ = run(capsys, ["verify", "--suite", suite])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["pass"] is True
+    assert [c["name"] for c in doc["checks"]] == names
+
+
 def test_verify_failure_exit_code(capsys, monkeypatch):
     failing = {"broken": lambda: [{"name": "broken", "deviation": 1.0,
                                    "threshold": 0.1, "pass": False}]}
@@ -233,6 +229,12 @@ def test_oracle_compare_skips_values_below_the_box_floor(capsys, family_file):
     assert doc["top_max_abs_deviation"] == 0.0 and doc["pass"] is True
     code, out, _ = run(capsys, ["oracle-compare", "--family", path, "--d", "2", "--j", "60"])
     assert code == 0 and json.loads(out)["top_compared"] == 200
+
+
+def test_oracle_compare_box_over_the_cap(capsys, family_file):
+    path = family_file("g.json", GAUSS_DOC)  # 30**5 > 10**7 box products
+    code, out, err = run(capsys, ["oracle-compare", "--family", path, "--d", "5", "--j", "30"])
+    assert code == 4 and out == "" and "exceeds" in err
 
 
 @pytest.mark.parametrize("d", ["2:4", "2,3"])

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -185,3 +186,16 @@ def test_qpt_functional_threshold_sides():
     lo = qpt_functional(GAUSS1, 0.5 * (tstar / 2.0), 50)
     assert lo.argmin() == 11
     assert np.all(np.diff(lo[:12]) < 0) and np.all(np.diff(lo[11:]) > 0)
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda: pt_functional(UNIT_KOROBOV, 0.6, 0.0, 2000),
+    lambda: qpt_functional(UNIT_KOROBOV, 0.6, 400),
+    lambda: np.array([products.trace_sum(ProductProblem.from_family(UNIT_KOROBOV, d), 1.0)
+                      for d in (10, 700)]),
+], ids=["pt_functional", "qpt_functional", "trace_sum"])
+def test_values_beyond_the_double_range_are_inf(evaluate):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals = evaluate()
+    assert vals[0] < math.inf and vals[-1] == math.inf

@@ -229,22 +229,32 @@ def test_estimate_argument_checks():
 
 
 def test_negative_eigenvalue_policy(monkeypatch):
+    # equal coarse and fine grids: the Richardson combination is the fake spectrum
     fake = np.array([1.0, 0.5, -5e-11])
-    monkeypatch.setattr(nystrom, "_estimate_cached",
-                        lambda spec, n, m: (fake[:m].copy(), np.zeros(m)))
+    monkeypatch.setattr(nystrom, "_symmetrized_eigs", lambda spec, n: fake.copy())
     with pytest.warns(UserWarning, match="clipping"):
         est = spectrum_estimate(euler_iterated(0), 10, 3)
     assert est.eigenvalues[2] == 0.0
     bad = np.array([1.0, 0.5, -5e-9])
-    monkeypatch.setattr(nystrom, "_estimate_cached",
-                        lambda spec, n, m: (bad[:m].copy(), np.zeros(m)))
+    monkeypatch.setattr(nystrom, "_symmetrized_eigs", lambda spec, n: bad.copy())
     with pytest.raises(InvalidInputError, match="PSD"):
         spectrum_estimate(euler_iterated(0), 10, 3)
+
+
+def test_estimates_share_no_arrays():
+    first = spectrum_estimate(euler_iterated(0), 40, 3)
+    eig, err = first.eigenvalues.tobytes(), first.refinement_error.tobytes()
+    first.eigenvalues[:] = 7.0
+    first.refinement_error[:] = 7.0
+    second = spectrum_estimate(euler_iterated(0), 40, 3)
+    assert second.eigenvalues.tobytes() == eig
+    assert second.refinement_error.tobytes() == err
 
 
 def test_closed_form_patterns():
     vals = closed_form_eigenvalues(korobov_series(2.0, 0.5, 100), 5)
     assert vals == pytest.approx([1.0, 0.5, 0.5, 0.5 / 16, 0.5 / 16])
+    assert not vals.flags.writeable  # a view of the spectra factor's head
     ew = closed_form_eigenvalues(euler_iterated(1), 3)
     j = np.arange(1, 4, dtype=float)
     assert ew == pytest.approx((math.pi * (j - 0.5)) ** -4.0, rel=1e-15)
