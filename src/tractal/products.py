@@ -25,8 +25,10 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import operator
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import partial, reduce
 
 import numpy as np
 
@@ -35,6 +37,10 @@ from . import spectra
 
 ENUMERATION_CAP = 10**7
 COUNTING_CAP = 10**8
+# Log-space values add their logs in dimension order by a plain left fold, not
+# by ``sum``, which compensates from Python 3.12 on: the bits then do not
+# depend on the Python version.
+log_fold = partial(reduce, operator.add)
 
 _DIRECT_DIM_LIMIT = 30
 _DIRECT_LOG_FLOOR = -300.0
@@ -107,12 +113,13 @@ class ProductProblem:
         return ProductProblem([f.scaled(c) for f, c in zip(self.factors, constants)])
 
 
-def product_eigenvalues_top(problem: ProductProblem, m: int, cap: int = ENUMERATION_CAP) -> np.ndarray:
+def product_eigenvalues_top(problem: ProductProblem, m: int) -> np.ndarray:
     """The m largest product eigenvalues, nonincreasing, with multiplicity.
 
     Each value is its tuple's dimension-order fold: ``math.prod`` of the d
-    eigenvalues in direct space, ``math.exp`` of the ``sum`` of their
-    ``math.log`` in log space (see the module docstring).
+    eigenvalues in direct space, ``math.exp`` of the left fold
+    (:data:`log_fold`) of their ``math.log`` in log space (see the module
+    docstring).
 
     The tuples are the excitations of (1, ..., 1), as in
     :func:`_count_impl`: a node's children excite one dimension after its
@@ -132,12 +139,12 @@ def product_eigenvalues_top(problem: ProductProblem, m: int, cap: int = ENUMERAT
     """
     if m < 1:
         raise InvalidInputError(f"m must be >= 1, got {m}")
-    if m > cap:
-        raise CapExceededError(f"m={m} exceeds the enumeration cap {cap}")
+    if m > ENUMERATION_CAP:
+        raise CapExceededError(f"m={m} exceeds the enumeration cap {ENUMERATION_CAP}")
     d = problem.d
     facs = problem.factors
     use_log = problem.uses_log
-    fold = sum if use_log else math.prod
+    fold = log_fold if use_log else math.prod
     term = math.log if use_log else float
     band = _band(problem, use_log)
     neg, hmax = _walk_tables(problem)
@@ -399,8 +406,8 @@ def brute_force_oracle(problem: ProductProblem, J: int) -> np.ndarray:
 
     Each product is formed as the top-m walk forms it: by direct
     multiplication, or, for problems in log space, as ``math.exp`` of the
-    dimension-order ``sum`` of ``math.log`` terms.  Exact reference only for
-    thresholds above max_k lam(k, J) * prod_{k' != k} lam(k', 1); see
+    dimension-order :data:`log_fold` of ``math.log`` terms.  Exact reference
+    only for thresholds above max_k lam(k, J) * prod_{k' != k} lam(k', 1); see
     :func:`oracle_validity_floor`.
     """
     if problem.uses_log:
@@ -415,13 +422,13 @@ def brute_force_oracle(problem: ProductProblem, J: int) -> np.ndarray:
 def brute_force_log_oracle(problem: ProductProblem, J: int) -> np.ndarray:
     """The logs of all products over the box j_k <= J, sorted descending.
 
-    Each is the dimension-order ``sum`` of ``math.log`` terms, as the top-m
-    walk forms it in log space; the log-space count compares such sums, not
+    Each is the dimension-order :data:`log_fold` of ``math.log`` terms, as the
+    top-m walk forms it in log space; the log-space count compares such sums, not
     their ``exp``, with ln T.  A zero eigenvalue gives -inf.
     """
     logs = [[math.log(v) if v > 0.0 else -math.inf for v in row]
             for row in _box_rows(problem, J)]
-    vals = np.fromiter(map(sum, itertools.product(*logs)), dtype=float, count=J ** problem.d)
+    vals = np.fromiter(map(log_fold, itertools.product(*logs)), dtype=float, count=J ** problem.d)
     return np.sort(vals)[::-1]
 
 

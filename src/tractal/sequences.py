@@ -197,6 +197,12 @@ def validate_sequence(seq, name, direction=None, positive=True, integer=False,
             if direction == "nonincreasing" and v > prev:
                 raise InvalidInputError(f"{name} not nonincreasing at k={k}")
         prev = v
+    # s_k <= s_1 keeps ln(1/s_k)/ln k at or above ln(1/s_1)/ln k -> 0
+    rate = seq.declared_liminf_log_ratio
+    if direction == "nonincreasing" and rate is not None and rate < 0:
+        raise InvalidInputError(
+            f"{name} is nonincreasing, so its declared liminf_log_ratio must be "
+            f"nonnegative, got {rate}")
     if seq._open_ended:
         _advisory_limit_check(seq, name)
 

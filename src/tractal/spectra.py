@@ -341,19 +341,26 @@ def second_ratio(spec: FamilySpec, k: int) -> float:
     ``f_k = (1+r_k)**-2`` is returned in its place (the true ratio lies
     within constant factors of it, with unknown constants).
     """
+    if spec.family is Family.CUSTOM:
+        row = spec.tables[min(k, len(spec.tables)) - 1]
+        return row[1] / row[0]
+    param, h = _second_ratio_map(spec)
+    return h(param.value(k))
+
+
+def _second_ratio_map(spec: FamilySpec):
+    """The parameter sequence h_k depends on, and h_k as a function of its
+    k-th value; the function also maps the parameter's limit to lim h_k."""
     fam = spec.family
     if fam is Family.EULER:
-        return 3.0 ** (-(2.0 * spec.r.value(k) + 2.0))
+        return spec.r, lambda r: 3.0 ** (-(2.0 * r + 2.0))
     if fam is Family.WIENER:
-        return (1.0 + spec.r.value(k)) ** -2.0
+        return spec.r, lambda r: (1.0 + r) ** -2.0
     if fam is Family.KOROBOV:
-        return spec.g.value(k)
+        return spec.g, lambda g: g
     if fam is Family.GAUSSIAN:
-        return gaussian_omega(spec.gamma_sq.value(k))
-    if fam is Family.ANALYTIC_KOROBOV:
-        return spec.omega ** spec.a.value(k)
-    row = spec.tables[min(k, len(spec.tables)) - 1]
-    return row[1] / row[0]
+        return spec.gamma_sq, lambda g2: 0.0 if g2 == 0 else gaussian_omega(g2)
+    return spec.a, lambda a: spec.omega ** a
 
 
 def tail_sum_H(spec: FamilySpec, k: int, tau: float) -> float:
@@ -520,31 +527,24 @@ def h_descriptor(spec: FamilySpec) -> SequenceDescriptor:
     fam = spec.family
     if fam is Family.KOROBOV:
         return spec.g
-    evaluator = lambda k: second_ratio(spec, k)
-    ln3 = math.log(3.0)
-    if fam is Family.EULER:
-        rate = _quiet(lambda: 2.0 * ln3 * spec.r.liminf_over_log())
-        rbar = _quiet(spec.r.limit)
-        lim = None if rbar is None else (0.0 if math.isinf(rbar) else 3.0 ** (-(2 * rbar + 2)))
-    elif fam is Family.WIENER:
-        rate = _quiet(lambda: 2.0 * _growth_rate(spec.r))
-        rbar = _quiet(spec.r.limit)
-        lim = None if rbar is None else (0.0 if math.isinf(rbar) else (1.0 + rbar) ** -2.0)
-    elif fam is Family.GAUSSIAN:
-        rate = _quiet(spec.gamma_sq.liminf_log_ratio)
-        g2bar = _quiet(spec.gamma_sq.limit)
-        lim = None if g2bar is None else (0.0 if g2bar == 0 else gaussian_omega(g2bar))
-    elif fam is Family.ANALYTIC_KOROBOV:
-        lnw = math.log(1.0 / spec.omega)
-        rate = _quiet(lambda: lnw * spec.a.liminf_over_log())
-        abar = _quiet(spec.a.limit)
-        lim = None if abar is None else (0.0 if math.isinf(abar) else spec.omega ** abar)
-    else:
-        rate = spec.declared_a_star
+    if fam is Family.CUSTOM:
         B = spec.declared_b_limit
-        lim = None if B is None else (0.0 if math.isinf(B) else math.exp(-B))
-    return SequenceDescriptor.explicit((), evaluator=evaluator,
-                                       liminf_log_ratio=rate, limit=lim)
+        return SequenceDescriptor.explicit(
+            (), evaluator=lambda k: second_ratio(spec, k),
+            liminf_log_ratio=spec.declared_a_star, limit=None if B is None else math.exp(-B))
+    param, h = _second_ratio_map(spec)
+    if fam is Family.EULER:
+        rate = _quiet(lambda: 2.0 * math.log(3.0) * param.liminf_over_log())
+    elif fam is Family.WIENER:
+        rate = _quiet(lambda: 2.0 * _growth_rate(param))
+    elif fam is Family.GAUSSIAN:
+        rate = _quiet(param.liminf_log_ratio)
+    else:
+        rate = _quiet(lambda: math.log(1.0 / spec.omega) * param.liminf_over_log())
+    limit = _quiet(param.limit)
+    return SequenceDescriptor.explicit(
+        (), evaluator=lambda k: h(param.value(k)), liminf_log_ratio=rate,
+        limit=None if limit is None else h(limit))
 
 
 def _growth_rate(r: SequenceDescriptor) -> float:
@@ -560,7 +560,6 @@ def korobov_exp_weights(r: SequenceDescriptor) -> SequenceDescriptor:
     ln2pi = math.log(2.0 * math.pi)
     rate = _quiet(lambda: 2.0 * ln2pi * r.liminf_over_log())
     rbar = _quiet(r.limit)
-    lim = None if rbar is None else (0.0 if math.isinf(rbar) else (2.0 * math.pi) ** (-2.0 * rbar))
     return SequenceDescriptor.explicit(
         (), evaluator=lambda k: (2.0 * math.pi) ** (-2.0 * r.value(k)),
-        liminf_log_ratio=rate, limit=lim)
+        liminf_log_ratio=rate, limit=None if rbar is None else (2.0 * math.pi) ** (-2.0 * rbar))

@@ -85,23 +85,39 @@ def korobov_exp_weight_spt_exponent(r: SequenceDescriptor) -> Optional[float]:
     return max(1.0 / r.value(1), R / math.log(2.0 * math.pi))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TractabilityReport:
-    """Flags and exponents; None marks a question the theory leaves open."""
+    """Flags and exponents; None marks a question the theory leaves open.
+
+    PT is equivalent to SPT, and UWT, WT and the absence of the curse to
+    QPT, so those four are read from ``spt`` and ``qpt``.
+    """
 
     criterion: str
     spt: Optional[bool]
-    pt: Optional[bool]
     qpt: Optional[bool]
-    uwt: Optional[bool]
-    wt: Optional[bool]
-    curse: Optional[bool]
     p_star: Optional[Interval]
     t_star: Optional[Interval]
     a_star: Optional[float]
     b: Optional[float]
     tau0: Interval
     provenance: dict = field(default_factory=dict)
+
+    @property
+    def pt(self) -> Optional[bool]:
+        return self.spt
+
+    @property
+    def uwt(self) -> Optional[bool]:
+        return self.qpt
+
+    @property
+    def wt(self) -> Optional[bool]:
+        return self.qpt
+
+    @property
+    def curse(self) -> Optional[bool]:
+        return None if self.qpt is None else not self.qpt
 
     def st_weakly_tractable(self, s: float, t: float) -> Optional[bool]:
         """(s,t)-weak tractability: always true for t > 1; equal to QPT for
@@ -135,7 +151,11 @@ def classify(spec: FamilySpec, criterion: str = NOR) -> TractabilityReport:
 
     Verdicts follow the closed-form limit maps of each family; fields the
     available results do not determine are reported as None with an "open"
-    provenance entry rather than guessed.
+    provenance entry rather than guessed.  Second ratios are nonincreasing
+    for every family but wiener, whose ratios are known only through a
+    two-sided envelope: there SPT is decided and QPT only where SPT implies
+    it.  Under the absolute criterion euler and gaussian are SPT for every
+    parameter sequence, with their own exponent formulas.
     """
     if criterion not in (ABS, NOR):
         raise InvalidInputError(f"criterion must be 'abs' or 'nor', got {criterion!r}")
@@ -143,24 +163,66 @@ def classify(spec: FamilySpec, criterion: str = NOR) -> TractabilityReport:
         raise UnsupportedCriterionError(
             f"criterion {criterion!r} is not supported for the {spec.family.value} family")
 
+    fam = spec.family
     tau0 = spectra.tau_zero(spec)
     h = spectra.h_descriptor(spec)
-    prov = {"tau0": "family closed form" if spec.family is not Family.CUSTOM
+    prov = {"tau0": "family closed form" if fam is not Family.CUSTOM
             else ("declared" if spec.declared_tau0 is not None else "unknown")}
 
     a_star = _try_limit(limit_A_star, h, prov, "a_star")
     b = _try_limit(limit_B, h, prov, "b")
+    spt = None if a_star is None else a_star > 0
+    qpt = None if b is None else b > 0
+    absolute = criterion == ABS and fam in (Family.EULER, Family.GAUSSIAN)
 
-    if spec.family is Family.WIENER:
-        report = _classify_second_ratio_envelope(criterion, a_star, b, tau0, prov)
+    if fam is Family.WIENER:
+        prov["a_star"] += " (decay envelope of the second ratios)"
+        prov["spt"] = ("envelope decay-rate limit is positive" if spt
+                       else "envelope decay-rate limit is zero" if spt is not None
+                       else "open: envelope decay rate undeclared")
+        qpt = True if spt else None
+        prov["qpt"] = ("implied by strong polynomial tractability" if spt
+                       else "open: not determined for this family")
+        prov["b"] = "open: second-ratio constants are not determined"
+        b = None
+    elif absolute:
+        spt = qpt = True
+        prov["spt"] = ("absolute criterion: holds for every admissible smoothness sequence"
+                       if fam is Family.EULER
+                       else "absolute criterion: holds for all shape parameters")
+        prov["qpt"] = "implied by strong polynomial tractability"
     else:
-        report = _classify_monotone(criterion, a_star, b, tau0, prov)
+        prov["spt"] = ("second-ratio decay-rate limit is positive" if spt
+                       else "second-ratio decay-rate limit is zero" if spt is not None
+                       else "open: decay-rate limit undeclared")
+        prov["qpt"] = ("open: second-ratio log limit undeclared" if qpt is None
+                       else "second-ratio log limit" + (" is positive" if qpt else " is zero"))
+    if b is not None:
+        prov["curse"] = "holds exactly when the second ratios are identically one"
 
-    if criterion == ABS and spec.family is Family.EULER:
-        _override_abs_euler(report, spec, prov)
-    elif criterion == ABS and spec.family is Family.GAUSSIAN:
-        _override_abs_gaussian(report, a_star, prov)
-    return report
+    if absolute and fam is Family.EULER:
+        p_star = Interval.point(euler_abs_spt_exponent(spec.r))
+        prov["p_star"] = "root of the eigenvalue power series combined with the smoothness limits"
+    elif absolute and a_star is None:
+        p_star = None
+        prov["p_star"] = "open: shape-parameter decay rate undeclared"
+    elif absolute:
+        p_star = Interval.point(min(2.0, two_over(a_star)))
+        prov["p_star"] = "absolute criterion: min(2, 2/decay rate)"
+    else:
+        p_star = spt_exponent(a_star, tau0) if spt else None
+        prov["p_star"] = _exponent_source(spt)
+
+    t_star = None
+    if absolute:
+        prov["t_star"] = "open: no absolute-criterion QPT exponent is available"
+    elif fam is not Family.WIENER:
+        t_star = qpt_exponent(b, tau0) if qpt else None
+        prov["t_star"] = _exponent_source(qpt)
+
+    return TractabilityReport(
+        criterion=criterion, spt=spt, qpt=qpt, p_star=p_star, t_star=t_star,
+        a_star=a_star, b=b, tau0=tau0, provenance=prov)
 
 
 def _try_limit(fn, h, prov, name):
@@ -173,88 +235,9 @@ def _try_limit(fn, h, prov, name):
     return lim.value
 
 
-def _classify_monotone(criterion, a_star, b, tau0, prov):
-    """Families with nonincreasing second ratios: the full equivalence
-    lattice applies (SPT = PT, QPT = UWT = WT = not curse)."""
-    spt = None if a_star is None else a_star > 0
-    qpt = None if b is None else b > 0
-    if spt:
-        prov["spt"] = "second-ratio decay-rate limit is positive"
-    elif spt is not None:
-        prov["spt"] = "second-ratio decay-rate limit is zero"
-    else:
-        prov["spt"] = "open: decay-rate limit undeclared"
-    if qpt is not None:
-        prov["qpt"] = "second-ratio log limit" + (" is positive" if qpt else " is zero")
-        prov["curse"] = "holds exactly when the second ratios are identically one"
-    else:
-        prov["qpt"] = "open: second-ratio log limit undeclared"
-    p_star = _exp_or_none(spt_exponent, spt, a_star, tau0, prov, "p_star")
-    t_star = _exp_or_none(qpt_exponent, qpt, b, tau0, prov, "t_star")
-    return TractabilityReport(
-        criterion=criterion, spt=spt, pt=spt, qpt=qpt, uwt=qpt, wt=qpt,
-        curse=None if qpt is None else not qpt,
-        p_star=p_star, t_star=t_star, a_star=a_star, b=b, tau0=tau0,
-        provenance=prov)
-
-
-def _classify_second_ratio_envelope(criterion, a_star, b, tau0, prov):
-    """Families known only through a two-sided envelope of the second
-    ratios (wiener): SPT/PT and (s,t)-weak with t > 1 are decided; the
-    QPT cluster is open unless implied by SPT."""
-    del b
-    spt = None if a_star is None else a_star > 0
-    prov["a_star"] = prov.get("a_star", "declared") + " (decay envelope of the second ratios)"
-    prov["spt"] = ("envelope decay-rate limit is positive" if spt
-                   else "envelope decay-rate limit is zero" if spt is not None
-                   else "open: envelope decay rate undeclared")
-    qpt = True if spt else None
-    prov["qpt"] = ("implied by strong polynomial tractability" if spt
-                   else "open: not determined for this family")
-    prov["b"] = "open: second-ratio constants are not determined"
-    p_star = _exp_or_none(spt_exponent, spt, a_star, tau0, prov, "p_star")
-    return TractabilityReport(
-        criterion=criterion, spt=spt, pt=spt, qpt=qpt, uwt=qpt, wt=qpt,
-        curse=None if qpt is None else not qpt,
-        p_star=p_star, t_star=None, a_star=a_star, b=None, tau0=tau0,
-        provenance=prov)
-
-
-def _exp_or_none(fn, flag, value, tau0, prov, name):
-    if not flag or value is None:
-        if flag is False:
-            prov[name] = "undefined: the problem is not tractable at this level"
-        elif flag is None:
-            prov[name] = "open: the deciding limit is undeclared"
-        return None
-    interval = fn(value, tau0)
-    prov.setdefault(name, "exponent formula over the tau0 interval")
-    return interval
-
-
-def _override_abs_euler(report, spec, prov):
-    report.spt = report.pt = True
-    report.qpt = report.uwt = report.wt = True
-    report.curse = False
-    report.p_star = Interval.point(euler_abs_spt_exponent(spec.r))
-    report.t_star = None
-    prov["spt"] = "absolute criterion: holds for every admissible smoothness sequence"
-    prov["p_star"] = "root of the eigenvalue power series combined with the smoothness limits"
-    prov["t_star"] = "open: no absolute-criterion QPT exponent is available"
-    prov["qpt"] = "implied by strong polynomial tractability"
-
-
-def _override_abs_gaussian(report, a_star, prov):
-    report.spt = report.pt = True
-    report.qpt = report.uwt = report.wt = True
-    report.curse = False
-    if a_star is None:
-        report.p_star = None
-        prov["p_star"] = "open: shape-parameter decay rate undeclared"
-    else:
-        report.p_star = Interval.point(min(2.0, two_over(a_star)))
-        prov["p_star"] = "absolute criterion: min(2, 2/decay rate)"
-    report.t_star = None
-    prov["spt"] = "absolute criterion: holds for all shape parameters"
-    prov["t_star"] = "open: no absolute-criterion QPT exponent is available"
-    prov["qpt"] = "implied by strong polynomial tractability"
+def _exponent_source(flag):
+    if flag:
+        return "exponent formula over the tau0 interval"
+    if flag is False:
+        return "undefined: the problem is not tractable at this level"
+    return "open: the deciding limit is undeclared"

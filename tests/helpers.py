@@ -178,7 +178,7 @@ def lattice_top(problem, m):
 
     def key_of(idx):
         if use_log:
-            return sum(math.log(facs[k].eigenvalue(idx[k])) for k in range(d))
+            return products.log_fold(math.log(facs[k].eigenvalue(idx[k])) for k in range(d))
         v = 1.0
         for k in range(d):
             v = v * facs[k].eigenvalue(idx[k])

@@ -403,9 +403,29 @@ def test_malformed_document_is_invalid_input(capsys, family_file, doc):
     assert code == 3 and err.startswith("error: ")
 
 
+NEGATIVE_RATE = {"kind": "explicit", "values": [1, 0.5, 0.25], "liminf_log_ratio": -1}
+
+
+@pytest.mark.parametrize("doc", [
+    {"family": "gaussian", "gamma_sq": NEGATIVE_RATE},
+    {"family": "korobov", "r": {"kind": "constant", "c": 1}, "g": NEGATIVE_RATE},
+])
+@pytest.mark.parametrize("criterion", ["abs", "nor"])
+def test_negative_declared_rate_of_a_nonincreasing_sequence(capsys, family_file, doc,
+                                                            criterion):
+    # s_k <= s_1 puts liminf ln(1/s_k)/ln k at or above zero
+    path = family_file("neg.json", doc)
+    code, out, err = run(capsys, ["classify", "--family", path, "--criterion", criterion])
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "liminf_log_ratio" in err
+    assert "Traceback" not in err
+
+
 VALID_DOCS = [
     KOROBOV_DOC,
     GAUSS_DOC,
+    {"family": "gaussian", "gamma_sq": {"kind": "explicit", "values": [1, 0.5, 0.25],
+                                        "liminf_log_ratio": 1.0, "limit": 0.0}},
     {"family": "euler", "r": {"kind": "log_growth", "theta": 1.0}},
     {"family": "wiener", "r": {"kind": "constant", "c": 1}},
     {"family": "analytic_korobov", "omega": 0.5, "a": {"kind": "power", "c": 1, "alpha": 1},

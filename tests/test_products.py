@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import tracemalloc
@@ -62,7 +63,30 @@ def test_top_korobov_unit_nine_ones():
 def test_top_cap():
     p = gaussian_problem(2)
     with pytest.raises(CapExceededError):
-        product_eigenvalues_top(p, 100, cap=50)
+        product_eigenvalues_top(p, products.ENUMERATION_CAP + 1)
+
+
+def test_log_space_top_is_a_left_fold():
+    """In log space each top value is ``math.exp`` of the logs added one
+    dimension at a time, on every Python: ``sum`` compensates from 3.12 on.
+    The tables are those of the subnormal oracle-compare smoke check."""
+    tables = [[1e-105, 5e-106, 2e-106, 1e-106], [1e-105, 4e-106, 1e-106],
+              [1e-100, 3e-101, 1e-101, 5e-102]]
+    spec = spectra.custom_tabulated(tables, tail=spectra.TailModel("geometric", ratio=0.25),
+                                    tau0=0.0)
+    p = ProductProblem.from_family(spec, 3)
+    assert p.uses_log
+    J = 30
+    folds = []
+    for js in itertools.product(range(1, J + 1), repeat=3):
+        total = math.log(p.factors[0].eigenvalue(js[0]))
+        for k in (1, 2):
+            total = total + math.log(p.factors[k].eigenvalue(js[k]))
+        folds.append(total)
+    folds.sort(reverse=True)
+    m = 200
+    want = np.array([math.exp(v) for v in folds[:m]])
+    assert product_eigenvalues_top(p, m).tobytes() == want.tobytes()
 
 
 def generated_top_case(seed):

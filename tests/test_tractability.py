@@ -303,3 +303,101 @@ def test_report_json_schema():
     assert doc["tau0"] == {"lo": 0.5, "hi": 0.5}
     import json
     json.dumps(doc)  # must be strictly serializable
+
+
+def test_report_is_frozen_and_derives_the_equivalent_flags():
+    rep = classify(spectra.gaussian(S.constant(1.0)), "nor")
+    for name in ("spt", "qpt", "pt", "uwt", "wt", "curse"):
+        with pytest.raises(AttributeError):
+            setattr(rep, name, None)
+    assert (rep.pt, rep.uwt, rep.wt, rep.curse) == (rep.spt, rep.qpt, rep.qpt, not rep.qpt)
+
+
+# ---------------------------------------------------------------------------
+# exponents against the spectra they summarize
+# ---------------------------------------------------------------------------
+
+def _log_slope(spec, k1, k2):
+    """Two-point slope of ln(1/h_k) against ln k."""
+    rise = math.log(spectra.second_ratio(spec, k1)) - math.log(spectra.second_ratio(spec, k2))
+    return rise / math.log(k2 / k1)
+
+
+@given(st.floats(0.05, 1.0), st.floats(-4.0, -0.1), st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_korobov_power_weights_slope_is_a_star(c, alpha, r):
+    spec = spectra.korobov(S.constant(r), S.power(c, alpha))
+    rep = classify(spec, "nor")
+    assert math.isclose(_log_slope(spec, 10**4, 10**6), rep.a_star, rel_tol=1e-12)
+
+
+@given(st.floats(0.01, 10.0), st.floats(-3.0, -0.5))
+@settings(max_examples=60, deadline=None)
+def test_gaussian_power_shape_slope_is_a_star(c, alpha):
+    # omega(x) = x (1 - 2x + O(x^2)): the slope reaches -alpha only once
+    # gamma_k^2 is small, so it is taken far out
+    spec = spectra.gaussian(S.power(c, alpha))
+    rep = classify(spec, "nor")
+    assert math.isclose(_log_slope(spec, 10**6, 10**12), rep.a_star, rel_tol=0.01)
+
+
+@given(st.floats(0.1, 5.0), st.floats(0.05, 0.95), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_log_growth_slope_is_a_star_within_a_ceiling_step(theta, omega, is_euler):
+    # ln(1/h_k) is ceil(theta ln(k+1)) times a step: one step of the
+    # ceiling moves the slope by step / ln(k2/k1)
+    if is_euler:
+        spec, step = spectra.euler(S.log_growth(theta)), 2.0 * math.log(3.0)
+    else:
+        spec = spectra.analytic_korobov(omega, S.log_growth(theta), S.constant(1.0))
+        step = math.log(1.0 / omega)
+    k1, k2 = 10**4, 10**6
+    rep = classify(spec, "nor")
+    # (1 + 1e-3) covers ln((k2+1)/(k1+1)) against ln(k2/k1)
+    assert abs(_log_slope(spec, k1, k2) - rep.a_star) <= step / math.log(k2 / k1) * (1 + 1e-3)
+
+
+@given(st.one_of(
+    st.integers(0, 5).map(lambda r: spectra.euler(S.constant(r))),
+    st.floats(0.01, 1.0).map(lambda g: spectra.korobov(S.constant(1.0), S.constant(g))),
+    st.floats(0.01, 10.0).map(lambda g2: spectra.gaussian(S.constant(g2))),
+    st.tuples(st.floats(0.05, 0.95), st.floats(0.1, 5.0), st.floats(0.2, 3.0)).map(
+        lambda t: spectra.analytic_korobov(t[0], S.constant(t[1]), S.constant(t[2]))),
+))
+@settings(max_examples=60, deadline=None)
+def test_constant_parameters_b_is_the_second_ratio_log(spec):
+    rep = classify(spec, "nor")
+    assert rep.b == -math.log(spectra.second_ratio(spec, 10**6))
+    # and the second ratio is the one of the factor spectrum
+    fac = spec.factor(10**6)
+    assert math.isclose(spectra.second_ratio(spec, 10**6), fac.second / fac.leading,
+                        rel_tol=1e-12)
+
+
+@given(st.one_of(
+    st.integers(0, 5).map(lambda r: spectra.euler(S.constant(r))),
+    st.floats(0.1, 5.0).map(lambda t: spectra.euler(S.log_growth(t))),
+    st.floats(0.2, 4.0).map(lambda r: spectra.korobov(S.constant(r), S.constant(0.5))),
+    st.tuples(st.floats(0.2, 4.0), st.floats(0.0, 2.0)).map(
+        lambda t: spectra.korobov(S.power(t[0], t[1]), S.power(1.0, -1.0))),
+))
+@settings(max_examples=60, deadline=None)
+def test_tail_sums_diverge_exactly_below_tau0(spec):
+    tau0 = classify(spec, "nor").tau0.lo
+    assert spectra.tail_sum_H(spec, 1, tau0 * (1 - 1e-9)) == INF
+    assert math.isfinite(spectra.tail_sum_H(spec, 1, tau0 * (1 + 1e-6)))
+
+
+@given(st.one_of(
+    st.floats(0.01, 10.0).map(lambda g2: spectra.gaussian(S.constant(g2))),
+    st.tuples(st.floats(0.01, 10.0), st.floats(-3.0, 0.0)).map(
+        lambda t: spectra.gaussian(S.power(t[0], t[1]))),
+    st.tuples(st.floats(0.05, 0.95), st.floats(0.1, 5.0)).map(
+        lambda t: spectra.analytic_korobov(t[0], S.constant(t[1]), S.constant(1.0))),
+    st.tuples(st.floats(0.05, 0.95), st.floats(0.1, 5.0)).map(
+        lambda t: spectra.analytic_korobov(t[0], S.log_growth(t[1]), S.constant(1.0))),
+), st.integers(1, 50))
+@settings(max_examples=60, deadline=None)
+def test_tail_sums_finite_at_small_tau_where_tau0_is_zero(spec, k):
+    assert classify(spec, "nor").tau0 == Interval.point(0.0)
+    assert math.isfinite(spectra.tail_sum_H(spec, k, 1e-3))
