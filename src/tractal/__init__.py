@@ -16,10 +16,10 @@ from .spectra import (
     factor_eigenvalue,
     gaussian,
     gaussian_omega,
-    h_descriptor,
     korobov,
     korobov_exp_weights,
     second_ratio,
+    second_ratio_limits,
     tail_sum_H,
     tau_zero,
     wiener,
@@ -43,15 +43,12 @@ from .complexity import (
     qpt_functional,
 )
 from .tractability import (
-    Limit,
     TractabilityReport,
     classify,
     euler_abs_spt_exponent,
     g_function,
     g_root,
     korobov_exp_weight_spt_exponent,
-    limit_A_star,
-    limit_B,
     qpt_exponent,
     riemann_zeta,
     spt_exponent,

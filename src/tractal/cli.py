@@ -33,20 +33,21 @@ EXIT_RESOURCE_CAP = 4
 # family documents
 # ---------------------------------------------------------------------------
 
-_SEQ_FIELDS = {
-    "constant": ({"kind", "c"}, set()),
-    "power": ({"kind", "c", "alpha"}, set()),
-    "log_growth": ({"kind", "theta"}, set()),
-    "explicit": ({"kind", "values"}, {"liminf_log_ratio", "limit"}),
+# kind -> (constructor, required fields in argument order, optional fields)
+_SEQUENCE_KINDS = {
+    "constant": (SequenceDescriptor.constant, ("c",), ()),
+    "power": (SequenceDescriptor.power, ("c", "alpha"), ()),
+    "log_growth": (SequenceDescriptor.log_growth, ("theta",), ()),
+    "explicit": (SequenceDescriptor.explicit, ("values",), ("liminf_log_ratio", "limit")),
 }
 
-_FAMILY_FIELDS = {
-    "euler": ({"family", "r"}, set()),
-    "wiener": ({"family", "r"}, set()),
-    "korobov": ({"family", "r", "g"}, set()),
-    "gaussian": ({"family", "gamma_sq"}, set()),
-    "analytic_korobov": ({"family", "omega", "a", "b"}, set()),
-    "custom": ({"family", "tables"}, {"tail", "tau0", "a_star", "b_limit"}),
+_FAMILY_KINDS = {
+    "euler": (spectra.euler, ("r",), ()),
+    "wiener": (spectra.wiener, ("r",), ()),
+    "korobov": (spectra.korobov, ("r", "g"), ()),
+    "gaussian": (spectra.gaussian, ("gamma_sq",), ()),
+    "analytic_korobov": (spectra.analytic_korobov, ("omega", "a", "b"), ()),
+    "custom": (spectra.custom_tabulated, ("tables",), ("tail", "tau0", "a_star", "b_limit")),
 }
 
 
@@ -83,45 +84,30 @@ def parse_sequence(doc, name) -> SequenceDescriptor:
     if not isinstance(doc, dict) or not isinstance(doc.get("kind"), str):
         raise InvalidInputError(f"{name}: expected an object with a 'kind' field")
     kind = doc["kind"]
-    if kind not in _SEQ_FIELDS:
+    if kind not in _SEQUENCE_KINDS:
         raise InvalidInputError(f"{name}: unknown sequence kind {kind!r}")
-    required, optional = _SEQ_FIELDS[kind]
-    _check_fields(doc, required, optional, name)
-    if kind == "constant":
-        return SequenceDescriptor.constant(_number(doc["c"], f"{name}: c"))
-    if kind == "power":
-        return SequenceDescriptor.power(_number(doc["c"], f"{name}: c"),
-                                         _number(doc["alpha"], f"{name}: alpha"))
-    if kind == "log_growth":
-        return SequenceDescriptor.log_growth(_number(doc["theta"], f"{name}: theta"))
-    return SequenceDescriptor.explicit(
-        _numbers(doc["values"], f"{name}: values"),
-        liminf_log_ratio=_number(doc.get("liminf_log_ratio"), f"{name}: liminf_log_ratio",
-                                 optional=True),
-        limit=_number(doc.get("limit"), f"{name}: limit", optional=True),
-    )
+    make, required, optional = _SEQUENCE_KINDS[kind]
+    _check_fields(doc, {"kind", *required}, set(optional), name)
+
+    def field(key, absent_ok=False):
+        what = f"{name}: {key}"
+        if key == "values":
+            return _numbers(doc[key], what)
+        return _number(doc.get(key), what, optional=absent_ok)
+    return make(*[field(key) for key in required], **{key: field(key, True) for key in optional})
 
 
 def parse_family(doc) -> spectra.FamilySpec:
     if not isinstance(doc, dict) or not isinstance(doc.get("family"), str):
         raise InvalidInputError("family document must be an object with a 'family' field")
     fam = doc["family"]
-    if fam not in _FAMILY_FIELDS:
+    if fam not in _FAMILY_KINDS:
         raise InvalidInputError(f"unknown family {fam!r}")
-    required, optional = _FAMILY_FIELDS[fam]
-    _check_fields(doc, required, optional, f"family {fam!r}")
-    if fam == "euler":
-        return spectra.euler(parse_sequence(doc["r"], "r"))
-    if fam == "wiener":
-        return spectra.wiener(parse_sequence(doc["r"], "r"))
-    if fam == "korobov":
-        return spectra.korobov(parse_sequence(doc["r"], "r"), parse_sequence(doc["g"], "g"))
-    if fam == "gaussian":
-        return spectra.gaussian(parse_sequence(doc["gamma_sq"], "gamma_sq"))
-    if fam == "analytic_korobov":
-        return spectra.analytic_korobov(
-            _number(doc["omega"], "omega"),
-            parse_sequence(doc["a"], "a"), parse_sequence(doc["b"], "b"))
+    make, required, optional = _FAMILY_KINDS[fam]
+    _check_fields(doc, {"family", *required}, set(optional), f"family {fam!r}")
+    if fam != "custom":
+        return make(*[_number(doc[key], key) if key == "omega" else parse_sequence(doc[key], key)
+                      for key in required])
     tail = None
     if doc.get("tail") is not None:
         tdoc = doc["tail"]
@@ -134,7 +120,7 @@ def parse_family(doc) -> spectra.FamilySpec:
             exponent=_number(tdoc.get("exponent", 0.0), "tail: exponent"))
     if not isinstance(doc["tables"], list):
         raise InvalidInputError(f"tables must be a list of lists, got {doc['tables']!r}")
-    return spectra.custom_tabulated(
+    return make(
         [_numbers(row, f"table {i + 1}") for i, row in enumerate(doc["tables"])],
         tail=tail,
         tau0=_number(doc.get("tau0"), "tau0", optional=True),

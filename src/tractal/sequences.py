@@ -91,9 +91,6 @@ class SequenceDescriptor:
             return float(self.evaluator(k))
         return self.values[-1]
 
-    def __call__(self, k: int) -> float:
-        return self.value(k)
-
     # -- declared / closed-form asymptotics ---------------------------
 
     @property
@@ -203,6 +200,7 @@ def validate_sequence(seq, name, direction=None, positive=True, integer=False,
         raise InvalidInputError(
             f"{name} is nonincreasing, so its declared liminf_log_ratio must be "
             f"nonnegative, got {rate}")
+    _check_declared_limit(seq.declared_limit, prev, name, direction, max_value)
     if seq._open_ended:
         _advisory_limit_check(seq, name)
 
@@ -218,6 +216,23 @@ def _check_value(v, name, positive, integer, max_value):
         raise InvalidInputError(f"{name} must be integer-valued, got {v}")
     if max_value is not None and v > max_value:
         raise InvalidInputError(f"{name} must be <= {max_value}, got {v}")
+
+
+def _check_declared_limit(lim, last, name, direction, max_value):
+    """A declared limit lies where the checked head can still go: at or
+    above 0, within max_value, and past the last checked value in the
+    sequence's direction (so +oo only where the sequence may grow)."""
+    if lim is None:
+        return
+    if not lim >= 0:
+        raise InvalidInputError(f"{name}: declared limit must be nonnegative, got {lim}")
+    if max_value is not None and lim > max_value:
+        raise InvalidInputError(f"{name}: declared limit must be <= {max_value}, got {lim}")
+    if ((direction == "nondecreasing" and lim < last)
+            or (direction == "nonincreasing" and lim > last)):
+        raise InvalidInputError(
+            f"{name} is {direction}, so its declared limit cannot be {lim} after "
+            f"the value {last}")
 
 
 def _advisory_limit_check(seq, name):

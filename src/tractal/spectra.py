@@ -506,7 +506,7 @@ def log_trace_profile(spec: FamilySpec, tau: float, D: int, normalized: bool) ->
 
 
 # ---------------------------------------------------------------------------
-# descriptors consumed by the tractability classifier
+# limits consumed by the tractability classifier
 # ---------------------------------------------------------------------------
 
 
@@ -517,34 +517,27 @@ def _quiet(fn):
         return None
 
 
-def h_descriptor(spec: FamilySpec) -> SequenceDescriptor:
-    """The second-ratio sequence k -> h_k with its declared asymptotics.
+def second_ratio_limits(spec: FamilySpec) -> tuple[Optional[float], Optional[float]]:
+    """(A, lim h_k) for the second ratios h_k, A = liminf ln(1/h_k)/ln k.
 
-    The declared fields encode ``liminf ln(1/h_k)/ln k`` and ``lim h_k``
-    composed through the family map; either may be left undeclared when the
-    underlying parameter sequence does not decide it.
+    Each is composed through the family map from the parameter's closed-form
+    or declared asymptotics, and is None where those do not decide it.
     """
     fam = spec.family
-    if fam is Family.KOROBOV:
-        return spec.g
     if fam is Family.CUSTOM:
         B = spec.declared_b_limit
-        return SequenceDescriptor.explicit(
-            (), evaluator=lambda k: second_ratio(spec, k),
-            liminf_log_ratio=spec.declared_a_star, limit=None if B is None else math.exp(-B))
+        return spec.declared_a_star, None if B is None else math.exp(-B)
     param, h = _second_ratio_map(spec)
-    if fam is Family.EULER:
+    if fam in (Family.KOROBOV, Family.GAUSSIAN):
+        rate = _quiet(param.liminf_log_ratio)
+    elif fam is Family.EULER:
         rate = _quiet(lambda: 2.0 * math.log(3.0) * param.liminf_over_log())
     elif fam is Family.WIENER:
         rate = _quiet(lambda: 2.0 * _growth_rate(param))
-    elif fam is Family.GAUSSIAN:
-        rate = _quiet(param.liminf_log_ratio)
     else:
         rate = _quiet(lambda: math.log(1.0 / spec.omega) * param.liminf_over_log())
     limit = _quiet(param.limit)
-    return SequenceDescriptor.explicit(
-        (), evaluator=lambda k: h(param.value(k)), liminf_log_ratio=rate,
-        limit=None if limit is None else h(limit))
+    return rate, None if limit is None else h(limit)
 
 
 def _growth_rate(r: SequenceDescriptor) -> float:

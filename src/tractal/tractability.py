@@ -17,35 +17,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
-from .errors import InvalidInputError, UndecidableError, UnsupportedCriterionError
+from .errors import InvalidInputError, UnsupportedCriterionError
 from .sequences import SequenceDescriptor
 from .special import g_function, g_root, riemann_zeta  # noqa: F401  (public surface)
 from .xreal import INF, Interval, jsonable_float, two_over
 from . import spectra
 from .spectra import ABS, NOR, Family, FamilySpec
 
-
-class Limit(NamedTuple):
-    value: float
-    source: str  # "closed-form" or "declared"
-
-
-def limit_A_star(h: SequenceDescriptor) -> Limit:
-    """A = liminf_d ln(1/h_d)/ln d from the descriptor's closed form or its
-    declared value; raises UndecidableError when neither decides it."""
-    source = "declared" if h.kind == "explicit" else "closed-form"
-    return Limit(h.liminf_log_ratio(), source)
-
-
-def limit_B(h: SequenceDescriptor) -> Limit:
-    """B = lim_d ln(1/h_d); the limit exists for monotone h in [0, +oo]."""
-    source = "declared" if h.kind == "explicit" else "closed-form"
-    lim = h.limit()
-    if lim < 0 or lim > 1:
-        raise InvalidInputError(f"second ratios must stay in (0,1], limit {lim}")
-    return Limit(INF if lim == 0 else -math.log(lim), source)
+_UNDECIDABLE = "undecidable from finite data"
 
 
 def spt_exponent(a_star: float, tau0: Interval) -> Interval:
@@ -165,12 +146,19 @@ def classify(spec: FamilySpec, criterion: str = NOR) -> TractabilityReport:
 
     fam = spec.family
     tau0 = spectra.tau_zero(spec)
-    h = spectra.h_descriptor(spec)
+    a_star, lim = spectra.second_ratio_limits(spec)
+    if lim is not None and (lim < 0 or lim > 1):
+        raise InvalidInputError(f"second ratios must stay in (0,1], limit {lim}")
+    b = None if lim is None else INF if lim == 0 else -math.log(lim)
+    # Reproduces the earlier h.kind rule: only a non-explicit korobov g is
+    # labelled closed-form, and family closed-form maps are labelled
+    # declared; ROADMAP item 7 will mend this.
+    source = ("closed-form" if fam is Family.KOROBOV and spec.g.kind != "explicit"
+              else "declared")
     prov = {"tau0": "family closed form" if fam is not Family.CUSTOM
-            else ("declared" if spec.declared_tau0 is not None else "unknown")}
-
-    a_star = _try_limit(limit_A_star, h, prov, "a_star")
-    b = _try_limit(limit_B, h, prov, "b")
+            else ("declared" if spec.declared_tau0 is not None else "unknown"),
+            "a_star": source if a_star is not None else _UNDECIDABLE,
+            "b": source if b is not None else _UNDECIDABLE}
     spt = None if a_star is None else a_star > 0
     qpt = None if b is None else b > 0
     absolute = criterion == ABS and fam in (Family.EULER, Family.GAUSSIAN)
@@ -200,7 +188,11 @@ def classify(spec: FamilySpec, criterion: str = NOR) -> TractabilityReport:
     if b is not None:
         prov["curse"] = "holds exactly when the second ratios are identically one"
 
-    if absolute and fam is Family.EULER:
+    if absolute and fam is Family.EULER and lim is None:
+        # lim h_k is undecided exactly when the smoothness limit is
+        p_star = None
+        prov["p_star"] = "open: smoothness limit undeclared"
+    elif absolute and fam is Family.EULER:
         p_star = Interval.point(euler_abs_spt_exponent(spec.r))
         prov["p_star"] = "root of the eigenvalue power series combined with the smoothness limits"
     elif absolute and a_star is None:
@@ -223,16 +215,6 @@ def classify(spec: FamilySpec, criterion: str = NOR) -> TractabilityReport:
     return TractabilityReport(
         criterion=criterion, spt=spt, qpt=qpt, p_star=p_star, t_star=t_star,
         a_star=a_star, b=b, tau0=tau0, provenance=prov)
-
-
-def _try_limit(fn, h, prov, name):
-    try:
-        lim = fn(h)
-    except UndecidableError:
-        prov[name] = "undecidable from finite data"
-        return None
-    prov[name] = lim.source
-    return lim.value
 
 
 def _exponent_source(flag):

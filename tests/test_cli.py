@@ -421,6 +421,30 @@ def test_negative_declared_rate_of_a_nonincreasing_sequence(capsys, family_file,
     assert "Traceback" not in err
 
 
+INVALID_LIMIT_DOCS = [
+    {"family": "korobov", "r": {"kind": "constant", "c": 1},
+     "g": {"kind": "explicit", "values": [0.5], "limit": 2}},
+    {"family": "euler", "r": {"kind": "explicit", "values": [1, 2], "limit": -5}},
+]
+
+
+@pytest.mark.parametrize("doc", INVALID_LIMIT_DOCS)
+@pytest.mark.parametrize("argv", [
+    ["classify", "--criterion", "nor"],
+    ["classify", "--criterion", "abs"],
+    ["complexity", "--epsilon", "0.5", "--d", "2"],
+    ["sweep", "--epsilon", "0.5", "--d", "1:3"],
+    ["oracle-compare", "--d", "2"],
+])
+def test_invalid_declared_limit_exits_3_under_every_command(capsys, family_file, doc, argv):
+    # the declared limit is checked when the document is read, before any
+    # command uses it
+    path = family_file("limit.json", doc)
+    code, out, err = run(capsys, argv[:1] + ["--family", path] + argv[1:])
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "declared limit" in err
+
+
 VALID_DOCS = [
     KOROBOV_DOC,
     GAUSS_DOC,
@@ -434,7 +458,7 @@ VALID_DOCS = [
      "tail": {"kind": "power", "exponent": 3}, "tau0": 0.5, "a_star": 1.0, "b_limit": 1.0},
     {"family": "custom", "tables": [[1.0, 0.5]], "tail": {"kind": "geometric", "ratio": 0.5}},
     {"family": "korobov",
-     "r": {"kind": "explicit", "values": [1, 2, 3], "liminf_log_ratio": 1.0, "limit": 0.0},
+     "r": {"kind": "explicit", "values": [1, 2, 3], "liminf_log_ratio": 1.0, "limit": 3.0},
      "g": {"kind": "explicit", "values": [1, 0.5], "liminf_log_ratio": 2.0, "limit": 0.0}},
 ]
 

@@ -5,6 +5,7 @@ import pytest
 
 from tractal.errors import InvalidInputError, UndecidableError
 from tractal.sequences import SequenceDescriptor as S, validate_sequence
+from tractal.xreal import INF
 
 
 def test_kind_values():
@@ -61,6 +62,34 @@ def test_monotonicity_validation():
         validate_sequence(S.explicit([1.0, 0.5]), "r", positive=False, integer=True)
     with pytest.raises(InvalidInputError):
         validate_sequence(S.constant(-1.0), "a", positive=True)
+
+
+NONINCREASING_G = dict(direction="nonincreasing", positive=True, max_value=1.0)
+NONDECREASING_R = dict(direction="nondecreasing", positive=False, integer=True)
+
+
+@pytest.mark.parametrize("seq, checks, match", [
+    (S.explicit([1, 2], limit=-5.0), NONDECREASING_R, "nonnegative"),
+    (S.explicit([0.5], limit=2.0), NONINCREASING_G, "<= 1.0"),
+    (S.explicit([0.5], limit=INF), NONINCREASING_G, "<= 1.0"),
+    (S.explicit([1.0, 0.25], limit=0.5), NONINCREASING_G, "after the value 0.25"),
+    (S.explicit([1.0, 0.5], limit=INF), dict(direction="nonincreasing"), "after the value 0.5"),
+    (S.explicit([1, 2, 3], limit=2.0), NONDECREASING_R, "after the value 3.0"),
+    (S.explicit([], evaluator=lambda k: float(k), limit=0.0), NONDECREASING_R, "after"),
+    (S.explicit([1.0], limit=float("nan")), {}, "nonnegative"),
+])
+def test_declared_limit_is_checked(seq, checks, match):
+    with pytest.raises(InvalidInputError, match=match):
+        validate_sequence(seq, "s", **checks)
+
+
+def test_declared_limit_on_the_right_side_passes():
+    validate_sequence(S.explicit([1.0, 0.25], limit=0.0), "g", **NONINCREASING_G)
+    validate_sequence(S.explicit([1.0, 0.25], limit=0.25), "g", **NONINCREASING_G)
+    validate_sequence(S.explicit([1, 2], limit=INF), "r", **NONDECREASING_R)
+    validate_sequence(S.explicit([1, 2], limit=2.0), "r", **NONDECREASING_R)
+    # no direction to respect: a growing b may tend to +oo
+    validate_sequence(S.explicit([1.0, 0.5], limit=INF), "b")
 
 
 def test_advisory_check_warns_only_on_disagreement():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tractal import spectra
-from tractal.errors import InvalidInputError, UndecidableError, UnsupportedCriterionError
+from tractal.errors import InvalidInputError, UnsupportedCriterionError
 from tractal.sequences import SequenceDescriptor as S
 from tractal.tractability import (
     classify,
@@ -14,8 +14,6 @@ from tractal.tractability import (
     g_function,
     g_root,
     korobov_exp_weight_spt_exponent,
-    limit_A_star,
-    limit_B,
     qpt_exponent,
     riemann_zeta,
     spt_exponent,
@@ -113,21 +111,22 @@ def test_g_reduction_vs_direct_series():
 # limit maps and exponent formulas
 # ---------------------------------------------------------------------------
 
-def test_limit_a_star_kinds():
-    assert limit_A_star(S.power(0.5, -2.0)).value == 2.0
-    assert limit_A_star(S.constant(0.5)).value == 0.0
-    lim = limit_A_star(spectra.h_descriptor(spectra.euler(S.log_growth(1.0))))
-    assert lim.value == pytest.approx(2.0 * math.log(3.0), rel=1e-14)
-    assert lim.source == "declared"
-    with pytest.raises(UndecidableError):
-        limit_A_star(S.explicit([0.5], evaluator=lambda k: 0.5 / k))
-
-
-def test_limit_b_kinds():
-    assert limit_B(S.constant(0.25)).value == pytest.approx(math.log(4.0))
-    assert limit_B(S.power(1.0, -1.0)).value == INF
+def test_second_ratio_limits():
+    r1 = S.constant(1.0)
+    assert spectra.second_ratio_limits(spectra.korobov(r1, S.power(0.5, -2.0))) == (2.0, 0.0)
+    assert spectra.second_ratio_limits(spectra.korobov(r1, S.constant(0.25))) == (0.0, 0.25)
+    rate, lim = spectra.second_ratio_limits(spectra.euler(S.log_growth(1.0)))
+    assert rate == pytest.approx(2.0 * math.log(3.0), rel=1e-14) and lim == 0.0
     ak = spectra.analytic_korobov(0.5, S.explicit([1.0, 2.0, 3.0]), S.constant(1.0))
-    assert limit_B(spectra.h_descriptor(ak)).value == pytest.approx(3.0 * math.log(2.0))
+    assert spectra.second_ratio_limits(ak) == (0.0, 0.125)
+    custom = spectra.custom_tabulated([[1.0, 0.5]], a_star=2.0, b_limit=INF)
+    assert spectra.second_ratio_limits(custom) == (2.0, 0.0)
+    undecided = spectra.korobov(r1, S.explicit([0.5], evaluator=lambda k: 0.5 / k))
+    assert spectra.second_ratio_limits(undecided) == (None, None)
+    # classify turns lim h_k into B = ln(1/lim h_k), +oo at 0
+    assert classify(ak, "nor").b == pytest.approx(3.0 * math.log(2.0))
+    assert classify(spectra.korobov(r1, S.power(1.0, -1.0)), "nor").b == INF
+    assert classify(spectra.korobov(r1, S.constant(0.25)), "nor").b == pytest.approx(math.log(4.0))
 
 
 def test_spt_exponent_values():
@@ -212,6 +211,16 @@ def test_classify_euler_abs():
     assert rep.spt is True and rep.qpt is True and rep.curse is False
     assert rep.p_star == Interval.point(g_root())
     assert rep.t_star is None
+
+
+def test_classify_euler_abs_with_undeclared_smoothness_limit():
+    # r_k = floor(k/2) declares its growth rate but not its limit
+    r = S.explicit((), evaluator=lambda k: float(k // 2), liminf_log_ratio=-1.0)
+    rep = classify(spectra.euler(r), "abs")
+    assert rep.spt is True and rep.qpt is True
+    assert rep.p_star is None and rep.provenance["p_star"].startswith("open: ")
+    nor = classify(spectra.euler(r), "nor")
+    assert nor.spt is True and nor.b is None and nor.provenance["b"].startswith("undecidable")
 
 
 def test_classify_gaussian_abs():
