@@ -11,8 +11,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import complexity, products, spectra, tractability
 from .errors import (
     CapExceededError,
@@ -261,6 +259,8 @@ def run_sweep(args) -> int:
 
 
 def run_oracle_compare(args) -> int:
+    import numpy as np
+
     spec = _load_family(args.family)
     d_list = _parse_int_list(args.d)
     if len(d_list) != 1:
@@ -419,6 +419,8 @@ def _suite_counting_oracle():
 
 
 def _suite_g_function():
+    import numpy as np
+
     checks = []
     d1 = abs(tractability.g_function(2.0) - 0.5)
     checks.append({"name": "g-at-2", "deviation": d1, "threshold": 1e-10, "pass": d1 < 1e-10})

@@ -3,13 +3,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InvalidInputError, UnsupportedCriterionError
 from .xreal import ceil_exp
 from . import products, spectra
 from .products import COUNTING_CAP, ProductProblem
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -101,6 +103,8 @@ def pt_functional(spec, tau: float, q: float, D: int) -> np.ndarray:
         raise InvalidInputError(f"tau must be positive, got {tau}")
     if D < 1:
         raise InvalidInputError(f"D must be >= 1, got {D}")
+    import numpy as np
+
     cum = spectra.log_trace_profile(spec, tau, D, normalized=True)
     d = np.arange(1, D + 1, dtype=float)
     with np.errstate(over="ignore"):
@@ -113,6 +117,8 @@ def qpt_functional(spec, tau: float, D: int) -> np.ndarray:
         raise InvalidInputError(f"tau must be positive, got {tau}")
     if D < 1:
         raise InvalidInputError(f"D must be >= 1, got {D}")
+    import numpy as np
+
     out = np.empty(D)
     for d in range(1, D + 1):
         x = tau * (1.0 + math.log(d))

@@ -227,7 +227,7 @@ def spectrum_estimate(spec: KernelSpec, n_nodes: int, m: int) -> SpectrumEstimat
 
 def closed_form_eigenvalues(spec: KernelSpec, m: int) -> np.ndarray:
     """Reference spectrum for kernels that have one: the first m eigenvalues
-    of the matching ``spectra`` family factor (a read-only view for m <= 64)."""
+    of the matching ``spectra`` family factor, as a fresh array."""
     if spec.kind == "euler_iterated" or (spec.kind == "wiener_integral" and spec.r == 0):
         family = spectra.euler(SequenceDescriptor.constant(spec.r))
     elif spec.kind == "wiener_integral":

@@ -29,11 +29,13 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial, reduce
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import CapExceededError, InvalidInputError
 from . import spectra
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ENUMERATION_CAP = 10**7
 COUNTING_CAP = 10**8
@@ -47,9 +49,10 @@ _DIRECT_LOG_FLOOR = -300.0
 # The borderline window is (3d + 20) * _WINDOW_ULPS wide per unit of the log
 # magnitudes involved (see _count_impl).  Both evaluations of a tuple take
 # fewer than 3d + 20 rounded steps, each off by at most an ulp of those
-# magnitudes (4 for numpy's log); the factor 4 is margin.
+# magnitudes (``math.log`` is within one ulp); the factor 4 is margin.
 _WINDOW_ULPS = 4 * 2.0 ** -53
-_FIRST_RATIOS = 32
+# the first ratios read of a dimension are those of the factor's head
+_FIRST_RATIOS = spectra.FactorSpectrum.HEAD - 1
 # A ratio list grows past this length only after reading the ratio at which
 # its coordinate alone would saturate the count (see _count_impl).  Shorter
 # lists are small, and the read would cost almost every count time for nothing.
@@ -77,14 +80,14 @@ class ProductProblem:
         self.factors = factors
         self.family = family
         self.d = len(factors)
-        leads = np.array([f.leading for f in factors], dtype=float)
-        self.log_leads = np.log(leads)
-        # suffix_leading[k] = prod_{k' > k} lam(k', 1), 0-indexed, length d+1
-        self.suffix_leading = np.ones(self.d + 1)
+        self.log_leads = [math.log(f.leading) for f in factors]
+        # suffix_leading[k] = prod_{k' >= k} lam(k', 1), 0-indexed, length d+1,
+        # and log_suffix_leading the same sums of logs, both folded from the end
+        self.suffix_leading = [1.0] * (self.d + 1)
+        self.log_suffix_leading = [0.0] * (self.d + 1)
         for k in range(self.d - 1, -1, -1):
-            self.suffix_leading[k] = leads[k] * self.suffix_leading[k + 1]
-        self.log_suffix_leading = np.concatenate(
-            (np.cumsum(self.log_leads[::-1])[::-1], [0.0]))
+            self.suffix_leading[k] = factors[k].leading * self.suffix_leading[k + 1]
+            self.log_suffix_leading[k] = self.log_suffix_leading[k + 1] + self.log_leads[k]
         self.uses_log = (self.d > _DIRECT_DIM_LIMIT
                          or self.log_suffix_leading[0] < _DIRECT_LOG_FLOOR)
 
@@ -99,11 +102,11 @@ class ProductProblem:
 
     @property
     def leading_product(self) -> float:
-        return float(self.suffix_leading[0])
+        return self.suffix_leading[0]
 
     @property
     def log_leading_product(self) -> float:
-        return float(self.log_suffix_leading[0])
+        return self.log_suffix_leading[0]
 
     def scaled(self, constants) -> "ProductProblem":
         """Each factor multiplied by its positive constant; family link dropped."""
@@ -148,8 +151,7 @@ def product_eigenvalues_top(problem: ProductProblem, m: int) -> np.ndarray:
     term = math.log if use_log else float
     band = _band(problem, use_log)
     neg, hmax = _walk_tables(problem)
-    # ext[k][i] is the fold term of lam(k, i + 2), read through eigenvalue():
-    # a block evaluation need not give the same doubles past the cached head
+    # ext[k][i] is the fold term of lam(k, i + 2)
     ext = [[] for _ in range(d)]
     root = [term(f.leading) for f in facs]
     heap = [fold(root)]
@@ -160,8 +162,7 @@ def product_eigenvalues_top(problem: ProductProblem, m: int) -> np.ndarray:
     def ratio(k, i):
         nl = neg[k]
         if i == len(nl):
-            nl.extend(_ratios(facs[k], problem.log_leads[k], i + 2,
-                              min(max(2 * i, _FIRST_RATIOS), m - 1) + 2))
+            nl.extend(_ratios(facs[k], i + 2, min(max(2 * i, _FIRST_RATIOS), m - 1) + 2))
         return nl[i]
 
     def push(key, k, i, V, terms):
@@ -201,6 +202,8 @@ def product_eigenvalues_top(problem: ProductProblem, m: int) -> np.ndarray:
     if len(heap) < m:
         raise InvalidInputError("spectrum exhausted before m values (zero eigenvalue hit)")
     heap.sort(reverse=True)
+    import numpy as np
+
     return np.array([math.exp(v) for v in heap] if use_log else heap)
 
 
@@ -259,7 +262,6 @@ def _count_impl(problem, T, cap, log_space):
     """
     d = problem.d
     facs = problem.factors
-    log_leads = problem.log_leads
     lo, hi = _band(problem, log_space)(T)
 
     def accepted(exc, k, j):
@@ -291,9 +293,9 @@ def _count_impl(problem, T, cap, log_space):
                 room = cap - count
                 if len(nl) >= _UNCHECKED_RATIOS and (
                         nl[room - 1] if room <= len(nl) else
-                        _ratios(facs[k], log_leads[k], room + 1, room + 2)[0]) < V - hi:
+                        _ratios(facs[k], room + 1, room + 2)[0]) < V - hi:
                     return CountResult(cap, True, cap)
-                nl.extend(_ratios(facs[k], log_leads[k], len(nl) + 2,
+                nl.extend(_ratios(facs[k], len(nl) + 2,
                                   min(max(2 * len(nl), _FIRST_RATIOS), cap) + 2))
                 m = bisect_left(nl, key, m)
             n_ok = bisect_left(nl, V - hi, 0, m)
@@ -321,11 +323,10 @@ def _band(problem, log_space):
     """
     log_L = problem.log_leading_product
     scale = _WINDOW_ULPS * (3 * problem.d + 20)
-    base = 1.0 + float(np.abs(problem.log_leads).sum())
+    base = 1.0 + math.fsum(map(abs, problem.log_leads))
     # A direct product step that goes subnormal is off by up to 2**-1075,
     # times the factors after it (at most the largest leading suffix).
-    slack = 0.0 if log_space else (
-        problem.d * 2.0 ** -1074 * float(problem.suffix_leading.max()))
+    slack = 0.0 if log_space else problem.d * 2.0 ** -1074 * max(problem.suffix_leading)
 
     def band(T):
         if log_space:
@@ -342,45 +343,44 @@ def _band(problem, log_space):
 def _walk_tables(problem):
     """Empty ``-ln`` ratio lists, one per dimension, and ``hmax``.
 
-    ``hmax[k] = ln max_{k' >= k} h_k'``, with -inf past the last dimension.
+    ``hmax[k] = ln max_{k' >= k} h_k'``, with -inf past the last dimension;
+    ``ln h_k`` is minus the first ``-ln`` ratio of factor k.
     """
-    with np.errstate(divide="ignore"):
-        log_h = np.log([f.second for f in problem.factors]) - problem.log_leads
-    hmax = np.maximum.accumulate(log_h[::-1])[::-1].tolist()
-    hmax.append(-math.inf)
+    hmax = [-math.inf] * (problem.d + 1)
+    for k in range(problem.d - 1, -1, -1):
+        hmax[k] = max(-problem.factors[k].neg_log_head[0], hmax[k + 1])
     return [[] for _ in range(problem.d)], hmax
 
 
-def _ratios(fac, log_lead, j0, j1):
-    """-ln(lam(j) / lam(1)) for j0 <= j < j1, as a list; +inf at zero eigenvalues."""
-    with np.errstate(divide="ignore"):
-        return (log_lead - np.log(fac.eigenvalues_block(j0, j1))).tolist()
+def _ratios(fac, j0, j1):
+    """-ln(lam(j) / lam(1)) for j0 <= j < j1; +inf at zero eigenvalues.
+
+    Indices in the factor's head are read from its ``neg_log_head``."""
+    head = fac.neg_log_head[j0 - 2:j1 - 2]
+    if j0 + len(head) == j1:
+        return head
+    return head + spectra.neg_log_ratios(math.log(fac.leading),
+                                         fac.values(j0 + len(head), j1))
 
 
 def _dense_rule(problem, js, T, log_space):
     """The dense dimension-order counter's decision for the one tuple js.
 
     Prefixes are multiplied (or, in log space, summed with ``math.log``) in
-    dimension order.  Each prefix times the leading product of the remaining
-    dimensions must exceed T, and so must the full product, whose last
-    factor numpy multiplies (or takes the log of).
+    dimension order, and each prefix times the leading product of the
+    remaining dimensions must exceed T; the last check is the full product.
     """
     facs = problem.factors
-    d = problem.d
     sfx = problem.log_suffix_leading if log_space else problem.suffix_leading
     P = 0.0 if log_space else 1.0
-    for k in range(d - 1):
+    for k in range(problem.d):
         lam = facs[k].eigenvalue(js[k])
         if lam <= 0.0:
             return False
         P = P + math.log(lam) if log_space else P * lam
         if not ((P + sfx[k + 1]) > T if log_space else (P * sfx[k + 1]) > T):
             return False
-    last = facs[d - 1].eigenvalues_block(js[d - 1], js[d - 1] + 1)
-    if log_space:
-        with np.errstate(divide="ignore"):
-            return bool(P + np.log(last)[0] > T)
-    return bool(P * last[0] > T)
+    return True
 
 
 def trace_sum(problem: ProductProblem, tau: float) -> float:
@@ -410,6 +410,8 @@ def brute_force_oracle(problem: ProductProblem, J: int) -> np.ndarray:
     only for thresholds above max_k lam(k, J) * prod_{k' != k} lam(k', 1); see
     :func:`oracle_validity_floor`.
     """
+    import numpy as np
+
     if problem.uses_log:
         return np.fromiter(map(math.exp, brute_force_log_oracle(problem, J)),
                            dtype=float, count=J ** problem.d)
@@ -426,6 +428,8 @@ def brute_force_log_oracle(problem: ProductProblem, J: int) -> np.ndarray:
     top-m walk forms it in log space; the log-space count compares such sums, not
     their ``exp``, with ln T.  A zero eigenvalue gives -inf.
     """
+    import numpy as np
+
     logs = [[math.log(v) if v > 0.0 else -math.inf for v in row]
             for row in _box_rows(problem, J)]
     vals = np.fromiter(map(log_fold, itertools.product(*logs)), dtype=float, count=J ** problem.d)

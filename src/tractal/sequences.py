@@ -12,8 +12,9 @@ tractability classifier needs.  Four kinds are supported:
 
 For the structured kinds every asymptotic quantity has a closed form.  An
 explicit descriptor without an evaluator is eventually constant, so its
-limits are decidable too; with an evaluator the declared fields are the only
-source of truth and missing declarations raise :class:`UndecidableError`.
+limits are decidable too, and a declaration may only repeat them; with an
+evaluator the declared fields are the only source of truth and missing
+declarations raise :class:`UndecidableError`.
 """
 from __future__ import annotations
 
@@ -27,6 +28,9 @@ from .xreal import INF
 
 _VALIDATION_WINDOW = 10**4
 _ADVISORY_SLACK = 0.1
+# A positive sequence evaluated in doubles may underflow to 0.0; a zero is
+# taken for that only right after a positive value below this (or a zero).
+_UNDERFLOW_TINY = 1e-300
 
 
 @dataclass(frozen=True)
@@ -105,10 +109,10 @@ class SequenceDescriptor:
             return -self.alpha
         if self.kind == "log_growth":
             return 0.0
-        if self.declared_liminf_log_ratio is not None:
-            return self.declared_liminf_log_ratio
         if not self._open_ended:
             return 0.0 if self.values[-1] > 0 else INF
+        if self.declared_liminf_log_ratio is not None:
+            return self.declared_liminf_log_ratio
         raise UndecidableError("liminf ln(1/s_k)/ln k undeclared for explicit sequence")
 
     def limit(self) -> float:
@@ -121,10 +125,10 @@ class SequenceDescriptor:
             return self.c if self.alpha == 0 else INF
         if self.kind == "log_growth":
             return INF
-        if self.declared_limit is not None:
-            return self.declared_limit
         if not self._open_ended:
             return self.values[-1]
+        if self.declared_limit is not None:
+            return self.declared_limit
         raise UndecidableError("limit undeclared for explicit sequence")
 
     def liminf_over_log(self) -> float:
@@ -162,9 +166,12 @@ def validate_sequence(seq, name, direction=None, positive=True, integer=False,
     """Check range, integrality and monotonicity of a parameter sequence.
 
     Structured kinds are checked analytically; explicit kinds are checked on
-    the window k <= 10^4.  A declared liminf that disagrees with the
-    empirical log-ratio at the window edge by more than 0.1 only warns,
-    since no finite window can decide a liminf.
+    the window k <= 10^4 (without an evaluator, up to the first repeat of the
+    last value).  A positive sequence may underflow to 0.0 right after a
+    value below 1e-300.  Declarations on an explicit sequence without an
+    evaluator must equal its limits.  On one with an evaluator, a declared
+    liminf that disagrees with the empirical log-ratio at the window edge by
+    more than 0.1 only warns, since no finite window can decide a liminf.
     """
     if seq.kind == "constant":
         _check_value(seq.c, name, positive, integer, max_value)
@@ -183,11 +190,13 @@ def validate_sequence(seq, name, direction=None, positive=True, integer=False,
         if direction == "nonincreasing":
             raise InvalidInputError(f"{name} must be nonincreasing, log_growth grows")
         return
-    limit = min(_VALIDATION_WINDOW, len(seq.values) + 1)
+    window = (_VALIDATION_WINDOW if seq._open_ended
+              else min(_VALIDATION_WINDOW, len(seq.values) + 1))
     prev = None
-    for k in range(1, limit + 1):
+    for k in range(1, window + 1):
         v = seq.value(k)
-        _check_value(v, name, positive, integer, max_value)
+        if not (positive and v == 0.0 and prev is not None and prev < _UNDERFLOW_TINY):
+            _check_value(v, name, positive, integer, max_value)
         if prev is not None:
             if direction == "nondecreasing" and v < prev:
                 raise InvalidInputError(f"{name} not nondecreasing at k={k}")
@@ -203,6 +212,8 @@ def validate_sequence(seq, name, direction=None, positive=True, integer=False,
     _check_declared_limit(seq.declared_limit, prev, name, direction, max_value)
     if seq._open_ended:
         _advisory_limit_check(seq, name)
+    else:
+        _check_constant_tail_declarations(seq, name)
 
 
 def _check_value(v, name, positive, integer, max_value):
@@ -233,6 +244,19 @@ def _check_declared_limit(lim, last, name, direction, max_value):
         raise InvalidInputError(
             f"{name} is {direction}, so its declared limit cannot be {lim} after "
             f"the value {last}")
+
+
+def _check_constant_tail_declarations(seq, name):
+    """Without an evaluator the sequence stays at its last value, so its
+    limit and liminf log-ratio are known; a declaration must repeat them."""
+    last = seq.values[-1]
+    for field, declared, truth in (
+            ("limit", seq.declared_limit, last),
+            ("liminf_log_ratio", seq.declared_liminf_log_ratio, 0.0 if last > 0 else INF)):
+        if declared is not None and declared != truth:
+            raise InvalidInputError(
+                f"{name} is eventually constant at {last}, so its {field} is {truth}, "
+                f"but the declared {field} is {declared}")
 
 
 def _advisory_limit_check(seq, name):

@@ -19,6 +19,12 @@ Family summary (``j >= 1``, ``m = floor(j/2)``):
 * ``analytic_korobov`` lam(k,1) = 1, lam(k,2m) = lam(k,2m+1) = omega**(a_k * m**b_k)
 * ``custom``           per-dimension tables with an optional tail model
 
+Each formula is written once, as a scalar function of j on Python floats, so
+an eigenvalue has the same bits however it is read and on every CPU (numpy's
+vectorised ``power`` may round differently from the C library).  numpy is
+imported only by the functions that return arrays, so counting runs on the
+standard library alone.
+
 All operations are pure; specs and factors are immutable after construction
 and safe to share across threads.
 """
@@ -29,9 +35,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from .errors import (
     ApproximateOnlyError,
@@ -42,6 +46,9 @@ from .errors import (
 from .sequences import SequenceDescriptor, validate_sequence
 from .special import scipy_special
 from .xreal import INF, Interval
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _REL_TOL = 1e-12
 
@@ -191,98 +198,111 @@ def _b_star(b: SequenceDescriptor) -> float:
 
 
 class FactorSpectrum:
-    """One dimension's eigenvalue sequence, immutable once built: the first 64
-    values are a read-only head, and longer requests are never stored."""
+    """One dimension's eigenvalue sequence, immutable once built.
 
-    __slots__ = ("k", "leading", "approximate", "_block", "_cache")
+    ``value(j)``, the family's closed form as a scalar function of j, is the
+    one source of every eigenvalue.  The first ``HEAD`` values are kept as the
+    tuple ``head``, with ``neg_log_head``, the ratios ``-ln(lam(j)/lam(1))``
+    for 2 <= j <= HEAD (+inf at a zero eigenvalue); longer requests are
+    evaluated and never stored."""
 
-    def __init__(self, k, block, approximate=False):
+    __slots__ = ("k", "leading", "approximate", "_value", "head", "neg_log_head")
+    # A count or top-m walk first reads 32 ratios of a dimension, j = 2..33,
+    # and rarely more; a longer head would cost every factor built more logs.
+    HEAD = 33
+
+    def __init__(self, k, value, approximate=False):
         self.k = int(k)
-        self._block = block
-        self._cache = np.asarray(block(np.arange(1, 65)), dtype=float)
-        self._cache.setflags(write=False)
-        self.leading = float(self._cache[0])
+        self._value = value
+        self.head = tuple(map(value, range(1, self.HEAD + 1)))
+        self.leading = self.head[0]
         self.approximate = bool(approximate)
         if not self.leading > 0:
             raise InvalidInputError(f"leading eigenvalue must be positive at k={k}")
+        self.neg_log_head = neg_log_ratios(math.log(self.leading), self.head[1:])
 
     def eigenvalue(self, j: int) -> float:
         if j < 1:
             raise InvalidInputError(f"eigenvalue index must be >= 1, got {j}")
-        if j <= self._cache.size:
-            return float(self._cache[j - 1])
-        return float(self._block(np.asarray([j]))[0])
+        return self.head[j - 1] if j <= self.HEAD else self._value(j)
+
+    def values(self, j0: int, j1: int) -> tuple:
+        """lam(j) for j0 <= j < j1, as a tuple of floats."""
+        if j1 <= self.HEAD + 1:
+            return self.head[j0 - 1:j1 - 1]
+        return self.head[j0 - 1:] + tuple(map(self._value, range(max(j0, self.HEAD + 1), j1)))
 
     def eigenvalues_up_to(self, J: int) -> np.ndarray:
         return self.eigenvalues_block(1, J + 1)
 
     def eigenvalues_block(self, j0: int, j1: int) -> np.ndarray:
-        """Values for j0 <= j < j1: a read-only view of the head, or a fresh array."""
-        if j1 <= self._cache.size + 1:
-            return self._cache[j0 - 1:j1 - 1]
-        return np.asarray(self._block(np.arange(j0, j1)), dtype=float)
+        """lam(j) for j0 <= j < j1, as a fresh numpy array."""
+        import numpy as np
+
+        return np.array(self.values(j0, j1), dtype=float)
 
     @property
     def second(self) -> float:
-        return float(self._cache[1])
+        return self.head[1]
 
     def scaled(self, c: float) -> "FactorSpectrum":
         """Same spectrum with every eigenvalue multiplied by c > 0."""
         if c <= 0:
             raise InvalidInputError(f"scale constant must be positive, got {c}")
-        block = self._block
-        return FactorSpectrum(self.k, lambda j: c * np.asarray(block(j), dtype=float),
-                              self.approximate)
+        value = self._value
+        return FactorSpectrum(self.k, lambda j: c * value(j), self.approximate)
 
 
-def _euler_block(r_k: float):
-    expo = 2.0 * r_k + 2.0
-    def block(j):
-        return (np.pi * (np.asarray(j, dtype=float) - 0.5)) ** (-expo)
-    return block
+def neg_log_ratios(log_lead: float, lams) -> tuple:
+    """``log_lead - ln(lam)`` for each lam >= 0, +inf where lam is zero."""
+    return tuple([log_lead - math.log(v) if v > 0.0 else math.inf for v in lams])
 
 
-def _korobov_block(r_k: float, g_k: float):
-    expo = 2.0 * r_k
-    def block(j):
-        j = np.asarray(j, dtype=float)
-        m = np.maximum(np.floor(j / 2.0), 1.0)
-        return np.where(j < 2, 1.0, g_k * m ** (-expo))
-    return block
+def _euler_value(r_k: float):
+    expo = -(2.0 * r_k + 2.0)
+    pi = math.pi
+    def value(j):
+        return (pi * (j - 0.5)) ** expo
+    return value
 
 
-def _gaussian_block(omega_k: float):
+def _korobov_value(r_k: float, g_k: float):
+    expo = -(2.0 * r_k)
+    def value(j):
+        return 1.0 if j < 2 else g_k * float(j // 2) ** expo
+    return value
+
+
+def _gaussian_value(omega_k: float):
     c = 1.0 - omega_k
-    def block(j):
-        return c * omega_k ** (np.asarray(j, dtype=float) - 1.0)
-    return block
+    def value(j):
+        return c * omega_k ** (j - 1.0)
+    return value
 
 
-def _analytic_korobov_block(omega: float, a_k: float, b_k: float):
-    def block(j):
-        j = np.asarray(j, dtype=float)
-        m = np.maximum(np.floor(j / 2.0), 1.0)
-        return np.where(j < 2, 1.0, omega ** (a_k * m ** b_k))
-    return block
+def _analytic_korobov_value(omega: float, a_k: float, b_k: float):
+    def value(j):
+        if j < 2:
+            return 1.0
+        try:
+            return omega ** (a_k * float(j // 2) ** b_k)
+        except OverflowError:  # m**b_k beyond the double range: omega**inf
+            return 0.0
+    return value
 
 
-def _custom_block(row: tuple, tail: Optional[TailModel]):
-    arr = np.asarray(row, dtype=float)
-    J = arr.size
-    last = arr[-1]
-    def block(j):
-        j = np.asarray(j, dtype=np.int64)
-        out = arr[np.minimum(j, J) - 1].astype(float)
-        beyond = j > J
-        if np.any(beyond):
-            if tail is None:
-                out[beyond] = 0.0
-            elif tail.kind == "geometric":
-                out[beyond] = last * tail.ratio ** (j[beyond] - J).astype(float)
-            else:
-                out[beyond] = last * (J / j[beyond].astype(float)) ** tail.exponent
-        return out
-    return block
+def _custom_value(row: tuple, tail: Optional[TailModel]):
+    J = len(row)
+    last = row[-1]
+    def value(j):
+        if j <= J:
+            return row[j - 1]
+        if tail is None:
+            return 0.0
+        if tail.kind == "geometric":
+            return last * tail.ratio ** float(j - J)
+        return last * (J / float(j)) ** tail.exponent
+    return value
 
 
 @lru_cache(maxsize=4096)
@@ -292,16 +312,16 @@ def _factor(spec: FamilySpec, k: int) -> FactorSpectrum:
     fam = spec.family
     if fam in (Family.EULER, Family.WIENER):
         r_k = spec.r.value(k)
-        return FactorSpectrum(k, _euler_block(r_k),
+        return FactorSpectrum(k, _euler_value(r_k),
                               approximate=(fam is Family.WIENER and r_k >= 1))
     if fam is Family.KOROBOV:
-        return FactorSpectrum(k, _korobov_block(spec.r.value(k), spec.g.value(k)))
+        return FactorSpectrum(k, _korobov_value(spec.r.value(k), spec.g.value(k)))
     if fam is Family.GAUSSIAN:
-        return FactorSpectrum(k, _gaussian_block(gaussian_omega(spec.gamma_sq.value(k))))
+        return FactorSpectrum(k, _gaussian_value(gaussian_omega(spec.gamma_sq.value(k))))
     if fam is Family.ANALYTIC_KOROBOV:
-        return FactorSpectrum(k, _analytic_korobov_block(spec.omega, spec.a.value(k), spec.b.value(k)))
+        return FactorSpectrum(k, _analytic_korobov_value(spec.omega, spec.a.value(k), spec.b.value(k)))
     row = spec.tables[min(k, len(spec.tables)) - 1]
-    return FactorSpectrum(k, _custom_block(row, spec.tail))
+    return FactorSpectrum(k, _custom_value(row, spec.tail))
 
 
 # ---------------------------------------------------------------------------
@@ -420,6 +440,8 @@ def _exp_power_integral(c, b, lower):
 
 
 def _custom_tail_sum(spec, k, tau):
+    import numpy as np
+
     row = np.asarray(spec.tables[min(k, len(spec.tables)) - 1], dtype=float)
     lam2 = row[1]
     finite = float(np.sum((row[1:] / lam2) ** tau))
@@ -449,6 +471,8 @@ def _power_tail(x, a):
     b = a + 1.0
     if x * math.log(b) < 700.0:
         return (a / b) ** x * (b ** x * float(zeta(x, b)))
+    import numpy as np
+
     m = math.floor(b)
     scale = math.exp(-x * math.log1p((m - a) / a))
     return scale * float(np.sum(zeta(x, (b + np.arange(m)) / m)))
@@ -485,6 +509,8 @@ def log_trace_profile(spec: FamilySpec, tau: float, D: int, normalized: bool) ->
     in dimension order by a plain left fold, not by ``sum``, which compensates
     from Python 3.12 on, so the entries do not depend on the Python version.
     """
+    import numpy as np
+
     out = np.empty(D)
     total = 0.0
     for k in range(1, D + 1):

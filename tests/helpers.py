@@ -113,8 +113,8 @@ def dense_count(problem, T, cap, log_space):
 
     Depth-first in dimension order; at depth k a prefix survives while
     prefix * lam(k, j) * (leading product of the later dimensions) > T, with
-    T and the products in log space when log_space is set.  The last
-    dimension is counted in vectorized blocks.  Every prefix pushed counts
+    T and the products in log space when log_space is set (logs by
+    ``math.log``).  The last dimension is counted in blocks.  Every prefix pushed counts
     toward the cap as well, so a count can saturate below cap tuples.
     Returns a ``products.CountResult``.
     """
@@ -133,8 +133,8 @@ def dense_count(problem, T, cap, log_space):
             while True:
                 block = fac.eigenvalues_block(j0, j0 + width)
                 if log_space:
-                    with np.errstate(divide="ignore"):
-                        vals = P + np.log(block)
+                    vals = P + np.array([math.log(v) if v > 0.0 else -math.inf
+                                         for v in block.tolist()])
                 else:
                     vals = P * block
                 good = vals > T

@@ -445,11 +445,38 @@ def test_invalid_declared_limit_exits_3_under_every_command(capsys, family_file,
     assert err.startswith("error: ") and "declared limit" in err
 
 
+# Declarations an explicit sequence without an evaluator contradicts: its
+# values stay at the last one, so its limits are decided.
+DISAGREEING_DOCS = [
+    {"family": "gaussian", "gamma_sq": {"kind": "explicit", "values": [1, 0.5, 0.25],
+                                        "liminf_log_ratio": 1.0, "limit": 0.0}},
+    {"family": "korobov",
+     "r": {"kind": "explicit", "values": [1, 2, 3], "liminf_log_ratio": 1.0, "limit": 3.0},
+     "g": {"kind": "explicit", "values": [1, 0.5], "liminf_log_ratio": 2.0, "limit": 0.0}},
+]
+
+
+@pytest.mark.parametrize("doc", DISAGREEING_DOCS)
+@pytest.mark.parametrize("argv", [
+    ["classify", "--criterion", "nor"],
+    ["complexity", "--epsilon", "0.5", "--d", "2"],
+    ["sweep", "--epsilon", "0.5", "--d", "1:3"],
+])
+def test_declaration_against_an_eventually_constant_sequence_exits_3(capsys, family_file,
+                                                                      doc, argv):
+    # such a declaration once overrode the values: the korobov document
+    # classified as SPT although its second ratio is constant
+    path = family_file("constant.json", doc)
+    code, out, err = run(capsys, argv[:1] + ["--family", path] + argv[1:])
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and "eventually constant" in err
+
+
 VALID_DOCS = [
     KOROBOV_DOC,
     GAUSS_DOC,
     {"family": "gaussian", "gamma_sq": {"kind": "explicit", "values": [1, 0.5, 0.25],
-                                        "liminf_log_ratio": 1.0, "limit": 0.0}},
+                                        "liminf_log_ratio": 0.0, "limit": 0.25}},
     {"family": "euler", "r": {"kind": "log_growth", "theta": 1.0}},
     {"family": "wiener", "r": {"kind": "constant", "c": 1}},
     {"family": "analytic_korobov", "omega": 0.5, "a": {"kind": "power", "c": 1, "alpha": 1},
@@ -458,8 +485,8 @@ VALID_DOCS = [
      "tail": {"kind": "power", "exponent": 3}, "tau0": 0.5, "a_star": 1.0, "b_limit": 1.0},
     {"family": "custom", "tables": [[1.0, 0.5]], "tail": {"kind": "geometric", "ratio": 0.5}},
     {"family": "korobov",
-     "r": {"kind": "explicit", "values": [1, 2, 3], "liminf_log_ratio": 1.0, "limit": 3.0},
-     "g": {"kind": "explicit", "values": [1, 0.5], "liminf_log_ratio": 2.0, "limit": 0.0}},
+     "r": {"kind": "explicit", "values": [1, 2, 3], "liminf_log_ratio": 0.0, "limit": 3.0},
+     "g": {"kind": "explicit", "values": [1, 0.5], "liminf_log_ratio": 0.0, "limit": 0.5}},
 ]
 
 ODD_VALUES = ["abc", "1", "power", "geometric", True, False, None, 0, 1, -1, 0.5, 2.5,

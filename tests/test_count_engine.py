@@ -8,7 +8,6 @@ import math
 import random
 import time
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,7 +59,7 @@ def dense_value(problem, js, log_space):
     """A tuple's product in the dense counter's evaluation order."""
     lams = [f.eigenvalue(j) for f, j in zip(problem.factors, js)]
     if log_space:
-        return sum(math.log(x) for x in lams[:-1]) + float(np.log(np.array(lams[-1:]))[0])
+        return products.log_fold(map(math.log, lams))
     v = 1.0
     for x in lams:
         v = v * x
@@ -190,13 +189,13 @@ def test_tiny_log_threshold_saturates_without_growing_ratio_lists(monkeypatch):
     """At ln T = -700 a korobov count is astronomically large; it must stop
     at the cap having evaluated eigenvalues only up to about j = cap."""
     highest = []
-    block = spectra.FactorSpectrum.eigenvalues_block
+    values = spectra.FactorSpectrum.values
 
     def recorded(self, j0, j1):
         highest.append(j1)
-        return block(self, j0, j1)
+        return values(self, j0, j1)
 
-    monkeypatch.setattr(spectra.FactorSpectrum, "eigenvalues_block", recorded)
+    monkeypatch.setattr(spectra.FactorSpectrum, "values", recorded)
     p = ProductProblem.from_family(spectra.korobov(S.constant(1.0), S.constant(0.5)), 10)
     start = time.perf_counter()
     res = count_products_above_log(p, -700.0, cap=1000)
@@ -227,8 +226,8 @@ def test_counting_leaves_factors_unchanged():
         return [[getattr(f, a) for a in spectra.FactorSpectrum.__slots__] for f in p.factors]
 
     before = state()
-    cache = [f._cache.copy() for f in p.factors]
+    heads = [(list(f.head), list(f.neg_log_head)) for f in p.factors]
     count_products_above(p, 1e-4)
     count_products_above_log(p, -9.0)
     assert all(x is y for now, then in zip(state(), before) for x, y in zip(now, then))
-    assert all(np.array_equal(f._cache, c) for f, c in zip(p.factors, cache))
+    assert [(list(f.head), list(f.neg_log_head)) for f in p.factors] == heads

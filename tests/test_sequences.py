@@ -3,6 +3,7 @@ import warnings
 
 import pytest
 
+from tractal import spectra
 from tractal.errors import InvalidInputError, UndecidableError
 from tractal.sequences import SequenceDescriptor as S, validate_sequence
 from tractal.xreal import INF
@@ -84,12 +85,58 @@ def test_declared_limit_is_checked(seq, checks, match):
 
 
 def test_declared_limit_on_the_right_side_passes():
-    validate_sequence(S.explicit([1.0, 0.25], limit=0.0), "g", **NONINCREASING_G)
+    validate_sequence(S.explicit([1.0], evaluator=lambda k: 1.0 / k, limit=0.0), "g",
+                      **NONINCREASING_G)
     validate_sequence(S.explicit([1.0, 0.25], limit=0.25), "g", **NONINCREASING_G)
-    validate_sequence(S.explicit([1, 2], limit=INF), "r", **NONDECREASING_R)
+    validate_sequence(S.explicit([1], evaluator=lambda k: float(k), limit=INF), "r",
+                      **NONDECREASING_R)
     validate_sequence(S.explicit([1, 2], limit=2.0), "r", **NONDECREASING_R)
     # no direction to respect: a growing b may tend to +oo
-    validate_sequence(S.explicit([1.0, 0.5], limit=INF), "b")
+    validate_sequence(S.explicit([1.0, 0.5], evaluator=lambda k: float(k), limit=INF), "b")
+
+
+@pytest.mark.parametrize("seq", [
+    S.explicit([1.0, 0.25], limit=0.0),
+    S.explicit([1, 2], limit=INF),
+    S.explicit([1.0, 0.5], limit=INF),
+    S.explicit([1.0, 0.5], liminf_log_ratio=2.0),
+    S.explicit([1.0, 0.5], liminf_log_ratio=INF),
+    S.explicit([1.0, 0.0], liminf_log_ratio=0.0),
+])
+def test_declarations_must_match_an_eventually_constant_sequence(seq):
+    # without an evaluator the values stay at the last one, so its limit and
+    # liminf_log_ratio are decided; a declaration may not override them
+    with pytest.raises(InvalidInputError, match="eventually constant"):
+        validate_sequence(seq, "s", positive=False)
+
+
+def test_matching_declarations_of_an_eventually_constant_sequence_pass():
+    seq = S.explicit([1.0, 0.5], liminf_log_ratio=0.0, limit=0.5)
+    validate_sequence(seq, "g", **NONINCREASING_G)
+    assert (seq.liminf_log_ratio(), seq.limit()) == (0.0, 0.5)
+    validate_sequence(S.explicit([1.0, 0.0], liminf_log_ratio=INF, limit=0.0), "s",
+                      direction="nonincreasing", positive=False)
+
+
+@pytest.mark.parametrize("seq, checks", [
+    (S.explicit((), evaluator=lambda k: float(k), limit=INF), dict(direction="nonincreasing")),
+    (S.explicit((), evaluator=lambda k: float(k)), NONINCREASING_G),
+    (S.explicit((), evaluator=lambda k: 0.5 if k < 5000 else 0.75), NONINCREASING_G),
+    (S.explicit([1.0], evaluator=lambda k: 1.0 / k if k < 9999 else -1.0), {}),
+    (S.explicit((), evaluator=lambda k: 0.5 if k < 3 else 0.0), NONINCREASING_G),
+])
+def test_evaluator_is_checked_on_the_whole_window(seq, checks):
+    with pytest.raises(InvalidInputError):
+        validate_sequence(seq, "s", **checks)
+
+
+def test_positive_sequence_may_underflow_to_zero():
+    # (2 pi)**(-2k) is subnormal from k = 188 and 0.0 from k = 203
+    r = S.power(1.0, 1.0)
+    g = spectra.korobov_exp_weights(r)
+    assert g.value(202) > 0.0 == g.value(203)
+    spec = spectra.korobov(r, g)
+    assert spec.factor(203).eigenvalue(2) == 0.0
 
 
 def test_advisory_check_warns_only_on_disagreement():

@@ -329,13 +329,42 @@ def test_custom_power_tail_steep_exponents(tau):
 
 def test_factor_head_is_read_only_and_long_requests_leave_it():
     fac = spectra.korobov(S.constant(1.25), S.constant(0.375)).factor(1)
-    head, second = fac._cache, fac.second
-    with pytest.raises(ValueError):
-        fac.eigenvalues_up_to(5)[1] = 0.9
-    with pytest.raises(ValueError):
-        fac.eigenvalues_block(2, 4)[0] = 0.9
+    head, second = fac.head, fac.second
+    assert type(head) is tuple and len(head) == fac.HEAD
+    assert type(fac.neg_log_head) is tuple and len(fac.neg_log_head) == fac.HEAD - 1
+    short = fac.eigenvalues_up_to(5)
+    short[1] = 0.9  # every array is fresh: the caller owns it
+    fac.eigenvalues_block(2, 4)[0] = 0.9
     long = fac.eigenvalues_up_to(1000)
-    assert long.size == 1000 and np.array_equal(long[:64], head)
-    long[1] = 0.9  # beyond the head the caller owns a fresh array
-    assert fac._cache is head and head.size == 64
-    assert fac.second == second == 0.375
+    assert long.size == 1000 and long[:fac.HEAD].tolist() == list(head)
+    long[1] = 0.9
+    assert fac.head is head and fac.eigenvalues_up_to(5).tolist() == list(head[:5])
+    assert fac.second == second == 0.375 == fac.eigenvalue(2)
+
+
+def _factors_for_block_identity():
+    facs = [spec.factor(k) for _, spec in all_families() for k in (1, 3)]
+    power = spectra.custom_tabulated([[1.0, 0.5, 0.25]], tail=spectra.TailModel(
+        "power", exponent=1.5), tau0=1.0)
+    no_tail = spectra.custom_tabulated([[2.0, 1.0, 0.5, 0.25]])
+    facs += [power.factor(1), no_tail.factor(1)]
+    return facs + [f.scaled(c) for f, c in zip(facs[::3], (0.3, 7.5, 3.0, 0.3, 7.5))]
+
+
+@pytest.mark.parametrize("fac", _factors_for_block_identity())
+@pytest.mark.parametrize("j0, j1", [(1, 33), (1, 34), (1, 35), (2, 200), (20, 90), (33, 35),
+                                    (34, 130), (1000, 1010)])
+def test_blocks_equal_eigenvalues_bit_for_bit(fac, j0, j1):
+    """Inside the cached head and past it, a block holds exactly the doubles
+    that eigenvalue() returns, and values() the same as a tuple."""
+    want = [fac.eigenvalue(j) for j in range(j0, j1)]
+    assert fac.eigenvalues_block(j0, j1).tolist() == want
+    assert fac.values(j0, j1) == tuple(want)
+    assert all(type(v) is float for v in want)
+
+
+def test_analytic_korobov_exponent_beyond_the_double_range():
+    # m**b_k overflows from m = 2 on, so omega**(a_k m**b_k) underflows to 0
+    fac = spectra.analytic_korobov(0.5, S.constant(1.0), S.constant(1100.0)).factor(1)
+    assert fac.values(1, 6) == (1.0, 0.5, 0.5, 0.0, 0.0)
+    assert fac.eigenvalue(10**6) == 0.0

@@ -1,8 +1,9 @@
 """Commands that evaluate no zeta or gamma must not import scipy, and neither
-must importing ``tractal.nystrom``.
+must importing ``tractal.nystrom``; counting commands and ``import tractal``
+must not import numpy either.
 
-Each case runs in a fresh interpreter, since scipy is what dominates a
-command's start-up and an import anywhere in the package would load it for
+Each case runs in a fresh interpreter, since these imports dominate a
+command's start-up and an import anywhere in the package would load them for
 every command."""
 import json
 import os
@@ -16,11 +17,12 @@ from tractal import cli
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# runs the command, then reports on stderr whether scipy was imported
+# runs the command, then reports on stderr whether scipy and numpy were imported
 PROBE = ("import sys\n"
          "from tractal import cli\n"
          "code = cli.main(sys.argv[1:])\n"
          "print('scipy loaded:', 'scipy' in sys.modules, file=sys.stderr)\n"
+         "print('numpy loaded:', 'numpy' in sys.modules, file=sys.stderr)\n"
          "sys.exit(code)\n")
 
 KOROBOV_DOC = {"family": "korobov", "r": {"kind": "constant", "c": 1},
@@ -59,6 +61,39 @@ def test_euler_abs_classify_loads_scipy_and_matches_in_process(tmp_path, capsys)
     assert "scipy loaded: True" in err
     assert cli.main(argv) == 0
     assert out == capsys.readouterr().out and json.loads(out)["p_star"]
+
+
+@pytest.mark.parametrize("doc", [KOROBOV_DOC, GAUSS_DOC], ids=["korobov", "gaussian"])
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--epsilon", "0.5,0.25", "--d", "1:6"],
+    ["sweep", "--epsilon", "0.5", "--d", "31,34"],
+    ["complexity", "--epsilon", "0.25", "--d", "5"],
+    ["complexity", "--epsilon", "0.5", "--d", "35"],
+], ids=["sweep-direct", "sweep-log-space", "complexity-direct", "complexity-log-space"])
+def test_counting_commands_leave_numpy_unloaded(tmp_path, capsys, doc, argv):
+    # d > 30 counts in log space; both spaces run on the standard library
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(doc))
+    argv = argv[:1] + ["--family", str(path)] + argv[1:]
+    code, out, err = fresh_run(PROBE, *argv)
+    assert code == 0 and out
+    assert "numpy loaded: False" in err and "scipy loaded: False" in err
+    assert cli.main(argv) == 0
+    assert out == capsys.readouterr().out
+
+
+def test_package_import_leaves_numpy_unloaded():
+    code, out, _ = fresh_run("import sys, tractal; print('numpy' in sys.modules)")
+    assert code == 0 and out.strip() == "False"
+
+
+def test_oracle_compare_loads_numpy_and_passes(tmp_path):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps(GAUSS_DOC))
+    code, out, err = fresh_run(PROBE, "oracle-compare", "--family", str(path),
+                               "--d", "3", "--m", "100", "--j", "20")
+    assert code == 0 and json.loads(out)["pass"] is True
+    assert "numpy loaded: True" in err
 
 
 def test_nystrom_import_leaves_scipy_unloaded():
