@@ -162,7 +162,7 @@ def product_eigenvalues_top(problem: ProductProblem, m: int) -> np.ndarray:
     def ratio(k, i):
         nl = neg[k]
         if i == len(nl):
-            nl.extend(_ratios(facs[k], i + 2, min(max(2 * i, _FIRST_RATIOS), m - 1) + 2))
+            nl.extend(facs[k].neg_log_ratios(i + 2, min(max(2 * i, _FIRST_RATIOS), m - 1) + 2))
         return nl[i]
 
     def push(key, k, i, V, terms):
@@ -293,10 +293,10 @@ def _count_impl(problem, T, cap, log_space):
                 room = cap - count
                 if len(nl) >= _UNCHECKED_RATIOS and (
                         nl[room - 1] if room <= len(nl) else
-                        _ratios(facs[k], room + 1, room + 2)[0]) < V - hi:
+                        facs[k].neg_log_ratios(room + 1, room + 2)[0]) < V - hi:
                     return CountResult(cap, True, cap)
-                nl.extend(_ratios(facs[k], len(nl) + 2,
-                                  min(max(2 * len(nl), _FIRST_RATIOS), cap) + 2))
+                nl.extend(facs[k].neg_log_ratios(len(nl) + 2,
+                                                 min(max(2 * len(nl), _FIRST_RATIOS), cap) + 2))
                 m = bisect_left(nl, key, m)
             n_ok = bisect_left(nl, V - hi, 0, m)
             while n_ok < m and accepted(exc, k, n_ok + 2):
@@ -350,17 +350,6 @@ def _walk_tables(problem):
     for k in range(problem.d - 1, -1, -1):
         hmax[k] = max(-problem.factors[k].neg_log_head[0], hmax[k + 1])
     return [[] for _ in range(problem.d)], hmax
-
-
-def _ratios(fac, j0, j1):
-    """-ln(lam(j) / lam(1)) for j0 <= j < j1; +inf at zero eigenvalues.
-
-    Indices in the factor's head are read from its ``neg_log_head``."""
-    head = fac.neg_log_head[j0 - 2:j1 - 2]
-    if j0 + len(head) == j1:
-        return head
-    return head + spectra.neg_log_ratios(math.log(fac.leading),
-                                         fac.values(j0 + len(head), j1))
 
 
 def _dense_rule(problem, js, T, log_space):
@@ -417,7 +406,7 @@ def brute_force_oracle(problem: ProductProblem, J: int) -> np.ndarray:
                            dtype=float, count=J ** problem.d)
     vals = None
     for row in _box_rows(problem, J):
-        vals = row.copy() if vals is None else np.multiply.outer(vals, row).ravel()
+        vals = np.array(row) if vals is None else np.multiply.outer(vals, row).ravel()
     return np.sort(vals)[::-1]
 
 
@@ -441,7 +430,7 @@ def _box_rows(problem, J):
         raise InvalidInputError(f"J must be >= 1, got {J}")
     if J ** problem.d > ENUMERATION_CAP:
         raise CapExceededError(f"J**d = {J ** problem.d} exceeds {ENUMERATION_CAP}")
-    return [fac.eigenvalues_up_to(J) for fac in problem.factors]
+    return [fac.values(1, J + 1) for fac in problem.factors]
 
 
 def oracle_validity_floor(problem: ProductProblem, J: int) -> float:

@@ -10,11 +10,13 @@ tractability classifier needs.  Four kinds are supported:
 * ``explicit(values)``     -- a finite head, continued at the last value
                               unless an ``evaluator`` is supplied
 
-For the structured kinds every asymptotic quantity has a closed form.  An
-explicit descriptor without an evaluator is eventually constant, so its
-limits are decidable too, and a declaration may only repeat them; with an
-evaluator the declared fields are the only source of truth and missing
-declarations raise :class:`UndecidableError`.
+The four asymptotic quantities the classifier reads (``liminf_log_ratio``,
+``limit``, ``liminf_over_log`` and ``liminf_log_over_log``) are decided
+together, in one switch over the kinds.  For the structured kinds each has a
+closed form.  An explicit descriptor without an evaluator is eventually
+constant, so its limits are decidable too, and a declaration may only repeat
+them; with an evaluator the declared fields are the only source of truth,
+and a quantity they do not decide raises :class:`UndecidableError`.
 """
 from __future__ import annotations
 
@@ -88,7 +90,8 @@ class SequenceDescriptor:
             except OverflowError:  # k**alpha beyond the double range
                 return self.c * INF
         if self.kind == "log_growth":
-            return float(math.ceil(self.theta * math.log(k + 1)))
+            x = self.theta * math.log(k + 1)
+            return x if x == INF else float(math.ceil(x))
         if k <= len(self.values):
             return self.values[k - 1]
         if self.evaluator is not None:
@@ -101,64 +104,45 @@ class SequenceDescriptor:
     def _open_ended(self) -> bool:
         return self.kind == "explicit" and self.evaluator is not None
 
+    def _asymptotics(self) -> tuple:
+        """(liminf ln(1/s_k)/ln k, lim s_k, liminf s_k/ln k, liminf ln(s_k)/ln k),
+        each None where the description does not decide it."""
+        if self.kind == "constant":
+            return 0.0, self.c, 0.0, 0.0
+        if self.kind == "power":
+            a = self.alpha
+            return -a, (0.0 if a < 0 else self.c if a == 0 else INF), (INF if a > 0 else 0.0), a
+        if self.kind == "log_growth":
+            return 0.0, INF, self.theta, 0.0
+        if not self._open_ended:
+            last = self.values[-1]
+            return 0.0 if last > 0 else INF, last, 0.0, 0.0
+        rate, lim = self.declared_liminf_log_ratio, self.declared_limit
+        return (rate, lim,
+                None if rate is None or rate == 0 else INF if rate < 0 else 0.0,
+                0.0 if lim is not None and math.isfinite(lim) else None)
+
+    def _decided(self, i: int, message: str) -> float:
+        value = self._asymptotics()[i]
+        if value is None:
+            raise UndecidableError(message)
+        return value
+
     def liminf_log_ratio(self) -> float:
         """liminf_k ln(1/s_k) / ln k."""
-        if self.kind == "constant":
-            return 0.0
-        if self.kind == "power":
-            return -self.alpha
-        if self.kind == "log_growth":
-            return 0.0
-        if not self._open_ended:
-            return 0.0 if self.values[-1] > 0 else INF
-        if self.declared_liminf_log_ratio is not None:
-            return self.declared_liminf_log_ratio
-        raise UndecidableError("liminf ln(1/s_k)/ln k undeclared for explicit sequence")
+        return self._decided(0, "liminf ln(1/s_k)/ln k undeclared for explicit sequence")
 
     def limit(self) -> float:
         """lim_k s_k, assuming the sequence is monotone."""
-        if self.kind == "constant":
-            return self.c
-        if self.kind == "power":
-            if self.alpha < 0:
-                return 0.0
-            return self.c if self.alpha == 0 else INF
-        if self.kind == "log_growth":
-            return INF
-        if not self._open_ended:
-            return self.values[-1]
-        if self.declared_limit is not None:
-            return self.declared_limit
-        raise UndecidableError("limit undeclared for explicit sequence")
+        return self._decided(1, "limit undeclared for explicit sequence")
 
     def liminf_over_log(self) -> float:
         """liminf_k s_k / ln k."""
-        if self.kind == "constant":
-            return 0.0
-        if self.kind == "power":
-            return INF if self.alpha > 0 else 0.0
-        if self.kind == "log_growth":
-            return self.theta
-        if not self._open_ended:
-            return 0.0
-        ratio = self.declared_liminf_log_ratio
-        if ratio is not None and ratio != 0:
-            return INF if ratio < 0 else 0.0
-        raise UndecidableError("liminf s_k/ln k undecidable for explicit sequence")
+        return self._decided(2, "liminf s_k/ln k undecidable for explicit sequence")
 
     def liminf_log_over_log(self) -> float:
         """liminf_k ln(s_k) / ln k."""
-        if self.kind == "constant":
-            return 0.0
-        if self.kind == "power":
-            return self.alpha
-        if self.kind == "log_growth":
-            return 0.0
-        if not self._open_ended:
-            return 0.0
-        if self.declared_limit is not None and math.isfinite(self.declared_limit):
-            return 0.0
-        raise UndecidableError("liminf ln(s_k)/ln k undecidable for explicit sequence")
+        return self._decided(3, "liminf ln(s_k)/ln k undecidable for explicit sequence")
 
 
 def validate_sequence(seq, name, direction=None, positive=True, integer=False,
@@ -249,10 +233,9 @@ def _check_declared_limit(lim, last, name, direction, max_value):
 def _check_constant_tail_declarations(seq, name):
     """Without an evaluator the sequence stays at its last value, so its
     limit and liminf log-ratio are known; a declaration must repeat them."""
-    last = seq.values[-1]
-    for field, declared, truth in (
-            ("limit", seq.declared_limit, last),
-            ("liminf_log_ratio", seq.declared_liminf_log_ratio, 0.0 if last > 0 else INF)):
+    rate, last = seq._asymptotics()[:2]
+    for field, declared, truth in (("limit", seq.declared_limit, last),
+                                   ("liminf_log_ratio", seq.declared_liminf_log_ratio, rate)):
         if declared is not None and declared != truth:
             raise InvalidInputError(
                 f"{name} is eventually constant at {last}, so its {field} is {truth}, "

@@ -13,7 +13,8 @@ Family summary (``j >= 1``, ``m = floor(j/2)``):
 * ``wiener``           leading-order term equals the euler formula; exact
                        values for r_k >= 1 have no closed form and are only
                        available numerically (see :mod:`tractal.nystrom`),
-                       so factors are flagged approximate
+                       so ``factor_eigenvalue(require_exact=True)`` refuses
+                       them
 * ``korobov``          lam(k,1) = 1, lam(k,2m) = lam(k,2m+1) = g_k * m**(-2*r_k)
 * ``gaussian``         lam(k,j) = (1-w_k) * w_k**(j-1), w_k = gaussian_omega(gamma_k^2)
 * ``analytic_korobov`` lam(k,1) = 1, lam(k,2m) = lam(k,2m+1) = omega**(a_k * m**b_k)
@@ -21,9 +22,11 @@ Family summary (``j >= 1``, ``m = floor(j/2)``):
 
 Each formula is written once, as a scalar function of j on Python floats, so
 an eigenvalue has the same bits however it is read and on every CPU (numpy's
-vectorised ``power`` may round differently from the C library).  numpy is
-imported only by the functions that return arrays, so counting runs on the
-standard library alone.
+vectorised ``power`` may round differently from the C library).  A
+:class:`FactorSpectrum` is read three ways, all from that function:
+``eigenvalue(j)``, ``values(j0, j1)`` and ``neg_log_ratios(j0, j1)``.  numpy
+is imported only by the functions that return arrays, so counting runs on
+the standard library alone.
 
 All operations are pure; specs and factors are immutable after construction
 and safe to share across threads.
@@ -83,8 +86,9 @@ class TailModel:
             if not 0.0 < self.ratio < 1.0:
                 raise InvalidInputError(f"geometric tail ratio must be in (0,1), got {self.ratio}")
         elif self.kind == "power":
-            if self.exponent <= 0:
-                raise InvalidInputError(f"power tail exponent must be positive, got {self.exponent}")
+            if not 0.0 < self.exponent < INF:
+                raise InvalidInputError(
+                    f"tail: power exponent must be positive and finite, got {self.exponent}")
         else:
             raise InvalidInputError(f"unknown tail model kind {self.kind!r}")
 
@@ -145,7 +149,8 @@ def analytic_korobov(omega: float, a: SequenceDescriptor, b: SequenceDescriptor)
         raise InvalidInputError(f"omega must lie in (0,1), got {omega}")
     validate_sequence(a, "a", direction="nondecreasing", positive=True)
     validate_sequence(b, "b", positive=True)
-    if _b_star(b) <= 0:
+    # inf_k b_k is the least of b's listed values and its limit
+    if min(b.values, default=INF) <= 0 or _quiet(b.limit) == 0:
         raise InvalidInputError("inf_k b_k must be positive")
     return FamilySpec(family=Family.ANALYTIC_KOROBOV, omega=float(omega), a=a, b=b)
 
@@ -156,6 +161,8 @@ def custom_tabulated(tables, tail=None, tau0=None, a_star=None, b_limit=None) ->
         row = tuple(float(v) for v in row)
         if len(row) < 2:
             raise InvalidInputError(f"table {i + 1} needs at least two eigenvalues")
+        if not all(map(math.isfinite, row)):
+            raise InvalidInputError(f"table {i + 1}: eigenvalues must be finite, got {row}")
         if row[0] <= 0 or row[1] <= 0:
             raise InvalidInputError(f"table {i + 1}: leading two eigenvalues must be positive")
         if any(b > a for a, b in zip(row, row[1:])) or row[-1] < 0:
@@ -176,22 +183,6 @@ def custom_tabulated(tables, tail=None, tau0=None, a_star=None, b_limit=None) ->
     )
 
 
-def _b_star(b: SequenceDescriptor) -> float:
-    if b.kind == "constant":
-        return b.c
-    if b.kind == "power":
-        return 0.0 if b.alpha < 0 else b.value(1)
-    if b.kind == "log_growth":
-        return b.value(1)
-    lo = min(b.values) if b.values else INF
-    if b._open_ended:
-        try:
-            lo = min(lo, b.limit())
-        except UndecidableError:
-            pass
-    return lo
-
-
 # ---------------------------------------------------------------------------
 # factor spectra
 # ---------------------------------------------------------------------------
@@ -201,25 +192,25 @@ class FactorSpectrum:
     """One dimension's eigenvalue sequence, immutable once built.
 
     ``value(j)``, the family's closed form as a scalar function of j, is the
-    one source of every eigenvalue.  The first ``HEAD`` values are kept as the
-    tuple ``head``, with ``neg_log_head``, the ratios ``-ln(lam(j)/lam(1))``
-    for 2 <= j <= HEAD (+inf at a zero eigenvalue); longer requests are
-    evaluated and never stored."""
+    one source of every eigenvalue, read through :meth:`eigenvalue`,
+    :meth:`values` and :meth:`neg_log_ratios`.  The first ``HEAD`` values are
+    kept as the tuple ``head``, with ``neg_log_head``, the ratios
+    ``-ln(lam(j)/lam(1))`` for 2 <= j <= HEAD; longer requests are evaluated
+    and never stored."""
 
-    __slots__ = ("k", "leading", "approximate", "_value", "head", "neg_log_head")
+    __slots__ = ("leading", "_value", "head", "neg_log_head")
     # A count or top-m walk first reads 32 ratios of a dimension, j = 2..33,
     # and rarely more; a longer head would cost every factor built more logs.
     HEAD = 33
 
-    def __init__(self, k, value, approximate=False):
-        self.k = int(k)
+    def __init__(self, value):
         self._value = value
         self.head = tuple(map(value, range(1, self.HEAD + 1)))
         self.leading = self.head[0]
-        self.approximate = bool(approximate)
         if not self.leading > 0:
-            raise InvalidInputError(f"leading eigenvalue must be positive at k={k}")
-        self.neg_log_head = neg_log_ratios(math.log(self.leading), self.head[1:])
+            raise InvalidInputError("leading eigenvalue must be positive")
+        self.neg_log_head = ()  # so that neg_log_ratios evaluates the head's ratios
+        self.neg_log_head = self.neg_log_ratios(2, self.HEAD + 1)
 
     def eigenvalue(self, j: int) -> float:
         if j < 1:
@@ -232,30 +223,21 @@ class FactorSpectrum:
             return self.head[j0 - 1:j1 - 1]
         return self.head[j0 - 1:] + tuple(map(self._value, range(max(j0, self.HEAD + 1), j1)))
 
-    def eigenvalues_up_to(self, J: int) -> np.ndarray:
-        return self.eigenvalues_block(1, J + 1)
-
-    def eigenvalues_block(self, j0: int, j1: int) -> np.ndarray:
-        """lam(j) for j0 <= j < j1, as a fresh numpy array."""
-        import numpy as np
-
-        return np.array(self.values(j0, j1), dtype=float)
-
-    @property
-    def second(self) -> float:
-        return self.head[1]
+    def neg_log_ratios(self, j0: int, j1: int) -> tuple:
+        """-ln(lam(j)/lam(1)) for 2 <= j0 <= j < j1; +inf at a zero eigenvalue."""
+        head = self.neg_log_head[j0 - 2:j1 - 2]
+        if j0 + len(head) == j1:
+            return head
+        log_lead = math.log(self.leading)
+        return head + tuple([log_lead - math.log(v) if v > 0.0 else math.inf
+                             for v in self.values(j0 + len(head), j1)])
 
     def scaled(self, c: float) -> "FactorSpectrum":
         """Same spectrum with every eigenvalue multiplied by c > 0."""
         if c <= 0:
             raise InvalidInputError(f"scale constant must be positive, got {c}")
         value = self._value
-        return FactorSpectrum(self.k, lambda j: c * value(j), self.approximate)
-
-
-def neg_log_ratios(log_lead: float, lams) -> tuple:
-    """``log_lead - ln(lam)`` for each lam >= 0, +inf where lam is zero."""
-    return tuple([log_lead - math.log(v) if v > 0.0 else math.inf for v in lams])
+        return FactorSpectrum(lambda j: c * value(j))
 
 
 def _euler_value(r_k: float):
@@ -311,17 +293,19 @@ def _factor(spec: FamilySpec, k: int) -> FactorSpectrum:
         raise InvalidInputError(f"dimension index must be >= 1, got {k}")
     fam = spec.family
     if fam in (Family.EULER, Family.WIENER):
-        r_k = spec.r.value(k)
-        return FactorSpectrum(k, _euler_value(r_k),
-                              approximate=(fam is Family.WIENER and r_k >= 1))
-    if fam is Family.KOROBOV:
-        return FactorSpectrum(k, _korobov_value(spec.r.value(k), spec.g.value(k)))
-    if fam is Family.GAUSSIAN:
-        return FactorSpectrum(k, _gaussian_value(gaussian_omega(spec.gamma_sq.value(k))))
-    if fam is Family.ANALYTIC_KOROBOV:
-        return FactorSpectrum(k, _analytic_korobov_value(spec.omega, spec.a.value(k), spec.b.value(k)))
-    row = spec.tables[min(k, len(spec.tables)) - 1]
-    return FactorSpectrum(k, _custom_value(row, spec.tail))
+        value = _euler_value(spec.r.value(k))
+    elif fam is Family.KOROBOV:
+        value = _korobov_value(spec.r.value(k), spec.g.value(k))
+    elif fam is Family.GAUSSIAN:
+        value = _gaussian_value(gaussian_omega(spec.gamma_sq.value(k)))
+    elif fam is Family.ANALYTIC_KOROBOV:
+        value = _analytic_korobov_value(spec.omega, spec.a.value(k), spec.b.value(k))
+    else:
+        value = _custom_value(spec.tables[min(k, len(spec.tables)) - 1], spec.tail)
+    try:
+        return FactorSpectrum(value)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{exc} at k={k}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -344,10 +328,8 @@ def factor_eigenvalue(spec: FamilySpec, k: int, j: int, require_exact: bool = Fa
     :class:`ApproximateOnlyError` instead.  Numerical estimates live in
     :mod:`tractal.nystrom`.
     """
-    if j < 1:
-        raise InvalidInputError(f"eigenvalue index must be >= 1, got {j}")
     fac = _factor(spec, k)
-    if require_exact and fac.approximate:
+    if require_exact and spec.family is Family.WIENER and spec.r.value(k) >= 1:
         raise ApproximateOnlyError(
             f"wiener eigenvalues with r_k={spec.r.value(k):g} >= 1 are approximate-only"
         )
@@ -525,7 +507,7 @@ def log_trace_profile(spec: FamilySpec, tau: float, D: int, normalized: bool) ->
             lead, second = 1.0, second_ratio(spec, k)
         else:
             fac = _factor(spec, k)
-            lead, second = fac.leading, fac.second
+            lead, second = fac.head[:2]
         total += math.log(lead ** tau + second ** tau * H)
         out[k - 1] = total
     return out

@@ -102,8 +102,8 @@ def box_products(problem, J):
     in dimension order."""
     vals = None
     for fac in problem.factors:
-        arr = fac.eigenvalues_up_to(J)
-        vals = arr.copy() if vals is None else np.multiply.outer(vals, arr).ravel()
+        arr = np.array(fac.values(1, J + 1))
+        vals = arr if vals is None else np.multiply.outer(vals, arr).ravel()
     return vals
 
 
@@ -131,7 +131,7 @@ def dense_count(problem, T, cap, log_space):
             j0 = 1
             width = 64  # most branches die early; widen only while surviving
             while True:
-                block = fac.eigenvalues_block(j0, j0 + width)
+                block = np.array(fac.values(j0, j0 + width))
                 if log_space:
                     vals = P + np.array([math.log(v) if v > 0.0 else -math.inf
                                          for v in block.tolist()])

@@ -472,6 +472,51 @@ def test_declaration_against_an_eventually_constant_sequence_exits_3(capsys, fam
     assert err.startswith("error: ") and "eventually constant" in err
 
 
+# r_k = ceil(1e308 * ln(k+1)) is infinite from k = 6 on
+HUGE_LOG_GROWTH = {"kind": "log_growth", "theta": 1e308}
+
+
+@pytest.mark.parametrize("doc", [
+    {"family": "korobov", "r": HUGE_LOG_GROWTH, "g": {"kind": "constant", "c": 1}},
+    {"family": "euler", "r": HUGE_LOG_GROWTH},
+    {"family": "wiener", "r": HUGE_LOG_GROWTH},
+])
+@pytest.mark.parametrize("argv", [
+    ["classify", "--criterion", "nor"],
+    ["complexity", "--d", "8"],
+    ["sweep", "--d", "1:8"],
+    ["oracle-compare", "--d", "2"],
+])
+def test_overflowing_log_growth_keeps_the_exit_code_contract(capsys, family_file, doc, argv):
+    path = family_file("huge.json", doc)
+    code, _, err = run(capsys, argv[:1] + ["--family", path] + argv[1:])
+    assert code in (0, 3) and "Traceback" not in err
+    if doc["family"] == "korobov" and argv[0] in ("complexity", "sweep"):
+        assert code == 0  # a korobov factor with r_k = inf is (1, g_k, g_k, 0, ...)
+
+
+@pytest.mark.parametrize("doc, message", [
+    pytest.param({"family": "custom", "tables": [[1.0, 0.5], [1e400, 0.5]]},
+                 "table 2: eigenvalues must be finite", id="leading-entry"),
+    pytest.param({"family": "custom", "tables": [[1.0, 0.5, 1e400]]},
+                 "table 1: eigenvalues must be finite", id="last-entry"),
+    pytest.param({"family": "custom", "tables": [[1.0, 0.5]],
+                  "tail": {"kind": "power", "exponent": 1e400}},
+                 "tail: power exponent must be positive and finite", id="tail-exponent"),
+])
+@pytest.mark.parametrize("argv", [
+    ["classify", "--criterion", "nor"],
+    ["sweep", "--epsilon", "0.5", "--d", "1"],
+    ["oracle-compare", "--d", "1"],
+])
+def test_non_finite_custom_numbers_exit_3(capsys, family_file, doc, message, argv):
+    # JSON reads 1e400 as infinity
+    path = family_file("inf.json", doc)
+    code, out, err = run(capsys, argv[:1] + ["--family", path] + argv[1:])
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
 VALID_DOCS = [
     KOROBOV_DOC,
     GAUSS_DOC,

@@ -47,6 +47,26 @@ def test_undeclared_open_ended_raises():
         e.limit()
 
 
+@pytest.mark.parametrize("method, message", [
+    ("liminf_log_ratio", "liminf ln(1/s_k)/ln k undeclared for explicit sequence"),
+    ("limit", "limit undeclared for explicit sequence"),
+    ("liminf_over_log", "liminf s_k/ln k undecidable for explicit sequence"),
+    ("liminf_log_over_log", "liminf ln(s_k)/ln k undecidable for explicit sequence"),
+])
+def test_each_undecided_asymptotic_names_itself(method, message):
+    e = S.explicit([1.0], evaluator=lambda k: 1.0 / k)
+    with pytest.raises(UndecidableError) as info:
+        getattr(e, method)()
+    assert str(info.value) == message
+
+
+def test_log_growth_beyond_the_double_range_is_infinite():
+    s = S.log_growth(1e308)
+    assert s.value(5) == math.ceil(1e308 * math.log(6))  # finite up to k = 5
+    assert s.value(6) == INF  # 1e308 * ln 7 overflows
+    assert s.value(10**6) == INF
+
+
 def test_index_domain():
     with pytest.raises(InvalidInputError):
         S.constant(1.0).value(0)

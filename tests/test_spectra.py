@@ -185,8 +185,8 @@ def test_tail_sum_matches_direct_summation(name, spec):
     for k in (1, 2, 3):
         H = tail_sum_H(spec, k, tau)
         fac = spec.factor(k)
-        lam2 = fac.second
-        head = float(np.sum((fac.eigenvalues_up_to(1200)[1:] / lam2) ** tau))
+        lam2 = fac.head[1]
+        head = float(np.sum((np.array(fac.values(2, 1201)) / lam2) ** tau))
         tail = helpers.factor_tau_tail(spec, k, tau, 1200) / lam2 ** tau
         assert H == pytest.approx(head + tail, rel=1e-9)
 
@@ -202,7 +202,7 @@ def test_tail_sum_sup_attained_at_first_dimension(name, spec):
 @pytest.mark.parametrize("name,spec", all_families())
 def test_eigenvalues_nonincreasing_in_j(name, spec):
     for k in (1, 7, 100):
-        vals = spec.factor(k).eigenvalues_up_to(1000)
+        vals = np.array(spec.factor(k).values(1, 1001))
         assert np.all(np.diff(vals) <= 0)
         assert vals[-1] < vals[0]  # decays toward zero
 
@@ -252,6 +252,42 @@ def test_analytic_korobov_sublinear_exponent():
 # ---------------------------------------------------------------------------
 # construction validation
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("b", [
+    S.power(1.0, -1.0),
+    S.explicit([1.0], evaluator=lambda k: 1.0 / k, limit=0.0),
+    S.explicit([1e-301, 0.0]),  # underflows to zero
+])
+def test_analytic_korobov_needs_b_bounded_away_from_zero(b):
+    with pytest.raises(InvalidInputError, match="inf_k b_k must be positive"):
+        spectra.analytic_korobov(0.5, S.constant(1.0), b)
+
+
+@pytest.mark.parametrize("b", [
+    S.power(2.0, 0.0), S.power(1.0, 0.5), S.log_growth(1.0), S.explicit([2.0, 1.0]),
+    S.explicit([1.0], evaluator=lambda k: 1.0 + 1.0 / k),  # limit undeclared
+])
+def test_analytic_korobov_accepts_b_bounded_away_from_zero(b):
+    spectra.analytic_korobov(0.5, S.constant(1.0), b)
+
+
+@pytest.mark.parametrize("row", [[math.inf, 0.5], [1.0, 0.5, math.nan], [1.0, math.inf]])
+def test_custom_tables_must_be_finite(row):
+    with pytest.raises(InvalidInputError, match="table 1: eigenvalues must be finite"):
+        spectra.custom_tabulated([row])
+
+
+@pytest.mark.parametrize("exponent", [0.0, -1.0, math.inf, math.nan])
+def test_power_tail_exponent_must_be_positive_and_finite(exponent):
+    with pytest.raises(InvalidInputError, match="tail: power exponent"):
+        spectra.TailModel("power", exponent=exponent)
+
+
+def test_declared_custom_limits_may_be_infinite():
+    spec = spectra.custom_tabulated([[1.0, 0.5]], tau0=math.inf, a_star=math.inf,
+                                    b_limit=math.inf)
+    assert spec.declared_tau0 == spec.declared_a_star == spec.declared_b_limit == math.inf
+
 
 def test_family_validation_errors():
     with pytest.raises(InvalidInputError):
@@ -329,17 +365,16 @@ def test_custom_power_tail_steep_exponents(tau):
 
 def test_factor_head_is_read_only_and_long_requests_leave_it():
     fac = spectra.korobov(S.constant(1.25), S.constant(0.375)).factor(1)
-    head, second = fac.head, fac.second
+    head, neg_log_head = fac.head, fac.neg_log_head
     assert type(head) is tuple and len(head) == fac.HEAD
-    assert type(fac.neg_log_head) is tuple and len(fac.neg_log_head) == fac.HEAD - 1
-    short = fac.eigenvalues_up_to(5)
-    short[1] = 0.9  # every array is fresh: the caller owns it
-    fac.eigenvalues_block(2, 4)[0] = 0.9
-    long = fac.eigenvalues_up_to(1000)
-    assert long.size == 1000 and long[:fac.HEAD].tolist() == list(head)
-    long[1] = 0.9
-    assert fac.head is head and fac.eigenvalues_up_to(5).tolist() == list(head[:5])
-    assert fac.second == second == 0.375 == fac.eigenvalue(2)
+    assert type(neg_log_head) is tuple and len(neg_log_head) == fac.HEAD - 1
+    long = fac.values(1, 1001)
+    assert type(long) is tuple and len(long) == 1000 and long[:fac.HEAD] == head
+    ratios = fac.neg_log_ratios(2, 1001)
+    assert type(ratios) is tuple and len(ratios) == 999 and ratios[:fac.HEAD - 1] == neg_log_head
+    assert fac.head is head and fac.values(1, 6) == head[:5]
+    assert fac.neg_log_head is neg_log_head
+    assert fac.head[1] == 0.375 == fac.eigenvalue(2)
 
 
 def _factors_for_block_identity():
@@ -355,12 +390,16 @@ def _factors_for_block_identity():
 @pytest.mark.parametrize("j0, j1", [(1, 33), (1, 34), (1, 35), (2, 200), (20, 90), (33, 35),
                                     (34, 130), (1000, 1010)])
 def test_blocks_equal_eigenvalues_bit_for_bit(fac, j0, j1):
-    """Inside the cached head and past it, a block holds exactly the doubles
-    that eigenvalue() returns, and values() the same as a tuple."""
+    """Inside the cached head and past it, values() holds exactly the doubles
+    that eigenvalue() returns, and neg_log_ratios() their -ln ratios to the
+    leading one (+inf at a zero eigenvalue)."""
     want = [fac.eigenvalue(j) for j in range(j0, j1)]
-    assert fac.eigenvalues_block(j0, j1).tolist() == want
     assert fac.values(j0, j1) == tuple(want)
     assert all(type(v) is float for v in want)
+    j2 = max(j0, 2)
+    log_lead = math.log(fac.eigenvalue(1))
+    assert fac.neg_log_ratios(j2, j1) == tuple(
+        log_lead - math.log(v) if v > 0.0 else math.inf for v in want[j2 - j0:])
 
 
 def test_analytic_korobov_exponent_beyond_the_double_range():

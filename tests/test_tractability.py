@@ -379,7 +379,7 @@ def test_constant_parameters_b_is_the_second_ratio_log(spec):
     assert rep.b == -math.log(spectra.second_ratio(spec, 10**6))
     # and the second ratio is the one of the factor spectrum
     fac = spec.factor(10**6)
-    assert math.isclose(spectra.second_ratio(spec, 10**6), fac.second / fac.leading,
+    assert math.isclose(spectra.second_ratio(spec, 10**6), fac.head[1] / fac.leading,
                         rel_tol=1e-12)
 
 
