@@ -311,171 +311,14 @@ def run_oracle_compare(args) -> int:
     return EXIT_OK if doc["pass"] else EXIT_VERIFY_FAILED
 
 
-# ---------------------------------------------------------------------------
-# verify suites
-# ---------------------------------------------------------------------------
-
-
-def _direct_power_sums(factor, tau, J):
-    """(sum_{j <= J} lam(j)**tau, sum_{j > J} lam(j)**tau), the tail by
-    blockwise direct summation, stopping at a block below 1e-16 of the
-    factor's power sum so far (head plus tail) or after 10**6 terms."""
-    import numpy as np
-
-    head = float((np.array(factor.values(1, J + 1)) ** tau).sum())
-    tail = 0.0
-    for j0 in range(J + 1, J + 2 + 10**6, 4096):
-        arr = np.array(factor.values(j0, j0 + 4096)) ** tau
-        s = float(arr.sum())
-        tail += s
-        if s <= 1e-16 * max(head + tail, 1e-300) or arr[-1] == 0.0:
-            break
-    return head, tail
-
-
-# Nystrom suites: (check name, nystrom kernel constructor, its arguments,
-# nodes, eigenvalues compared, threshold on the largest relative deviation)
-_NYSTROM_SUITES = {
-    "euler-nystrom": [(f"euler-r{r}-400-nodes", "euler_iterated", (r,), 400, 6, 1e-4)
-                      for r in (0, 1)],
-    "wiener-nystrom": [("wiener-r0-400-nodes", "wiener_integral", (0,), 400, 6, 1e-5)],
-    "gaussian-nystrom": [(f"gaussian-g2-{g2}-100-nodes", "gaussian_weighted", (g2,), 100, 6, 1e-8)
-                         for g2 in (0.25, 1.0, 4.0)],
-    "korobov-nystrom": [("korobov-a1-b1-400-nodes", "korobov_series", (1.0, 1.0, 10**4),
-                         400, 5, 1e-6)],
-}
-
-
-def _nystrom_suite(rows):
-    def suite():
-        from . import nystrom
-
-        checks = []
-        for name, kernel, params, nodes, m, threshold in rows:
-            spec = getattr(nystrom, kernel)(*params)
-            dev = nystrom.verify_against_closed_form(spec, nodes, m).max_deviation
-            checks.append({"name": name, "deviation": dev,
-                           "threshold": threshold, "pass": dev < threshold})
-        return checks
-    return suite
-
-
-def _eq21_specs():
-    return [
-        ("euler", spectra.euler(SequenceDescriptor.constant(2))),
-        ("korobov", spectra.korobov(SequenceDescriptor.constant(2),
-                                    SequenceDescriptor.power(1.0, -2.0))),
-        ("gaussian", spectra.gaussian(SequenceDescriptor.power(1.0, -1.0))),
-        ("analytic_korobov", spectra.analytic_korobov(
-            0.5, SequenceDescriptor.constant(1.0), SequenceDescriptor.constant(1.0))),
-    ]
-
-
-def _suite_eq21():
-    checks = []
-    J = 60
-    for name, spec in _eq21_specs():
-        problem = products.ProductProblem.from_family(spec, 3)
-        tau = 1.0
-        box = products.brute_force_oracle(problem, J) ** tau
-        box_sum = float(box.sum())
-        # independent correction: per-factor direct tail sums
-        heads, tails = zip(*[_direct_power_sums(f, tau, J) for f in problem.factors])
-        full = 1.0
-        for h, t in zip(heads, tails):
-            full *= h + t
-        oracle = box_sum + (full - math.prod(heads))
-        ts = products.trace_sum(problem, tau)
-        dev = abs(ts - oracle) / oracle
-        checks.append({"name": f"eq21-{name}-d3-tau1", "deviation": dev,
-                       "threshold": 1e-9, "pass": dev <= 1e-9})
-    return checks
-
-
-def _suite_counting_oracle():
-    import random
-
-    rng = random.Random(20240901)
-    mismatches = 0
-    trials = 25
-    for _ in range(trials):
-        name, spec = _eq21_specs()[rng.randrange(4)]
-        d = rng.randint(1, 4)
-        problem = products.ProductProblem.from_family(spec, d)
-        J = {1: 400, 2: 60, 3: 40, 4: 25}[d]
-        oracle = products.brute_force_oracle(problem, J)
-        floor = products.oracle_validity_floor(problem, J)
-        lo = max(floor, oracle[-1]) * 1.000001
-        T = math.exp(rng.uniform(math.log(lo), math.log(oracle[0])))
-        if T <= floor:
-            continue
-        got = products.count_products_above(problem, T).count
-        want = int((oracle > T).sum())
-        if got != want:
-            mismatches += 1
-    return [{"name": f"counting-oracle-{trials}-instances", "deviation": float(mismatches),
-             "threshold": 0.5, "pass": mismatches == 0}]
-
-
-def _suite_g_function():
-    import numpy as np
-
-    checks = []
-    d1 = abs(tractability.g_function(2.0) - 0.5)
-    checks.append({"name": "g-at-2", "deviation": d1, "threshold": 1e-10, "pass": d1 < 1e-10})
-    x0 = tractability.g_root()
-    d2 = abs(tractability.g_function(x0) - 1.0)
-    checks.append({"name": "g-root-residual", "deviation": d2, "threshold": 1e-10,
-                   "pass": d2 < 1e-10})
-    for x in (1.2, 1.5, 3.0):
-        j = np.arange(1, 10**6 + 1, dtype=float)
-        direct = float(np.sum((math.pi * (j - 0.5)) ** -x))
-        n = 10**6
-        direct += (math.pi * n) ** (1 - x) / (math.pi * (x - 1)) - 0.5 * (math.pi * (n + 0.5)) ** -x
-        dev = abs(direct - tractability.g_function(x)) / tractability.g_function(x)
-        checks.append({"name": f"g-reduction-vs-series-x{x}", "deviation": dev,
-                       "threshold": 1e-8, "pass": dev < 1e-8})
-    return checks
-
-
-def _suite_exponent_crosscheck():
-    r = SequenceDescriptor.log_growth(1.0)
-    spec = spectra.korobov(r, spectra.korobov_exp_weights(r))
-    report = tractability.classify(spec, spectra.NOR)
-    alt = tractability.korobov_exp_weight_spt_exponent(r)
-    dev = abs(report.p_star.lo - alt)
-    checks = [{"name": "exp-weight-crosscheck-growing-r", "deviation": dev,
-               "threshold": 1e-12, "pass": report.p_star.is_point and dev <= 1e-12}]
-    r_const = SequenceDescriptor.constant(1.0)
-    spec2 = spectra.korobov(r_const, spectra.korobov_exp_weights(r_const))
-    report2 = tractability.classify(spec2, spectra.NOR)
-    alt2 = tractability.korobov_exp_weight_spt_exponent(r_const)
-    agree = (report2.spt is False) and (alt2 is None)
-    checks.append({"name": "exp-weight-crosscheck-constant-r", "deviation": 0.0 if agree else 1.0,
-                   "threshold": 0.5, "pass": agree})
-    return checks
-
-
-_SUITES = {
-    **{name: _nystrom_suite(rows) for name, rows in _NYSTROM_SUITES.items()},
-    "eq21-identity": _suite_eq21,
-    "counting-oracle": _suite_counting_oracle,
-    "g-function": _suite_g_function,
-    "exponent-crosscheck": _suite_exponent_crosscheck,
-}
-
-
 def run_verify(args) -> int:
-    if args.suite == "all":
-        names = list(_SUITES)
-    elif args.suite in _SUITES:
-        names = [args.suite]
-    else:
+    from . import verify  # loads numpy; sweep and complexity must not
+
+    suites = {row.suite for row in verify.CHECKS}
+    if args.suite != "all" and args.suite not in suites:
         raise InvalidInputError(
-            f"unknown suite {args.suite!r}; available: {', '.join(sorted(_SUITES))}, all")
-    checks = []
-    for name in names:
-        checks.extend(_SUITES[name]())
+            f"unknown suite {args.suite!r}; available: {', '.join(sorted(suites))}, all")
+    checks = [row.run() for row in verify.CHECKS if args.suite in ("all", row.suite)]
     ok = all(c["pass"] for c in checks)
     doc = {"suite": args.suite, "checks": checks, "pass": ok}
     _emit(_dump_json(doc), args.out)

@@ -207,6 +207,8 @@ class FactorSpectrum:
         self._value = value
         self.head = tuple(map(value, range(1, self.HEAD + 1)))
         self.leading = self.head[0]
+        if self.leading == 0.0:  # the closed forms are positive: 0.0 is an underflow
+            raise InvalidInputError("leading eigenvalue underflows below the smallest double")
         if not self.leading > 0:
             raise InvalidInputError("leading eigenvalue must be positive")
         self.neg_log_head = ()  # so that neg_log_ratios evaluates the head's ratios

@@ -2,19 +2,22 @@
 
 Each test prints a single PASS/FAIL line with the measured quantities before
 asserting, so the full scoreboard is visible in the pytest output (-s or on
-failure).  Tolerances are pinned here and nowhere else.
+failure).  Tolerances are pinned here and nowhere else: criteria 01, 02, 06,
+07 and 08 run the rows of the ``tractal verify`` check table that back them
+(``tractal.verify.CHECKS``), compare each deviation with the literal pin here,
+and assert that the row's own threshold equals that pin, so a threshold
+loosened in the library fails this file.
 """
 import math
 import random
 
 import numpy as np
-import pytest
 
-from tractal import complexity, nystrom, products, spectra, tractability
+from tractal import complexity, spectra, verify
 from tractal.complexity import ComplexityQuery, info_complexity, lemma_bound, qpt_functional
-from tractal.products import ProductProblem, count_products_above, trace_sum
+from tractal.products import ProductProblem, trace_sum
 from tractal.sequences import SequenceDescriptor as S
-from tractal.tractability import classify, g_function, g_root
+from tractal.tractability import classify
 
 import helpers
 
@@ -24,6 +27,18 @@ OMEGA1 = spectra.gaussian_omega(1.0)
 def report(num, ok, detail):
     print(f"ACCEPTANCE {num:02d} {'PASS' if ok else 'FAIL'} - {detail}")
     return ok
+
+
+def run_rows(num, what, pins):
+    """Runs the check-table rows backing criterion num, whose names and
+    thresholds must be exactly pins, and reports each deviation against its pin."""
+    rows = [row for row in verify.CHECKS if row.criterion == num]
+    assert {row.name: row.threshold for row in rows} == pins
+    results = [row.run() for row in rows]
+    ok = all(r["deviation"] < pins[r["name"]] for r in results)
+    detail = ", ".join(f"{r['name']}: {r['deviation']:.3e} (< {pins[r['name']]:g})"
+                       for r in results)
+    return report(num, ok, f"{what} ({detail})")
 
 
 def fixed_specs():
@@ -42,62 +57,18 @@ def fixed_specs():
 
 def test_criterion_01_trace_identity():
     """Per-factor product identity for the trace sum vs brute-force box plus
-    independently summed tails; relative error <= 1e-9."""
-    rng = random.Random(20240817)
-    worst = 0.0
-    cases = 0
-    for _ in range(10):
-        name, spec = helpers.random_family(rng)
-        d = rng.randint(1, 4)
-        p = ProductProblem.from_family(spec, d)
-        box = helpers.box_products(p, 30)
-        for tau in (0.8, 1.0, 2.0):
-            box_sum = float(np.sum(box ** tau))
-            heads = [float(np.sum(np.array(f.values(1, 31)) ** tau)) for f in p.factors]
-            assert box_sum == pytest.approx(math.prod(heads), rel=1e-11)
-            tails = [helpers.factor_tau_tail(spec, k, tau, 30) for k in range(1, d + 1)]
-            oracle = math.prod(h + t for h, t in zip(heads, tails))
-            rel = abs(trace_sum(p, tau) - oracle) / oracle
-            worst = max(worst, rel)
-            cases += 1
-    ok = worst <= 1e-9
-    assert report(1, ok, f"trace identity, {cases} cases, worst rel err {worst:.3e} "
-                         f"(tolerance 1e-9)")
+    independently summed tails, on 30 seeded random cases (10 families at
+    d = 1..4, each at tau = 0.8, 1, 2, box j_k <= 30): the trace matches the
+    product of head plus tail sums to relative error < 1e-9, and the box sum
+    matches the product of head sums to < 1e-11."""
+    assert run_rows(1, "trace identity", {"eq21-trace-30-cases": 1e-9,
+                                          "eq21-box-30-cases": 1e-11})
 
 
 def test_criterion_02_counting_oracle():
     """Exact agreement of pruned counting with brute-force box counts on
-    >= 200 random instances with counts <= 1e6."""
-    rng = random.Random(777)
-    j_by_d = {1: 600, 2: 90, 3: 40, 4: 28, 5: 18}
-    checked = 0
-    mismatches = 0
-    largest = 0
-    while checked < 200:
-        name, spec = helpers.random_family(rng)
-        d = rng.randint(1, 5)
-        p = ProductProblem.from_family(spec, d)
-        J = j_by_d[d]
-        box = helpers.box_products(p, J)
-        floor = products.oracle_validity_floor(p, J)
-        top = float(box.max())
-        if floor >= top:
-            continue
-        lo = math.log(max(floor * 1.000001, 1e-290))
-        T = math.exp(rng.uniform(lo, math.log(top)))
-        if T <= floor:
-            continue
-        want = int((box > T).sum())
-        if want > 10 ** 6:
-            continue
-        got = count_products_above(p, T).count
-        if got != want:
-            mismatches += 1
-        largest = max(largest, want)
-        checked += 1
-    ok = mismatches == 0
-    assert report(2, ok, f"counting oracle, {checked} instances, "
-                         f"largest count {largest}, mismatches {mismatches}")
+    200 seeded random instances (d = 1..5) with counts <= 1e6."""
+    assert run_rows(2, "counting oracle", {"counting-oracle-200-instances": 0.5})
 
 
 def test_criterion_03_gaussian_trace_normalization():
@@ -147,49 +118,28 @@ def test_criterion_05_curse_witness():
 
 
 def test_criterion_06_exponent_crosscheck():
-    """Two closed-form SPT exponents for geometric korobov weights agree."""
-    r = S.log_growth(1.0)
-    rep = classify(spectra.korobov(r, spectra.korobov_exp_weights(r)), "nor")
-    alt = tractability.korobov_exp_weight_spt_exponent(r)
-    dev = abs(rep.p_star.lo - alt) if rep.p_star else math.inf
-    r1 = S.constant(1.0)
-    rep1 = classify(spectra.korobov(r1, spectra.korobov_exp_weights(r1)), "nor")
-    agree_not_spt = (rep1.spt is False
-                     and tractability.korobov_exp_weight_spt_exponent(r1) is None)
-    ok = dev <= 1e-12 and rep.p_star.is_point and agree_not_spt
-    assert report(6, ok, f"exponent cross-check, |p* difference| = {dev:.3e} "
-                         f"(tolerance 1e-12), constant-r both not SPT: {agree_not_spt}")
+    """Two closed-form SPT exponents for geometric korobov weights agree to
+    < 1e-12 for r_k = ln k growth, and both say constant r is not SPT."""
+    assert run_rows(6, "exponent cross-check", {"exp-weight-crosscheck-growing-r": 1e-12,
+                                                "exp-weight-crosscheck-constant-r": 0.5})
 
 
 def test_criterion_07_euler_abs_exponent():
-    """The power-series root: G(x0) = 1 to 1e-10 inside the verified bracket,
-    and G(2) = 1/2 to 1e-10."""
-    x0 = g_root()
-    residual = abs(g_function(x0) - 1.0)
-    bracket = g_function(1.2) > 1.0 > g_function(1.5)
-    at2 = abs(g_function(2.0) - 0.5)
-    ok = residual <= 1e-10 and bracket and at2 <= 1e-10
-    assert report(7, ok, f"series root x0 = {x0:.10f}, |G(x0)-1| = {residual:.2e}, "
-                         f"bracket G(1.2)>1>G(1.5): {bracket}, |G(2)-1/2| = {at2:.2e}")
+    """The power-series root: G(x0) = 1 to < 1e-10 inside the bracket
+    G(1.2) > 1 > G(1.5), G(2) = 1/2 to < 1e-10, and G against its direct
+    series at x = 1.2, 1.5, 3 to < 1e-8 relative."""
+    assert run_rows(7, "series root", {
+        "g-at-2": 1e-10, "g-root-residual": 1e-10, "g-root-bracket": 0.5,
+        "g-reduction-vs-series-x1.2": 1e-8, "g-reduction-vs-series-x1.5": 1e-8,
+        "g-reduction-vs-series-x3.0": 1e-8})
 
 
 def test_criterion_08_nystrom_vs_closed_forms():
     """Quadrature spectra against the closed forms at the pinned tolerances."""
-    devs = {}
-    for r in (0, 1):
-        devs[f"euler r={r} @400"] = (
-            nystrom.verify_against_closed_form(nystrom.euler_iterated(r), 400, 6)
-            .max_deviation, 1e-4)
-    for g2 in (0.25, 1.0, 4.0):
-        devs[f"gaussian g2={g2} @100"] = (
-            nystrom.verify_against_closed_form(nystrom.gaussian_weighted(g2), 100, 6)
-            .max_deviation, 1e-8)
-    spec = nystrom.korobov_series(1.0, 1.0, series_cutoff=10 ** 4)
-    devs["korobov @400"] = (
-        nystrom.verify_against_closed_form(spec, 400, 5).max_deviation, 1e-6)
-    ok = all(d < tol for d, tol in devs.values())
-    detail = ", ".join(f"{k}: {d:.2e}/{tol:.0e}" for k, (d, tol) in devs.items())
-    assert report(8, ok, f"nystrom vs closed forms ({detail})")
+    assert run_rows(8, "nystrom vs closed forms", {
+        "euler-r0-400-nodes": 1e-4, "euler-r1-400-nodes": 1e-4, "wiener-r0-400-nodes": 1e-5,
+        "gaussian-g2-0.25-100-nodes": 1e-8, "gaussian-g2-1.0-100-nodes": 1e-8,
+        "gaussian-g2-4.0-100-nodes": 1e-8, "korobov-a1-b1-400-nodes": 1e-6})
 
 
 def gaussian_qpt_closed_form(tau, D):

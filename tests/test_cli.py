@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tractal import cli, products
+from tractal import cli, nystrom, products, tractability, verify
 
 
 @pytest.fixture
@@ -170,42 +170,83 @@ def test_verify_unknown_suite(capsys):
     assert code == 3 and "unknown suite" in err
 
 
-def test_verify_g_function(capsys):
-    code, out, _ = run(capsys, ["verify", "--suite", "g-function"])
+def test_verify_exponent_crosscheck(capsys):
+    code, out, _ = run(capsys, ["verify", "--suite", "exponent-crosscheck"])
     assert code == 0
     doc = json.loads(out)
     assert doc["pass"] is True
     assert all(set(c) == {"name", "deviation", "threshold", "pass"} for c in doc["checks"])
 
 
-def test_verify_exponent_crosscheck(capsys):
-    code, out, _ = run(capsys, ["verify", "--suite", "exponent-crosscheck"])
-    assert code == 0 and json.loads(out)["pass"] is True
-
-
 @pytest.mark.parametrize("suite, names", [
     ("euler-nystrom", ["euler-r0-400-nodes", "euler-r1-400-nodes"]),
     ("wiener-nystrom", ["wiener-r0-400-nodes"]),
     ("gaussian-nystrom", [f"gaussian-g2-{g2}-100-nodes" for g2 in (0.25, 1.0, 4.0)]),
-    ("eq21-identity", [f"eq21-{name}-d3-tau1"
-                       for name in ("euler", "korobov", "gaussian", "analytic_korobov")]),
-    ("counting-oracle", ["counting-oracle-25-instances"]),
+    ("eq21-identity", ["eq21-trace-30-cases", "eq21-box-30-cases"]),
+    ("counting-oracle", ["counting-oracle-200-instances"]),
+    ("korobov-nystrom", ["korobov-a1-b1-400-nodes"]),
+    ("g-function", ["g-at-2", "g-root-residual", "g-root-bracket",
+                    *[f"g-reduction-vs-series-x{x}" for x in (1.2, 1.5, 3.0)]]),
+    ("exponent-crosscheck", ["exp-weight-crosscheck-growing-r",
+                             "exp-weight-crosscheck-constant-r"]),
 ])
-def test_verify_suite_checks(capsys, suite, names):
-    code, out, _ = run(capsys, ["verify", "--suite", suite])
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["pass"] is True
-    assert [c["name"] for c in doc["checks"]] == names
+def test_verify_suite_checks(suite, names):
+    # the acceptance tests run every row; this pins which rows a suite runs
+    assert [row.name for row in verify.CHECKS if row.suite == suite] == names
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):
-    failing = {"broken": lambda: [{"name": "broken", "deviation": 1.0,
-                                   "threshold": 0.1, "pass": False}]}
-    monkeypatch.setattr(cli, "_SUITES", failing)
+    broken = verify.Check("broken", "broken", 0, 0.1, lambda: 1.0)
+    monkeypatch.setattr(verify, "CHECKS", (broken,))
     code, out, _ = run(capsys, ["verify", "--suite", "broken"])
     assert code == 1
-    assert json.loads(out)["pass"] is False
+    assert json.loads(out) == {"suite": "broken", "pass": False, "checks": [
+        {"name": "broken", "deviation": 1.0, "threshold": 0.1, "pass": False}]}
+
+
+def _planted_defect(row):
+    """(module, attribute, original -> defective replacement) for a row."""
+    def shift(delta):
+        return lambda original: lambda *args: original(*args) + delta
+
+    def scale(factor):
+        return lambda original: lambda *args: original(*args) * factor
+
+    def count_plus_one(original):
+        return lambda *args: products.CountResult(original(*args).count + 1, False,
+                                                  products.COUNTING_CAP)
+
+    def estimate_off_by(rel):  # the closed form, off by rel; no quadrature runs
+        return lambda original: lambda spec, n_nodes, m: nystrom.SpectrumEstimate(
+            nystrom.closed_form_eigenvalues(spec, m) * (1.0 + rel), n_nodes, None)
+
+    if row.suite.endswith("-nystrom"):
+        return nystrom, "spectrum_estimate", estimate_off_by(2.0 * row.threshold)
+    if row.name.startswith("g-reduction-vs-series"):
+        return tractability, "g_function", scale(1.0 + 2.0 * row.threshold)
+    return {
+        "eq21-trace-30-cases": (products, "trace_sum", scale(1.0 + 1e-8)),
+        "eq21-box-30-cases": (verify, "box_products", scale(1.0 + 1e-10)),
+        "counting-oracle-200-instances": (products, "count_products_above", count_plus_one),
+        "g-at-2": (tractability, "g_function", shift(1e-9)),
+        "g-root-residual": (tractability, "g_function", shift(1e-9)),
+        "g-root-bracket": (tractability, "g_function", shift(1.0)),
+        "exp-weight-crosscheck-growing-r": (
+            tractability, "korobov_exp_weight_spt_exponent",
+            lambda original: lambda r: original(r) and original(r) + 1e-11),
+        "exp-weight-crosscheck-constant-r": (
+            tractability, "korobov_exp_weight_spt_exponent", lambda original: lambda r: 1.0),
+    }[row.name]
+
+
+@pytest.mark.parametrize("row", verify.CHECKS, ids=lambda row: row.name)
+def test_every_verify_row_fails_on_a_planted_defect(capsys, monkeypatch, row):
+    module, name, plant = _planted_defect(row)
+    monkeypatch.setattr(module, name, plant(getattr(module, name)))
+    code, out, _ = run(capsys, ["verify", "--suite", row.suite])
+    assert code == 1
+    (result,) = [c for c in json.loads(out)["checks"] if c["name"] == row.name]
+    assert result["pass"] is False
 
 
 def test_oracle_compare(capsys, family_file):
@@ -493,6 +534,17 @@ def test_overflowing_log_growth_keeps_the_exit_code_contract(capsys, family_file
     assert code in (0, 3) and "Traceback" not in err
     if doc["family"] == "korobov" and argv[0] in ("complexity", "sweep"):
         assert code == 0  # a korobov factor with r_k = inf is (1, g_k, g_k, 0, ...)
+
+
+def test_underflowing_leading_eigenvalue_is_named_as_such(capsys, family_file):
+    # euler r = 1000: lam(1) = (pi/2)**-2002, about 1e-392, is positive but
+    # below the smallest double
+    path = family_file("euler.json", {"family": "euler", "r": {"kind": "constant", "c": 1000}})
+    code, out, err = run(capsys, ["complexity", "--family", path, "--d", "2", "--epsilon", "0.1"])
+    assert (code, out) == (3, "")
+    assert err == "error: leading eigenvalue underflows below the smallest double at k=1\n"
+    code, out, _ = run(capsys, ["classify", "--family", path, "--criterion", "abs"])
+    assert code == 0 and json.loads(out)["spt"] is True
 
 
 @pytest.mark.parametrize("doc, message", [
