@@ -219,7 +219,7 @@ def run_complexity(args) -> int:
     if len(eps_list) != 1 or len(d_list) != 1:
         raise InvalidInputError("complexity takes a single epsilon and a single d; use sweep for grids")
     eps, d = eps_list[0], d_list[0]
-    result = _sweep_point(spec, args.criterion, eps, d, args.cap)
+    result = complexity.info_complexity_grid(spec, args.criterion, [d], [eps], args.cap)[0]
     doc = {
         "epsilon": eps,
         "d": d,
@@ -235,18 +235,18 @@ def run_complexity(args) -> int:
     return EXIT_OK
 
 
-def _sweep_point(spec, criterion, eps, d, cap):
-    problem = products.ProductProblem.from_family(spec, d)
-    query = complexity.ComplexityQuery(epsilon=eps, d=d, criterion=criterion)
-    return complexity.info_complexity(problem, query, cap=cap)
-
-
 def run_sweep(args) -> int:
+    """CSV of n(eps, d), d ascending and eps descending within each d.
+
+    Every point of the grid is counted by one walk of the product spectrum
+    at the largest d (see :func:`complexity.info_complexity_grid`), so a
+    grid costs about what its loosest point costs alone.
+    """
     spec = _load_family(args.family)
     eps_list = sorted(_parse_float_list(args.epsilon), reverse=True)
     d_list = sorted(set(_parse_int_list(args.d)))
     grid = [(d, eps) for d in d_list for eps in eps_list]
-    results = [_sweep_point(spec, args.criterion, eps, d, args.cap) for d, eps in grid]
+    results = complexity.info_complexity_grid(spec, args.criterion, d_list, eps_list, args.cap)
     if args.strict and any(r.saturated for r in results):
         print("a sweep point saturated at the cap under --strict", file=sys.stderr)
         return EXIT_RESOURCE_CAP

@@ -53,27 +53,65 @@ def info_complexity(problem: ProductProblem, query: ComplexityQuery,
 
     The threshold is epsilon**2 for the absolute criterion and
     epsilon**2 * lam_{d,1} for the normalized one; n is the number of
-    product eigenvalues strictly above it.
+    product eigenvalues strictly above it.  It is counted in the problem's
+    space (see :mod:`tractal.products`), or in log space where the direct
+    threshold underflows to 0.0.
     """
     if query.d != problem.d:
         raise InvalidInputError(f"query d={query.d} does not match problem d={problem.d}")
+    threshold, T, log_space = _count_point(problem, query, cap)
+    count = products.count_products_above_log if log_space else products.count_products_above
+    res = count(problem, T, cap=cap)
+    return ComplexityResult(n=res.count, threshold=threshold, saturated=res.saturated)
+
+
+def info_complexity_grid(spec, criterion: str, d_list, eps_list,
+                         cap: int = COUNTING_CAP) -> list:
+    """info_complexity at every (d, epsilon), d outer, from one count walk.
+
+    Each result is the one ``info_complexity`` gives on
+    ``ProductProblem.from_family(spec, d)``, and the inputs are checked in
+    the grid's order, so the first error is the one a loop of those calls
+    would raise.
+    """
+    thresholds, points = [], []
+    for problem in products.family_problems(spec, d_list):
+        for eps in eps_list:
+            query = ComplexityQuery(epsilon=eps, d=problem.d, criterion=criterion)
+            threshold, T, log_space = _count_point(problem, query, cap)
+            thresholds.append(threshold)
+            points.append((problem, T, log_space))
+    return [ComplexityResult(n=res.count, threshold=threshold, saturated=res.saturated)
+            for threshold, res in zip(thresholds, products.count_grid(points, cap))]
+
+
+def _count_point(problem, query, cap):
+    """``(threshold, T, log_space)``: the threshold reported for query and
+    the one counted, in direct space or, with log_space set, as ln T.
+
+    The direct threshold is eps**2, times lam_{d,1} under the normalized
+    criterion.  In log space, ln T is ``math.log`` of that, or, where it
+    would underflow, ``2 ln eps`` plus ``ln lam_{d,1}``.
+    """
     if problem.family is not None and query.criterion not in problem.family.criterion_support:
         raise UnsupportedCriterionError(
             f"criterion {query.criterion!r} is not supported for the "
             f"{problem.family.family.value} family")
+    products.check_cap(cap)
     eps2 = query.epsilon * query.epsilon
     if query.criterion == spectra.ABS:
         threshold = eps2
-        res = products.count_products_above(problem, threshold, cap=cap)
-    elif problem.uses_log:
-        # CRI**2 assembled in log space so huge d cannot underflow
-        log_threshold = 2.0 * math.log(query.epsilon) + problem.log_leading_product
-        threshold = math.exp(log_threshold)
-        res = products.count_products_above_log(problem, log_threshold, cap=cap)
-    else:
+        if not problem.uses_log and eps2 > 0.0:
+            return threshold, eps2, False
+        log_threshold = math.log(eps2) if eps2 > 0.0 else 2.0 * math.log(query.epsilon)
+        return threshold, log_threshold, True
+    if not problem.uses_log:
         threshold = eps2 * problem.leading_product
-        res = products.count_products_above(problem, threshold, cap=cap)
-    return ComplexityResult(n=res.count, threshold=threshold, saturated=res.saturated)
+        if threshold > 0.0:
+            return threshold, threshold, False
+    # CRI**2 assembled in log space, so huge d or tiny epsilon cannot underflow
+    log_threshold = 2.0 * math.log(query.epsilon) + problem.log_leading_product
+    return math.exp(log_threshold), log_threshold, True
 
 
 def lemma_bound(problem: ProductProblem, epsilon: float, tau: float) -> int:

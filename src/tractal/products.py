@@ -16,7 +16,13 @@ from the same lazily grown ``-ln`` lists and prune on the same bound.
 A count decides the tuples within a small relative window of the threshold
 by the dense dimension-order evaluation, in direct or log space as above, so
 counts agree bit for bit with that evaluation, ties included: a product
-equal to the threshold is never counted.  Top-m visits the tuples best
+equal to the threshold is never counted.  A grid of thresholds on the
+prefixes of one problem, as a sweep over (eps, d) has, is counted by one
+walk at the largest d: a tuple excited only in its first d dimensions has
+the same log value at every dimension >= d.  Each point keeps its own
+window and evaluation, and the walk prunes at the loosest point still below
+the cap, so a grid costs about what its loosest point costs alone; a single
+count is the one-point case.  Top-m visits the tuples best
 first by log value and keeps the m best exact dimension-order products;
 the log value only rules out tuples that lie a window below the m-th.
 """
@@ -47,14 +53,14 @@ log_fold = partial(reduce, operator.add)
 _DIRECT_DIM_LIMIT = 30
 _DIRECT_LOG_FLOOR = -300.0
 # The borderline window is (3d + 20) * _WINDOW_ULPS wide per unit of the log
-# magnitudes involved (see _count_impl).  Both evaluations of a tuple take
+# magnitudes involved (see _band).  Both evaluations of a tuple take
 # fewer than 3d + 20 rounded steps, each off by at most an ulp of those
 # magnitudes (``math.log`` is within one ulp); the factor 4 is margin.
 _WINDOW_ULPS = 4 * 2.0 ** -53
 # the first ratios read of a dimension are those of the factor's head
 _FIRST_RATIOS = spectra.FactorSpectrum.HEAD - 1
 # A ratio list grows past this length only after reading the ratio at which
-# its coordinate alone would saturate the count (see _count_impl).  Shorter
+# its coordinate alone would saturate the count (see _walk_groups).  Shorter
 # lists are small, and the read would cost almost every count time for nothing.
 _UNCHECKED_RATIOS = 1024
 
@@ -93,12 +99,7 @@ class ProductProblem:
 
     @classmethod
     def from_family(cls, spec, d):
-        if d < 1:
-            raise InvalidInputError(f"d must be >= 1, got {d}")
-        if spec.family is spectra.Family.CUSTOM and d > len(spec.tables):
-            raise InvalidInputError(
-                f"custom spec provides {len(spec.tables)} tables, requested d={d}")
-        return cls([spec.factor(k) for k in range(1, d + 1)], family=spec)
+        return next(family_problems(spec, [d]))
 
     @property
     def leading_product(self) -> float:
@@ -116,6 +117,25 @@ class ProductProblem:
         return ProductProblem([f.scaled(c) for f, c in zip(self.factors, constants)])
 
 
+def family_problems(spec, ds):
+    """``ProductProblem.from_family(spec, d)`` for each d of ds, in order.
+
+    The problems share one list of factors, each built once, so each is the
+    first d factors of the largest: the points of :func:`count_grid`.  Being
+    a generator, it raises each error where a loop of ``from_family`` calls
+    would raise it.
+    """
+    factors = []
+    for d in ds:
+        if d < 1:
+            raise InvalidInputError(f"d must be >= 1, got {d}")
+        if spec.family is spectra.Family.CUSTOM and d > len(spec.tables):
+            raise InvalidInputError(
+                f"custom spec provides {len(spec.tables)} tables, requested d={d}")
+        factors.extend(spec.factor(k) for k in range(len(factors) + 1, d + 1))
+        yield ProductProblem(factors[:d], family=spec)
+
+
 def product_eigenvalues_top(problem: ProductProblem, m: int) -> np.ndarray:
     """The m largest product eigenvalues, nonincreasing, with multiplicity.
 
@@ -125,7 +145,7 @@ def product_eigenvalues_top(problem: ProductProblem, m: int) -> np.ndarray:
     docstring).
 
     The tuples are the excitations of (1, ..., 1), as in
-    :func:`_count_impl`: a node's children excite one dimension after its
+    :func:`_walk`: a node's children excite one dimension after its
     last excited one, and a child's log normalised value ``V`` is its
     parent's minus one ``-ln`` ratio.  A frontier visits them best ``V``
     first, and a min-heap keeps the m best folds found so far.  A child's
@@ -213,17 +233,9 @@ def count_products_above(problem: ProductProblem, T: float, cap: int = COUNTING_
     The count is the one the dense dimension-order counter gives: strict
     ``>``, so products equal to T are excluded, with the products formed by
     direct multiplication for d <= 30 and as sums of logs beyond (see the
-    module docstring).  The tuples are enumerated by the sparse-excitation
-    walk of :func:`_count_impl`.
+    module docstring).  It is the one-point case of :func:`count_grid`.
     """
-    if not math.isfinite(T) or T <= 0:
-        raise InvalidInputError(
-            f"threshold must be positive and finite, got {T} (a count at 0 would be infinite)")
-    if cap < 1:
-        raise InvalidInputError(f"cap must be >= 1, got {cap}")
-    if problem.uses_log:
-        return _count_impl(problem, math.log(T), cap, log_space=True)
-    return _count_impl(problem, T, cap, log_space=False)
+    return count_grid([(problem, T, False)], cap)[0]
 
 
 def count_products_above_log(problem: ProductProblem, log_T: float,
@@ -233,15 +245,87 @@ def count_products_above_log(problem: ProductProblem, log_T: float,
     Counts in log space regardless of dimension, so thresholds outside the
     double range stay usable.
     """
-    if not math.isfinite(log_T):
-        raise InvalidInputError(f"log threshold must be finite, got {log_T}")
+    return count_grid([(problem, log_T, True)], cap)[0]
+
+
+def count_grid(points, cap: int = COUNTING_CAP) -> list:
+    """The counts of several points from one excitation walk, in order.
+
+    A point ``(problem, T, log_space)`` is counted as
+    ``count_products_above(problem, T)``, or, with log_space set, as
+    ``count_products_above_log(problem, T)``.  Each problem's factors must
+    be the first factors of the largest problem's, as
+    :func:`family_problems` builds them.
+    """
+    points = list(points)
+    for i, (problem, T, log_space) in enumerate(points):
+        if log_space:
+            if not math.isfinite(T):
+                raise InvalidInputError(f"log threshold must be finite, got {T}")
+        elif not math.isfinite(T) or T <= 0:
+            raise InvalidInputError(
+                f"threshold must be positive and finite, got {T} (a count at 0 would be infinite)")
+        elif problem.uses_log:
+            points[i] = (problem, math.log(T), True)
+    check_cap(cap)
+    largest = max((p for p, _, _ in points), key=operator.attrgetter("d"), default=None)
+    if any(p is not largest and p.factors != largest.factors[:p.d] for p, _, _ in points):
+        raise InvalidInputError("grid problems must share the leading factors of the largest")
+    return _walk(points, cap)
+
+
+def check_cap(cap):
+    """Reject a count cap below 1, as every count does."""
     if cap < 1:
         raise InvalidInputError(f"cap must be >= 1, got {cap}")
-    return _count_impl(problem, log_T, cap, log_space=True)
 
 
-def _count_impl(problem, T, cap, log_space):
-    """Walk the excitations of (1, ..., 1) above the normalised threshold.
+class _Point:
+    """One threshold of a walk: its problem, its band and its count so far."""
+
+    __slots__ = ("problem", "T", "log_space", "d", "lo", "hi", "extra", "saturated", "group")
+
+    def __init__(self, problem, T, log_space, lo, hi):
+        self.problem, self.T, self.log_space = problem, T, log_space
+        self.d, self.lo, self.hi = problem.d, lo, hi
+        self.extra = 0          # children accepted beyond the group's sure ones
+        self.saturated = False
+
+    def accepts(self, exc, k, j):
+        """The dense rule's decision for the child exciting (k, j) of exc."""
+        js = [1] * self.d
+        js[k] = j
+        while exc is not None:
+            kk, jj, exc = exc
+            js[kk] = jj
+        return _dense_rule(self.problem, js, self.T, self.log_space)
+
+
+class _Group:
+    """Open points whose bands overlap, decided together.
+
+    ``acc[k]`` counts the children in dimension k above every point's band,
+    which count for each point with d > k.  The points are kept by d, and
+    ``tot`` is the count so far of the last one, the top.
+    """
+
+    __slots__ = ("pts", "lo", "hi", "acc", "tot")
+
+    def __init__(self, point, D):
+        self.pts, self.lo, self.hi = [point], point.lo, point.hi
+        self.acc = [0] * D
+        self.tot = 1
+
+    def count(self, p):
+        """The count so far of the open point p; ``acc`` is complete below
+        every d but the top's."""
+        if p is self.pts[-1]:
+            return self.tot
+        return 1 + sum(self.acc[:p.d]) + p.extra
+
+
+def _walk(points, cap):
+    """Count every point's tuples by one walk of the excitations of (1, ..., 1).
 
     A node is a tuple, held as its log normalised value
     ``V = sum_k ln(lam(k, j_k) / lam(k, 1))`` (zero at the root) and the
@@ -251,37 +335,106 @@ def _count_impl(problem, T, cap, log_space):
     eigenvalues give +inf), so the children of a node in dimension k that
     clear a bound are a prefix found by bisection.  The walk over a node's
     dimensions stops once the node times the largest second ratio
-    ``h_k = lam(k,2)/lam(k,1)`` among those left falls below the threshold;
-    h need not be monotone in k.
+    ``h_k = lam(k,2)/lam(k,1)`` among those left falls below the loosest
+    bound; h need not be monotone in k.
 
-    Values above the band of :func:`_band` are counted and those below it
-    dropped with their subtrees.  Values in between are decided by
-    :func:`_dense_rule`.  Every tuple's decision is monotone in each
-    coordinate, so the first rejected child in a dimension ends that
-    dimension's children.
+    A tuple excited only in its first d dimensions has the same ``V`` in
+    every problem of dimension >= d, because factor k depends only on k.
+    So the walk runs at the largest problem, and a child in dimension k
+    belongs to each point of dimension d > k.  For a point, values above
+    the band of :func:`_band` are counted and those below it rejected;
+    values in between are decided by :func:`_dense_rule` on the point's own
+    problem.  Every decision is monotone in each coordinate, so a child
+    rejected by a point has no descendant it accepts, and the first child
+    it rejects in a dimension ends that dimension's children for it.
+
+    Points whose bands overlap form a group, which shares one pair of
+    bisections per node and dimension: children above the union band count
+    for all its points, and those inside it are decided point by point.
+    Groups are kept loosest first, and the walk prunes at the loosest open
+    band.  A point whose count reaches cap leaves the walk, and the bound
+    tightens.
     """
-    d = problem.d
+    results = {}
+    open_pts = []
+    for sub, T, log_space in points:
+        key = (sub.d, T, log_space)
+        if key in results:
+            continue
+        lo, hi = _band(sub, log_space)(T)
+        if not (0.0 > lo and (0.0 > hi or _dense_rule(sub, [1] * sub.d, T, log_space))):
+            results[key] = CountResult(0, False, cap)
+        elif cap == 1:
+            results[key] = CountResult(cap, True, cap)
+        else:
+            results[key] = None
+            open_pts.append(_Point(sub, T, log_space, lo, hi))
+    top = max(open_pts, key=operator.attrgetter("d"), default=None)
+    groups = []
+    for pt in sorted(open_pts, key=operator.attrgetter("lo")):
+        if groups and pt.lo <= groups[-1].hi:
+            pt.group = groups[-1]
+            pt.group.pts.append(pt)
+            pt.group.hi = max(pt.group.hi, pt.hi)
+        else:
+            pt.group = _Group(pt, top.d)
+            groups.append(pt.group)
+    for g in groups:
+        g.pts.sort(key=operator.attrgetter("d"))
+    if groups:
+        _walk_groups(top.problem, groups, cap)
+    for pt in open_pts:
+        n = cap if pt.saturated else pt.group.count(pt)
+        results[pt.d, pt.T, pt.log_space] = (CountResult(cap, True, cap) if n >= cap
+                                             else CountResult(n, False, cap))
+    return [results[(sub.d, T, log_space)] for sub, T, log_space in points]
+
+
+def _walk_groups(problem, groups, cap):
+    """The walk of :func:`_walk`, accumulating into the groups' points.
+
+    The loosest group's state is held in locals, so a walk for one point
+    does no more per node and dimension than a walk written for one point;
+    the other groups follow it, tightest last, while their bands reach a
+    child.  A count that reaches cap is closed at the next node.
+    """
     facs = problem.factors
-    lo, hi = _band(problem, log_space)(T)
-
-    def accepted(exc, k, j):
-        js = [1] * d
-        js[k] = j
-        while exc is not None:
-            kk, jj, exc = exc
-            js[kk] = jj
-        return _dense_rule(problem, js, T, log_space)
-
-    if not (0.0 > lo and (0.0 > hi or _dense_rule(problem, [1] * d, T, log_space))):
-        return CountResult(0, False, cap)
-    count = 1
-    if count >= cap:
-        return CountResult(cap, True, cap)
     neg, hmax = _walk_tables(problem)
+
+    def close(groups):
+        """Drop the points whose count reached cap; the open groups, loosest first."""
+        for g in groups:
+            while g.pts and g.tot >= cap:
+                g.pts.pop().saturated = True
+                if g.pts:
+                    g.tot = 1 + sum(g.acc[:g.pts[-1].d]) + g.pts[-1].extra
+            if g.pts:
+                g.lo = min(p.lo for p in g.pts)
+                g.hi = max(p.hi for p in g.pts)
+        return sorted((g for g in groups if g.pts), key=operator.attrgetter("lo"))
+
+    def state(groups):
+        g0 = groups[0]
+        dsec = g0.pts[-2].d if len(g0.pts) > 1 else 0
+        return (g0, groups[1:], g0.lo, g0.hi, g0.acc, g0.tot, g0.pts[-1].d, dsec,
+                max(g.pts[-1].d for g in groups))
+
+    groups = close(groups)
+    if not groups:
+        return
+    g0, rest, lo, hi0, acc0, tot0, top0, dsec0, Dw = state(groups)
+    limit = cap  # -1 once another group's top reached cap
     stack = [(0.0, 0, None)]
     while stack:
         V, k0, exc = stack.pop()
-        for k in range(k0, d):
+        if tot0 >= limit:
+            g0.tot = tot0
+            groups = close(groups)
+            if not groups:
+                return
+            g0, rest, lo, hi0, acc0, tot0, top0, dsec0, Dw = state(groups)
+            limit = cap
+        for k in range(k0, Dw):
             if V + hmax[k] <= lo:
                 break
             nl = neg[k]
@@ -289,25 +442,85 @@ def _count_impl(problem, T, cap, log_space):
             m = bisect_left(nl, key)
             while m == len(nl) < cap:
                 # A long list grows again only if this dimension alone does
-                # not fill the rest of the count, so no list grows toward cap.
-                room = cap - count
-                if len(nl) >= _UNCHECKED_RATIOS and (
-                        nl[room - 1] if room <= len(nl) else
-                        facs[k].neg_log_ratios(room + 1, room + 2)[0]) < V - hi:
-                    return CountResult(cap, True, cap)
+                # not fill the rest of a top's count, so no list grows toward
+                # cap: such a top is closed, and the loosest band moves up.
+                if len(nl) >= _UNCHECKED_RATIOS:
+                    g0.tot = tot0
+                    full = False
+                    for g in groups:
+                        room = cap - g.tot
+                        if g.pts[-1].d > k and (room <= 0 or (
+                                nl[room - 1] if room <= len(nl) else
+                                facs[k].neg_log_ratios(room + 1, room + 2)[0]) < V - g.hi):
+                            g.tot = cap
+                            full = True
+                    if full:
+                        groups = close(groups)
+                        if not groups:
+                            return
+                        g0, rest, lo, hi0, acc0, tot0, top0, dsec0, Dw = state(groups)
+                        key = V - lo
+                        m = bisect_left(nl, key)
+                        continue
                 nl.extend(facs[k].neg_log_ratios(len(nl) + 2,
                                                  min(max(2 * len(nl), _FIRST_RATIOS), cap) + 2))
                 m = bisect_left(nl, key, m)
-            n_ok = bisect_left(nl, V - hi, 0, m)
-            while n_ok < m and accepted(exc, k, n_ok + 2):
-                n_ok += 1
-            count += n_ok
-            if count >= cap:
-                return CountResult(cap, True, cap)
-            if k + 1 < d:
-                n_int = bisect_left(nl, V + hmax[k + 1] - lo, 0, n_ok)
+            if k < top0:
+                n_push = bisect_left(nl, V - hi0, 0, m)
+                if k < dsec0:
+                    acc0[k] += n_push
+                tot0 += n_push
+                if n_push < m:
+                    n_push, extra = _borderline(g0, nl, V, k, exc, n_push, m)
+                    tot0 += extra
+            else:
+                n_push = 0
+            if rest:
+                for g in rest:
+                    if k >= g.pts[-1].d:
+                        continue
+                    mg = bisect_left(nl, V - g.lo, 0, m)
+                    if not mg:
+                        break  # so are the tighter groups after it
+                    n = bisect_left(nl, V - g.hi, 0, mg)
+                    g.acc[k] += n
+                    g.tot += n
+                    if n < mg:
+                        n, extra = _borderline(g, nl, V, k, exc, n, mg)
+                        g.tot += extra
+                    if n > n_push:
+                        n_push = n
+                    if g.tot >= cap:
+                        limit = -1
+            # hmax[d] is -inf: no child of the last dimension is pushed
+            n_int = bisect_left(nl, V + hmax[k + 1] - lo, 0, n_push)
+            if n_int:
                 stack.extend([(V - nl[i], k + 1, (k, i + 2, exc)) for i in range(n_int)])
-    return CountResult(count, False, cap)
+    g0.tot = tot0
+
+
+def _borderline(g, nl, V, k, exc, n, m):
+    """Decide the children n <= i < m, inside the group's band, point by point.
+
+    Adds to each point's extra the children it accepts beyond the first n;
+    returns the most children a point accepts and the top's extra.
+    """
+    most = n
+    top_extra = 0
+    top = g.pts[-1]
+    for p in g.pts:
+        if p.d <= k:
+            continue
+        mp = bisect_left(nl, V - p.lo, n, m)
+        i = bisect_left(nl, V - p.hi, n, mp)
+        while i < mp and p.accepts(exc, k, i + 2):
+            i += 1
+        p.extra += i - n
+        if p is top:
+            top_extra = i - n
+        if i > most:
+            most = i
+    return most, top_extra
 
 
 def _band(problem, log_space):

@@ -1,9 +1,10 @@
 """Independent oracles shared by the test suite.
 
 Everything here recomputes quantities by a route different from the library:
-threshold counts come from the dense dimension-order counter, top-m values
-from a best-first search over the whole index lattice, and Nystrom matrices
-from numpy's own quadrature rules and the series recurrence.
+threshold counts come from the dense dimension-order counter, grid counts
+from one count per point, top-m values from a best-first search over the
+whole index lattice, and Nystrom matrices from numpy's own quadrature rules
+and the series recurrence.
 
 Re-exported from ``tractal.verify``, whose checks use them too: the tail-sum
 oracle ``factor_tau_tail`` (direct summation with Euler-Maclaurin or
@@ -15,7 +16,7 @@ import math
 
 import numpy as np
 
-from tractal import nystrom, products
+from tractal import complexity, nystrom, products
 from tractal.errors import InvalidInputError
 from tractal.verify import box_products, factor_tau_tail, random_family  # noqa: F401
 
@@ -75,6 +76,16 @@ def dense_count(problem, T, cap, log_space):
                     return products.CountResult(cap, True, cap)
                 j += 1
     return products.CountResult(count, False, cap)
+
+
+def per_point_complexity(spec, criterion, d_list, eps_list, cap):
+    """``info_complexity`` at every (d, eps), d outer, each point counted by
+    a walk of its own on its own ``from_family`` problem: the reference for
+    the one-walk grid of ``complexity.info_complexity_grid``.  Raises the
+    first error of the loop."""
+    return [complexity.info_complexity(products.ProductProblem.from_family(spec, d),
+                                       complexity.ComplexityQuery(eps, d, criterion), cap=cap)
+            for d in d_list for eps in eps_list]
 
 
 def lattice_top(problem, m):

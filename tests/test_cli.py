@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -11,6 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tractal import cli, nystrom, products, tractability, verify
+from tractal.errors import TractalError
+
+import helpers
 
 
 @pytest.fixture
@@ -126,6 +130,65 @@ def test_sweep_byte_stability(capsys, family_file, tmp_path):
                                   "--d", "1,2,3", "--out", out_path])
         assert code == 0
     assert open(a, "rb").read() == open(b, "rb").read()
+
+
+GAUSS_POWER_DOC = {"family": "gaussian", "gamma_sq": {"kind": "power", "c": 1, "alpha": -1}}
+
+
+def test_tiny_epsilon_counts_in_log_space(capsys, family_file):
+    """Below eps ~ 1.5e-162, eps*eps underflows to 0.0; the threshold is then
+    assembled in log space instead of being rejected as zero."""
+    path = family_file("g.json", GAUSS_POWER_DOC)
+    p = products.ProductProblem.from_family(cli.parse_family(GAUSS_POWER_DOC), 1)
+    n = {}
+    for criterion in ("abs", "nor"):
+        for eps in (1e-150, 1e-170):
+            code, out, _ = run(capsys, ["complexity", "--family", path, "--criterion", criterion,
+                                        "--epsilon", repr(eps), "--d", "1"])
+            assert code == 0
+            n[criterion, eps] = json.loads(out)["n"]
+        log_T = 2.0 * math.log(1e-170) + (p.log_leading_product if criterion == "nor" else 0.0)
+        assert n[criterion, 1e-170] == products.count_products_above_log(p, log_T).count
+        assert n[criterion, 1e-170] >= n[criterion, 1e-150]
+    code, out, _ = run(capsys, ["sweep", "--family", path, "--criterion", "abs",
+                                "--epsilon", "1e-150,1e-200", "--d", "1"])
+    assert code == 0
+    assert [int(line.split(",")[4]) for line in out.splitlines()[1:]] == [
+        n["abs", 1e-150], products.count_products_above_log(p, 2.0 * math.log(1e-200)).count]
+
+
+CUSTOM_TWO_TABLES = {"family": "custom", "tables": [[1.0, 0.5, 0.25], [1.0, 0.25]], "tau0": 0.0}
+EULER_UNDERFLOW_AT_3 = {"family": "euler", "r": {"kind": "explicit", "values": [0, 0, 1000]}}
+
+
+@pytest.mark.parametrize("doc, argv, code, message", [
+    (GAUSS_DOC, ["--epsilon", "0.5,0.3", "--d", "0:2"], 3, "d must be >= 1, got 0"),
+    (GAUSS_DOC, ["--epsilon", "2,0.5", "--d", "1:3"], 3, "epsilon must lie in (0,1), got 2.0"),
+    (GAUSS_DOC, ["--epsilon", "0.5,-1", "--d", "1:3", "--cap", "0"], 3, "cap must be >= 1, got 0"),
+    ({"family": "wiener", "r": {"kind": "constant", "c": 1}},
+     ["--criterion", "abs", "--epsilon", "0.5,-1", "--d", "1:3"], 2, "not supported"),
+    (CUSTOM_TWO_TABLES, ["--epsilon", "0.5,1.5", "--d", "1,5"], 3, "epsilon must lie in (0,1)"),
+    (CUSTOM_TWO_TABLES, ["--epsilon", "0.5", "--d", "1,5"], 3,
+     "custom spec provides 2 tables, requested d=5"),
+    (EULER_UNDERFLOW_AT_3, ["--epsilon", "0.5,2", "--d", "1,3"], 3, "epsilon must lie in (0,1)"),
+    (EULER_UNDERFLOW_AT_3, ["--epsilon", "0.5", "--d", "1,3"], 3,
+     "leading eigenvalue underflows below the smallest double at k=3"),
+])
+def test_sweep_reports_the_first_error_in_grid_order(capsys, family_file, doc, argv, code,
+                                                      message):
+    """One walk counts the grid, but the inputs are checked point by point in
+    the grid's order, so the error is the one a loop over the points meets
+    first: the same as the per-point oracle's."""
+    path = family_file("f.json", doc)
+    got, out, err = run(capsys, ["sweep", "--family", path] + argv)
+    assert (got, out) == (code, "") and message in err
+    args = cli.build_parser().parse_args(["sweep", "--family", path] + argv)
+    with pytest.raises(TractalError) as oracle:
+        helpers.per_point_complexity(cli.parse_family(doc), args.criterion,
+                                     sorted(set(cli._parse_int_list(args.d))),
+                                     sorted(cli._parse_float_list(args.epsilon), reverse=True),
+                                     args.cap)
+    assert err == f"error: {oracle.value}\n"
 
 
 def test_sweep_strict_abort_leaves_no_file(capsys, family_file, tmp_path):

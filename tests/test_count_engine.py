@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tractal import complexity, products, spectra
-from tractal.errors import InvalidInputError
+from tractal.errors import InvalidInputError, TractalError
 from tractal.products import (
     CountResult,
     ProductProblem,
@@ -231,3 +231,80 @@ def test_counting_leaves_factors_unchanged():
     count_products_above_log(p, -9.0)
     assert all(x is y for now, then in zip(state(), before) for x, y in zip(now, then))
     assert [(list(f.head), list(f.neg_log_head)) for f in p.factors] == heads
+
+
+def check_grid_case(seed):
+    """Points on the prefixes of one seeded problem, counted by one walk and
+    one by one: tie thresholds shared across d (as a normalized criterion
+    has) and fixed ones (as an absolute criterion has), both spaces,
+    duplicates, d lists with gaps, and caps that saturate some points."""
+    rng = random.Random(seed)
+    kind = rng.choice(KINDS)
+    D = rng.choice((rng.randint(2, 8), rng.randint(28, 40)))
+    p = make_problem(rng, kind, D)
+    subs = [ProductProblem(p.factors[:d], family=p.family)
+            for d in sorted(rng.sample(range(1, D + 1), rng.randint(1, min(D, 5))))]
+    points = []
+    for _ in range(rng.randint(1, 4)):
+        # up to four coordinates excited to j <= 6, often all below the least d
+        js = [1] * D
+        span = rng.choice((subs[0].d, D))
+        for k in rng.sample(range(span), min(span, rng.randint(1, 4))):
+            j = rng.randint(2, 6)
+            js[k] = j if p.factors[k].eigenvalue(j) > 0.0 else 2
+        # just below a tie, the tied products lie inside the bands, above T
+        jitter = rng.choice((0.0, -1e-14, rng.uniform(-1.0, 1.0)))
+        # the same threshold at every d, as under an absolute criterion
+        fixed = rng.random() < 0.3
+        for sub in subs:
+            log_space = fixed or sub.uses_log or rng.random() < 0.5
+            base = subs[0] if fixed else sub
+            tie = dense_value(base, js[:base.d], log_space)
+            T = tie + jitter if log_space else tie * math.exp(jitter)
+            if math.isfinite(T) and (log_space or T > 0.0):
+                points.append((sub, T, log_space))
+    points += rng.sample(points, min(len(points), rng.randint(0, 2)))
+    rng.shuffle(points)
+    cap = rng.choice((2, 40, CAP, CAP))
+    want = [engine(sub, T, log_space, cap) for sub, T, log_space in points]
+    assert products.count_grid(points, cap) == want, (seed, cap)
+    return len(points)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32))
+@settings(max_examples=80, deadline=None)
+def test_grid_walk_matches_one_walk_per_point(seed):
+    check_grid_case(seed)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32))
+@settings(max_examples=40, deadline=None)
+def test_complexity_grid_matches_per_point_oracle(seed):
+    """info_complexity_grid against a loop of info_complexity calls: both
+    criteria, d lists with gaps crossing 30, duplicate epsilons, saturating
+    caps, and the same first error where the loop raises one."""
+    rng = random.Random(seed)
+    _, spec = helpers.random_family(rng)
+    criterion = rng.choice((spectra.ABS, spectra.NOR))
+    d_list = sorted(rng.sample(range(1, 41), rng.randint(1, 5)))
+    eps_list = sorted((rng.choice((0.5, 0.3, 0.1, 0.0625, 0.05))
+                       for _ in range(rng.randint(1, 4))), reverse=True)
+    cap = rng.choice((5, 60, 2000))
+
+    def outcome(run):
+        try:
+            return run()
+        except TractalError as exc:
+            return type(exc), str(exc)
+
+    got = outcome(lambda: complexity.info_complexity_grid(spec, criterion, d_list, eps_list, cap))
+    want = outcome(lambda: helpers.per_point_complexity(spec, criterion, d_list, eps_list, cap))
+    assert got == want
+
+
+def test_grid_problems_must_share_their_leading_factors():
+    p = ProductProblem.from_family(ANCHOR, 3)
+    q = ProductProblem(p.factors[1:])
+    with pytest.raises(InvalidInputError, match="leading factors"):
+        products.count_grid([(p, 0.01, False), (q, 0.01, False)])
+    assert products.count_grid([]) == []
