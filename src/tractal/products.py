@@ -22,7 +22,10 @@ walk at the largest d: a tuple excited only in its first d dimensions has
 the same log value at every dimension >= d.  Each point keeps its own
 window and evaluation, and the walk prunes at the loosest point still below
 the cap, so a grid costs about what its loosest point costs alone; a single
-count is the one-point case.  Top-m visits the tuples best
+count is the one-point case.  Equal eigenvalues of a dimension (the cos and
+sin pairs of the Korobov families) form a run whose members have the same
+ratio, the same dense evaluations and the same subtree, so a count walks one
+member per run, weighted by the run's length.  Top-m visits the tuples best
 first by log value and keeps the m best exact dimension-order products;
 the log value only rules out tuples that lie a window below the m-th.
 """
@@ -283,22 +286,25 @@ def check_cap(cap):
 class _Point:
     """One threshold of a walk: its problem, its band and its count so far."""
 
-    __slots__ = ("problem", "T", "log_space", "d", "lo", "hi", "extra", "saturated", "group")
+    __slots__ = ("problem", "T", "log_space", "d", "lo", "hi", "leads", "extra", "saturated",
+                 "group")
 
-    def __init__(self, problem, T, log_space, lo, hi):
+    def __init__(self, problem, T, log_space, lo, hi, leads):
         self.problem, self.T, self.log_space = problem, T, log_space
         self.d, self.lo, self.hi = problem.d, lo, hi
+        self.leads = leads      # lam(k, 1) for each k, the root's eigenvalues
         self.extra = 0          # children accepted beyond the group's sure ones
         self.saturated = False
 
     def accepts(self, exc, k, j):
         """The dense rule's decision for the child exciting (k, j) of exc."""
-        js = [1] * self.d
-        js[k] = j
+        facs = self.problem.factors
+        lams = self.leads.copy()
+        lams[k] = facs[k].eigenvalue(j)
         while exc is not None:
-            kk, jj, exc = exc
-            js[kk] = jj
-        return _dense_rule(self.problem, js, self.T, self.log_space)
+            kk, jj, exc, _ = exc
+            lams[kk] = facs[kk].eigenvalue(jj)
+        return _dense_rule(self.problem, lams, self.T, self.log_space)
 
 
 class _Group:
@@ -354,6 +360,17 @@ def _walk(points, cap):
     Groups are kept loosest first, and the walk prunes at the loosest open
     band.  A point whose count reaches cap leaves the walk, and the bound
     tightens.
+
+    A run of equal eigenvalues in a dimension (see
+    :meth:`spectra.FactorSpectrum.ratio_runs`) has equal ratios, so no
+    bisection splits it, and equal dense-rule decisions, so no borderline
+    decision does; its members' subtrees are the same.  The walk pushes one
+    child per run, carrying a weight ``W``: the product of the run lengths
+    along its chain.  Each child a node counts, it counts W times, and each
+    run in a band is decided once.  A run is read only as far as its ratio
+    list, so one that continues past the list's end is cut there; the rest
+    is another run once the list grows.  Dimensions without a run push as
+    before, with W = 1.
     """
     results = {}
     open_pts = []
@@ -362,13 +379,14 @@ def _walk(points, cap):
         if key in results:
             continue
         lo, hi = _band(sub, log_space)(T)
-        if not (0.0 > lo and (0.0 > hi or _dense_rule(sub, [1] * sub.d, T, log_space))):
+        leads = [f.leading for f in sub.factors]
+        if not (0.0 > lo and (0.0 > hi or _dense_rule(sub, leads, T, log_space))):
             results[key] = CountResult(0, False, cap)
         elif cap == 1:
             results[key] = CountResult(cap, True, cap)
         else:
             results[key] = None
-            open_pts.append(_Point(sub, T, log_space, lo, hi))
+            open_pts.append(_Point(sub, T, log_space, lo, hi, leads))
     top = max(open_pts, key=operator.attrgetter("d"), default=None)
     groups = []
     for pt in sorted(open_pts, key=operator.attrgetter("lo")):
@@ -400,6 +418,9 @@ def _walk_groups(problem, groups, cap):
     """
     facs = problem.factors
     neg, hmax = _walk_tables(problem)
+    # runs[k] lists the runs of equal eigenvalues read in neg[k] (see
+    # FactorSpectrum.ratio_runs), or is None while no run is longer than one
+    runs = [None] * problem.d
 
     def close(groups):
         """Drop the points whose count reached cap; the open groups, loosest first."""
@@ -427,6 +448,8 @@ def _walk_groups(problem, groups, cap):
     stack = [(0.0, 0, None)]
     while stack:
         V, k0, exc = stack.pop()
+        W = exc[3] if exc else 1
+        raw = 0  # the node's children counted for the loosest top, before weighting
         if tot0 >= limit:
             g0.tot = tot0
             groups = close(groups)
@@ -445,6 +468,8 @@ def _walk_groups(problem, groups, cap):
                 # not fill the rest of a top's count, so no list grows toward
                 # cap: such a top is closed, and the loosest band moves up.
                 if len(nl) >= _UNCHECKED_RATIOS:
+                    tot0 += raw * W
+                    raw = 0
                     g0.tot = tot0
                     full = False
                     for g in groups:
@@ -462,16 +487,21 @@ def _walk_groups(problem, groups, cap):
                         key = V - lo
                         m = bisect_left(nl, key)
                         continue
-                nl.extend(facs[k].neg_log_ratios(len(nl) + 2,
-                                                 min(max(2 * len(nl), _FIRST_RATIOS), cap) + 2))
+                block, ln = facs[k].ratio_runs(len(nl) + 2,
+                                               min(max(2 * len(nl), _FIRST_RATIOS), cap) + 2)
+                if ln is not None and runs[k] is None:
+                    runs[k] = [1] * len(nl)
+                if runs[k] is not None:
+                    runs[k].extend(ln or [1] * len(block))
+                nl.extend(block)
                 m = bisect_left(nl, key, m)
             if k < top0:
                 n_push = bisect_left(nl, V - hi0, 0, m)
                 if k < dsec0:
-                    acc0[k] += n_push
-                tot0 += n_push
+                    acc0[k] += n_push * W
+                raw += n_push
                 if n_push < m:
-                    n_push, extra = _borderline(g0, nl, V, k, exc, n_push, m)
+                    n_push, extra = _borderline(g0, nl, runs[k], V, k, exc, W, n_push, m)
                     tot0 += extra
             else:
                 n_push = 0
@@ -483,10 +513,10 @@ def _walk_groups(problem, groups, cap):
                     if not mg:
                         break  # so are the tighter groups after it
                     n = bisect_left(nl, V - g.hi, 0, mg)
-                    g.acc[k] += n
-                    g.tot += n
+                    g.acc[k] += n * W
+                    g.tot += n * W
                     if n < mg:
-                        n, extra = _borderline(g, nl, V, k, exc, n, mg)
+                        n, extra = _borderline(g, nl, runs[k], V, k, exc, W, n, mg)
                         g.tot += extra
                     if n > n_push:
                         n_push = n
@@ -495,14 +525,23 @@ def _walk_groups(problem, groups, cap):
             # hmax[d] is -inf: no child of the last dimension is pushed
             n_int = bisect_left(nl, V + hmax[k + 1] - lo, 0, n_push)
             if n_int:
-                stack.extend([(V - nl[i], k + 1, (k, i + 2, exc)) for i in range(n_int)])
+                ln = runs[k]
+                if ln is None:
+                    stack.extend([(V - nl[i], k + 1, (k, i + 2, exc, W)) for i in range(n_int)])
+                else:
+                    # one child per run, standing for the run's identical subtrees
+                    stack.extend([(V - nl[i], k + 1, (k, i + 2, exc, W * ln[i]))
+                                  for i in range(n_int) if ln[i]])
+        tot0 += raw * W
     g0.tot = tot0
 
 
-def _borderline(g, nl, V, k, exc, n, m):
+def _borderline(g, nl, ln, V, k, exc, W, n, m):
     """Decide the children n <= i < m, inside the group's band, point by point.
 
-    Adds to each point's extra the children it accepts beyond the first n;
+    ``ln`` gives the runs of equal eigenvalues (None if there are none), and
+    the dense rule decides each run once.  Adds to each point's extra the
+    children it accepts beyond the first n, times the node's weight W;
     returns the most children a point accepts and the top's extra.
     """
     most = n
@@ -514,10 +553,10 @@ def _borderline(g, nl, V, k, exc, n, m):
         mp = bisect_left(nl, V - p.lo, n, m)
         i = bisect_left(nl, V - p.hi, n, mp)
         while i < mp and p.accepts(exc, k, i + 2):
-            i += 1
-        p.extra += i - n
+            i += ln[i] if ln else 1
+        p.extra += (i - n) * W
         if p is top:
-            top_extra = i - n
+            top_extra = (i - n) * W
         if i > most:
             most = i
     return most, top_extra
@@ -565,22 +604,21 @@ def _walk_tables(problem):
     return [[] for _ in range(problem.d)], hmax
 
 
-def _dense_rule(problem, js, T, log_space):
-    """The dense dimension-order counter's decision for the one tuple js.
+def _dense_rule(problem, lams, T, log_space):
+    """The dense dimension-order counter's decision for the one tuple whose
+    eigenvalues, in dimension order, are lams.
 
     Prefixes are multiplied (or, in log space, summed with ``math.log``) in
     dimension order, and each prefix times the leading product of the
     remaining dimensions must exceed T; the last check is the full product.
     """
-    facs = problem.factors
     sfx = problem.log_suffix_leading if log_space else problem.suffix_leading
     P = 0.0 if log_space else 1.0
-    for k in range(problem.d):
-        lam = facs[k].eigenvalue(js[k])
+    for k, lam in enumerate(lams, 1):
         if lam <= 0.0:
             return False
         P = P + math.log(lam) if log_space else P * lam
-        if not ((P + sfx[k + 1]) > T if log_space else (P * sfx[k + 1]) > T):
+        if not ((P + sfx[k]) > T if log_space else (P * sfx[k]) > T):
             return False
     return True
 

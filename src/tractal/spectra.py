@@ -23,8 +23,9 @@ Family summary (``j >= 1``, ``m = floor(j/2)``):
 Each formula is written once, as a scalar function of j on Python floats, so
 an eigenvalue has the same bits however it is read and on every CPU (numpy's
 vectorised ``power`` may round differently from the C library).  A
-:class:`FactorSpectrum` is read three ways, all from that function:
-``eigenvalue(j)``, ``values(j0, j1)`` and ``neg_log_ratios(j0, j1)``.  numpy
+:class:`FactorSpectrum` is read four ways, all from that function:
+``eigenvalue(j)``, ``values(j0, j1)``, ``neg_log_ratios(j0, j1)`` and
+``ratio_runs(j0, j1)``, the ratios with their runs of equal eigenvalues.  numpy
 is imported only by the functions that return arrays, so counting runs on
 the standard library alone.
 
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -193,12 +195,14 @@ class FactorSpectrum:
 
     ``value(j)``, the family's closed form as a scalar function of j, is the
     one source of every eigenvalue, read through :meth:`eigenvalue`,
-    :meth:`values` and :meth:`neg_log_ratios`.  The first ``HEAD`` values are
-    kept as the tuple ``head``, with ``neg_log_head``, the ratios
-    ``-ln(lam(j)/lam(1))`` for 2 <= j <= HEAD; longer requests are evaluated
-    and never stored."""
+    :meth:`values`, :meth:`neg_log_ratios` and :meth:`ratio_runs`.  The first
+    ``HEAD`` values are kept as the tuple ``head``, with ``neg_log_head``, the
+    ratios ``-ln(lam(j)/lam(1))`` for 2 <= j <= HEAD, and ``head_runs``, the
+    runs of equal eigenvalues among those j as :meth:`ratio_runs` gives them;
+    all three are computed at build.  Longer requests are evaluated and never
+    stored."""
 
-    __slots__ = ("leading", "_value", "head", "neg_log_head")
+    __slots__ = ("leading", "_value", "head", "neg_log_head", "head_runs")
     # A count or top-m walk first reads 32 ratios of a dimension, j = 2..33,
     # and rarely more; a longer head would cost every factor built more logs.
     HEAD = 33
@@ -211,8 +215,8 @@ class FactorSpectrum:
             raise InvalidInputError("leading eigenvalue underflows below the smallest double")
         if not self.leading > 0:
             raise InvalidInputError("leading eigenvalue must be positive")
-        self.neg_log_head = ()  # so that neg_log_ratios evaluates the head's ratios
-        self.neg_log_head = self.neg_log_ratios(2, self.HEAD + 1)
+        self.neg_log_head = self._neg_logs(self.head[1:])
+        self.head_runs = _run_lengths(self.head[1:])
 
     def eigenvalue(self, j: int) -> float:
         if j < 1:
@@ -230,9 +234,25 @@ class FactorSpectrum:
         head = self.neg_log_head[j0 - 2:j1 - 2]
         if j0 + len(head) == j1:
             return head
+        return head + self._neg_logs(self.values(j0 + len(head), j1))
+
+    def ratio_runs(self, j0: int, j1: int) -> tuple:
+        """``neg_log_ratios(j0, j1)`` and the runs of equal eigenvalues there.
+
+        The runs are None when no two neighbours lam(j), lam(j + 1) in the
+        range are equal, else a tuple whose entry j - j0 is the length of the
+        run that starts at j, and 0 for a j inside a run.  Only the range is
+        read, so a run that continues past j1 - 1 ends there.
+        """
+        if j0 == 2 and j1 == self.HEAD + 1:
+            return self.neg_log_head, self.head_runs
+        vals = self.values(j0, j1)
+        head = self.neg_log_head[j0 - 2:j1 - 2]
+        return head + self._neg_logs(vals[len(head):]), _run_lengths(vals)
+
+    def _neg_logs(self, vals):
         log_lead = math.log(self.leading)
-        return head + tuple([log_lead - math.log(v) if v > 0.0 else math.inf
-                             for v in self.values(j0 + len(head), j1)])
+        return tuple([log_lead - math.log(v) if v > 0.0 else math.inf for v in vals])
 
     def scaled(self, c: float) -> "FactorSpectrum":
         """Same spectrum with every eigenvalue multiplied by c > 0."""
@@ -240,6 +260,20 @@ class FactorSpectrum:
             raise InvalidInputError(f"scale constant must be positive, got {c}")
         value = self._value
         return FactorSpectrum(lambda j: c * value(j))
+
+
+def _run_lengths(vals):
+    """The runs of equal values in vals, as :meth:`FactorSpectrum.ratio_runs`
+    gives them."""
+    if not any(map(operator.eq, vals, vals[1:])):
+        return None
+    runs = [0] * len(vals)
+    start = 0
+    for i in range(1, len(vals) + 1):
+        if i == len(vals) or vals[i] != vals[start]:
+            runs[start] = i - start
+            start = i
+    return tuple(runs)
 
 
 def _euler_value(r_k: float):

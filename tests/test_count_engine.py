@@ -24,7 +24,7 @@ from tractal.sequences import SequenceDescriptor as S
 
 import helpers
 
-KINDS = ("family", "permuted", "scaled", "custom_zero_tail", "anchor")
+KINDS = ("family", "permuted", "scaled", "custom_zero_tail", "anchor", "runs")
 CAP = 400
 ANCHOR = spectra.korobov(S.constant(1.0), S.power(1.0, -2.0))
 
@@ -44,6 +44,18 @@ def make_problem(rng, kind, d):
             tables.append([lead] + [lead * r for r in ratios])
         spec = spectra.custom_tabulated(tables, tau0=0.0)
         return ProductProblem.from_family(spec, d)
+    if kind == "runs":
+        # runs of equal eigenvalues, some tied with the leading one, some
+        # reaching past the head, and runs of 0.0 past a table without a tail
+        tables = []
+        for _ in range(d):
+            lead = rng.choice((0.5, 1.0, 2.0))
+            row, size = [lead] * rng.randint(1, 3), rng.choice((4, 12, 40))
+            while len(row) < size:
+                row += [row[-1] * rng.choice((0.25, 0.5, 0.75))] * rng.randint(1, 4)
+            tables.append(row)
+        tail = rng.choice((None, spectra.TailModel("geometric", ratio=0.5)))
+        return ProductProblem.from_family(spectra.custom_tabulated(tables, tail, tau0=0.0), d)
     _, spec = helpers.random_family(rng, allow_custom=False)
     p = ProductProblem.from_family(spec, d)
     if kind == "permuted":
@@ -152,21 +164,86 @@ def test_anchor_ties_in_both_modes(d):
 
 
 def test_borderline_recheck_runs_on_ties(monkeypatch):
-    """On the tie query the dense rule decides the tuples in the window, and
-    it rejects those whose product equals the threshold."""
+    """On the tie query the dense rule decides the tuples in the window, once
+    per run of equal eigenvalues, and it rejects those whose product equals
+    the threshold."""
     calls = []
-    rule = products._dense_rule
+    accepts = products._Point.accepts
 
-    def recorded(*args):
-        calls.append((list(args[1]), rule(*args)))
+    def recorded(point, exc, k, j):
+        js = [1] * point.d
+        js[k] = j
+        node = exc
+        while node is not None:
+            js[node[0]], node = node[1], node[2]
+        calls.append((tuple(js), accepts(point, exc, k, j)))
         return calls[-1][1]
 
-    monkeypatch.setattr(products, "_dense_rule", recorded)
+    monkeypatch.setattr(products._Point, "accepts", recorded)
     p = ProductProblem.from_family(ANCHOR, 20)
     T = p.leading_product / 16 ** 2
     assert assert_matches_dense(p, T, False, cap=10 ** 5) is not None
     tied = [ok for js, ok in calls if dense_value(p, js, False) == T]
     assert tied and not any(tied)
+    # the korobov runs are j = 2m, 2m + 1: only a run's first member is read
+    assert len(set(calls)) == len(calls)
+    assert all(j % 2 == 0 for js, _ in calls for j in js if j > 1)
+
+
+# lam(2) = lam(3) = lam(1), then runs of four equal eigenvalues, three of
+# them across j = 33/34 (the head), 65/66 and 129/130 (where a ratio list
+# grows to 2 * len + 2); no tail, so runs of 0.0 follow the table
+LONG_RUNS = [1.0, 1.0, 1.0] + [0.95 ** (t + 1) for t in range(32) for _ in range(4)]
+SHORT_RUNS = [1.0, 0.5, 0.5, 0.5, 0.125]
+
+
+def assert_caps_match_dense(problem, T, log_space, caps):
+    """Every cap gives what the dense count gives with that cap, including
+    caps that the count crosses inside a run."""
+    n = assert_matches_dense(problem, T, log_space, cap=10 ** 6)
+    for cap in caps:
+        want = CountResult(cap, True, cap) if n >= cap else CountResult(n, False, cap)
+        assert engine(problem, T, log_space, cap) == want, (T, log_space, cap)
+    return n
+
+
+@pytest.mark.parametrize("d", [2, 3, 30, 31])
+def test_runs_across_head_and_growth_boundaries(d):
+    """Thresholds exactly on products of runs that cross the head and the
+    ratio lists' growth, in direct and log space, one walk per point and a
+    grid over prefixes, against the dense counter."""
+    spec = spectra.custom_tabulated([LONG_RUNS] + [SHORT_RUNS] * (d - 1), tau0=0.0)
+    p = ProductProblem.from_family(spec, d)
+    lam = p.factors[0].eigenvalue
+    assert all(lam(j) == lam(j + 1) for j in (2, 33, 65, 129)) and lam(132) == 0.0
+    subs = [ProductProblem(p.factors[:e], family=spec) for e in sorted({1, d - 1, d})]
+    points = []
+    for j1 in ((34, 66, 130) if d < 30 else (34,)):
+        for j2 in (1, 3):
+            js = [j1, j2] + [1] * (d - 2)
+            for log_space in sorted({True, p.uses_log}):
+                T = dense_value(p, js, log_space)
+                n = assert_caps_match_dense(p, T, log_space, (2, 3, 4, 50, 51, 52))
+                assert_caps_match_dense(p, T, log_space, (n - 2, n - 1, n, n + 1))
+                points += [(sub, T, log_space) for sub in subs]
+    for cap in (3, 400, 10 ** 6):
+        want = [engine(sub, T, log_space, cap) for sub, T, log_space in points]
+        assert products.count_grid(points, cap) == want, cap
+    for sub, T, log_space in points:
+        assert assert_matches_dense(sub, T, log_space, cap=10 ** 6) is not None
+
+
+def test_runs_are_keyed_on_eigenvalues_not_ratios():
+    """lam(2) and lam(3) are an ulp apart with equal -ln ratios; a direct
+    threshold on the lower one counts the upper one alone, and in log space,
+    where their logs are equal too, neither."""
+    x = 1e-200
+    row = [1.0, x, math.nextafter(x, 0.0)]
+    p = ProductProblem.from_family(spectra.custom_tabulated([row, [1.0, 0.5]], tau0=0.0), 2)
+    assert p.factors[0].neg_log_head[:2] == (-math.log(x),) * 2
+    assert assert_matches_dense(p, row[2], False) == 3
+    assert assert_matches_dense(p, x, False) == 2
+    assert assert_matches_dense(p, math.log(row[2]), True) == 2
 
 
 @pytest.mark.parametrize("gamma_sq, T", [(0.05, 1e-310), (0.02, 5e-324), (0.05, 1e-320)])

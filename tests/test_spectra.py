@@ -377,13 +377,32 @@ def test_factor_head_is_read_only_and_long_requests_leave_it():
     assert fac.head[1] == 0.375 == fac.eigenvalue(2)
 
 
+# runs tied with the leading value, across j = 33/34, and of 0.0 past the
+# table; lam(36) and lam(37) differ by an ulp but have equal -ln ratios
+RUN_TABLE = spectra.custom_tabulated([[1.0, 1.0, 1.0] + [0.5] * 28 + [0.25] * 4
+                                      + [1e-200, math.nextafter(1e-200, 0.0)]])
+
+
 def _factors_for_block_identity():
     facs = [spec.factor(k) for _, spec in all_families() for k in (1, 3)]
     power = spectra.custom_tabulated([[1.0, 0.5, 0.25]], tail=spectra.TailModel(
         "power", exponent=1.5), tau0=1.0)
     no_tail = spectra.custom_tabulated([[2.0, 1.0, 0.5, 0.25]])
-    facs += [power.factor(1), no_tail.factor(1)]
+    facs += [power.factor(1), no_tail.factor(1), RUN_TABLE.factor(1)]
     return facs + [f.scaled(c) for f, c in zip(facs[::3], (0.3, 7.5, 3.0, 0.3, 7.5))]
+
+
+def _naive_runs(vals):
+    """Run lengths of equal neighbours, as ratio_runs gives them."""
+    runs = [0] * len(vals)
+    i = 0
+    while i < len(vals):
+        n = 1
+        while i + n < len(vals) and vals[i + n] == vals[i]:
+            n += 1
+        runs[i] = n
+        i += n
+    return tuple(runs) if max(runs, default=1) > 1 else None
 
 
 @pytest.mark.parametrize("fac", _factors_for_block_identity())
@@ -391,15 +410,26 @@ def _factors_for_block_identity():
                                     (34, 130), (1000, 1010)])
 def test_blocks_equal_eigenvalues_bit_for_bit(fac, j0, j1):
     """Inside the cached head and past it, values() holds exactly the doubles
-    that eigenvalue() returns, and neg_log_ratios() their -ln ratios to the
-    leading one (+inf at a zero eigenvalue)."""
+    that eigenvalue() returns, neg_log_ratios() their -ln ratios to the
+    leading one (+inf at a zero eigenvalue), and ratio_runs() both the ratios
+    and the runs of equal eigenvalues, cut at the ends of the range."""
     want = [fac.eigenvalue(j) for j in range(j0, j1)]
     assert fac.values(j0, j1) == tuple(want)
     assert all(type(v) is float for v in want)
     j2 = max(j0, 2)
     log_lead = math.log(fac.eigenvalue(1))
-    assert fac.neg_log_ratios(j2, j1) == tuple(
-        log_lead - math.log(v) if v > 0.0 else math.inf for v in want[j2 - j0:])
+    ratios = tuple(log_lead - math.log(v) if v > 0.0 else math.inf for v in want[j2 - j0:])
+    assert fac.neg_log_ratios(j2, j1) == ratios
+    assert fac.ratio_runs(j2, j1) == (ratios, _naive_runs(want[j2 - j0:]))
+    assert fac.head_runs == _naive_runs(fac.head[1:])
+
+
+def test_runs_are_keyed_on_eigenvalues():
+    fac = RUN_TABLE.factor(1)
+    assert fac.neg_log_ratios(36, 38)[0] == fac.neg_log_ratios(36, 38)[1]
+    runs = fac.ratio_runs(2, 40)[1]
+    assert runs[:6] == (2, 0, 28, 0, 0, 0) and runs[30:] == (4, 0, 0, 0, 1, 1, 2, 0)
+    assert fac.head_runs[-2:] == (2, 0)  # the run j = 32..35, cut at the head
 
 
 def test_analytic_korobov_exponent_beyond_the_double_range():
