@@ -238,9 +238,10 @@ def run_complexity(args) -> int:
 def run_sweep(args) -> int:
     """CSV of n(eps, d), d ascending and eps descending within each d.
 
-    Every point of the grid is counted by one walk of the product spectrum
-    at the largest d (see :func:`complexity.info_complexity_grid`), so a
-    grid costs about what its loosest point costs alone.
+    The grid is counted by one walk of the product spectrum per band (see
+    :func:`complexity.info_complexity_grid`): under nor each epsilon is one
+    band over all d, and under abs so it is when every leading eigenvalue
+    is 1; otherwise each point is a band of its own.
     """
     spec = _load_family(args.family)
     eps_list = sorted(_parse_float_list(args.epsilon), reverse=True)

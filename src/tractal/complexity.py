@@ -67,8 +67,12 @@ def info_complexity(problem: ProductProblem, query: ComplexityQuery,
 
 def info_complexity_grid(spec, criterion: str, d_list, eps_list,
                          cap: int = COUNTING_CAP) -> list:
-    """info_complexity at every (d, epsilon), d outer, from one count walk.
+    """info_complexity at every (d, epsilon), d outer, from one count walk per band.
 
+    A band is the points whose thresholds, divided by the leading product,
+    nearly coincide (:func:`products.count_grid`): under the normalized
+    criterion the points of each epsilon, and under the absolute one the
+    same when every leading eigenvalue is 1; otherwise each point is a band.
     Each result is the one ``info_complexity`` gives on
     ``ProductProblem.from_family(spec, d)``, and the inputs are checked in
     the grid's order, so the first error is the one a loop of those calls

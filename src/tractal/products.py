@@ -18,11 +18,13 @@ by the dense dimension-order evaluation, in direct or log space as above, so
 counts agree bit for bit with that evaluation, ties included: a product
 equal to the threshold is never counted.  A grid of thresholds on the
 prefixes of one problem, as a sweep over (eps, d) has, is counted by one
-walk at the largest d: a tuple excited only in its first d dimensions has
+walk per band: the points whose windows overlap form a band, walked once at
+its largest d, because a tuple excited only in its first d dimensions has
 the same log value at every dimension >= d.  Each point keeps its own
-window and evaluation, and the walk prunes at the loosest point still below
-the cap, so a grid costs about what its loosest point costs alone; a single
-count is the one-point case.  Equal eigenvalues of a dimension (the cos and
+window and evaluation.  Under the normalised criterion each eps is one band
+over all d, and so it is under the absolute criterion when every leading
+eigenvalue is 1; otherwise each point is a band of its own.  A single count
+is the one-point case.  Equal eigenvalues of a dimension (the cos and
 sin pairs of the Korobov families) form a run whose members have the same
 ratio, the same dense evaluations and the same subtree, so a count walks one
 member per run, weighted by the run's length.  Top-m visits the tuples best
@@ -63,7 +65,7 @@ _WINDOW_ULPS = 4 * 2.0 ** -53
 # the first ratios read of a dimension are those of the factor's head
 _FIRST_RATIOS = spectra.FactorSpectrum.HEAD - 1
 # A ratio list grows past this length only after reading the ratio at which
-# its coordinate alone would saturate the count (see _walk_groups).  Shorter
+# its coordinate alone would saturate the count (see _walk_group).  Shorter
 # lists are small, and the read would cost almost every count time for nothing.
 _UNCHECKED_RATIOS = 1024
 
@@ -173,7 +175,8 @@ def product_eigenvalues_top(problem: ProductProblem, m: int) -> np.ndarray:
     fold = log_fold if use_log else math.prod
     term = math.log if use_log else float
     band = _band(problem, use_log)
-    neg, hmax = _walk_tables(problem)
+    hmax = _hmax(problem)
+    neg = [[] for _ in range(d)]
     # ext[k][i] is the fold term of lam(k, i + 2)
     ext = [[] for _ in range(d)]
     root = [term(f.leading) for f in facs]
@@ -252,7 +255,7 @@ def count_products_above_log(problem: ProductProblem, log_T: float,
 
 
 def count_grid(points, cap: int = COUNTING_CAP) -> list:
-    """The counts of several points from one excitation walk, in order.
+    """The counts of several points, in order, from one excitation walk per band.
 
     A point ``(problem, T, log_space)`` is counted as
     ``count_products_above(problem, T)``, or, with log_space set, as
@@ -284,17 +287,15 @@ def check_cap(cap):
 
 
 class _Point:
-    """One threshold of a walk: its problem, its band and its count so far."""
+    """One threshold of a walk: its problem, its window and its count so far."""
 
-    __slots__ = ("problem", "T", "log_space", "d", "lo", "hi", "leads", "extra", "saturated",
-                 "group")
+    __slots__ = ("problem", "T", "log_space", "d", "lo", "hi", "leads", "extra")
 
     def __init__(self, problem, T, log_space, lo, hi, leads):
         self.problem, self.T, self.log_space = problem, T, log_space
         self.d, self.lo, self.hi = problem.d, lo, hi
         self.leads = leads      # lam(k, 1) for each k, the root's eigenvalues
-        self.extra = 0          # children accepted beyond the group's sure ones
-        self.saturated = False
+        self.extra = 0          # children accepted beyond the band's sure ones
 
     def accepts(self, exc, k, j):
         """The dense rule's decision for the child exciting (k, j) of exc."""
@@ -307,31 +308,8 @@ class _Point:
         return _dense_rule(self.problem, lams, self.T, self.log_space)
 
 
-class _Group:
-    """Open points whose bands overlap, decided together.
-
-    ``acc[k]`` counts the children in dimension k above every point's band,
-    which count for each point with d > k.  The points are kept by d, and
-    ``tot`` is the count so far of the last one, the top.
-    """
-
-    __slots__ = ("pts", "lo", "hi", "acc", "tot")
-
-    def __init__(self, point, D):
-        self.pts, self.lo, self.hi = [point], point.lo, point.hi
-        self.acc = [0] * D
-        self.tot = 1
-
-    def count(self, p):
-        """The count so far of the open point p; ``acc`` is complete below
-        every d but the top's."""
-        if p is self.pts[-1]:
-            return self.tot
-        return 1 + sum(self.acc[:p.d]) + p.extra
-
-
 def _walk(points, cap):
-    """Count every point's tuples by one walk of the excitations of (1, ..., 1).
+    """Count every point's tuples by walks of the excitations of (1, ..., 1).
 
     A node is a tuple, held as its log normalised value
     ``V = sum_k ln(lam(k, j_k) / lam(k, 1))`` (zero at the root) and the
@@ -341,25 +319,24 @@ def _walk(points, cap):
     eigenvalues give +inf), so the children of a node in dimension k that
     clear a bound are a prefix found by bisection.  The walk over a node's
     dimensions stops once the node times the largest second ratio
-    ``h_k = lam(k,2)/lam(k,1)`` among those left falls below the loosest
-    bound; h need not be monotone in k.
+    ``h_k = lam(k,2)/lam(k,1)`` among those left falls below the bound; h
+    need not be monotone in k.
+
+    For a point, values above its window ``(lo, hi)`` from :func:`_band`
+    are counted and those below it rejected; values in between are decided
+    by :func:`_dense_rule` on the point's own problem.  Every decision is
+    monotone in each coordinate, so a child rejected by a point has no
+    descendant it accepts, and the first child it rejects in a dimension
+    ends that dimension's children for it.
 
     A tuple excited only in its first d dimensions has the same ``V`` in
     every problem of dimension >= d, because factor k depends only on k.
-    So the walk runs at the largest problem, and a child in dimension k
-    belongs to each point of dimension d > k.  For a point, values above
-    the band of :func:`_band` are counted and those below it rejected;
-    values in between are decided by :func:`_dense_rule` on the point's own
-    problem.  Every decision is monotone in each coordinate, so a child
-    rejected by a point has no descendant it accepts, and the first child
-    it rejects in a dimension ends that dimension's children for it.
-
-    Points whose bands overlap form a group, which shares one pair of
-    bisections per node and dimension: children above the union band count
-    for all its points, and those inside it are decided point by point.
-    Groups are kept loosest first, and the walk prunes at the loosest open
-    band.  A point whose count reaches cap leaves the walk, and the bound
-    tightens.
+    So the points whose windows overlap form a band, counted by one walk
+    (:func:`_walk_group`) at its largest d, in which a child in dimension k
+    belongs to each point of dimension d > k; the bands share the ratio
+    lists.  Under the normalised criterion the points of one eps form one
+    band over all d, and so they do under the absolute criterion when every
+    leading eigenvalue is 1; otherwise each point is a band of its own.
 
     A run of equal eigenvalues in a dimension (see
     :meth:`spectra.FactorSpectrum.ratio_runs`) has equal ratios, so no
@@ -385,169 +362,126 @@ def _walk(points, cap):
         elif cap == 1:
             results[key] = CountResult(cap, True, cap)
         else:
-            results[key] = None
             open_pts.append(_Point(sub, T, log_space, lo, hi, leads))
-    top = max(open_pts, key=operator.attrgetter("d"), default=None)
-    groups = []
+    bands = []
     for pt in sorted(open_pts, key=operator.attrgetter("lo")):
-        if groups and pt.lo <= groups[-1].hi:
-            pt.group = groups[-1]
-            pt.group.pts.append(pt)
-            pt.group.hi = max(pt.group.hi, pt.hi)
+        if bands and pt.lo <= band_hi:
+            bands[-1].append(pt)
+            band_hi = max(band_hi, pt.hi)
         else:
-            pt.group = _Group(pt, top.d)
-            groups.append(pt.group)
-    for g in groups:
-        g.pts.sort(key=operator.attrgetter("d"))
-    if groups:
-        _walk_groups(top.problem, groups, cap)
-    for pt in open_pts:
-        n = cap if pt.saturated else pt.group.count(pt)
-        results[pt.d, pt.T, pt.log_space] = (CountResult(cap, True, cap) if n >= cap
-                                             else CountResult(n, False, cap))
+            bands.append([pt])
+            band_hi = pt.hi
+    # the bands share the ratio lists, whose dimension k is read by every band
+    # of d > k; runs[k] lists the runs of equal eigenvalues read in neg[k] (see
+    # FactorSpectrum.ratio_runs), or is None while no run is longer than one
+    neg = [[] for _ in range(max((p.d for p in open_pts), default=0))]
+    runs = [None] * len(neg)
+    for band in bands:
+        band.sort(key=operator.attrgetter("d"))
+        for pt, n in zip(band, _walk_group(band, cap, neg, runs)):
+            results[pt.d, pt.T, pt.log_space] = (CountResult(cap, True, cap) if n >= cap
+                                                 else CountResult(n, False, cap))
     return [results[(sub.d, T, log_space)] for sub, T, log_space in points]
 
 
-def _walk_groups(problem, groups, cap):
-    """The walk of :func:`_walk`, accumulating into the groups' points.
+def _walk_group(band, cap, neg, runs):
+    """The walk of :func:`_walk` for one band, its points ordered by d; their counts.
 
-    The loosest group's state is held in locals, so a walk for one point
-    does no more per node and dimension than a walk written for one point;
-    the other groups follow it, tightest last, while their bands reach a
-    child.  A count that reaches cap is closed at the next node.
+    The walk runs at the problem of the top point, the one of largest d, and
+    prunes at the band's ``lo``, the least of its points'.  ``acc[k]``
+    counts the children in dimension k above every window, which count for
+    each point with d > k; it is kept below ``dsec``, the second largest d,
+    as ``tot`` is the top's count so far.  A top whose count reaches cap is
+    closed, and the node being walked is walked again from the dimension it
+    had reached: the point of the next d becomes the top, and the band
+    narrows to the points left.
     """
+    pts = list(band)
+    problem = pts[-1].problem
     facs = problem.factors
-    neg, hmax = _walk_tables(problem)
-    # runs[k] lists the runs of equal eigenvalues read in neg[k] (see
-    # FactorSpectrum.ratio_runs), or is None while no run is longer than one
-    runs = [None] * problem.d
-
-    def close(groups):
-        """Drop the points whose count reached cap; the open groups, loosest first."""
-        for g in groups:
-            while g.pts and g.tot >= cap:
-                g.pts.pop().saturated = True
-                if g.pts:
-                    g.tot = 1 + sum(g.acc[:g.pts[-1].d]) + g.pts[-1].extra
-            if g.pts:
-                g.lo = min(p.lo for p in g.pts)
-                g.hi = max(p.hi for p in g.pts)
-        return sorted((g for g in groups if g.pts), key=operator.attrgetter("lo"))
-
-    def state(groups):
-        g0 = groups[0]
-        dsec = g0.pts[-2].d if len(g0.pts) > 1 else 0
-        return (g0, groups[1:], g0.lo, g0.hi, g0.acc, g0.tot, g0.pts[-1].d, dsec,
-                max(g.pts[-1].d for g in groups))
-
-    groups = close(groups)
-    if not groups:
-        return
-    g0, rest, lo, hi0, acc0, tot0, top0, dsec0, Dw = state(groups)
-    limit = cap  # -1 once another group's top reached cap
+    hmax = _hmax(problem)
+    acc = [0] * problem.d
+    tot = 1
     stack = [(0.0, 0, None)]
-    while stack:
-        V, k0, exc = stack.pop()
-        W = exc[3] if exc else 1
-        raw = 0  # the node's children counted for the loosest top, before weighting
-        if tot0 >= limit:
-            g0.tot = tot0
-            groups = close(groups)
-            if not groups:
-                return
-            g0, rest, lo, hi0, acc0, tot0, top0, dsec0, Dw = state(groups)
-            limit = cap
-        for k in range(k0, Dw):
-            if V + hmax[k] <= lo:
-                break
-            nl = neg[k]
-            key = V - lo
-            m = bisect_left(nl, key)
-            while m == len(nl) < cap:
-                # A long list grows again only if this dimension alone does
-                # not fill the rest of a top's count, so no list grows toward
-                # cap: such a top is closed, and the loosest band moves up.
-                if len(nl) >= _UNCHECKED_RATIOS:
-                    tot0 += raw * W
-                    raw = 0
-                    g0.tot = tot0
-                    full = False
-                    for g in groups:
-                        room = cap - g.tot
-                        if g.pts[-1].d > k and (room <= 0 or (
-                                nl[room - 1] if room <= len(nl) else
-                                facs[k].neg_log_ratios(room + 1, room + 2)[0]) < V - g.hi):
-                            g.tot = cap
-                            full = True
-                    if full:
-                        groups = close(groups)
-                        if not groups:
-                            return
-                        g0, rest, lo, hi0, acc0, tot0, top0, dsec0, Dw = state(groups)
-                        key = V - lo
-                        m = bisect_left(nl, key)
-                        continue
-                block, ln = facs[k].ratio_runs(len(nl) + 2,
-                                               min(max(2 * len(nl), _FIRST_RATIOS), cap) + 2)
-                if ln is not None and runs[k] is None:
-                    runs[k] = [1] * len(nl)
-                if runs[k] is not None:
-                    runs[k].extend(ln or [1] * len(block))
-                nl.extend(block)
-                m = bisect_left(nl, key, m)
-            if k < top0:
-                n_push = bisect_left(nl, V - hi0, 0, m)
-                if k < dsec0:
-                    acc0[k] += n_push * W
+    while pts:
+        lo = min(p.lo for p in pts)
+        hi = max(p.hi for p in pts)
+        top = pts[-1].d
+        dsec = pts[-2].d if len(pts) > 1 else 0
+        while stack and tot < cap:
+            V, k0, exc = stack.pop()
+            W = exc[3] if exc else 1
+            raw = 0  # the node's children counted for the top, before weighting
+            for k in range(k0, top):
+                if V + hmax[k] <= lo:
+                    break
+                nl = neg[k]
+                key = V - lo
+                m = bisect_left(nl, key)
+                while m == len(nl) < cap:
+                    # A long list grows again only if this dimension alone
+                    # does not fill the rest of the top's count, so no list
+                    # grows toward cap.
+                    if len(nl) >= _UNCHECKED_RATIOS:
+                        tot += raw * W
+                        raw = 0
+                        room = cap - tot
+                        if room <= 0 or (nl[room - 1] if room <= len(nl) else
+                                         facs[k].neg_log_ratios(room + 1, room + 2)[0]) < V - hi:
+                            tot = cap
+                            break
+                    block, ln = facs[k].ratio_runs(len(nl) + 2,
+                                                   min(max(2 * len(nl), _FIRST_RATIOS), cap) + 2)
+                    if ln is not None and runs[k] is None:
+                        runs[k] = [1] * len(nl)
+                    if runs[k] is not None:
+                        runs[k].extend(ln or [1] * len(block))
+                    nl.extend(block)
+                    m = bisect_left(nl, key, m)
+                if tot >= cap:
+                    # the top is full: close it, then walk the node from k on again
+                    stack.append((V, k, exc))
+                    break
+                n_push = bisect_left(nl, V - hi, 0, m)
+                if k < dsec:
+                    acc[k] += n_push * W
                 raw += n_push
                 if n_push < m:
-                    n_push, extra = _borderline(g0, nl, runs[k], V, k, exc, W, n_push, m)
-                    tot0 += extra
-            else:
-                n_push = 0
-            if rest:
-                for g in rest:
-                    if k >= g.pts[-1].d:
-                        continue
-                    mg = bisect_left(nl, V - g.lo, 0, m)
-                    if not mg:
-                        break  # so are the tighter groups after it
-                    n = bisect_left(nl, V - g.hi, 0, mg)
-                    g.acc[k] += n * W
-                    g.tot += n * W
-                    if n < mg:
-                        n, extra = _borderline(g, nl, runs[k], V, k, exc, W, n, mg)
-                        g.tot += extra
-                    if n > n_push:
-                        n_push = n
-                    if g.tot >= cap:
-                        limit = -1
-            # hmax[d] is -inf: no child of the last dimension is pushed
-            n_int = bisect_left(nl, V + hmax[k + 1] - lo, 0, n_push)
-            if n_int:
-                ln = runs[k]
-                if ln is None:
-                    stack.extend([(V - nl[i], k + 1, (k, i + 2, exc, W)) for i in range(n_int)])
-                else:
-                    # one child per run, standing for the run's identical subtrees
-                    stack.extend([(V - nl[i], k + 1, (k, i + 2, exc, W * ln[i]))
-                                  for i in range(n_int) if ln[i]])
-        tot0 += raw * W
-    g0.tot = tot0
+                    n_push, extra = _borderline(pts, nl, runs[k], V, k, exc, W, n_push, m)
+                    tot += extra
+                # hmax[d] is -inf: no child of the last dimension is pushed
+                n_int = bisect_left(nl, V + hmax[k + 1] - lo, 0, n_push)
+                if n_int:
+                    ln = runs[k]
+                    if ln is None:
+                        stack.extend([(V - nl[i], k + 1, (k, i + 2, exc, W)) for i in range(n_int)])
+                    else:
+                        # one child per run, standing for the run's identical subtrees
+                        stack.extend([(V - nl[i], k + 1, (k, i + 2, exc, W * ln[i]))
+                                      for i in range(n_int) if ln[i]])
+            tot += raw * W
+        if tot < cap:
+            break
+        pts.pop()
+        if pts:
+            tot = 1 + sum(acc[:pts[-1].d]) + pts[-1].extra
+    counts = [1 + sum(acc[:p.d]) + p.extra for p in pts[:-1]] + [tot] if pts else []
+    return counts + [cap] * (len(band) - len(pts))
 
 
-def _borderline(g, nl, ln, V, k, exc, W, n, m):
-    """Decide the children n <= i < m, inside the group's band, point by point.
+def _borderline(pts, nl, ln, V, k, exc, W, n, m):
+    """Decide the children n <= i < m, inside the band, point by point.
 
-    ``ln`` gives the runs of equal eigenvalues (None if there are none), and
-    the dense rule decides each run once.  Adds to each point's extra the
-    children it accepts beyond the first n, times the node's weight W;
-    returns the most children a point accepts and the top's extra.
+    ``pts`` are the band's open points, ordered by d, and ``ln`` gives the
+    runs of equal eigenvalues (None if there are none): the dense rule
+    decides each run once.  Adds to each point's extra the children it
+    accepts beyond the first n, times the node's weight W; returns the most
+    children a point accepts and the top's extra.
     """
     most = n
     top_extra = 0
-    top = g.pts[-1]
-    for p in g.pts:
+    top = pts[-1]
+    for p in pts:
         if p.d <= k:
             continue
         mp = bisect_left(nl, V - p.lo, n, m)
@@ -563,7 +497,7 @@ def _borderline(g, nl, ln, V, k, exc, W, n, m):
 
 
 def _band(problem, log_space):
-    """The borderline band of an excitation walk, as a function of T.
+    """The borderline window of a count, as a function of T.
 
     It maps a threshold T (ln T in log space) to the normalised ``(lo, hi)``:
     ``ln T - ln L`` widened by a window ``w`` on each side, where L is the
@@ -592,16 +526,15 @@ def _band(problem, log_space):
     return band
 
 
-def _walk_tables(problem):
-    """Empty ``-ln`` ratio lists, one per dimension, and ``hmax``.
+def _hmax(problem):
+    """``hmax[k] = ln max_{k' >= k} h_k'``, with -inf past the last dimension.
 
-    ``hmax[k] = ln max_{k' >= k} h_k'``, with -inf past the last dimension;
     ``ln h_k`` is minus the first ``-ln`` ratio of factor k.
     """
     hmax = [-math.inf] * (problem.d + 1)
     for k in range(problem.d - 1, -1, -1):
         hmax[k] = max(-problem.factors[k].neg_log_head[0], hmax[k + 1])
-    return [[] for _ in range(problem.d)], hmax
+    return hmax
 
 
 def _dense_rule(problem, lams, T, log_space):
@@ -655,10 +588,17 @@ def brute_force_oracle(problem: ProductProblem, J: int) -> np.ndarray:
     if problem.uses_log:
         return np.fromiter(map(math.exp, brute_force_log_oracle(problem, J)),
                            dtype=float, count=J ** problem.d)
+    return np.sort(box_products(problem, J))[::-1]
+
+
+def box_products(problem: ProductProblem, J: int) -> np.ndarray:
+    """All products over the box j_k <= J, unsorted, multiplied in dimension order."""
+    import numpy as np
+
     vals = None
     for row in _box_rows(problem, J):
         vals = np.array(row) if vals is None else np.multiply.outer(vals, row).ravel()
-    return np.sort(vals)[::-1]
+    return vals
 
 
 def brute_force_log_oracle(problem: ProductProblem, J: int) -> np.ndarray:

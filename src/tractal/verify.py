@@ -107,16 +107,6 @@ def factor_tau_tail(spec, k, tau, J):
     return total + em_power_tail(row[-1] ** tau * size ** x, x, max(J, size) + 1, shift=0.0)
 
 
-def box_products(problem, J):
-    """All prod_k lam(k, j_k) over the box j_k <= J, unsorted, multiplication
-    in dimension order."""
-    vals = None
-    for fac in problem.factors:
-        arr = np.array(fac.values(1, J + 1))
-        vals = arr if vals is None else np.multiply.outer(vals, arr).ravel()
-    return vals
-
-
 def random_family(rng: random.Random, allow_wiener=True, allow_custom=True):
     """A seeded draw of a family spec with admissible random parameters."""
     choices = ["euler", "korobov", "gaussian", "analytic_korobov"]
@@ -187,7 +177,7 @@ def _eq21_box():
     """Worst relative error of the enumerated box sum against prod_k head_k."""
     worst = 0.0
     for _, p, heads in _eq21_cases():
-        box = box_products(p, 30)
+        box = products.box_products(p, 30)
         for tau, h in heads.items():
             worst = max(worst, abs(float(np.sum(box ** tau)) - math.prod(h)) / math.prod(h))
     return worst
@@ -203,7 +193,7 @@ def _counting_mismatches():
         d = rng.randint(1, 5)
         p = products.ProductProblem.from_family(spec, d)
         J = {1: 600, 2: 90, 3: 40, 4: 28, 5: 18}[d]
-        box = box_products(p, J)
+        box = products.box_products(p, J)
         floor = products.oracle_validity_floor(p, J)
         top = float(box.max())
         if floor >= top:

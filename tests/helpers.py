@@ -8,8 +8,9 @@ and the series recurrence.
 
 Re-exported from ``tractal.verify``, whose checks use them too: the tail-sum
 oracle ``factor_tau_tail`` (direct summation with Euler-Maclaurin or
-geometric remainders, never the zeta reduction), the enumerated box
-``box_products`` and the seeded family generator ``random_family``.
+geometric remainders, never the zeta reduction) and the seeded family
+generator ``random_family``; and from ``tractal.products`` the enumerated
+box ``box_products``.
 """
 import heapq
 import math
@@ -18,7 +19,8 @@ import numpy as np
 
 from tractal import complexity, nystrom, products
 from tractal.errors import InvalidInputError
-from tractal.verify import box_products, factor_tau_tail, random_family  # noqa: F401
+from tractal.products import box_products  # noqa: F401
+from tractal.verify import factor_tau_tail, random_family  # noqa: F401
 
 
 def dense_count(problem, T, cap, log_space):

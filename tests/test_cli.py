@@ -289,7 +289,7 @@ def _planted_defect(row):
         return tractability, "g_function", scale(1.0 + 2.0 * row.threshold)
     return {
         "eq21-trace-30-cases": (products, "trace_sum", scale(1.0 + 1e-8)),
-        "eq21-box-30-cases": (verify, "box_products", scale(1.0 + 1e-10)),
+        "eq21-box-30-cases": (products, "box_products", scale(1.0 + 1e-10)),
         "counting-oracle-200-instances": (products, "count_products_above", count_plus_one),
         "g-at-2": (tractability, "g_function", shift(1e-9)),
         "g-root-residual": (tractability, "g_function", shift(1e-9)),

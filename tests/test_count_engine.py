@@ -379,6 +379,38 @@ def test_complexity_grid_matches_per_point_oracle(seed):
     assert got == want
 
 
+def test_growth_guard_closes_a_band_top_while_a_lower_point_stays_open(monkeypatch):
+    """ln T = -10 on [A] and [A, B] is one band.  B's ratios fall slowly, so
+    at the root its list reaches the unchecked length, and the guard reads
+    the ratio at which B alone would fill the top's count: at cap 2000 it
+    does, the top closes with its list no longer, and [A] is still counted;
+    at cap 20000 it does not, and the list grows."""
+    A = spectra.korobov(S.constant(2.0), S.constant(0.01)).factor(1)
+    B = spectra.korobov(S.constant(0.6), S.constant(1.0)).factor(1)
+    points = [(ProductProblem([A]), -10.0, True), (ProductProblem([A, B]), -10.0, True)]
+    grown, guard_reads = [], []
+    ratio_runs, neg_log_ratios = spectra.FactorSpectrum.ratio_runs, spectra.FactorSpectrum.neg_log_ratios
+
+    def recorded_growth(self, j0, j1):
+        grown.append(j1 - 2)
+        return ratio_runs(self, j0, j1)
+
+    def recorded_read(self, j0, j1):
+        guard_reads.append(j0)
+        return neg_log_ratios(self, j0, j1)
+
+    monkeypatch.setattr(spectra.FactorSpectrum, "ratio_runs", recorded_growth)
+    monkeypatch.setattr(spectra.FactorSpectrum, "neg_log_ratios", recorded_read)
+    for cap, want, longest in ((2000, [(7, False), (2000, True)], products._UNCHECKED_RATIOS),
+                               (20000, [(7, False), (8723, False)], 16384)):
+        grown.clear()
+        guard_reads.clear()
+        got = products.count_grid(points, cap)
+        assert [(r.count, r.saturated) for r in got] == want
+        assert guard_reads and max(grown) == longest
+        assert got == [products.count_grid([point], cap)[0] for point in points]
+
+
 def test_grid_problems_must_share_their_leading_factors():
     p = ProductProblem.from_family(ANCHOR, 3)
     q = ProductProblem(p.factors[1:])
