@@ -27,9 +27,11 @@ eigenvalue is 1; otherwise each point is a band of its own.  A single count
 is the one-point case.  Equal eigenvalues of a dimension (the cos and
 sin pairs of the Korobov families) form a run whose members have the same
 ratio, the same dense evaluations and the same subtree, so a count walks one
-member per run, weighted by the run's length.  Top-m visits the tuples best
-first by log value and keeps the m best exact dimension-order products;
-the log value only rules out tuples that lie a window below the m-th.
+member per run, weighted by the run's length.  Top-m walks the same
+chains best first by log value, one member per run, and pushes each visited
+tuple's exact dimension-order product into a heap of the m best as many
+times as its chain's weight; the log value only rules out tuples that lie a
+window below the m-th.
 """
 from __future__ import annotations
 
@@ -149,14 +151,17 @@ def product_eigenvalues_top(problem: ProductProblem, m: int) -> np.ndarray:
     (:data:`log_fold`) of their ``math.log`` in log space (see the module
     docstring).
 
-    The tuples are the excitations of (1, ..., 1), as in
-    :func:`_walk`: a node's children excite one dimension after its
-    last excited one, and a child's log normalised value ``V`` is its
-    parent's minus one ``-ln`` ratio.  A frontier visits them best ``V``
-    first, and a min-heap keeps the m best folds found so far.  A child's
-    later siblings enter the frontier once it is visited, and its children
-    in dimensions >= k as one entry keyed by the bound ``hmax[k]``, so a
-    visit costs a fold and a few pushes, not one per dimension.
+    The tuples are the excitations of (1, ..., 1), held as the chains of
+    :func:`_walk`: a node's children excite one dimension after its last
+    excited one, a child's log normalised value ``V`` is its parent's minus
+    one ``-ln`` ratio, and its fold is rebuilt from the leads and its chain.
+    A frontier visits them best ``V`` first, and a min-heap keeps the m best
+    folds found so far.  A child's later siblings enter the frontier once it
+    is visited, and its children in dimensions >= k as one entry keyed by the
+    bound ``hmax[k]``, so a visit costs a fold and a few pushes, not one per
+    dimension.  As in counts, one member per run of equal eigenvalues is
+    visited, and its fold enters the heap once per tuple its chain stands
+    for, at most m times.
 
     Once the frontier's best ``V`` lies a borderline window below the heap's
     least fold, no tuple left can rank, and the walk stops.  A visited tuple
@@ -169,62 +174,57 @@ def product_eigenvalues_top(problem: ProductProblem, m: int) -> np.ndarray:
         raise InvalidInputError(f"m must be >= 1, got {m}")
     if m > ENUMERATION_CAP:
         raise CapExceededError(f"m={m} exceeds the enumeration cap {ENUMERATION_CAP}")
-    d = problem.d
     facs = problem.factors
     use_log = problem.uses_log
     fold = log_fold if use_log else math.prod
     term = math.log if use_log else float
     band = _band(problem, use_log)
     hmax = _hmax(problem)
-    neg = [[] for _ in range(d)]
-    # ext[k][i] is the fold term of lam(k, i + 2)
-    ext = [[] for _ in range(d)]
+    neg = [[] for _ in range(problem.d)]
+    runs = [None] * problem.d  # as in _walk
     root = [term(f.leading) for f in facs]
     heap = [fold(root)]
     lo = -math.inf  # no child is dropped unfolded until the heap holds m folds
     frontier = []
     seq = itertools.count()
 
-    def ratio(k, i):
-        nl = neg[k]
-        if i == len(nl):
-            nl.extend(facs[k].neg_log_ratios(i + 2, min(max(2 * i, _FIRST_RATIOS), m - 1) + 2))
-        return nl[i]
-
-    def push(key, k, i, V, terms):
+    def push(key, k, i, V, exc):
         if key > lo:  # never at a zero eigenvalue, where the key is -inf
-            heapq.heappush(frontier, (-key, next(seq), k, i, V, terms))
+            heapq.heappush(frontier, (-key, next(seq), k, i, V, exc))
 
     if m > 1:
-        push(hmax[0], 0, -1, 0.0, root)
+        push(hmax[0], 0, -1, 0.0, None)
     while frontier:
-        key, _, k, i, V, parent = heapq.heappop(frontier)
+        key, _, k, i, V, exc = heapq.heappop(frontier)
         if -key <= lo:  # so is every node left, and every node not yet pushed
             break
         if i < 0:
             # the node's children in dimensions >= k, keyed by their bound hmax
-            push(V - ratio(k, 0), k, 0, V, parent)
-            push(V + hmax[k + 1], k + 1, -1, V, parent)
-            continue
-        xl = ext[k]
-        if i == len(xl):
-            xl.append(term(facs[k].eigenvalue(i + 2)))
-        terms = parent.copy()
-        terms[k] = xl[i]
-        f = fold(terms)
-        if len(heap) < m:
-            heapq.heappush(heap, f)
-        elif f > heap[0]:
-            heapq.heapreplace(heap, f)
+            push(V + hmax[k + 1], k + 1, -1, V, exc)
+            n = 1  # its first child is the sibling after i = -1
         else:
-            continue
-        if len(heap) == m:
-            lo = band(heap[0])[0]
-        # a node and m - 1 children ranked before a child fill the heap with
-        # folds no smaller than its own, so no node needs m children
-        if i + 2 < m:
-            push(V - ratio(k, i + 1), k, i + 1, V, parent)
-        push(-key + hmax[k + 1], k + 1, -1, -key, terms)
+            n = runs[k][i] if runs[k] else 1
+            node = (k, i + 2, exc, (exc[3] if exc else 1) * n)
+            f = fold(_tuple_terms(facs, root, node, term))
+            if len(heap) == m and f <= heap[0]:
+                continue
+            for _ in range(min(node[3], m)):
+                if len(heap) < m:
+                    heapq.heappush(heap, f)
+                elif f > heap[0]:
+                    heapq.heapreplace(heap, f)
+                else:
+                    break
+            if len(heap) == m:
+                lo = band(heap[0])[0]
+            push(-key + hmax[k + 1], k + 1, -1, -key, node)
+        # the next sibling: a node and i + n children ranked before it fill
+        # the heap with folds no smaller than its own, so no node needs m children
+        i += n
+        if i + 1 < m:
+            if i == len(neg[k]):
+                _grow_ratios(facs[k], neg, runs, k, m - 1)
+            push(V - neg[k][i], k, i, V, exc)
     if len(heap) < m:
         raise InvalidInputError("spectrum exhausted before m values (zero eigenvalue hit)")
     heap.sort(reverse=True)
@@ -299,12 +299,7 @@ class _Point:
 
     def accepts(self, exc, k, j):
         """The dense rule's decision for the child exciting (k, j) of exc."""
-        facs = self.problem.factors
-        lams = self.leads.copy()
-        lams[k] = facs[k].eigenvalue(j)
-        while exc is not None:
-            kk, jj, exc, _ = exc
-            lams[kk] = facs[kk].eigenvalue(jj)
+        lams = _tuple_terms(self.problem.factors, self.leads, (k, j, exc, 0))
         return _dense_rule(self.problem, lams, self.T, self.log_space)
 
 
@@ -430,13 +425,7 @@ def _walk_group(band, cap, neg, runs):
                                          facs[k].neg_log_ratios(room + 1, room + 2)[0]) < V - hi:
                             tot = cap
                             break
-                    block, ln = facs[k].ratio_runs(len(nl) + 2,
-                                                   min(max(2 * len(nl), _FIRST_RATIOS), cap) + 2)
-                    if ln is not None and runs[k] is None:
-                        runs[k] = [1] * len(nl)
-                    if runs[k] is not None:
-                        runs[k].extend(ln or [1] * len(block))
-                    nl.extend(block)
+                    _grow_ratios(facs[k], neg, runs, k, cap)
                     m = bisect_left(nl, key, m)
                 if tot >= cap:
                     # the top is full: close it, then walk the node from k on again
@@ -494,6 +483,28 @@ def _borderline(pts, nl, ln, V, k, exc, W, n, m):
         if i > most:
             most = i
     return most, top_extra
+
+
+def _grow_ratios(fac, neg, runs, k, limit):
+    """Extend ``neg[k]`` by its next block of ``-ln`` ratios from factor fac,
+    to at most ``limit`` of them, and ``runs[k]`` with it (see :func:`_walk`)."""
+    nl = neg[k]
+    block, ln = fac.ratio_runs(len(nl) + 2, min(max(2 * len(nl), _FIRST_RATIOS), limit) + 2)
+    if ln is not None and runs[k] is None:
+        runs[k] = [1] * len(nl)
+    if runs[k] is not None:
+        runs[k].extend(ln or [1] * len(block))
+    nl.extend(block)
+
+
+def _tuple_terms(facs, root, exc, term=float):
+    """The d terms of the tuple that the chain exc excites, in dimension
+    order: root's, with ``term(lam(k, j))`` at each excited coordinate (k, j)."""
+    terms = root.copy()
+    while exc is not None:
+        k, j, exc, _ = exc
+        terms[k] = term(facs[k].eigenvalue(j))
+    return terms
 
 
 def _band(problem, log_space):

@@ -49,6 +49,21 @@ def test_classify_korobov(capsys, family_file):
     assert doc["criterion"] == "nor"
 
 
+@pytest.mark.parametrize("doc, criterion, a_star", [
+    ({"family": "euler", "r": {"kind": "constant", "c": 1}}, "abs", None),
+    (GAUSS_DOC, "abs", None),
+    ({"family": "wiener", "r": {"kind": "constant", "c": 1}}, "nor", None),
+    (KOROBOV_DOC, "nor", "closed-form"),
+    ({"family": "korobov", "r": {"kind": "constant", "c": 1},
+      "g": {"kind": "explicit", "values": [1, 0.5, 0.25]}}, "nor", "declared"),
+], ids=["euler-abs", "gaussian-abs", "wiener-nor", "korobov-power", "korobov-explicit"])
+def test_classify_documents(capsys, family_file, doc, criterion, a_star):
+    path = family_file("f.json", doc)
+    code, out, _ = run(capsys, ["classify", "--family", path, "--criterion", criterion])
+    assert code == 0
+    assert a_star is None or f'"a_star": "{a_star}"' in out  # the provenance label
+
+
 def test_classify_unsupported_criterion(capsys, family_file):
     path = family_file("w.json", {"family": "wiener", "r": {"kind": "constant", "c": 1}})
     code, _, err = run(capsys, ["classify", "--family", path, "--criterion", "abs"])
@@ -133,6 +148,27 @@ def test_sweep_byte_stability(capsys, family_file, tmp_path):
 
 
 GAUSS_POWER_DOC = {"family": "gaussian", "gamma_sq": {"kind": "power", "c": 1, "alpha": -1}}
+
+
+@pytest.mark.parametrize("doc, criterion", [
+    (KOROBOV_DOC, "nor"), (GAUSS_POWER_DOC, "nor"), (GAUSS_POWER_DOC, "abs"),
+], ids=["korobov-nor", "gaussian-nor", "gaussian-abs"])
+def test_sweep_rows_are_complexity_points(capsys, family_file, doc, criterion):
+    """Under nor each eps is one band over all d; the gaussian leading
+    eigenvalues are below 1, so under abs each point is its own band.  Either
+    way a sweep row is the point counted alone."""
+    path = family_file("f.json", doc)
+    code, csv, _ = run(capsys, ["sweep", "--family", path, "--criterion", criterion,
+                                "--epsilon", "0.5,0.1,0.01", "--d", "1:20,31:34"])
+    assert code == 0
+    rows = csv.splitlines()
+    for d in (20, 31, 34):
+        code, out, _ = run(capsys, ["complexity", "--family", path, "--criterion", criterion,
+                                    "--epsilon", "0.01", "--d", str(d)])
+        r = json.loads(out)
+        assert code == 0
+        assert (f"{doc['family']},{r['criterion']},{r['epsilon']!r},{r['d']},{r['n']},"
+                f"{str(r['saturated']).lower()}") in rows
 
 
 def test_tiny_epsilon_counts_in_log_space(capsys, family_file):
@@ -314,12 +350,13 @@ def test_every_verify_row_fails_on_a_planted_defect(capsys, monkeypatch, row):
 
 def test_oracle_compare(capsys, family_file):
     path = family_file("g.json", GAUSS_DOC)
-    code, out, _ = run(capsys, ["oracle-compare", "--family", path, "--d", "3",
-                                "--m", "150", "--j", "20"])
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["top_max_abs_deviation"] == 0.0
-    assert doc["count_mismatches"] == 0
+    for m, j in (("150", "20"), ("200", "30")):
+        code, out, _ = run(capsys, ["oracle-compare", "--family", path, "--d", "3",
+                                    "--m", m, "--j", j])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["top_max_abs_deviation"] == 0.0
+        assert doc["count_mismatches"] == 0
 
 
 def test_oracle_compare_skips_values_below_the_box_floor(capsys, family_file):

@@ -69,7 +69,12 @@ def test_euler_abs_classify_loads_scipy_and_matches_in_process(tmp_path, capsys)
     ["sweep", "--epsilon", "0.5", "--d", "31,34"],
     ["complexity", "--epsilon", "0.25", "--d", "5"],
     ["complexity", "--epsilon", "0.5", "--d", "35"],
-], ids=["sweep-direct", "sweep-log-space", "complexity-direct", "complexity-log-space"])
+    ["sweep", "--criterion", "nor", "--epsilon", "0.5,0.1,0.01", "--d", "1:20,31:34"],
+    ["sweep", "--criterion", "abs", "--epsilon", "0.5,0.1,0.01", "--d", "1:20,31:34"],
+    ["complexity", "--criterion", "nor", "--epsilon", "0.01", "--d", "35"],
+    ["complexity", "--criterion", "abs", "--epsilon", "0.01", "--d", "35"],
+], ids=["sweep-direct", "sweep-log-space", "complexity-direct", "complexity-log-space",
+        "sweep-grid-nor", "sweep-grid-abs", "complexity-nor", "complexity-abs"])
 def test_counting_commands_leave_numpy_unloaded(tmp_path, capsys, doc, argv):
     # d > 30 counts in log space; both spaces run on the standard library
     path = tmp_path / "family.json"
