@@ -11,7 +11,7 @@ import math
 import os
 import sys
 
-from . import complexity, products, spectra, tractability
+from . import complexity, products, spectra
 from .errors import (
     CapExceededError,
     InvalidInputError,
@@ -153,6 +153,11 @@ def _parse_float_list(text):
 
 
 def _parse_int_list(text):
+    """A --d list: comma-separated integers and ``a:b`` ranges.
+
+    A range is checked before it is expanded: its end may not pass
+    ``products.DIMENSION_CAP``, nor the list grow past that many values.
+    """
     out = []
     for tok in text.split(","):
         if not tok:
@@ -160,9 +165,13 @@ def _parse_int_list(text):
         if ":" in tok:
             lo, hi = tok.split(":", 1)
             try:
-                out.extend(range(int(lo), int(hi) + 1))
+                lo, hi = int(lo), int(hi)
             except ValueError:
                 raise InvalidInputError(f"bad range {tok!r}")
+            if hi > products.DIMENSION_CAP or len(out) + hi - lo >= products.DIMENSION_CAP:
+                raise CapExceededError(
+                    f"range {tok!r} exceeds the dimension cap {products.DIMENSION_CAP}")
+            out.extend(range(lo, hi + 1))
         else:
             try:
                 out.append(int(tok))
@@ -206,6 +215,8 @@ def _dump_json(obj):
 
 
 def run_classify(args) -> int:
+    from . import tractability  # only classify reads it; counting commands must not load it
+
     spec = _load_family(args.family)
     report = tractability.classify(spec, args.criterion)
     _emit(_dump_json(report.to_json_dict()), args.out)

@@ -2,8 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidInputError, UnsupportedCriterionError
 from .xreal import ceil_exp
@@ -14,23 +13,27 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-@dataclass(frozen=True)
-class ComplexityQuery:
+class _ComplexityQuery(NamedTuple):
     epsilon: float
     d: int
     criterion: str = spectra.NOR
 
-    def __post_init__(self):
+
+class ComplexityQuery(_ComplexityQuery):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.epsilon < 1.0:
             raise InvalidInputError(f"epsilon must lie in (0,1), got {self.epsilon}")
         if self.d < 1:
             raise InvalidInputError(f"d must be >= 1, got {self.d}")
         if self.criterion not in (spectra.ABS, spectra.NOR):
             raise InvalidInputError(f"criterion must be 'abs' or 'nor', got {self.criterion!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class ComplexityResult:
+class ComplexityResult(NamedTuple):
     n: int
     threshold: float
     saturated: bool

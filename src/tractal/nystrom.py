@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from math import factorial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +38,7 @@ _NEGATIVE_TOL = 1e-10
 _KOROBOV_BLOCK = 256  # series terms per Gram product in the korobov kernel
 
 
-@dataclass(frozen=True)
-class KernelSpec:
+class KernelSpec(NamedTuple):
     """A univariate kernel together with its integration domain.
 
     kinds: ``euler_iterated(r)``, ``wiener_integral(r)``,
@@ -88,15 +87,13 @@ def gaussian_weighted(gamma_sq: float) -> KernelSpec:
     return KernelSpec(kind="gaussian_weighted", gamma_sq=float(gamma_sq))
 
 
-@dataclass(frozen=True)
-class SpectrumEstimate:
+class SpectrumEstimate(NamedTuple):
     eigenvalues: np.ndarray
     node_count: int
     refinement_error: np.ndarray
 
 
-@dataclass(frozen=True)
-class DeviationReport:
+class DeviationReport(NamedTuple):
     estimated: np.ndarray
     reference: np.ndarray
     deviations: np.ndarray

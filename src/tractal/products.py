@@ -28,10 +28,10 @@ is the one-point case.  Equal eigenvalues of a dimension (the cos and
 sin pairs of the Korobov families) form a run whose members have the same
 ratio, the same dense evaluations and the same subtree, so a count walks one
 member per run, weighted by the run's length.  Top-m walks the same
-chains best first by log value, one member per run, and pushes each visited
+tuples best first by log value, one member per run, and pushes each visited
 tuple's exact dimension-order product into a heap of the m best as many
-times as its chain's weight; the log value only rules out tuples that lie a
-window below the m-th.
+times as its weight; the log value only rules out tuples that lie a window
+below the m-th.
 """
 from __future__ import annotations
 
@@ -40,9 +40,8 @@ import itertools
 import math
 import operator
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import partial, reduce
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import CapExceededError, InvalidInputError
 from . import spectra
@@ -52,6 +51,9 @@ if TYPE_CHECKING:
 
 ENUMERATION_CAP = 10**7
 COUNTING_CAP = 10**8
+# The largest d a problem is built at.  Factors are built eagerly, a few KB
+# each, so d = 10**5 takes ~0.3 GB.
+DIMENSION_CAP = 10**5
 # Log-space values add their logs in dimension order by a plain left fold, not
 # by ``sum``, which compensates from Python 3.12 on: the bits then do not
 # depend on the Python version.
@@ -72,15 +74,20 @@ _FIRST_RATIOS = spectra.FactorSpectrum.HEAD - 1
 _UNCHECKED_RATIOS = 1024
 
 
-@dataclass(frozen=True)
-class CountResult:
+class _CountResult(NamedTuple):
     count: int
     saturated: bool
     cap: int
 
-    def __post_init__(self):
+
+class CountResult(_CountResult):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.saturated and self.count != self.cap:
             raise ValueError("saturated counts must equal the cap")
+        return self
 
 
 class ProductProblem:
@@ -139,6 +146,8 @@ def family_problems(spec, ds):
         if spec.family is spectra.Family.CUSTOM and d > len(spec.tables):
             raise InvalidInputError(
                 f"custom spec provides {len(spec.tables)} tables, requested d={d}")
+        if d > DIMENSION_CAP:
+            raise CapExceededError(f"d={d} exceeds the dimension cap {DIMENSION_CAP}")
         factors.extend(spec.factor(k) for k in range(len(factors) + 1, d + 1))
         yield ProductProblem(factors[:d], family=spec)
 
@@ -151,17 +160,22 @@ def product_eigenvalues_top(problem: ProductProblem, m: int) -> np.ndarray:
     (:data:`log_fold`) of their ``math.log`` in log space (see the module
     docstring).
 
-    The tuples are the excitations of (1, ..., 1), held as the chains of
-    :func:`_walk`: a node's children excite one dimension after its last
-    excited one, a child's log normalised value ``V`` is its parent's minus
-    one ``-ln`` ratio, and its fold is rebuilt from the leads and its chain.
-    A frontier visits them best ``V`` first, and a min-heap keeps the m best
-    folds found so far.  A child's later siblings enter the frontier once it
-    is visited, and its children in dimensions >= k as one entry keyed by the
-    bound ``hmax[k]``, so a visit costs a fold and a few pushes, not one per
-    dimension.  As in counts, one member per run of equal eigenvalues is
-    visited, and its fold enters the heap once per tuple its chain stands
-    for, at most m times.
+    The tuples are the excitations of (1, ..., 1), walked as :func:`_walk`
+    walks them: a node's children excite one dimension after its last
+    excited one, and a child's log normalised value ``V`` is its parent's
+    minus one ``-ln`` ratio.  A frontier visits them best ``V`` first, and a
+    min-heap keeps the m best folds found so far.  A child's later siblings
+    enter the frontier once it is visited, and its children in dimensions
+    >= k as one entry keyed by the bound ``hmax[k]``, so a visit costs a
+    fold and a few pushes, not one per dimension.  As in counts, one member
+    per run of equal eigenvalues is visited, with a weight ``W``, the number
+    of tuples it stands for; its fold enters the heap W times, at most m.
+
+    An entry of dimension k carries, in place of its parent's chain, the
+    fold ``P`` of its parent's terms in dimensions < k, from the identity
+    (1.0, or -0.0 in log space) on.  A child of dimension k folds its own
+    term onto P, then the leads after k: the same operations in the same
+    order as the whole fold, and one eigenvalue read per visit.
 
     Once the frontier's best ``V`` lies a borderline window below the heap's
     least fold, no tuple left can rank, and the walk stops.  A visited tuple
@@ -176,39 +190,38 @@ def product_eigenvalues_top(problem: ProductProblem, m: int) -> np.ndarray:
         raise CapExceededError(f"m={m} exceeds the enumeration cap {ENUMERATION_CAP}")
     facs = problem.factors
     use_log = problem.uses_log
-    fold = log_fold if use_log else math.prod
-    term = math.log if use_log else float
+    term, op, one = (math.log, operator.add, -0.0) if use_log else (float, operator.mul, 1.0)
     band = _band(problem, use_log)
     hmax = _hmax(problem)
     neg = [[] for _ in range(problem.d)]
     runs = [None] * problem.d  # as in _walk
     root = [term(f.leading) for f in facs]
-    heap = [fold(root)]
+    heap = [log_fold(root) if use_log else math.prod(root)]
     lo = -math.inf  # no child is dropped unfolded until the heap holds m folds
     frontier = []
     seq = itertools.count()
 
-    def push(key, k, i, V, exc):
+    def push(key, k, i, V, W, P):
         if key > lo:  # never at a zero eigenvalue, where the key is -inf
-            heapq.heappush(frontier, (-key, next(seq), k, i, V, exc))
+            heapq.heappush(frontier, (-key, next(seq), k, i, V, W, P))
 
     if m > 1:
-        push(hmax[0], 0, -1, 0.0, None)
+        push(hmax[0], 0, -1, 0.0, 1, one)
     while frontier:
-        key, _, k, i, V, exc = heapq.heappop(frontier)
+        key, _, k, i, V, W, P = heapq.heappop(frontier)
         if -key <= lo:  # so is every node left, and every node not yet pushed
             break
         if i < 0:
             # the node's children in dimensions >= k, keyed by their bound hmax
-            push(V + hmax[k + 1], k + 1, -1, V, exc)
+            push(V + hmax[k + 1], k + 1, -1, V, W, op(P, root[k]))
             n = 1  # its first child is the sibling after i = -1
         else:
             n = runs[k][i] if runs[k] else 1
-            node = (k, i + 2, exc, (exc[3] if exc else 1) * n)
-            f = fold(_tuple_terms(facs, root, node, term))
+            Pk = op(P, term(facs[k].eigenvalue(i + 2)))
+            f = log_fold(root[k + 1:], Pk) if use_log else math.prod(root[k + 1:], start=Pk)
             if len(heap) == m and f <= heap[0]:
                 continue
-            for _ in range(min(node[3], m)):
+            for _ in range(min(W * n, m)):
                 if len(heap) < m:
                     heapq.heappush(heap, f)
                 elif f > heap[0]:
@@ -217,14 +230,14 @@ def product_eigenvalues_top(problem: ProductProblem, m: int) -> np.ndarray:
                     break
             if len(heap) == m:
                 lo = band(heap[0])[0]
-            push(-key + hmax[k + 1], k + 1, -1, -key, node)
+            push(-key + hmax[k + 1], k + 1, -1, -key, W * n, Pk)
         # the next sibling: a node and i + n children ranked before it fill
         # the heap with folds no smaller than its own, so no node needs m children
         i += n
         if i + 1 < m:
             if i == len(neg[k]):
                 _grow_ratios(facs[k], neg, runs, k, m - 1)
-            push(V - neg[k][i], k, i, V, exc)
+            push(V - neg[k][i], k, i, V, W, P)
     if len(heap) < m:
         raise InvalidInputError("spectrum exhausted before m values (zero eigenvalue hit)")
     heap.sort(reverse=True)
@@ -497,13 +510,13 @@ def _grow_ratios(fac, neg, runs, k, limit):
     nl.extend(block)
 
 
-def _tuple_terms(facs, root, exc, term=float):
-    """The d terms of the tuple that the chain exc excites, in dimension
-    order: root's, with ``term(lam(k, j))`` at each excited coordinate (k, j)."""
+def _tuple_terms(facs, root, exc):
+    """The d eigenvalues of the tuple that the chain exc excites, in
+    dimension order: root's, with ``lam(k, j)`` at each excited coordinate (k, j)."""
     terms = root.copy()
     while exc is not None:
         k, j, exc, _ = exc
-        terms[k] = term(facs[k].eigenvalue(j))
+        terms[k] = facs[k].eigenvalue(j)
     return terms
 
 

@@ -22,8 +22,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import InvalidInputError, UndecidableError
 from .xreal import INF
@@ -35,8 +34,7 @@ _ADVISORY_SLACK = 0.1
 _UNDERFLOW_TINY = 1e-300
 
 
-@dataclass(frozen=True)
-class SequenceDescriptor:
+class SequenceDescriptor(NamedTuple):
     kind: str
     c: float = 1.0
     alpha: float = 0.0

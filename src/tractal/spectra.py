@@ -38,9 +38,8 @@ import enum
 import math
 import operator
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import (
     ApproximateOnlyError,
@@ -71,19 +70,23 @@ ABS = "abs"
 NOR = "nor"
 
 
-@dataclass(frozen=True)
-class TailModel:
+class _TailModel(NamedTuple):
+    kind: str
+    ratio: float = 0.0
+    exponent: float = 0.0
+
+
+class TailModel(_TailModel):
     """Decay model for a tabulated spectrum beyond its last entry.
 
     ``geometric``: lam(J+i) = lam(J) * ratio**i.
     ``power``:     lam(j) = lam(J) * (J/j)**exponent for j > J.
     """
 
-    kind: str
-    ratio: float = 0.0
-    exponent: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind == "geometric":
             if not 0.0 < self.ratio < 1.0:
                 raise InvalidInputError(f"geometric tail ratio must be in (0,1), got {self.ratio}")
@@ -93,10 +96,10 @@ class TailModel:
                     f"tail: power exponent must be positive and finite, got {self.exponent}")
         else:
             raise InvalidInputError(f"unknown tail model kind {self.kind!r}")
+        return self
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """A kernel family plus the parameter sequences it requires."""
 
     family: Family

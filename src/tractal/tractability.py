@@ -16,8 +16,9 @@ family) is carried honestly instead of being collapsed to a point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from collections.abc import Mapping
+from types import MappingProxyType
+from typing import NamedTuple, Optional
 
 from .errors import InvalidInputError, UnsupportedCriterionError
 from .sequences import SequenceDescriptor
@@ -66,12 +67,12 @@ def korobov_exp_weight_spt_exponent(r: SequenceDescriptor) -> Optional[float]:
     return max(1.0 / r.value(1), R / math.log(2.0 * math.pi))
 
 
-@dataclass(frozen=True)
-class TractabilityReport:
+class TractabilityReport(NamedTuple):
     """Flags and exponents; None marks a question the theory leaves open.
 
     PT is equivalent to SPT, and UWT, WT and the absence of the curse to
-    QPT, so those four are read from ``spt`` and ``qpt``.
+    QPT, so those four are read from ``spt`` and ``qpt``.  ``provenance``
+    defaults to an empty read-only mapping, so no two reports share a dict.
     """
 
     criterion: str
@@ -82,7 +83,7 @@ class TractabilityReport:
     a_star: Optional[float]
     b: Optional[float]
     tau0: Interval
-    provenance: dict = field(default_factory=dict)
+    provenance: Mapping = MappingProxyType({})
 
     @property
     def pt(self) -> Optional[bool]:

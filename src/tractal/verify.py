@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -21,8 +20,7 @@ from . import nystrom, products, spectra, tractability
 from .sequences import SequenceDescriptor as S
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """A row of the table; it passes exactly when ``measure() < threshold``."""
 
     name: str

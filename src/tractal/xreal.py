@@ -8,7 +8,7 @@ The arithmetic conventions used by the exponent formulas are fixed here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 INF = math.inf
 
@@ -39,16 +39,24 @@ def ceil_exp(log_value: float) -> int:
     return mantissa << shift
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Closed interval [lo, hi] of extended reals with lo <= hi."""
-
+# A NamedTuple body may not define __new__, so a record that checks its
+# fields (as CountResult, ComplexityQuery and TailModel also do) does so in
+# a subclass of its private field tuple.
+class _Interval(NamedTuple):
     lo: float
     hi: float
 
-    def __post_init__(self):
+
+class Interval(_Interval):
+    """Closed interval [lo, hi] of extended reals with lo <= hi."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if math.isnan(self.lo) or math.isnan(self.hi) or self.lo > self.hi:
             raise ValueError(f"invalid interval [{self.lo}, {self.hi}]")
+        return self
 
     @classmethod
     def point(cls, x: float) -> "Interval":

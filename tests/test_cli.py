@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tractal import cli, nystrom, products, tractability, verify
+from tractal import cli, nystrom, products, spectra, tractability, verify
 from tractal.errors import TractalError
 
 import helpers
@@ -376,6 +376,30 @@ def test_oracle_compare_box_over_the_cap(capsys, family_file):
     path = family_file("g.json", GAUSS_DOC)  # 30**5 > 10**7 box products
     code, out, err = run(capsys, ["oracle-compare", "--family", path, "--d", "5", "--j", "30"])
     assert code == 4 and out == "" and "exceeds" in err
+
+
+@pytest.mark.parametrize("command", [["sweep"], ["complexity"], ["oracle-compare", "--m", "5"]])
+@pytest.mark.parametrize("d", [str(10 ** 20), f"1:{10 ** 12}", f"{-10 ** 12}:5",
+                               f"1:{products.DIMENSION_CAP},2:3"],
+                         ids=["huge-d", "huge-range", "long-range", "long-list"])
+def test_dimension_past_the_cap_exits_4_building_no_factor(capsys, family_file, monkeypatch,
+                                                           command, d):
+    """Factors are built eagerly, so a d past DIMENSION_CAP is refused before
+    the first one, and a range before it is expanded.  A factor build fails
+    the test at once rather than going on to fill the memory."""
+    def refuse(self, value):
+        raise AssertionError("a factor was built")
+
+    monkeypatch.setattr(spectra.FactorSpectrum, "__init__", refuse)
+    spectra._factor.cache_clear()
+    path = family_file("k.json", KOROBOV_DOC)
+    code, out, err = run(capsys, command[:1] + ["--family", path, f"--d={d}"] + command[1:])
+    assert (code, out) == (4, "")
+    assert "dimension cap" in err
+
+
+def test_dimension_cap_admits_a_range_to_the_cap():
+    assert cli._parse_int_list(f"1:{products.DIMENSION_CAP}")[-1] == products.DIMENSION_CAP
 
 
 @pytest.mark.parametrize("d", ["2:4", "2,3"])

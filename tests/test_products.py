@@ -147,9 +147,9 @@ def test_top_with_runs_matches_box_oracle(problem, m, J):
 
 
 def test_top_memory_per_value():
-    """A top-m frontier entry holds its tuple as a chain of excited
-    coordinates, not a d-long list of terms: 5000 values at d = 20 peak
-    near 0.45 MB (2.35 MB with a list per tuple)."""
+    """A top-m frontier entry holds its tuple as a prefix fold and a
+    weight, not a d-long list of terms: 5000 values at d = 20 peak near
+    0.42 MB (2.35 MB with a list per tuple)."""
     p = ProductProblem.from_family(spectra.korobov(S.constant(1.0), S.power(1.0, -2.0)), 20)
     tracemalloc.start()
     try:
