@@ -10,6 +10,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 from . import complexity, products, spectra
 from .errors import (
@@ -390,17 +391,20 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_INVALID_INPUT if exc.code not in (0, None) else 0
-    try:
-        return _COMMANDS[args.command](args)
-    except UnsupportedCriterionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED_CRITERION
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE_CAP
-    except (InvalidInputError, TractalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
+    with warnings.catch_warnings():
+        # a library warning is one line, as an error is, with no source location
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return _COMMANDS[args.command](args)
+        except UnsupportedCriterionError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_UNSUPPORTED_CRITERION
+        except CapExceededError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_RESOURCE_CAP
+        except (InvalidInputError, TractalError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INVALID_INPUT
 
 
 if __name__ == "__main__":

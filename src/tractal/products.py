@@ -10,8 +10,9 @@ Counting and top-m both walk only the excitations of (1, ..., 1).  Divided
 by the leading product, a tuple's value is the product of the ratios
 lam(k, j_k)/lam(k, 1) over its coordinates with j_k >= 2, and almost every
 tuple near the top has few of those, so a tuple's log value costs one
-subtraction from its parent's, whatever d is.  Both walks read the ratios
-from the same lazily grown ``-ln`` lists and prune on the same bound.
+subtraction from its parent's, whatever d is.  Both walks read the ``-ln``
+ratios in place from each factor's head, build longer ones for a dimension
+only when they read past it, and prune on the same bound.
 
 A count decides the tuples within a small relative window of the threshold
 by the dense dimension-order evaluation, in direct or log space as above, so
@@ -66,8 +67,6 @@ _DIRECT_LOG_FLOOR = -300.0
 # fewer than 3d + 20 rounded steps, each off by at most an ulp of those
 # magnitudes (``math.log`` is within one ulp); the factor 4 is margin.
 _WINDOW_ULPS = 4 * 2.0 ** -53
-# the first ratios read of a dimension are those of the factor's head
-_FIRST_RATIOS = spectra.FactorSpectrum.HEAD - 1
 # A ratio list grows past this length only after reading the ratio at which
 # its coordinate alone would saturate the count (see _walk_group).  Shorter
 # lists are small, and the read would cost almost every count time for nothing.
@@ -100,7 +99,9 @@ class ProductProblem:
         self.factors = factors
         self.family = family
         self.d = len(factors)
-        self.log_leads = [math.log(f.leading) for f in factors]
+        # lam(k, 1) and its log for each k, the root's eigenvalues
+        self.leads = [f.leading for f in factors]
+        self.log_leads = [f.log_leading for f in factors]
         # suffix_leading[k] = prod_{k' >= k} lam(k', 1), 0-indexed, length d+1,
         # and log_suffix_leading the same sums of logs, both folded from the end
         self.suffix_leading = [1.0] * (self.d + 1)
@@ -193,9 +194,9 @@ def product_eigenvalues_top(problem: ProductProblem, m: int) -> np.ndarray:
     term, op, one = (math.log, operator.add, -0.0) if use_log else (float, operator.mul, 1.0)
     band = _band(problem, use_log)
     hmax = _hmax(problem)
-    neg = [[] for _ in range(problem.d)]
-    runs = [None] * problem.d  # as in _walk
-    root = [term(f.leading) for f in facs]
+    neg = [f.neg_log_head for f in facs]  # as in _walk
+    runs = [f.head_runs for f in facs]
+    root = problem.log_leads if use_log else problem.leads
     heap = [log_fold(root) if use_log else math.prod(root)]
     lo = -math.inf  # no child is dropped unfolded until the heap holds m folds
     frontier = []
@@ -302,17 +303,16 @@ def check_cap(cap):
 class _Point:
     """One threshold of a walk: its problem, its window and its count so far."""
 
-    __slots__ = ("problem", "T", "log_space", "d", "lo", "hi", "leads", "extra")
+    __slots__ = ("problem", "T", "log_space", "d", "lo", "hi", "extra")
 
-    def __init__(self, problem, T, log_space, lo, hi, leads):
+    def __init__(self, problem, T, log_space, lo, hi):
         self.problem, self.T, self.log_space = problem, T, log_space
         self.d, self.lo, self.hi = problem.d, lo, hi
-        self.leads = leads      # lam(k, 1) for each k, the root's eigenvalues
         self.extra = 0          # children accepted beyond the band's sure ones
 
     def accepts(self, exc, k, j):
         """The dense rule's decision for the child exciting (k, j) of exc."""
-        lams = _tuple_terms(self.problem.factors, self.leads, (k, j, exc, 0))
+        lams = _tuple_terms(self.problem.factors, self.problem.leads, (k, j, exc, 0))
         return _dense_rule(self.problem, lams, self.T, self.log_space)
 
 
@@ -322,10 +322,13 @@ def _walk(points, cap):
     A node is a tuple, held as its log normalised value
     ``V = sum_k ln(lam(k, j_k) / lam(k, 1))`` (zero at the root) and the
     chain of its excited coordinates.  Its children excite one more
-    dimension after its last excited one.  ``neg[k]`` lists
+    dimension after its last excited one.  ``neg[k]`` holds
     ``-ln(lam(k, j) / lam(k, 1))`` for j = 2, 3, ... (ascending; zero
     eigenvalues give +inf), so the children of a node in dimension k that
-    clear a bound are a prefix found by bisection.  The walk over a node's
+    clear a bound are a prefix found by bisection.  It starts as factor k's
+    ``neg_log_head`` tuple, read in place, and ``runs[k]`` as its
+    ``head_runs``; only a walk that reads past the head gives the dimension
+    longer tuples of its own (:func:`_grow_ratios`).  The walk over a node's
     dimensions stops once the node times the largest second ratio
     ``h_k = lam(k,2)/lam(k,1)`` among those left falls below the bound; h
     need not be monotone in k.
@@ -364,13 +367,10 @@ def _walk(points, cap):
         if key in results:
             continue
         lo, hi = _band(sub, log_space)(T)
-        leads = [f.leading for f in sub.factors]
-        if not (0.0 > lo and (0.0 > hi or _dense_rule(sub, leads, T, log_space))):
+        if not (0.0 > lo and (0.0 > hi or _dense_rule(sub, sub.leads, T, log_space))):
             results[key] = CountResult(0, False, cap)
-        elif cap == 1:
-            results[key] = CountResult(cap, True, cap)
         else:
-            open_pts.append(_Point(sub, T, log_space, lo, hi, leads))
+            open_pts.append(_Point(sub, T, log_space, lo, hi))
     bands = []
     for pt in sorted(open_pts, key=operator.attrgetter("lo")):
         if bands and pt.lo <= band_hi:
@@ -379,11 +379,12 @@ def _walk(points, cap):
         else:
             bands.append([pt])
             band_hi = pt.hi
-    # the bands share the ratio lists, whose dimension k is read by every band
-    # of d > k; runs[k] lists the runs of equal eigenvalues read in neg[k] (see
+    # the bands share the ratios, whose dimension k is read by every band of
+    # d > k; runs[k] gives the runs of equal eigenvalues in neg[k] (see
     # FactorSpectrum.ratio_runs), or is None while no run is longer than one
-    neg = [[] for _ in range(max((p.d for p in open_pts), default=0))]
-    runs = [None] * len(neg)
+    facs = max(open_pts, key=operator.attrgetter("d")).problem.factors if open_pts else ()
+    neg = [f.neg_log_head for f in facs]
+    runs = [f.head_runs for f in facs]
     for band in bands:
         band.sort(key=operator.attrgetter("d"))
         for pt, n in zip(band, _walk_group(band, cap, neg, runs)):
@@ -435,10 +436,10 @@ def _walk_group(band, cap, neg, runs):
                         raw = 0
                         room = cap - tot
                         if room <= 0 or (nl[room - 1] if room <= len(nl) else
-                                         facs[k].neg_log_ratios(room + 1, room + 2)[0]) < V - hi:
+                                         facs[k].ratio_runs(room + 1, room + 2)[0][0]) < V - hi:
                             tot = cap
                             break
-                    _grow_ratios(facs[k], neg, runs, k, cap)
+                    nl = _grow_ratios(facs[k], neg, runs, k, cap)
                     m = bisect_left(nl, key, m)
                 if tot >= cap:
                     # the top is full: close it, then walk the node from k on again
@@ -499,15 +500,16 @@ def _borderline(pts, nl, ln, V, k, exc, W, n, m):
 
 
 def _grow_ratios(fac, neg, runs, k, limit):
-    """Extend ``neg[k]`` by its next block of ``-ln`` ratios from factor fac,
-    to at most ``limit`` of them, and ``runs[k]`` with it (see :func:`_walk`)."""
+    """Replace ``neg[k]`` and ``runs[k]`` (see :func:`_walk`) by new tuples
+    extended by the next block from factor fac, to twice as many ratios but
+    at most ``limit``, and return the new ``neg[k]``; the old ones, the
+    factor's head at first, are left as they are."""
     nl = neg[k]
-    block, ln = fac.ratio_runs(len(nl) + 2, min(max(2 * len(nl), _FIRST_RATIOS), limit) + 2)
-    if ln is not None and runs[k] is None:
-        runs[k] = [1] * len(nl)
-    if runs[k] is not None:
-        runs[k].extend(ln or [1] * len(block))
-    nl.extend(block)
+    block, ln = fac.ratio_runs(len(nl) + 2, min(2 * len(nl), limit) + 2)
+    if ln is not None or runs[k] is not None:
+        runs[k] = (runs[k] or (1,) * len(nl)) + (ln or (1,) * len(block))
+    neg[k] = nl = nl + block
+    return nl
 
 
 def _tuple_terms(facs, root, exc):
@@ -649,13 +651,8 @@ def _box_rows(problem, J):
 
 
 def oracle_validity_floor(problem: ProductProblem, J: int) -> float:
-    """Thresholds above this value are counted exactly by the J-box oracle."""
-    floors = []
-    for k, fac in enumerate(problem.factors):
-        # prod_{k' != k} lam(k', 1)
-        prod = 1.0
-        for kk, f2 in enumerate(problem.factors):
-            if kk != k:
-                prod *= f2.leading
-        floors.append(fac.eigenvalue(J) * prod)
-    return max(floors)
+    """Thresholds above this value are counted exactly by the J-box oracle:
+    max_k lam(k, J) * prod_{k' != k} lam(k', 1)."""
+    leads = problem.leads
+    return max(fac.eigenvalue(J) * math.prod(leads[:k] + leads[k + 1:])
+               for k, fac in enumerate(problem.factors))

@@ -23,9 +23,11 @@ Family summary (``j >= 1``, ``m = floor(j/2)``):
 Each formula is written once, as a scalar function of j on Python floats, so
 an eigenvalue has the same bits however it is read and on every CPU (numpy's
 vectorised ``power`` may round differently from the C library).  A
-:class:`FactorSpectrum` is read four ways, all from that function:
-``eigenvalue(j)``, ``values(j0, j1)``, ``neg_log_ratios(j0, j1)`` and
-``ratio_runs(j0, j1)``, the ratios with their runs of equal eigenvalues.  numpy
+:class:`FactorSpectrum` is read three ways, all from that function:
+``eigenvalue(j)``, ``values(j0, j1)`` and ``ratio_runs(j0, j1)``, the
+``-ln`` ratios to the leading value with their runs of equal eigenvalues.
+The walks of :mod:`tractal.products` start from the ratios and runs the
+factor holds for its head, and read past it through ``ratio_runs``.  numpy
 is imported only by the functions that return arrays, so counting runs on
 the standard library alone.
 
@@ -198,16 +200,17 @@ class FactorSpectrum:
 
     ``value(j)``, the family's closed form as a scalar function of j, is the
     one source of every eigenvalue, read through :meth:`eigenvalue`,
-    :meth:`values`, :meth:`neg_log_ratios` and :meth:`ratio_runs`.  The first
-    ``HEAD`` values are kept as the tuple ``head``, with ``neg_log_head``, the
-    ratios ``-ln(lam(j)/lam(1))`` for 2 <= j <= HEAD, and ``head_runs``, the
-    runs of equal eigenvalues among those j as :meth:`ratio_runs` gives them;
-    all three are computed at build.  Longer requests are evaluated and never
-    stored."""
+    :meth:`values` and :meth:`ratio_runs`.  The first ``HEAD`` values are
+    kept as the tuple ``head``, with ``leading`` and ``log_leading``, lam(1)
+    and its ``math.log``; ``neg_log_head``, the ratios ``-ln(lam(j)/lam(1))``
+    for 2 <= j <= HEAD; and ``head_runs``, the runs of equal eigenvalues
+    among those j as :meth:`ratio_runs` gives them.  All are computed at
+    build, and the count and top-m walks read the last two in place.  Longer
+    requests are evaluated and never stored."""
 
-    __slots__ = ("leading", "_value", "head", "neg_log_head", "head_runs")
-    # A count or top-m walk first reads 32 ratios of a dimension, j = 2..33,
-    # and rarely more; a longer head would cost every factor built more logs.
+    __slots__ = ("leading", "log_leading", "_value", "head", "neg_log_head", "head_runs")
+    # A count or top-m walk starts from the 32 ratios j = 2..33 of a dimension
+    # and rarely reads more; a longer head would cost every factor built more logs.
     HEAD = 33
 
     def __init__(self, value):
@@ -218,6 +221,7 @@ class FactorSpectrum:
             raise InvalidInputError("leading eigenvalue underflows below the smallest double")
         if not self.leading > 0:
             raise InvalidInputError("leading eigenvalue must be positive")
+        self.log_leading = math.log(self.leading)
         self.neg_log_head = self._neg_logs(self.head[1:])
         self.head_runs = _run_lengths(self.head[1:])
 
@@ -232,29 +236,20 @@ class FactorSpectrum:
             return self.head[j0 - 1:j1 - 1]
         return self.head[j0 - 1:] + tuple(map(self._value, range(max(j0, self.HEAD + 1), j1)))
 
-    def neg_log_ratios(self, j0: int, j1: int) -> tuple:
-        """-ln(lam(j)/lam(1)) for 2 <= j0 <= j < j1; +inf at a zero eigenvalue."""
-        head = self.neg_log_head[j0 - 2:j1 - 2]
-        if j0 + len(head) == j1:
-            return head
-        return head + self._neg_logs(self.values(j0 + len(head), j1))
-
     def ratio_runs(self, j0: int, j1: int) -> tuple:
-        """``neg_log_ratios(j0, j1)`` and the runs of equal eigenvalues there.
+        """-ln(lam(j)/lam(1)) for 2 <= j0 <= j < j1 (+inf at a zero
+        eigenvalue), and the runs of equal eigenvalues there.
 
         The runs are None when no two neighbours lam(j), lam(j + 1) in the
         range are equal, else a tuple whose entry j - j0 is the length of the
         run that starts at j, and 0 for a j inside a run.  Only the range is
         read, so a run that continues past j1 - 1 ends there.
         """
-        if j0 == 2 and j1 == self.HEAD + 1:
-            return self.neg_log_head, self.head_runs
         vals = self.values(j0, j1)
-        head = self.neg_log_head[j0 - 2:j1 - 2]
-        return head + self._neg_logs(vals[len(head):]), _run_lengths(vals)
+        return self._neg_logs(vals), _run_lengths(vals)
 
     def _neg_logs(self, vals):
-        log_lead = math.log(self.leading)
+        log_lead = self.log_leading
         return tuple([log_lead - math.log(v) if v > 0.0 else math.inf for v in vals])
 
     def scaled(self, c: float) -> "FactorSpectrum":
@@ -378,9 +373,11 @@ def factor_eigenvalue(spec: FamilySpec, k: int, j: int, require_exact: bool = Fa
 def second_ratio(spec: FamilySpec, k: int) -> float:
     """h_k = lam(k,2)/lam(k,1), from the family closed form.
 
-    The wiener family has no closed form; the decay envelope
-    ``f_k = (1+r_k)**-2`` is returned in its place (the true ratio lies
-    within constant factors of it, with unknown constants).
+    For the wiener family that is the ratio of the values its factors hold,
+    the euler formula (exact for r_k = 0, leading-order beyond), so traces
+    read the same spectrum as counts.  Its verdicts use the decay envelope
+    ``(1+r_k)**-2`` of the true ratios instead (see
+    :func:`second_ratio_limits`).
     """
     if spec.family is Family.CUSTOM:
         row = spec.tables[min(k, len(spec.tables)) - 1]
@@ -393,10 +390,8 @@ def _second_ratio_map(spec: FamilySpec):
     """The parameter sequence h_k depends on, and h_k as a function of its
     k-th value; the function also maps the parameter's limit to lim h_k."""
     fam = spec.family
-    if fam is Family.EULER:
+    if fam in (Family.EULER, Family.WIENER):
         return spec.r, lambda r: 3.0 ** (-(2.0 * r + 2.0))
-    if fam is Family.WIENER:
-        return spec.r, lambda r: (1.0 + r) ** -2.0
     if fam is Family.KOROBOV:
         return spec.g, lambda g: g
     if fam is Family.GAUSSIAN:
@@ -568,7 +563,9 @@ def second_ratio_limits(spec: FamilySpec) -> tuple[Optional[float], Optional[flo
     """(A, lim h_k) for the second ratios h_k, A = liminf ln(1/h_k)/ln k.
 
     Each is composed through the family map from the parameter's closed-form
-    or declared asymptotics, and is None where those do not decide it.
+    or declared asymptotics, and is None where those do not decide it.  For
+    the wiener family A is the rate of the envelope ``(1+r_k)**-2``, and
+    the limit, that of the held ratios, decides no verdict.
     """
     fam = spec.family
     if fam is Family.CUSTOM:

@@ -303,6 +303,27 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
         {"name": "broken", "deviation": 1.0, "threshold": 0.1, "pass": False}]}
 
 
+@pytest.mark.parametrize("failing", [None] + [row.name for row in verify.CHECKS])
+def test_verify_all_runs_every_row_once_in_table_order(capsys, monkeypatch, failing):
+    """``verify --suite all`` runs each row of the table once, in table
+    order, and exits 1 exactly when a row fails.  Each row's measure is
+    stubbed: the acceptance tests run the real rows."""
+    measured = []
+
+    def stub(row):
+        dev = row.threshold if row.name == failing else 0.0
+        return row._replace(measure=lambda: measured.append(row.name) or dev)
+
+    monkeypatch.setattr(verify, "CHECKS", tuple(map(stub, verify.CHECKS)))
+    code, out, _ = run(capsys, ["verify", "--suite", "all"])
+    names = [row.name for row in verify.CHECKS]
+    assert len(set(names)) == len(names) and measured == names
+    assert code == (0 if failing is None else 1)
+    assert json.loads(out) == {"suite": "all", "pass": failing is None, "checks": [
+        {"name": row.name, "deviation": row.threshold if row.name == failing else 0.0,
+         "threshold": row.threshold, "pass": row.name != failing} for row in verify.CHECKS]}
+
+
 def _planted_defect(row):
     """(module, attribute, original -> defective replacement) for a row."""
     def shift(delta):
@@ -495,6 +516,23 @@ def test_custom_document(capsys, family_file):
                                 "--epsilon", "0.4", "--d", "2"])
     assert code == 0
     assert json.loads(out)["n"] >= 1
+
+
+def test_classify_prints_a_library_warning_as_one_line(capsys, family_file):
+    """A custom table without tau0 warns; the CLI prints the warning as it
+    prints errors, without a source path or line, and the report is the
+    library's."""
+    doc = {"family": "custom", "tables": [[1.0, 0.5, 0.25]]}
+    path = family_file("c.json", doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        report = tractability.classify(cli._load_family(path), "nor")
+    for _ in range(2):  # every command prints it, not only the first in a process
+        code, out, err = run(capsys, ["classify", "--family", path])
+        assert code == 0
+        assert err == ("warning: tabulated spectrum has no declared tau0; reporting the "
+                       "uninformative interval [0, +oo)\n")
+        assert out == json.dumps(report.to_json_dict(), indent=2) + "\n"
 
 
 def test_family_documents_parse():

@@ -199,3 +199,37 @@ def test_values_beyond_the_double_range_are_inf(evaluate):
         warnings.simplefilter("error")
         vals = evaluate()
     assert vals[0] < math.inf and vals[-1] == math.inf
+
+
+@pytest.mark.parametrize("r", [0, 1, 2, 3])
+def test_wiener_normalized_traces_are_euler_bit_for_bit(r):
+    """wiener(r)'s factors hold the euler formula, so its normalized traces
+    and functionals are euler(r)'s, bit for bit (at r = 0 the two spectra are
+    the same)."""
+    tau, D = 0.8, 5
+    wiener, euler = spectra.wiener(S.constant(r)), spectra.euler(S.constant(r))
+    for d in (1, 3, D):
+        pw, pe = (ProductProblem.from_family(spec, d) for spec in (wiener, euler))
+        assert log_normalized_trace(pw, tau) == log_normalized_trace(pe, tau)
+        assert lemma_bound(pw, 0.05, tau) == lemma_bound(pe, 0.05, tau)
+    assert pt_functional(wiener, tau, 1.0, D).tobytes() == pt_functional(euler, tau, 1.0, D).tobytes()
+    assert qpt_functional(wiener, tau, D).tobytes() == qpt_functional(euler, tau, D).tobytes()
+
+
+@pytest.mark.parametrize("spec, tau", [
+    (spectra.euler(S.explicit([0, 1, 1, 2])), 0.8),
+    (spectra.wiener(S.explicit([0, 0, 1, 3])), 0.8),
+    (spectra.korobov(S.constant(1.0), S.power(1.0, -2.0)), 0.8),
+    (spectra.gaussian(S.power(1.0, -1.0)), 0.5),
+    (spectra.analytic_korobov(0.5, S.explicit([1.0, 1.5, 2.0]), S.constant(1.2)), 0.5),
+    (spectra.custom_tabulated([[2.0, 0.5, 0.25, 0.125], [0.5, 0.3, 0.09]] * 3,
+                              tail=spectra.TailModel("geometric", ratio=0.5), tau0=0.0), 0.7),
+], ids=lambda x: x.family.value if isinstance(x, spectra.FamilySpec) else str(x))
+def test_normalized_trace_is_the_trace_over_the_leading_power(spec, tau):
+    """exp(log_normalized_trace) is trace_sum / L**tau, L the leading
+    product, for every family (wiener's normalized trace used to read its
+    second-ratio envelope: 3.10 against pi**2/8 at d = 1, tau = 1)."""
+    for d in range(1, 6):
+        p = ProductProblem.from_family(spec, d)
+        want = products.trace_sum(p, tau) / p.leading_product ** tau
+        assert math.exp(log_normalized_trace(p, tau)) == pytest.approx(want, rel=1e-12)

@@ -23,6 +23,7 @@ from tractal.products import (
 from tractal.sequences import SequenceDescriptor as S
 
 import helpers
+from test_spectra import RUN_TABLE
 
 KINDS = ("family", "permuted", "scaled", "custom_zero_tail", "anchor", "runs")
 CAP = 400
@@ -233,6 +234,34 @@ def test_runs_across_head_and_growth_boundaries(d):
         assert assert_matches_dense(sub, T, log_space, cap=10 ** 6) is not None
 
 
+# Each factor holds its first 32 ratios, j = 2..33, and the walks read past
+# them in blocks (34..65, then doubling).  Korobov pairs j = 2m, 2m + 1; a
+# table with a run j = 32..35 across the head and zeros from j = 38; and a
+# geometric spectrum.
+HEAD_SPECS = {
+    "korobov": ANCHOR,
+    "run-table": spectra.custom_tabulated(RUN_TABLE.tables * 3, tau0=0.0),
+    "gaussian": spectra.gaussian(S.constant(4.0)),
+}
+
+
+@pytest.mark.parametrize("name", HEAD_SPECS)
+@pytest.mark.parametrize("d", [1, 3])
+def test_counts_at_caps_around_the_head(name, d):
+    """Thresholds on the tuples exciting j on either side of the head and
+    of the first block, in direct and log space, counted at caps on either
+    side of the head's 32 ratios and of the first block's end, against the
+    dense counter."""
+    p = ProductProblem.from_family(HEAD_SPECS[name], d)
+    for j in (2, 32, 33, 34, 35, 65, 66):
+        if p.factors[0].eigenvalue(j) == 0.0:
+            continue
+        for js in ([j] + [1] * (d - 1), [2] * (d - 1) + [j]):
+            for log_space in (False, True):
+                assert_caps_match_dense(p, dense_value(p, js, log_space), log_space,
+                                        (1, 2, 31, 32, 33, 34, 64, 65, 66))
+
+
 def test_runs_are_keyed_on_eigenvalues_not_ratios():
     """lam(2) and lam(3) are an ulp apart with equal -ln ratios; a direct
     threshold on the lower one counts the upper one alone, and in log space,
@@ -389,18 +418,14 @@ def test_growth_guard_closes_a_band_top_while_a_lower_point_stays_open(monkeypat
     B = spectra.korobov(S.constant(0.6), S.constant(1.0)).factor(1)
     points = [(ProductProblem([A]), -10.0, True), (ProductProblem([A, B]), -10.0, True)]
     grown, guard_reads = [], []
-    ratio_runs, neg_log_ratios = spectra.FactorSpectrum.ratio_runs, spectra.FactorSpectrum.neg_log_ratios
+    ratio_runs = spectra.FactorSpectrum.ratio_runs
 
-    def recorded_growth(self, j0, j1):
-        grown.append(j1 - 2)
+    def recorded(self, j0, j1):
+        # the guard reads one ratio; a list grows by a block of them
+        (guard_reads if j1 == j0 + 1 else grown).append(j1 - 2)
         return ratio_runs(self, j0, j1)
 
-    def recorded_read(self, j0, j1):
-        guard_reads.append(j0)
-        return neg_log_ratios(self, j0, j1)
-
-    monkeypatch.setattr(spectra.FactorSpectrum, "ratio_runs", recorded_growth)
-    monkeypatch.setattr(spectra.FactorSpectrum, "neg_log_ratios", recorded_read)
+    monkeypatch.setattr(spectra.FactorSpectrum, "ratio_runs", recorded)
     for cap, want, longest in ((2000, [(7, False), (2000, True)], products._UNCHECKED_RATIOS),
                                (20000, [(7, False), (8723, False)], 16384)):
         grown.clear()

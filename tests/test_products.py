@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -21,7 +22,7 @@ from tractal.products import (
 from tractal.sequences import SequenceDescriptor as S
 
 import helpers
-from test_count_engine import KINDS, make_problem
+from test_count_engine import ANCHOR, HEAD_SPECS, KINDS, make_problem
 
 OMEGA1 = spectra.gaussian_omega(1.0)
 
@@ -160,19 +161,62 @@ def test_top_memory_per_value():
     assert peak < 10 ** 6
 
 
+@pytest.mark.parametrize("name", HEAD_SPECS)
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("log_space", [False, True])
+def test_top_at_m_around_the_head(name, d, log_space):
+    """m on either side of each factor's head of 32 ratios and of the first
+    block read past it: the lattice walk's values bit for bit, or its error
+    when a table runs out of positive values; scaled below e**-300, the
+    problem runs in log space."""
+    p = ProductProblem.from_family(HEAD_SPECS[name], d)
+    if log_space:
+        p = p.scaled([1e-150] * d)
+    assert p.uses_log == log_space
+    for m in (1, 2, 32, 33, 34, 65):
+        try:
+            want = helpers.lattice_top(p, m)
+        except InvalidInputError as exc:
+            with pytest.raises(InvalidInputError, match=re.escape(str(exc))):
+                product_eigenvalues_top(p, m)
+            continue
+        assert product_eigenvalues_top(p, m).tobytes() == want.tobytes(), m
+
+
+def test_walks_inside_the_heads_read_the_heads_in_place(monkeypatch):
+    """A count, a grid or a top-m whose walk stays inside every factor's
+    head asks no factor for ratios: it reads each factor's head tuples in
+    place, and they stay the same objects."""
+    p = ProductProblem.from_family(ANCHOR, 5)
+    heads = [(f.neg_log_head, f.head_runs) for f in p.factors]
+    asked = []
+    read = spectra.FactorSpectrum.ratio_runs
+    monkeypatch.setattr(spectra.FactorSpectrum, "ratio_runs",
+                        lambda self, j0, j1: asked.append((j0, j1)) or read(self, j0, j1))
+    # korobov g_k = k**-2: lam(k, j) / lam(k, 1) > 0.01 only for j <= 19
+    assert count_products_above(p, 0.01 * p.leading_product).count == 131
+    grid = complexity.info_complexity_grid(ANCHOR, "nor", [1, 3, 5], [0.1, 0.3])
+    assert [r.n for r in grid] == [19, 7, 97, 19, 131, 19]
+    product_eigenvalues_top(p, 33)
+    assert asked == []
+    assert [(f.neg_log_head, f.head_runs) for f in p.factors] == heads
+    assert all(f.neg_log_head is nl and f.head_runs is rl
+               for f, (nl, rl) in zip(p.factors, heads))
+
+
 @pytest.mark.parametrize("m", [2, 5, 100])
 def test_top_reads_no_ratio_past_m(monkeypatch, m):
-    """Top-m grows a ratio list to at most m - 1 ratios, j <= m: no node
-    needs m children, so it never asks a factor for j past m, as a count
-    asks up to its cap."""
+    """Top-m reads the ratios of each factor's head in place, and grows a
+    dimension's ratios past it to at most m - 1, j <= m: no node needs m
+    children, so it never asks a factor for j past m, as a count asks up to
+    its cap.  Inside the head it asks for nothing."""
     ends = []
-    for name in ("ratio_runs", "neg_log_ratios"):
-        read = getattr(spectra.FactorSpectrum, name)
-        monkeypatch.setattr(spectra.FactorSpectrum, name,
-                            lambda self, j0, j1, read=read: ends.append(j1) or read(self, j0, j1))
+    read = spectra.FactorSpectrum.ratio_runs
+    monkeypatch.setattr(spectra.FactorSpectrum, "ratio_runs",
+                        lambda self, j0, j1: ends.append(j1) or read(self, j0, j1))
     for p in (gaussian_problem(1), gaussian_problem(3), unit_korobov_problem(4)):
         product_eigenvalues_top(p, m)
-    assert ends and max(ends) == m + 1
+    assert max(ends, default=None) == (m + 1 if m > spectra.FactorSpectrum.HEAD else None)
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32))

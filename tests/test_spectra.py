@@ -134,10 +134,17 @@ def test_second_ratio_values():
 
 
 def test_second_ratio_wiener_envelope():
-    spec = spectra.wiener(S.explicit([0, 1, 3]))
-    assert second_ratio(spec, 1) == 1.0
-    assert second_ratio(spec, 2) == 0.25
-    assert second_ratio(spec, 3) == pytest.approx(1.0 / 16.0)
+    """wiener's h_k is the ratio its factors hold, the euler formula's, not
+    the envelope (1 + r_k)**-2 (1, 1/4, 1/16 here); the envelope's rate
+    decides its verdicts."""
+    r = S.explicit([0, 1, 3])
+    spec, euler = spectra.wiener(r), spectra.euler(r)
+    for k, want in ((1, 1.0 / 9.0), (2, 1.0 / 81.0), (3, 3.0 ** -8)):
+        assert second_ratio(spec, k) == second_ratio(euler, k) == pytest.approx(want, rel=1e-15)
+        fac = spec.factor(k)
+        assert second_ratio(spec, k) == pytest.approx(fac.head[1] / fac.leading, rel=1e-14)
+    # r_k = k: the envelope's rate 2 liminf ln(1 + r_k)/ln k, where euler's is infinite
+    assert spectra.second_ratio_limits(spectra.wiener(S.power(1.0, 1.0)))[0] == 2.0
 
 
 @pytest.mark.parametrize("name,spec", all_families())
@@ -370,7 +377,7 @@ def test_factor_head_is_read_only_and_long_requests_leave_it():
     assert type(neg_log_head) is tuple and len(neg_log_head) == fac.HEAD - 1
     long = fac.values(1, 1001)
     assert type(long) is tuple and len(long) == 1000 and long[:fac.HEAD] == head
-    ratios = fac.neg_log_ratios(2, 1001)
+    ratios = fac.ratio_runs(2, 1001)[0]
     assert type(ratios) is tuple and len(ratios) == 999 and ratios[:fac.HEAD - 1] == neg_log_head
     assert fac.head is head and fac.values(1, 6) == head[:5]
     assert fac.neg_log_head is neg_log_head
@@ -410,23 +417,22 @@ def _naive_runs(vals):
                                     (34, 130), (1000, 1010)])
 def test_blocks_equal_eigenvalues_bit_for_bit(fac, j0, j1):
     """Inside the cached head and past it, values() holds exactly the doubles
-    that eigenvalue() returns, neg_log_ratios() their -ln ratios to the
-    leading one (+inf at a zero eigenvalue), and ratio_runs() both the ratios
-    and the runs of equal eigenvalues, cut at the ends of the range."""
+    that eigenvalue() returns, and ratio_runs() their -ln ratios to the
+    leading one (+inf at a zero eigenvalue) with the runs of equal
+    eigenvalues, cut at the ends of the range."""
     want = [fac.eigenvalue(j) for j in range(j0, j1)]
     assert fac.values(j0, j1) == tuple(want)
     assert all(type(v) is float for v in want)
     j2 = max(j0, 2)
     log_lead = math.log(fac.eigenvalue(1))
     ratios = tuple(log_lead - math.log(v) if v > 0.0 else math.inf for v in want[j2 - j0:])
-    assert fac.neg_log_ratios(j2, j1) == ratios
     assert fac.ratio_runs(j2, j1) == (ratios, _naive_runs(want[j2 - j0:]))
     assert fac.head_runs == _naive_runs(fac.head[1:])
 
 
 def test_runs_are_keyed_on_eigenvalues():
     fac = RUN_TABLE.factor(1)
-    assert fac.neg_log_ratios(36, 38)[0] == fac.neg_log_ratios(36, 38)[1]
+    assert fac.ratio_runs(36, 38)[0][0] == fac.ratio_runs(36, 38)[0][1]
     runs = fac.ratio_runs(2, 40)[1]
     assert runs[:6] == (2, 0, 28, 0, 0, 0) and runs[30:] == (4, 0, 0, 0, 1, 1, 2, 0)
     assert fac.head_runs[-2:] == (2, 0)  # the run j = 32..35, cut at the head
