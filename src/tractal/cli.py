@@ -402,7 +402,8 @@ def main(argv=None) -> int:
         except CapExceededError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_RESOURCE_CAP
-        except (InvalidInputError, TractalError) as exc:
+        # a Warning arrives here only when the warning filters raise it as an error
+        except (InvalidInputError, TractalError, Warning) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INVALID_INPUT
 

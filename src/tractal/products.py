@@ -12,7 +12,12 @@ lam(k, j_k)/lam(k, 1) over its coordinates with j_k >= 2, and almost every
 tuple near the top has few of those, so a tuple's log value costs one
 subtraction from its parent's, whatever d is.  Both walks read the ``-ln``
 ratios in place from each factor's head, build longer ones for a dimension
-only when they read past it, and prune on the same bound.
+only when they read past it, and prune on the same bound.  A family's
+problem is a prefix of the family's dimension table
+(:class:`spectra.DimensionTable`), which holds lam(k, 1), its log and
+ln h_k for each k; a factor is built only when a walk can reach its
+dimension, so a count costs what its excited dimensions cost, plus a pass
+over d rows in C.
 
 A count decides the tuples within a small relative window of the threshold
 by the dense dimension-order evaluation, in direct or log space as above, so
@@ -52,8 +57,10 @@ if TYPE_CHECKING:
 
 ENUMERATION_CAP = 10**7
 COUNTING_CAP = 10**8
-# The largest d a problem is built at.  Factors are built eagerly, a few KB
-# each, so d = 10**5 takes ~0.3 GB.
+# The largest d a problem is built at.  Building one reads two eigenvalues per
+# dimension and builds no factor: at d = 10**5 (korobov g_k = k**-2) it took
+# 0.2-0.34 s and ~22 MB, and the nor, eps = 0.01 count then built 100 factors.
+# The rows grow with d, so d = 10**6 would hold ~0.2 GB.
 DIMENSION_CAP = 10**5
 # Log-space values add their logs in dimension order by a plain left fold, not
 # by ``sum``, which compensates from Python 3.12 on: the bits then do not
@@ -90,31 +97,47 @@ class CountResult(_CountResult):
 
 
 class ProductProblem:
-    """An ordered list of factor spectra defining the product eigenvalues."""
+    """An ordered list of factor spectra defining the product eigenvalues.
+
+    The problem is the first d rows of a :class:`spectra.DimensionTable`:
+    its family's, or one holding the given factors.  Indices are 0-based
+    here: ``factor(k)`` is the factor of dimension k + 1, built the first
+    time it is read, and ``factors`` lists all d of them, building any not
+    built yet.
+    """
 
     def __init__(self, factors, family=None):
         factors = list(factors)
         if not factors:
             raise InvalidInputError("a product problem needs at least one factor")
-        self.factors = factors
-        self.family = family
-        self.d = len(factors)
-        # lam(k, 1) and its log for each k, the root's eigenvalues
-        self.leads = [f.leading for f in factors]
-        self.log_leads = [f.log_leading for f in factors]
-        # suffix_leading[k] = prod_{k' >= k} lam(k', 1), 0-indexed, length d+1,
-        # and log_suffix_leading the same sums of logs, both folded from the end
-        self.suffix_leading = [1.0] * (self.d + 1)
-        self.log_suffix_leading = [0.0] * (self.d + 1)
-        for k in range(self.d - 1, -1, -1):
-            self.suffix_leading[k] = factors[k].leading * self.suffix_leading[k + 1]
-            self.log_suffix_leading[k] = self.log_suffix_leading[k + 1] + self.log_leads[k]
-        self.uses_log = (self.d > _DIRECT_DIM_LIMIT
-                         or self.log_suffix_leading[0] < _DIRECT_LOG_FLOOR)
+        self._prefix(spectra.DimensionTable.of(factors), len(factors), family)
 
     @classmethod
     def from_family(cls, spec, d):
         return next(family_problems(spec, [d]))
+
+    def _prefix(self, table, d, family):
+        self.table, self.d, self.family = table, d, family
+        # lam(k, 1) and its log for each k, the root's eigenvalues
+        self.leads = table.leads[:d]
+        self.log_leads = table.log_leads[:d]
+        # suffix_leading[k] = prod_{k' >= k} lam(k', 1), 0-indexed, length d+1,
+        # and log_suffix_leading the same sums of logs, both folded from the end
+        self.suffix_leading = _suffix_fold(self.leads, operator.mul, 1.0)
+        self.log_suffix_leading = _suffix_fold(self.log_leads, operator.add, 0.0)
+        # hmax[k] = ln max_{k' >= k} h_k', with -inf past the last dimension
+        self.hmax = _suffix_fold(table.log_h[:d], max, -math.inf)
+        self.uses_log = (self.d > _DIRECT_DIM_LIMIT
+                         or self.log_suffix_leading[0] < _DIRECT_LOG_FLOOR)
+
+    def factor(self, k):
+        return self.table.factor(k + 1)
+
+    @property
+    def factors(self):
+        table = self.table
+        table.build(self.d)
+        return [table.factors[k] for k in range(1, self.d + 1)]
 
     @property
     def leading_product(self) -> float:
@@ -132,15 +155,28 @@ class ProductProblem:
         return ProductProblem([f.scaled(c) for f, c in zip(self.factors, constants)])
 
 
+def _suffix_fold(values, op, start):
+    """``[f(0), ..., f(n - 1), start]`` with ``f(k) = op(f(k + 1), values[k])``,
+    ``f(n) = start``: a fold from the end."""
+    folded = list(itertools.accumulate(reversed(values), op, initial=start))
+    folded.reverse()
+    return folded
+
+
 def family_problems(spec, ds):
     """``ProductProblem.from_family(spec, d)`` for each d of ds, in order.
 
-    The problems share one list of factors, each built once, so each is the
-    first d factors of the largest: the points of :func:`count_grid`.  Being
-    a generator, it raises each error where a loop of ``from_family`` calls
-    would raise it.
+    Each problem is the first d rows of the family's dimension table
+    (:class:`spectra.DimensionTable`), grown to d here: a row is lam(k, 1),
+    its log and ln h_k, read from the closed form, and a factor is built
+    only when something reads it.  So the problems share their leading
+    factors, as the points of :func:`count_grid` must.  Being a generator,
+    it raises each error where a loop of ``from_family`` calls would raise
+    it: a d below 1, past the custom tables or past the cap before any row
+    is read, and a leading eigenvalue that is not a positive double when its
+    row is.
     """
-    factors = []
+    table = spec.dimension_table()
     for d in ds:
         if d < 1:
             raise InvalidInputError(f"d must be >= 1, got {d}")
@@ -149,8 +185,10 @@ def family_problems(spec, ds):
                 f"custom spec provides {len(spec.tables)} tables, requested d={d}")
         if d > DIMENSION_CAP:
             raise CapExceededError(f"d={d} exceeds the dimension cap {DIMENSION_CAP}")
-        factors.extend(spec.factor(k) for k in range(len(factors) + 1, d + 1))
-        yield ProductProblem(factors[:d], family=spec)
+        table.grow(d)
+        problem = ProductProblem.__new__(ProductProblem)
+        problem._prefix(table, d, spec)
+        yield problem
 
 
 def product_eigenvalues_top(problem: ProductProblem, m: int) -> np.ndarray:
@@ -193,9 +231,9 @@ def product_eigenvalues_top(problem: ProductProblem, m: int) -> np.ndarray:
     use_log = problem.uses_log
     term, op, one = (math.log, operator.add, -0.0) if use_log else (float, operator.mul, 1.0)
     band = _band(problem, use_log)
-    hmax = _hmax(problem)
-    neg = [f.neg_log_head for f in facs]  # as in _walk
-    runs = [f.head_runs for f in facs]
+    hmax = problem.hmax
+    neg = problem.table.neg_heads[:problem.d]  # as in _walk; facs built every head
+    runs = problem.table.head_runs[:problem.d]
     root = problem.log_leads if use_log else problem.leads
     heap = [log_fold(root) if use_log else math.prod(root)]
     lo = -math.inf  # no child is dropped unfolded until the heap holds m folds
@@ -274,8 +312,8 @@ def count_grid(points, cap: int = COUNTING_CAP) -> list:
     A point ``(problem, T, log_space)`` is counted as
     ``count_products_above(problem, T)``, or, with log_space set, as
     ``count_products_above_log(problem, T)``.  Each problem's factors must
-    be the first factors of the largest problem's, as
-    :func:`family_problems` builds them.
+    be the first factors of the largest problem's, as they are for the
+    problems :func:`family_problems` builds.
     """
     points = list(points)
     for i, (problem, T, log_space) in enumerate(points):
@@ -289,7 +327,9 @@ def count_grid(points, cap: int = COUNTING_CAP) -> list:
             points[i] = (problem, math.log(T), True)
     check_cap(cap)
     largest = max((p for p, _, _ in points), key=operator.attrgetter("d"), default=None)
-    if any(p is not largest and p.factors != largest.factors[:p.d] for p, _, _ in points):
+    # problems on one table share their leading factors by construction
+    if any(p.table is not largest.table and p.factors != largest.factors[:p.d]
+           for p, _, _ in points):
         raise InvalidInputError("grid problems must share the leading factors of the largest")
     return _walk(points, cap)
 
@@ -312,7 +352,7 @@ class _Point:
 
     def accepts(self, exc, k, j):
         """The dense rule's decision for the child exciting (k, j) of exc."""
-        lams = _tuple_terms(self.problem.factors, self.problem.leads, (k, j, exc, 0))
+        lams = _tuple_terms(self.problem, (k, j, exc, 0))
         return _dense_rule(self.problem, lams, self.T, self.log_space)
 
 
@@ -331,7 +371,11 @@ def _walk(points, cap):
     longer tuples of its own (:func:`_grow_ratios`).  The walk over a node's
     dimensions stops once the node times the largest second ratio
     ``h_k = lam(k,2)/lam(k,1)`` among those left falls below the bound; h
-    need not be monotone in k.
+    need not be monotone in k.  So no node, whose ``V`` is at most 0, reads
+    a dimension k with ``hmax[k] <= lo``; as hmax is a suffix maximum, the
+    dimensions read are a prefix.  Its factors are built before the walk,
+    with no check in the loop, and ``neg`` and ``runs`` start as slices of
+    the table's heads that far.
 
     For a point, values above its window ``(lo, hi)`` from :func:`_band`
     are counted and those below it rejected; values in between are decided
@@ -382,9 +426,15 @@ def _walk(points, cap):
     # the bands share the ratios, whose dimension k is read by every band of
     # d > k; runs[k] gives the runs of equal eigenvalues in neg[k] (see
     # FactorSpectrum.ratio_runs), or is None while no run is longer than one
-    facs = max(open_pts, key=operator.attrgetter("d")).problem.factors if open_pts else ()
-    neg = [f.neg_log_head for f in facs]
-    runs = [f.head_runs for f in facs]
+    neg = runs = ()
+    if open_pts:
+        # every band's lo is at least the first band's, and its hmax at most
+        # the largest problem's: the prefix where the one exceeds the other
+        largest = max(open_pts, key=operator.attrgetter("d")).problem
+        K = bisect_left(largest.hmax, -bands[0][0].lo, key=operator.neg)
+        table = largest.table
+        table.build(K)
+        neg, runs = table.neg_heads[:K], table.head_runs[:K]
     for band in bands:
         band.sort(key=operator.attrgetter("d"))
         for pt, n in zip(band, _walk_group(band, cap, neg, runs)):
@@ -407,8 +457,7 @@ def _walk_group(band, cap, neg, runs):
     """
     pts = list(band)
     problem = pts[-1].problem
-    facs = problem.factors
-    hmax = _hmax(problem)
+    hmax = problem.hmax
     acc = [0] * problem.d
     tot = 1
     stack = [(0.0, 0, None)]
@@ -428,6 +477,7 @@ def _walk_group(band, cap, neg, runs):
                 key = V - lo
                 m = bisect_left(nl, key)
                 while m == len(nl) < cap:
+                    fac = problem.factor(k)
                     # A long list grows again only if this dimension alone
                     # does not fill the rest of the top's count, so no list
                     # grows toward cap.
@@ -436,10 +486,10 @@ def _walk_group(band, cap, neg, runs):
                         raw = 0
                         room = cap - tot
                         if room <= 0 or (nl[room - 1] if room <= len(nl) else
-                                         facs[k].ratio_runs(room + 1, room + 2)[0][0]) < V - hi:
+                                         fac.ratio_runs(room + 1, room + 2)[0][0]) < V - hi:
                             tot = cap
                             break
-                    nl = _grow_ratios(facs[k], neg, runs, k, cap)
+                    nl = _grow_ratios(fac, neg, runs, k, cap)
                     m = bisect_left(nl, key, m)
                 if tot >= cap:
                     # the top is full: close it, then walk the node from k on again
@@ -512,13 +562,13 @@ def _grow_ratios(fac, neg, runs, k, limit):
     return nl
 
 
-def _tuple_terms(facs, root, exc):
+def _tuple_terms(problem, exc):
     """The d eigenvalues of the tuple that the chain exc excites, in
-    dimension order: root's, with ``lam(k, j)`` at each excited coordinate (k, j)."""
-    terms = root.copy()
+    dimension order: the leads, with ``lam(k, j)`` at each excited coordinate (k, j)."""
+    terms = problem.leads.copy()
     while exc is not None:
         k, j, exc, _ = exc
-        terms[k] = facs[k].eigenvalue(j)
+        terms[k] = problem.factor(k).eigenvalue(j)
     return terms
 
 
@@ -550,17 +600,6 @@ def _band(problem, log_space):
         return log_lo - log_L - w, log_hi - log_L + w
 
     return band
-
-
-def _hmax(problem):
-    """``hmax[k] = ln max_{k' >= k} h_k'``, with -inf past the last dimension.
-
-    ``ln h_k`` is minus the first ``-ln`` ratio of factor k.
-    """
-    hmax = [-math.inf] * (problem.d + 1)
-    for k in range(problem.d - 1, -1, -1):
-        hmax[k] = max(-problem.factors[k].neg_log_head[0], hmax[k + 1])
-    return hmax
 
 
 def _dense_rule(problem, lams, T, log_space):

@@ -31,14 +31,18 @@ factor holds for its head, and read past it through ``ratio_runs``.  numpy
 is imported only by the functions that return arrays, so counting runs on
 the standard library alone.
 
-All operations are pure; specs and factors are immutable after construction
-and safe to share across threads.
+Specs and factors are immutable after construction.  Each spec has one
+:class:`DimensionTable`, an append-only cache of its dimensions: rows of
+lam(k, 1), its log and ln h_k, and the factors built so far.  It is reached
+only through the ``lru_cache`` of ``_factor``, so clearing that cache empties
+it.  A lock per table keeps it consistent under threads.
 """
 from __future__ import annotations
 
 import enum
 import math
 import operator
+import threading
 import warnings
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple, Optional
@@ -127,7 +131,10 @@ class FamilySpec(NamedTuple):
         return frozenset((ABS, NOR))
 
     def factor(self, k: int) -> "FactorSpectrum":
-        return _factor(self, k)
+        return _factor(self).factor(k)
+
+    def dimension_table(self) -> "DimensionTable":
+        return _factor(self)
 
 
 def euler(r: SequenceDescriptor) -> FamilySpec:
@@ -217,11 +224,7 @@ class FactorSpectrum:
         self._value = value
         self.head = tuple(map(value, range(1, self.HEAD + 1)))
         self.leading = self.head[0]
-        if self.leading == 0.0:  # the closed forms are positive: 0.0 is an underflow
-            raise InvalidInputError("leading eigenvalue underflows below the smallest double")
-        if not self.leading > 0:
-            raise InvalidInputError("leading eigenvalue must be positive")
-        self.log_leading = math.log(self.leading)
+        self.log_leading = _log_leading(self.leading)
         self.neg_log_head = self._neg_logs(self.head[1:])
         self.head_runs = _run_lengths(self.head[1:])
 
@@ -258,6 +261,15 @@ class FactorSpectrum:
             raise InvalidInputError(f"scale constant must be positive, got {c}")
         value = self._value
         return FactorSpectrum(lambda j: c * value(j))
+
+
+def _log_leading(lead):
+    """ln lam(1), after checking that lam(1) is a positive double."""
+    if lead == 0.0:  # the closed forms are positive: 0.0 is an underflow
+        raise InvalidInputError("leading eigenvalue underflows below the smallest double")
+    if not lead > 0:
+        raise InvalidInputError("leading eigenvalue must be positive")
+    return math.log(lead)
 
 
 def _run_lengths(vals):
@@ -321,25 +333,107 @@ def _custom_value(row: tuple, tail: Optional[TailModel]):
     return value
 
 
-@lru_cache(maxsize=4096)
-def _factor(spec: FamilySpec, k: int) -> FactorSpectrum:
+def _value(spec: FamilySpec, k: int):
+    """lam(k, j) as a scalar function of j, from the family closed form."""
     if k < 1:
         raise InvalidInputError(f"dimension index must be >= 1, got {k}")
     fam = spec.family
     if fam in (Family.EULER, Family.WIENER):
-        value = _euler_value(spec.r.value(k))
-    elif fam is Family.KOROBOV:
-        value = _korobov_value(spec.r.value(k), spec.g.value(k))
-    elif fam is Family.GAUSSIAN:
-        value = _gaussian_value(gaussian_omega(spec.gamma_sq.value(k)))
-    elif fam is Family.ANALYTIC_KOROBOV:
-        value = _analytic_korobov_value(spec.omega, spec.a.value(k), spec.b.value(k))
-    else:
-        value = _custom_value(spec.tables[min(k, len(spec.tables)) - 1], spec.tail)
-    try:
-        return FactorSpectrum(value)
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"{exc} at k={k}") from None
+        return _euler_value(spec.r.value(k))
+    if fam is Family.KOROBOV:
+        return _korobov_value(spec.r.value(k), spec.g.value(k))
+    if fam is Family.GAUSSIAN:
+        return _gaussian_value(gaussian_omega(spec.gamma_sq.value(k)))
+    if fam is Family.ANALYTIC_KOROBOV:
+        return _analytic_korobov_value(spec.omega, spec.a.value(k), spec.b.value(k))
+    return _custom_value(spec.tables[min(k, len(spec.tables)) - 1], spec.tail)
+
+
+class DimensionTable:
+    """The dimensions of one family, read only as far as they are asked for.
+
+    Append-only.  Row k, for k = 1 .. ``len(leads)``, holds ``leads[k-1]``,
+    lam(k, 1); ``log_leads[k-1]``, its ``math.log``; and ``log_h[k-1]``,
+    ``ln h_k`` as minus factor k's first ``-ln`` ratio (-inf where lam(k, 2)
+    is 0.0): the expressions :class:`FactorSpectrum` evaluates, so the bits
+    are the same.  :meth:`grow` reads rows in order, two eigenvalues each.
+    ``factors`` maps k to the :class:`FactorSpectrum` of dimension k once
+    :meth:`factor` or :meth:`build` has built it; within the rows,
+    ``neg_heads[k-1]`` and ``head_runs[k-1]`` are its ``neg_log_head`` and
+    ``head_runs``, or None while it is not built.  A product problem is a
+    prefix of the rows, and its walks build the factors they read.
+    """
+
+    __slots__ = ("spec", "leads", "log_leads", "log_h", "factors", "neg_heads", "head_runs",
+                 "built", "_lock")
+
+    def __init__(self, spec):
+        self.spec = spec
+        self._lock = threading.Lock()
+        self.leads, self.log_leads, self.log_h = [], [], []
+        self.factors = {}
+        self.neg_heads, self.head_runs = [], []
+        self.built = 0  # factors 1..built are all built
+
+    @classmethod
+    def of(cls, factors):
+        """The table whose rows are the given factors, all built."""
+        self = cls(None)
+        self.factors = dict(enumerate(factors, 1))
+        self.leads = [f.leading for f in factors]
+        self.log_leads = [f.log_leading for f in factors]
+        self.neg_heads = [f.neg_log_head for f in factors]
+        self.head_runs = [f.head_runs for f in factors]
+        self.log_h = [-nl[0] for nl in self.neg_heads]
+        self.built = len(factors)
+        return self
+
+    def grow(self, d):
+        """Read the rows up to dimension d; a leading eigenvalue that is not
+        a positive double raises the error building factor k would."""
+        with self._lock:
+            for k in range(len(self.leads) + 1, d + 1):
+                value = _value(self.spec, k)
+                lead, second = value(1), value(2)
+                try:
+                    log_lead = _log_leading(lead)
+                except InvalidInputError as exc:
+                    raise InvalidInputError(f"{exc} at k={k}") from None
+                self.leads.append(lead)
+                self.log_leads.append(log_lead)
+                self.log_h.append(-(log_lead - math.log(second)) if second > 0.0 else -math.inf)
+                fac = self.factors.get(k)
+                self.neg_heads.append(None if fac is None else fac.neg_log_head)
+                self.head_runs.append(None if fac is None else fac.head_runs)
+
+    def factor(self, k: int) -> FactorSpectrum:
+        """The factor of dimension k, built the first time it is asked for."""
+        fac = self.factors.get(k)
+        if fac is not None:
+            return fac
+        value = _value(self.spec, k)
+        try:
+            fac = FactorSpectrum(value)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{exc} at k={k}") from None
+        with self._lock:
+            fac = self.factors.setdefault(k, fac)
+            if k <= len(self.neg_heads):
+                self.neg_heads[k - 1] = fac.neg_log_head
+                self.head_runs[k - 1] = fac.head_runs
+        return fac
+
+    def build(self, K):
+        """Build the factors of dimensions 1..K."""
+        for k in range(self.built + 1, K + 1):
+            self.factor(k)
+        self.built = max(self.built, K)
+
+
+@lru_cache(maxsize=16)
+def _factor(spec: FamilySpec) -> DimensionTable:
+    """The dimension table of spec: the one cache of its factors."""
+    return DimensionTable(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +456,7 @@ def factor_eigenvalue(spec: FamilySpec, k: int, j: int, require_exact: bool = Fa
     :class:`ApproximateOnlyError` instead.  Numerical estimates live in
     :mod:`tractal.nystrom`.
     """
-    fac = _factor(spec, k)
+    fac = spec.factor(k)
     if require_exact and spec.family is Family.WIENER and spec.r.value(k) >= 1:
         raise ApproximateOnlyError(
             f"wiener eigenvalues with r_k={spec.r.value(k):g} >= 1 are approximate-only"
@@ -529,6 +623,7 @@ def log_trace_profile(spec: FamilySpec, tau: float, D: int, normalized: bool) ->
 
     out = np.empty(D)
     total = 0.0
+    table = _factor(spec)  # one lookup: hashing a spec of many tables costs O(tables)
     for k in range(1, D + 1):
         try:
             H = tail_sum_H(spec, k, tau)
@@ -540,8 +635,7 @@ def log_trace_profile(spec: FamilySpec, tau: float, D: int, normalized: bool) ->
         if normalized:
             lead, second = 1.0, second_ratio(spec, k)
         else:
-            fac = _factor(spec, k)
-            lead, second = fac.head[:2]
+            lead, second = table.factor(k).head[:2]
         total += math.log(lead ** tau + second ** tau * H)
         out[k - 1] = total
     return out

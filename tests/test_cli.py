@@ -535,6 +535,22 @@ def test_classify_prints_a_library_warning_as_one_line(capsys, family_file):
         assert out == json.dumps(report.to_json_dict(), indent=2) + "\n"
 
 
+def test_a_warning_raised_as_an_error_exits_3_with_one_line(capsys, family_file):
+    """Under filters that raise warnings as errors (``python -W error``,
+    ``PYTHONWARNINGS=error``) the library's warning is an invalid input: one
+    ``error:`` line, exit 3, nothing on stdout.  A warning the filters let
+    through still prints one ``warning:`` line beside the report."""
+    message = ("tabulated spectrum has no declared tau0; reporting the "
+               "uninformative interval [0, +oo)")
+    path = family_file("c.json", {"family": "custom", "tables": [[1.0, 0.5, 0.25]]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(capsys, ["classify", "--family", path]) == (3, "", f"error: {message}\n")
+        warnings.filterwarnings("default", message="tabulated spectrum")
+        code, out, err = run(capsys, ["classify", "--family", path])
+    assert (code, err) == (0, f"warning: {message}\n") and out.startswith("{")
+
+
 def test_family_documents_parse():
     import math
     from tractal import spectra

@@ -6,6 +6,8 @@ direct and the log-space evaluation order.
 """
 import math
 import random
+import sys
+import threading
 import time
 
 import pytest
@@ -92,6 +94,14 @@ def engine(problem, T, log_space, cap=CAP):
     if log_space:
         return count_products_above_log(problem, T, cap=cap)
     return count_products_above(problem, T, cap=cap)
+
+
+def outcome(run):
+    """run's result, or the type and message of the library error it raises."""
+    try:
+        return run()
+    except TractalError as exc:
+        return type(exc), str(exc)
 
 
 def assert_matches_dense(problem, T, log_space, cap=CAP):
@@ -397,12 +407,6 @@ def test_complexity_grid_matches_per_point_oracle(seed):
                        for _ in range(rng.randint(1, 4))), reverse=True)
     cap = rng.choice((5, 60, 2000))
 
-    def outcome(run):
-        try:
-            return run()
-        except TractalError as exc:
-            return type(exc), str(exc)
-
     got = outcome(lambda: complexity.info_complexity_grid(spec, criterion, d_list, eps_list, cap))
     want = outcome(lambda: helpers.per_point_complexity(spec, criterion, d_list, eps_list, cap))
     assert got == want
@@ -442,3 +446,146 @@ def test_grid_problems_must_share_their_leading_factors():
     with pytest.raises(InvalidInputError, match="leading factors"):
         products.count_grid([(p, 0.01, False), (q, 0.01, False)])
     assert products.count_grid([]) == []
+
+
+TABLE_KINDS = ("family", "custom_zero_tail", "anchor", "runs")
+
+
+@pytest.mark.parametrize("d", [1, 30, 31, 5000])
+@pytest.mark.parametrize("kind", TABLE_KINDS)
+def test_table_problems_match_explicitly_built_problems(kind, d):
+    """A problem on its family's dimension table, whose factors are built
+    only as walks reach them, gives the bits of a problem on the explicitly
+    built factor list: its leading products and bounds, counts in both
+    spaces, a grid over prefixes, top-m values, traces and lemma bounds."""
+    rng = random.Random(f"{kind}-{d}")
+    spec = make_problem(rng, kind, d).family
+    # the factors from a table of their own, as spec.factor(k) builds them
+    table = spectra.DimensionTable(spec)
+    explicit = ProductProblem([table.factor(k) for k in range(1, d + 1)], family=spec)
+    spectra._factor.cache_clear()  # a fresh table, none of its factors built
+    lazy = ProductProblem.from_family(spec, d)
+
+    def bits(p):
+        return ([[x.hex() for x in xs] for xs in (
+            p.leads, p.log_leads, p.suffix_leading, p.log_suffix_leading, p.hmax)], p.uses_log)
+
+    assert bits(lazy) == bits(explicit)
+    # ties on tuples excited in the first dimensions, as a count near the top reads
+    head = ProductProblem(explicit.factors[:8])
+    thresholds = []
+    for log_space in sorted({True, explicit.uses_log}):
+        js = near_top_tuple(rng, head) + [1] * (d - head.d)
+        tie = dense_value(explicit, js, log_space)
+        jitter = rng.uniform(-1.0, 1.0)
+        thresholds.append((tie + jitter if log_space else tie * math.exp(jitter), log_space))
+        # These families barely decay in k, so at d = 5000 a tie has thousands
+        # of tied products, each re-decided by the O(d) dense rule.
+        if d < 100:
+            thresholds.append((tie, log_space))
+    # A node reads every dimension its bound clears before it checks the cap:
+    # keep the cap small at d = 5000.
+    cap = CAP if d < 100 else 40
+    for T, log_space in thresholds:
+        assert engine(lazy, T, log_space, cap) == engine(explicit, T, log_space, cap), T
+    ds = sorted({1, (d + 1) // 2, d})
+    grids = [list(products.family_problems(spec, ds)),
+             [ProductProblem(explicit.factors[:e], family=spec) for e in ds]]
+    lazy_grid, explicit_grid = ([(sub, T, log_space) for sub in subs for T, log_space in thresholds]
+                                for subs in grids)
+    assert products.count_grid(lazy_grid, cap) == products.count_grid(explicit_grid, cap)
+    # a visited tuple folds the leads after its last excited dimension, O(d)
+    for m in (1, 5, 40) if d < 100 else (1, 3):
+        assert (outcome(lambda: products.product_eigenvalues_top(lazy, m).tolist())
+                == outcome(lambda: products.product_eigenvalues_top(explicit, m).tolist()))
+    for tau in (1.0, 2.5) if d < 100 else (1.0,):
+        assert (outcome(lambda: products.trace_sum(lazy, tau).hex())
+                == outcome(lambda: products.trace_sum(explicit, tau).hex()))
+        assert (outcome(lambda: complexity.lemma_bound(lazy, 0.1, tau))
+                == outcome(lambda: complexity.lemma_bound(explicit, 0.1, tau)))
+
+
+def test_a_count_builds_only_the_dimensions_it_can_reach(monkeypatch):
+    """ROADMAP item 11's large-d count: building the problem builds no
+    factor, the count builds exactly the prefix where hmax exceeds the
+    band's lo, a second count on the same family builds none, and another
+    family's count shares no table or factor with it."""
+    built = []
+    init = spectra.FactorSpectrum.__init__
+
+    def recorded(self, value):
+        init(self, value)
+        built.append(self)
+
+    monkeypatch.setattr(spectra.FactorSpectrum, "__init__", recorded)
+    spectra._factor.cache_clear()
+    d = 10 ** 5
+    query = complexity.ComplexityQuery(0.01, d, "nor")
+    p = ProductProblem.from_family(ANCHOR, d)
+    assert built == []
+    assert complexity.info_complexity(p, query).n == 14423
+    _, T, log_space = complexity._count_point(p, query, products.COUNTING_CAP)
+    lo = products._band(p, log_space)(T)[0]
+    reach = [k + 1 for k in range(d) if p.hmax[k] > lo]
+    assert reach == list(range(1, len(reach) + 1)) and len(reach) < d
+    assert sorted(p.table.factors) == reach
+    assert [p.table.factors[k] for k in reach] == built
+    built.clear()
+    assert complexity.info_complexity(ProductProblem.from_family(ANCHOR, d), query).n == 14423
+    assert built == []
+    other = spectra.korobov(S.constant(1.0), S.power(1.0, -3.0))
+    q = ProductProblem.from_family(other, 1000)
+    complexity.info_complexity(q, complexity.ComplexityQuery(0.01, 1000, "nor"))
+    assert q.table is not p.table and sorted(p.table.factors) == reach
+    assert built and not {id(f) for f in built} & {id(f) for f in p.table.factors.values()}
+
+
+def test_a_factor_built_before_its_row_is_the_one_the_walks_read():
+    """spec.factor(k) may build factor k before any problem reaches row k;
+    the row then takes that factor's head, and counts read it."""
+    spec = spectra.korobov(S.constant(1.0), S.constant(0.5))
+    spectra._factor.cache_clear()
+    fac = spec.factor(3)
+    p = ProductProblem.from_family(spec, 5)
+    assert p.table.neg_heads[2] is fac.neg_log_head and p.factors[2] is fac
+    assert count_products_above(p, 1e-3) == count_products_above(ProductProblem(p.factors), 1e-3)
+
+
+def test_threads_sharing_a_table_leave_one_row_and_one_factor_per_dimension():
+    """Threads growing one family's table and building its factors, with the
+    interpreter switching between them often, leave the rows one thread
+    would read, one factor per dimension, and each built row's head."""
+    spec = spectra.gaussian(S.power(1.0, -1.0))
+    spectra._factor.cache_clear()
+    table = spec.dimension_table()
+    errors = []
+    start = threading.Barrier(6)
+
+    def work(i):
+        try:
+            for d in range(100, 1001, 100):
+                start.wait(timeout=60)  # every thread grows the same rows at once
+                table.grow(d)
+                table.build(d // 4 + i)
+                spec.factor(d + i)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not errors and not any(t.is_alive() for t in threads)
+    want = spectra.DimensionTable(spec)
+    want.grow(len(table.leads))
+    assert (table.leads, table.log_leads, table.log_h) == (want.leads, want.log_leads, want.log_h)
+    for k, nl in enumerate(table.neg_heads, 1):
+        fac = table.factors.get(k)
+        assert nl is (None if fac is None else fac.neg_log_head)
+    assert all(k in table.factors for k in range(1, table.built + 1))

@@ -1,8 +1,9 @@
 """The counting golden corpus: every stored answer, reproduced exactly.
 
-``counting_corpus.json`` holds the inputs and the exact answers of 200 count
+``counting_corpus.json`` holds the inputs and the exact answers of 202 count
 queries (korobov, gaussian and analytic korobov, abs and nor, d 5 to 60, the
-ROADMAP anchor and a threshold exactly on tied products) and of two
+ROADMAP anchor, a threshold exactly on tied products, and korobov
+``g_k = k**-2`` at d = 5000 and 10**5) and of two
 ``tractal sweep`` commands, with the CSV bytes.  The answers are re-recorded
 only by ``record_counting_corpus.py``, and only when they move on purpose.
 """
@@ -21,4 +22,4 @@ def test_counting_corpus_answers_are_unchanged(tmp_path):
                   for i, (want, got) in enumerate(zip(corpus["sweeps"], sweeps)) if want != got]
     assert not differing, (f"{len(differing)} entries differ (recorded with "
                            f"{corpus['recorded_with']}):\n" + "\n".join(differing))
-    assert len(counts) == 200 and len(sweeps) == 2
+    assert len(counts) == 202 and len(sweeps) == 2
