@@ -15,9 +15,9 @@ ratios in place from each factor's head, build longer ones for a dimension
 only when they read past it, and prune on the same bound.  A family's
 problem is a prefix of the family's dimension table
 (:class:`spectra.DimensionTable`), which holds lam(k, 1), its log and
-ln h_k for each k; a factor is built only when a walk can reach its
-dimension, so a count costs what its excited dimensions cost, plus a pass
-over d rows in C.
+ln h_k for each k.  A walk asks the table for the heads of the prefix of
+dimensions it can reach, which builds those factors and no others, so a
+count costs what its excited dimensions cost, plus a pass over d rows in C.
 
 A count decides the tuples within a small relative window of the threshold
 by the dense dimension-order evaluation, in direct or log space as above, so
@@ -74,10 +74,6 @@ _DIRECT_LOG_FLOOR = -300.0
 # fewer than 3d + 20 rounded steps, each off by at most an ulp of those
 # magnitudes (``math.log`` is within one ulp); the factor 4 is margin.
 _WINDOW_ULPS = 4 * 2.0 ** -53
-# A ratio list grows past this length only after reading the ratio at which
-# its coordinate alone would saturate the count (see _walk_group).  Shorter
-# lists are small, and the read would cost almost every count time for nothing.
-_UNCHECKED_RATIOS = 1024
 
 
 class _CountResult(NamedTuple):
@@ -101,9 +97,10 @@ class ProductProblem:
 
     The problem is the first d rows of a :class:`spectra.DimensionTable`:
     its family's, or one holding the given factors.  Indices are 0-based
-    here: ``factor(k)`` is the factor of dimension k + 1, built the first
-    time it is read, and ``factors`` lists all d of them, building any not
-    built yet.
+    here: ``factor(k)`` is the factor of dimension k + 1, and ``factors``
+    lists all d of them, both read through the table's ``factor``, which
+    builds a factor the first time it is asked for.  The walks read the
+    heads of the factors they reach through the table's ``heads``.
     """
 
     def __init__(self, factors, family=None):
@@ -135,9 +132,7 @@ class ProductProblem:
 
     @property
     def factors(self):
-        table = self.table
-        table.build(self.d)
-        return [table.factors[k] for k in range(1, self.d + 1)]
+        return list(map(self.table.factor, range(1, self.d + 1)))
 
     @property
     def leading_product(self) -> float:
@@ -227,13 +222,12 @@ def product_eigenvalues_top(problem: ProductProblem, m: int) -> np.ndarray:
         raise InvalidInputError(f"m must be >= 1, got {m}")
     if m > ENUMERATION_CAP:
         raise CapExceededError(f"m={m} exceeds the enumeration cap {ENUMERATION_CAP}")
+    neg, runs = problem.table.heads(problem.d)  # as in _walk
     facs = problem.factors
     use_log = problem.uses_log
     term, op, one = (math.log, operator.add, -0.0) if use_log else (float, operator.mul, 1.0)
     band = _band(problem, use_log)
     hmax = problem.hmax
-    neg = problem.table.neg_heads[:problem.d]  # as in _walk; facs built every head
-    runs = problem.table.head_runs[:problem.d]
     root = problem.log_leads if use_log else problem.leads
     heap = [log_fold(root) if use_log else math.prod(root)]
     lo = -math.inf  # no child is dropped unfolded until the heap holds m folds
@@ -373,9 +367,9 @@ def _walk(points, cap):
     ``h_k = lam(k,2)/lam(k,1)`` among those left falls below the bound; h
     need not be monotone in k.  So no node, whose ``V`` is at most 0, reads
     a dimension k with ``hmax[k] <= lo``; as hmax is a suffix maximum, the
-    dimensions read are a prefix.  Its factors are built before the walk,
-    with no check in the loop, and ``neg`` and ``runs`` start as slices of
-    the table's heads that far.
+    dimensions read are a prefix, and ``neg`` and ``runs`` start as the
+    table's heads of that prefix (:meth:`spectra.DimensionTable.heads`),
+    which builds its factors before the walk, so the loop has no check.
 
     For a point, values above its window ``(lo, hi)`` from :func:`_band`
     are counted and those below it rejected; values in between are decided
@@ -432,9 +426,7 @@ def _walk(points, cap):
         # the largest problem's: the prefix where the one exceeds the other
         largest = max(open_pts, key=operator.attrgetter("d")).problem
         K = bisect_left(largest.hmax, -bands[0][0].lo, key=operator.neg)
-        table = largest.table
-        table.build(K)
-        neg, runs = table.neg_heads[:K], table.head_runs[:K]
+        neg, runs = largest.table.heads(K)
     for band in bands:
         band.sort(key=operator.attrgetter("d"))
         for pt, n in zip(band, _walk_group(band, cap, neg, runs)):
@@ -478,17 +470,15 @@ def _walk_group(band, cap, neg, runs):
                 m = bisect_left(nl, key)
                 while m == len(nl) < cap:
                     fac = problem.factor(k)
-                    # A long list grows again only if this dimension alone
-                    # does not fill the rest of the top's count, so no list
-                    # grows toward cap.
-                    if len(nl) >= _UNCHECKED_RATIOS:
-                        tot += raw * W
-                        raw = 0
-                        room = cap - tot
-                        if room <= 0 or (nl[room - 1] if room <= len(nl) else
-                                         fac.ratio_runs(room + 1, room + 2)[0][0]) < V - hi:
-                            tot = cap
-                            break
+                    # A list grows only if this dimension alone does not fill
+                    # the rest of the top's count, so no list grows toward cap.
+                    tot += raw * W
+                    raw = 0
+                    room = cap - tot
+                    if room <= 0 or (nl[room - 1] if room <= len(nl) else
+                                     fac.ratio_runs(room + 1, room + 2)[0][0]) < V - hi:
+                        tot = cap
+                        break
                     nl = _grow_ratios(fac, neg, runs, k, cap)
                     m = bisect_left(nl, key, m)
                 if tot >= cap:

@@ -33,9 +33,10 @@ the standard library alone.
 
 Specs and factors are immutable after construction.  Each spec has one
 :class:`DimensionTable`, an append-only cache of its dimensions: rows of
-lam(k, 1), its log and ln h_k, and the factors built so far.  It is reached
-only through the ``lru_cache`` of ``_factor``, so clearing that cache empties
-it.  A lock per table keeps it consistent under threads.
+lam(k, 1), its log and ln h_k; the factors built so far, at any k; and the
+heads of factors 1..K, the prefix the walks have read.  It is reached only
+through the ``lru_cache`` of ``_factor``, so clearing that cache empties it.
+A lock per table keeps it consistent under threads.
 """
 from __future__ import annotations
 
@@ -358,22 +359,21 @@ class DimensionTable:
     is 0.0): the expressions :class:`FactorSpectrum` evaluates, so the bits
     are the same.  :meth:`grow` reads rows in order, two eigenvalues each.
     ``factors`` maps k to the :class:`FactorSpectrum` of dimension k once
-    :meth:`factor` or :meth:`build` has built it; within the rows,
-    ``neg_heads[k-1]`` and ``head_runs[k-1]`` are its ``neg_log_head`` and
-    ``head_runs``, or None while it is not built.  A product problem is a
-    prefix of the rows, and its walks build the factors they read.
+    :meth:`factor` has built it, at any k.  ``neg_heads`` and ``head_runs``
+    hold the ``neg_log_head`` and ``head_runs`` of factors 1, 2, ... as far
+    as :meth:`heads` has built them: a prefix, independent of the rows.  A
+    product problem is a prefix of the rows, and its walks read the heads.
     """
 
     __slots__ = ("spec", "leads", "log_leads", "log_h", "factors", "neg_heads", "head_runs",
-                 "built", "_lock")
+                 "_lock")
 
     def __init__(self, spec):
         self.spec = spec
-        self._lock = threading.Lock()
+        self._lock = threading.RLock()  # heads builds factors under it
         self.leads, self.log_leads, self.log_h = [], [], []
         self.factors = {}
         self.neg_heads, self.head_runs = [], []
-        self.built = 0  # factors 1..built are all built
 
     @classmethod
     def of(cls, factors):
@@ -385,7 +385,6 @@ class DimensionTable:
         self.neg_heads = [f.neg_log_head for f in factors]
         self.head_runs = [f.head_runs for f in factors]
         self.log_h = [-nl[0] for nl in self.neg_heads]
-        self.built = len(factors)
         return self
 
     def grow(self, d):
@@ -402,9 +401,6 @@ class DimensionTable:
                 self.leads.append(lead)
                 self.log_leads.append(log_lead)
                 self.log_h.append(-(log_lead - math.log(second)) if second > 0.0 else -math.inf)
-                fac = self.factors.get(k)
-                self.neg_heads.append(None if fac is None else fac.neg_log_head)
-                self.head_runs.append(None if fac is None else fac.head_runs)
 
     def factor(self, k: int) -> FactorSpectrum:
         """The factor of dimension k, built the first time it is asked for."""
@@ -417,17 +413,20 @@ class DimensionTable:
         except InvalidInputError as exc:
             raise InvalidInputError(f"{exc} at k={k}") from None
         with self._lock:
-            fac = self.factors.setdefault(k, fac)
-            if k <= len(self.neg_heads):
-                self.neg_heads[k - 1] = fac.neg_log_head
-                self.head_runs[k - 1] = fac.head_runs
-        return fac
+            return self.factors.setdefault(k, fac)
 
-    def build(self, K):
-        """Build the factors of dimensions 1..K."""
-        for k in range(self.built + 1, K + 1):
-            self.factor(k)
-        self.built = max(self.built, K)
+    def heads(self, K):
+        """The ``neg_log_head`` and ``head_runs`` of factors 1..K, as two
+        K-long lists, building the factors not built yet."""
+        neg, runs = self.neg_heads, self.head_runs
+        if len(neg) < K:
+            with self._lock:
+                for k in range(len(neg) + 1, K + 1):
+                    fac = self.factor(k)
+                    # neg last: a reader that sees k heads in neg sees k runs
+                    runs.append(fac.head_runs)
+                    neg.append(fac.neg_log_head)
+        return neg[:K], runs[:K]
 
 
 @lru_cache(maxsize=16)

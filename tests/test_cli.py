@@ -135,6 +135,10 @@ def test_sweep_csv(capsys, family_file, tmp_path):
     for base in (1, 4, 7, 10):
         ns = [int(lines[base + i].split(",")[4]) for i in range(3)]
         assert ns[0] <= ns[1] <= ns[2]
+    # an empty token in a list is skipped
+    code, out, _ = run(capsys, ["sweep", "--family", path, "--criterion", "nor",
+                                "--epsilon", "0.5", "--d", "1,,3"])
+    assert code == 0 and [line.split(",")[3] for line in out.splitlines()[1:]] == ["1", "3"]
 
 
 def test_sweep_byte_stability(capsys, family_file, tmp_path):
@@ -209,6 +213,14 @@ EULER_UNDERFLOW_AT_3 = {"family": "euler", "r": {"kind": "explicit", "values": [
     (EULER_UNDERFLOW_AT_3, ["--epsilon", "0.5,2", "--d", "1,3"], 3, "epsilon must lie in (0,1)"),
     (EULER_UNDERFLOW_AT_3, ["--epsilon", "0.5", "--d", "1,3"], 3,
      "leading eigenvalue underflows below the smallest double at k=3"),
+    # lists the argument parser cannot read
+    (GAUSS_DOC, ["--epsilon", "abc"], 3, "bad float list 'abc'"),
+    (GAUSS_DOC, ["--epsilon", ","], 3, "empty value list"),
+    (GAUSS_DOC, ["--d", "x"], 3, "bad integer 'x'"),
+    (GAUSS_DOC, ["--d", ","], 3, "empty value list"),
+    (GAUSS_DOC, ["--d", "1:x"], 3, "bad range '1:x'"),
+    (GAUSS_DOC, ["--d", "3:"], 3, "bad range '3:'"),
+    (GAUSS_DOC, ["--d", "5:3"], 3, "empty value list"),
 ])
 def test_sweep_reports_the_first_error_in_grid_order(capsys, family_file, doc, argv, code,
                                                       message):
@@ -256,12 +268,16 @@ def test_unwritable_out_is_invalid_input(capsys, family_file, tmp_path, command,
     ["classify", "--strict"],
     ["oracle-compare", "--d", "2", "--epsilon", "0.5"],
     ["oracle-compare", "--d", "2", "--criterion", "abs"],
+    # complexity reads one epsilon and one d, not the rest of a list
+    ["complexity", "--epsilon", "0.5,0.3", "--d", "2"],
+    ["complexity", "--epsilon", "0.5", "--d", "2,3"],
 ])
 def test_options_a_command_does_not_read_are_rejected(capsys, family_file, argv):
     path = family_file("g.json", GAUSS_DOC)
-    code, _, err = run(capsys, argv[:1] + ["--family", path] + argv[1:])
-    assert code == 3
-    assert "unrecognized arguments" in err
+    code, out, err = run(capsys, argv[:1] + ["--family", path] + argv[1:])
+    assert (code, out) == (3, "") and err.count("error: ") == 1
+    assert ("takes a single epsilon and a single d" if argv[0] == "complexity"
+            else "unrecognized arguments") in err
 
 
 def test_verify_unknown_suite(capsys):
@@ -380,6 +396,33 @@ def test_oracle_compare(capsys, family_file):
         assert doc["count_mismatches"] == 0
 
 
+@pytest.mark.parametrize("defect", ["count", "top"])
+def test_oracle_compare_fails_on_a_planted_defect(capsys, family_file, monkeypatch, defect):
+    """A count one too high, or top-m values scaled by 1 + 2**-50, exits 1
+    with the report on stdout naming the disagreement."""
+    if defect == "count":
+        count = products.count_products_above
+
+        def one_too_many(*args):
+            result = count(*args)
+            return result._replace(count=result.count + 1)
+
+        monkeypatch.setattr(products, "count_products_above", one_too_many)
+    else:
+        top = products.product_eigenvalues_top
+        monkeypatch.setattr(products, "product_eigenvalues_top",
+                            lambda p, m: top(p, m) * (1.0 + 2.0 ** -50))
+    path = family_file("g.json", GAUSS_DOC)
+    code, out, _ = run(capsys, ["oracle-compare", "--family", path, "--d", "3",
+                                "--m", "150", "--j", "20"])
+    doc = json.loads(out)
+    assert code == 1 and doc["pass"] is False
+    if defect == "count":
+        assert (doc["count_mismatches"], doc["top_max_abs_deviation"]) == (15, 0.0)
+    else:
+        assert doc["count_mismatches"] == 0 and 0.0 < doc["top_max_abs_deviation"] <= 2.0 ** -50
+
+
 def test_oracle_compare_skips_values_below_the_box_floor(capsys, family_file):
     """With J = 30 the 200th korobov product lies below the box's validity
     floor, where the box misses products; only the values above it compare."""
@@ -405,13 +448,15 @@ def test_oracle_compare_box_over_the_cap(capsys, family_file):
                          ids=["huge-d", "huge-range", "long-range", "long-list"])
 def test_dimension_past_the_cap_exits_4_building_no_factor(capsys, family_file, monkeypatch,
                                                            command, d):
-    """Factors are built eagerly, so a d past DIMENSION_CAP is refused before
-    the first one, and a range before it is expanded.  A factor build fails
-    the test at once rather than going on to fill the memory."""
-    def refuse(self, value):
-        raise AssertionError("a factor was built")
+    """A d past DIMENSION_CAP is refused before the table reads its first
+    row or builds its first factor, and a range before it is expanded.
+    Every row and factor reads its eigenvalues through ``spectra._value``,
+    so a read fails the test at once rather than going on to fill the memory."""
+    def refuse(*args):
+        raise AssertionError("a row or a factor was read")
 
     monkeypatch.setattr(spectra.FactorSpectrum, "__init__", refuse)
+    monkeypatch.setattr(spectra, "_value", refuse)
     spectra._factor.cache_clear()
     path = family_file("k.json", KOROBOV_DOC)
     code, out, err = run(capsys, command[:1] + ["--family", path, f"--d={d}"] + command[1:])

@@ -414,10 +414,11 @@ def test_complexity_grid_matches_per_point_oracle(seed):
 
 def test_growth_guard_closes_a_band_top_while_a_lower_point_stays_open(monkeypatch):
     """ln T = -10 on [A] and [A, B] is one band.  B's ratios fall slowly, so
-    at the root its list reaches the unchecked length, and the guard reads
+    at the root its list runs out, and before each growth the guard reads
     the ratio at which B alone would fill the top's count: at cap 2000 it
-    does, the top closes with its list no longer, and [A] is still counted;
-    at cap 20000 it does not, and the list grows."""
+    does at the head, the top closes with B's list never grown, and [A] is
+    still counted; at cap 20000 it does not at any length, and the list
+    grows, reading one guard ratio per growth."""
     A = spectra.korobov(S.constant(2.0), S.constant(0.01)).factor(1)
     B = spectra.korobov(S.constant(0.6), S.constant(1.0)).factor(1)
     points = [(ProductProblem([A]), -10.0, True), (ProductProblem([A, B]), -10.0, True)]
@@ -430,13 +431,14 @@ def test_growth_guard_closes_a_band_top_while_a_lower_point_stays_open(monkeypat
         return ratio_runs(self, j0, j1)
 
     monkeypatch.setattr(spectra.FactorSpectrum, "ratio_runs", recorded)
-    for cap, want, longest in ((2000, [(7, False), (2000, True)], products._UNCHECKED_RATIOS),
-                               (20000, [(7, False), (8723, False)], 16384)):
+    for cap, want, reads, lengths in ((2000, [(7, False), (2000, True)], 1, []),
+                                      (20000, [(7, False), (8723, False)], 9,
+                                       [64 << i for i in range(9)])):
         grown.clear()
         guard_reads.clear()
         got = products.count_grid(points, cap)
         assert [(r.count, r.saturated) for r in got] == want
-        assert guard_reads and max(grown) == longest
+        assert (len(guard_reads), grown) == (reads, lengths)
         assert got == [products.count_grid([point], cap)[0] for point in points]
 
 
@@ -541,20 +543,24 @@ def test_a_count_builds_only_the_dimensions_it_can_reach(monkeypatch):
 
 
 def test_a_factor_built_before_its_row_is_the_one_the_walks_read():
-    """spec.factor(k) may build factor k before any problem reaches row k;
-    the row then takes that factor's head, and counts read it."""
+    """spec.factor(k) may build factor k before any problem reaches row k
+    or any walk reaches dimension k; a count then reads that factor's head."""
     spec = spectra.korobov(S.constant(1.0), S.constant(0.5))
     spectra._factor.cache_clear()
     fac = spec.factor(3)
     p = ProductProblem.from_family(spec, 5)
+    assert p.table.neg_heads == []
+    got = count_products_above(p, 1e-3)
+    assert len(p.table.neg_heads) == 5  # the count reached every dimension
     assert p.table.neg_heads[2] is fac.neg_log_head and p.factors[2] is fac
-    assert count_products_above(p, 1e-3) == count_products_above(ProductProblem(p.factors), 1e-3)
+    assert got == count_products_above(ProductProblem(p.factors), 1e-3)
 
 
 def test_threads_sharing_a_table_leave_one_row_and_one_factor_per_dimension():
-    """Threads growing one family's table and building its factors, with the
-    interpreter switching between them often, leave the rows one thread
-    would read, one factor per dimension, and each built row's head."""
+    """Threads growing one family's table, building its heads and its
+    factors past them, with the interpreter switching between them often,
+    leave the rows one thread would read, one factor per dimension, and the
+    heads of factors 1..K for the largest K asked for."""
     spec = spectra.gaussian(S.power(1.0, -1.0))
     spectra._factor.cache_clear()
     table = spec.dimension_table()
@@ -566,7 +572,8 @@ def test_threads_sharing_a_table_leave_one_row_and_one_factor_per_dimension():
             for d in range(100, 1001, 100):
                 start.wait(timeout=60)  # every thread grows the same rows at once
                 table.grow(d)
-                table.build(d // 4 + i)
+                neg, runs = table.heads(d // 4 + i)
+                assert len(neg) == len(runs) == d // 4 + i
                 spec.factor(d + i)
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
@@ -585,7 +592,6 @@ def test_threads_sharing_a_table_leave_one_row_and_one_factor_per_dimension():
     want = spectra.DimensionTable(spec)
     want.grow(len(table.leads))
     assert (table.leads, table.log_leads, table.log_h) == (want.leads, want.log_leads, want.log_h)
-    for k, nl in enumerate(table.neg_heads, 1):
-        fac = table.factors.get(k)
-        assert nl is (None if fac is None else fac.neg_log_head)
-    assert all(k in table.factors for k in range(1, table.built + 1))
+    assert len(table.neg_heads) == len(table.head_runs) == 1000 // 4 + 5
+    for k, (nl, ln) in enumerate(zip(table.neg_heads, table.head_runs), 1):
+        assert nl is table.factors[k].neg_log_head and ln is table.factors[k].head_runs
