@@ -4,11 +4,12 @@
     PYTHONPATH=src python tests/record_counting_corpus.py
 
 ``tests/counting_corpus.json`` stores its inputs (family documents, count
-queries and sweep commands) next to the exact answers.  This script keeps
-the inputs, adds the queries of ``EXTRA_COUNTS`` it lacks, recomputes every
-answer with the checkout's ``tractal``, and rewrites the file with the Python, numpy, scipy and glibc versions it ran
-on.  Re-record only when answers move on purpose, and list the moved
-entries in CHANGES.md.
+queries, sweep commands and trace queries) next to the exact answers.  This
+script keeps the inputs, adds the families of ``TRACE_FAMILIES`` and the
+queries of ``EXTRA_COUNTS`` and ``TRACE_QUERIES`` it lacks, recomputes every
+answer with the checkout's ``tractal``, and rewrites the file with the
+Python, numpy, scipy and glibc versions it ran on.  Re-record only when
+answers move on purpose, and list the moved entries in CHANGES.md.
 """
 from __future__ import annotations
 
@@ -22,7 +23,8 @@ import tempfile
 from importlib import metadata
 from pathlib import Path
 
-from tractal import cli, complexity, products
+from tractal import cli, complexity, products, spectra
+from tractal.errors import TractalError
 
 CORPUS = Path(__file__).with_name("counting_corpus.json")
 COUNT_INPUTS = ("family", "d", "epsilon", "criterion")
@@ -32,6 +34,74 @@ COUNT_INPUTS = ("family", "d", "epsilon", "criterion")
 EXTRA_COUNTS = [{"family": "korobov-anchor", "d": d, "epsilon": 0.01, "criterion": "nor"}
                 for d in (5000, 10**5)]
 
+# Trace queries run on families of every kind and every sequence kind, with
+# repeated custom tables and rows past the last table.
+TRACE_FAMILIES = {
+    "trace-euler-constant": {"family": "euler", "r": {"kind": "constant", "c": 1}},
+    "trace-euler-log": {"family": "euler", "r": {"kind": "log_growth", "theta": 0.5}},
+    "trace-euler-power": {"family": "euler", "r": {"kind": "power", "c": 1, "alpha": 1}},
+    "trace-wiener-constant": {"family": "wiener", "r": {"kind": "constant", "c": 0}},
+    "trace-wiener-explicit": {"family": "wiener",
+                              "r": {"kind": "explicit", "values": [0, 1, 1, 2]}},
+    "trace-korobov-power": {"family": "korobov", "r": {"kind": "constant", "c": 1},
+                            "g": {"kind": "power", "c": 1, "alpha": -2}},
+    "trace-korobov-constant": {"family": "korobov", "r": {"kind": "constant", "c": 1.5},
+                               "g": {"kind": "constant", "c": 0.5}},
+    "trace-korobov-log": {"family": "korobov", "r": {"kind": "log_growth", "theta": 1.0},
+                          "g": {"kind": "explicit", "values": [1, 0.5, 0.25, 0.2]}},
+    "trace-gaussian-power": {"family": "gaussian",
+                             "gamma_sq": {"kind": "power", "c": 1, "alpha": -1}},
+    "trace-gaussian-constant": {"family": "gaussian",
+                                "gamma_sq": {"kind": "constant", "c": 0.5}},
+    "trace-gaussian-explicit": {"family": "gaussian",
+                                "gamma_sq": {"kind": "explicit", "values": [2, 1, 1, 0.5]}},
+    "trace-analytic-power": {"family": "analytic_korobov", "omega": 0.5,
+                             "a": {"kind": "power", "c": 1, "alpha": 1},
+                             "b": {"kind": "constant", "c": 1}},
+    "trace-analytic-constant": {"family": "analytic_korobov", "omega": 0.3,
+                                "a": {"kind": "constant", "c": 1},
+                                "b": {"kind": "constant", "c": 2}},
+    "trace-analytic-explicit": {"family": "analytic_korobov", "omega": 0.6,
+                                "a": {"kind": "log_growth", "theta": 1.0},
+                                "b": {"kind": "explicit", "values": [1.5, 1, 2]}},
+    "trace-custom-repeated": {"family": "custom",
+                              "tables": [[1, 0.5, 0.125]] * 4 + [[1, 0.25, 0.0625, 0.01]] * 8,
+                              "tail": {"kind": "geometric", "ratio": 0.25}},
+    "trace-custom-power": {"family": "custom",
+                           "tables": [[2, 1, 0.25], [1.5, 0.5, 0.2, 0.1]],
+                           "tail": {"kind": "power", "exponent": 3}},
+    "trace-custom-untailed": {"family": "custom", "tables": [[1, 0.3, 0.1, 0.0]]},
+}
+
+
+def _dims(name):
+    """The largest d a problem of the family may have: a custom family's
+    number of tables."""
+    return len(TRACE_FAMILIES[name].get("tables", ())) or products.DIMENSION_CAP
+
+
+# Exponents above every family's tau0 (0.5 at most here), then queries that
+# diverge: at dimension 1, and before a leading eigenvalue that underflows.
+T1, T2, T3 = 0.55, 0.8, 1.3
+TRACE_QUERIES = [q for name in TRACE_FAMILIES for q in (
+    {"op": "profile", "family": name, "tau": T2, "D": 60, "normalized": True},
+    {"op": "profile", "family": name, "tau": T3, "D": 60, "normalized": False},
+    {"op": "pt", "family": name, "tau": T1, "q": 1.0, "D": 60},
+    {"op": "qpt", "family": name, "tau": T2, "D": 30},
+    {"op": "lemma", "family": name, "d": min(45, _dims(name)), "epsilon": 0.05, "tau": T3},
+    {"op": "trace", "family": name, "d": min(60, _dims(name)), "tau": T1},
+)] + [
+    {"op": "trace", "family": "trace-korobov-constant", "d": 5, "tau": 0.3},
+    {"op": "pt", "family": "trace-wiener-constant", "tau": 0.5, "q": 1.0, "D": 10},
+    {"op": "profile", "family": "trace-custom-power", "tau": 0.3, "D": 3,
+     "normalized": False},
+    {"op": "profile", "family": "trace-euler-power", "tau": 0.2, "D": 900,
+     "normalized": False},
+    {"op": "profile", "family": "trace-euler-power", "tau": 1.0, "D": 900,
+     "normalized": False},
+]
+TRACE_INPUTS = ("op", "family", "tau", "q", "D", "d", "epsilon", "normalized")
+
 
 def count_answer(specs, query):
     """n and saturation of one count query, through ``info_complexity``."""
@@ -39,6 +109,34 @@ def count_answer(specs, query):
     res = complexity.info_complexity(problem, complexity.ComplexityQuery(
         epsilon=query["epsilon"], d=query["d"], criterion=query["criterion"]))
     return {"n": res.n, "saturated": res.saturated}
+
+
+def trace_answer(specs, query):
+    """The answer of one trace query: a profile's or functional's values and
+    a trace as ``float.hex``, a lemma bound as an int, or the error raised."""
+    spec, op, tau = specs[query["family"]], query["op"], query["tau"]
+    try:
+        if op == "profile":
+            values = spectra.log_trace_profile(spec, tau, query["D"], query["normalized"])
+        elif op == "pt":
+            values = complexity.pt_functional(spec, tau, query["q"], query["D"])
+        elif op == "qpt":
+            values = complexity.qpt_functional(spec, tau, query["D"])
+        else:
+            problem = products.ProductProblem.from_family(spec, query["d"])
+            if op == "lemma":
+                return {"bound": complexity.lemma_bound(problem, query["epsilon"], tau)}
+            return {"trace": products.trace_sum(problem, tau).hex()}
+    except TractalError as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}
+    return {"values": [float(v).hex() for v in values]}
+
+
+def trace_answers(corpus):
+    """Every trace query of the corpus with its answer."""
+    specs = {name: cli.parse_family(doc) for name, doc in corpus["families"].items()}
+    return [dict({k: q[k] for k in TRACE_INPUTS if k in q}, **trace_answer(specs, q))
+            for q in corpus["traces"]]
 
 
 def sweep_csv(argv, family_path):
@@ -82,19 +180,26 @@ def dumps(corpus):
     return (f'{{"recorded_with": {json.dumps(corpus["recorded_with"], sort_keys=True)},\n'
             f' "families": {{\n{families}\n }},\n'
             f' "counts": [\n{block(corpus["counts"])}\n ],\n'
-            f' "sweeps": [\n{block(corpus["sweeps"])}\n ]}}\n')
+            f' "sweeps": [\n{block(corpus["sweeps"])}\n ],\n'
+            f' "traces": [\n{block(corpus["traces"])}\n ]}}\n')
 
 
 def main():
     corpus = json.loads(CORPUS.read_text(encoding="utf-8"))
     inputs = [{k: q[k] for k in COUNT_INPUTS} for q in corpus["counts"]]
     corpus["counts"] += [q for q in EXTRA_COUNTS if q not in inputs]
+    for name, doc in TRACE_FAMILIES.items():
+        corpus["families"].setdefault(name, doc)
+    traces = corpus.setdefault("traces", [])
+    inputs = [{k: q[k] for k in TRACE_INPUTS if k in q} for q in traces]
+    traces += [q for q in TRACE_QUERIES if q not in inputs]
     with tempfile.TemporaryDirectory() as tmp:
         corpus["counts"], corpus["sweeps"] = answers(corpus, tmp)
+    corpus["traces"] = trace_answers(corpus)
     corpus["recorded_with"] = versions()
     CORPUS.write_text(dumps(corpus), encoding="utf-8")
     print(f"{CORPUS.name}: {len(corpus['counts'])} counts, {len(corpus['sweeps'])} sweeps, "
-          f"recorded with {corpus['recorded_with']}")
+          f"{len(corpus['traces'])} traces, recorded with {corpus['recorded_with']}")
     return 0
 
 

@@ -4,7 +4,10 @@
 queries (korobov, gaussian and analytic korobov, abs and nor, d 5 to 60, the
 ROADMAP anchor, a threshold exactly on tied products, and korobov
 ``g_k = k**-2`` at d = 5000 and 10**5) and of two
-``tractal sweep`` commands, with the CSV bytes.  The answers are re-recorded
+``tractal sweep`` commands, with the CSV bytes; and of 107 trace queries:
+``log_trace_profile`` under both flags, ``pt_functional``, ``qpt_functional``,
+``lemma_bound`` and ``trace_sum`` on every family and sequence kind, with the
+floats as ``float.hex`` and the errors raised.  The answers are re-recorded
 only by ``record_counting_corpus.py``, and only when they move on purpose.
 """
 import json
@@ -23,3 +26,13 @@ def test_counting_corpus_answers_are_unchanged(tmp_path):
     assert not differing, (f"{len(differing)} entries differ (recorded with "
                            f"{corpus['recorded_with']}):\n" + "\n".join(differing))
     assert len(counts) == 202 and len(sweeps) == 2
+
+
+def test_trace_answers_are_unchanged():
+    corpus = json.loads(R.CORPUS.read_text(encoding="utf-8"))
+    traces = R.trace_answers(corpus)
+    differing = [f"trace {i}: stored {want}, got {got}"
+                 for i, (want, got) in enumerate(zip(corpus["traces"], traces)) if want != got]
+    assert not differing, (f"{len(differing)} entries differ (recorded with "
+                           f"{corpus['recorded_with']}):\n" + "\n".join(differing))
+    assert len(traces) == 107
