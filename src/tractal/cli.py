@@ -1,7 +1,8 @@
 """Command-line front end: classify, complexity, sweep, verify, oracle-compare.
 
 Exit codes: 0 success, 1 verification failure, 2 unsupported criterion,
-3 invalid input, 4 resource cap.  Reports are JSON; sweeps emit CSV.
+3 invalid input, 4 resource cap; a stdout closed by its reader exits 0.
+Reports are JSON; sweeps emit CSV.
 """
 from __future__ import annotations
 
@@ -395,7 +396,14 @@ def main(argv=None) -> int:
         # a library warning is one line, as an error is, with no source location
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
-            return _COMMANDS[args.command](args)
+            code = _COMMANDS[args.command](args)
+            sys.stdout.flush()
+            return code
+        except BrokenPipeError:
+            # The reader closed stdout (`| head`) and has what it wanted.  Point
+            # stdout at devnull, so the interpreter's final flush cannot raise.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return EXIT_OK
         except UnsupportedCriterionError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_UNSUPPORTED_CRITERION

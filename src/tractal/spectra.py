@@ -33,10 +33,10 @@ the standard library alone.
 
 Specs and factors are immutable after construction.  Each spec has one
 :class:`DimensionTable`, an append-only cache of its dimensions: rows of
-lam(k, 1), its log and ln h_k; the factors built so far, at any k; and the
-heads of factors 1..K, the prefix the walks have read.  It is reached only
-through the ``lru_cache`` of ``_factor``, so clearing that cache empties it.
-A lock per table keeps it consistent under threads.
+lam(k, 1), its log, lam(k, 2) and ln h_k; the factors built so far, at any
+k; and the heads of factors 1..K, the prefix the walks have read.  It is
+reached only through the ``lru_cache`` of ``_factor``, so clearing that
+cache empties it.  A lock per table keeps it consistent under threads.
 """
 from __future__ import annotations
 
@@ -354,10 +354,12 @@ class DimensionTable:
     """The dimensions of one family, read only as far as they are asked for.
 
     Append-only.  Row k, for k = 1 .. ``len(leads)``, holds ``leads[k-1]``,
-    lam(k, 1); ``log_leads[k-1]``, its ``math.log``; and ``log_h[k-1]``,
-    ``ln h_k`` as minus factor k's first ``-ln`` ratio (-inf where lam(k, 2)
-    is 0.0): the expressions :class:`FactorSpectrum` evaluates, so the bits
-    are the same.  :meth:`grow` reads rows in order, two eigenvalues each.
+    lam(k, 1); ``log_leads[k-1]``, its ``math.log``; ``seconds[k-1]``,
+    lam(k, 2); and ``log_h[k-1]``, ``ln h_k`` as minus factor k's first
+    ``-ln`` ratio (-inf where lam(k, 2) is 0.0): the expressions
+    :class:`FactorSpectrum` evaluates, so the bits are the same.  :meth:`grow`
+    reads rows in order, two eigenvalues each; a trace reads lam(k, 1) and
+    lam(k, 2) from the rows, so it builds no factor.
     ``factors`` maps k to the :class:`FactorSpectrum` of dimension k once
     :meth:`factor` has built it, at any k.  ``neg_heads`` and ``head_runs``
     hold the ``neg_log_head`` and ``head_runs`` of factors 1, 2, ... as far
@@ -365,13 +367,13 @@ class DimensionTable:
     product problem is a prefix of the rows, and its walks read the heads.
     """
 
-    __slots__ = ("spec", "leads", "log_leads", "log_h", "factors", "neg_heads", "head_runs",
-                 "_lock")
+    __slots__ = ("spec", "leads", "log_leads", "seconds", "log_h", "factors", "neg_heads",
+                 "head_runs", "_lock")
 
     def __init__(self, spec):
         self.spec = spec
         self._lock = threading.RLock()  # heads builds factors under it
-        self.leads, self.log_leads, self.log_h = [], [], []
+        self.leads, self.log_leads, self.seconds, self.log_h = [], [], [], []
         self.factors = {}
         self.neg_heads, self.head_runs = [], []
 
@@ -382,6 +384,7 @@ class DimensionTable:
         self.factors = dict(enumerate(factors, 1))
         self.leads = [f.leading for f in factors]
         self.log_leads = [f.log_leading for f in factors]
+        self.seconds = [f.head[1] for f in factors]
         self.neg_heads = [f.neg_log_head for f in factors]
         self.head_runs = [f.head_runs for f in factors]
         self.log_h = [-nl[0] for nl in self.neg_heads]
@@ -400,6 +403,7 @@ class DimensionTable:
                     raise InvalidInputError(f"{exc} at k={k}") from None
                 self.leads.append(lead)
                 self.log_leads.append(log_lead)
+                self.seconds.append(second)
                 self.log_h.append(-(log_lead - math.log(second)) if second > 0.0 else -math.inf)
 
     def factor(self, k: int) -> FactorSpectrum:
@@ -472,16 +476,24 @@ def second_ratio(spec: FamilySpec, k: int) -> float:
     ``(1+r_k)**-2`` of the true ratios instead (see
     :func:`second_ratio_limits`).
     """
-    if spec.family is Family.CUSTOM:
-        row = spec.tables[min(k, len(spec.tables)) - 1]
-        return row[1] / row[0]
     param, h = _second_ratio_map(spec)
     return h(param.value(k))
 
 
+class _Rows(NamedTuple):
+    """A custom spec's tables as the parameter sequence of its closed forms:
+    row k, and the last row for every k past the end."""
+
+    tables: tuple
+
+    def value(self, k):
+        return self.tables[min(k, len(self.tables)) - 1]
+
+
 def _second_ratio_map(spec: FamilySpec):
     """The parameter sequence h_k depends on, and h_k as a function of its
-    k-th value; the function also maps the parameter's limit to lim h_k."""
+    k-th value; the function also maps the parameter's limit to lim h_k
+    (except for custom tables, whose limit is declared)."""
     fam = spec.family
     if fam in (Family.EULER, Family.WIENER):
         return spec.r, lambda r: 3.0 ** (-(2.0 * r + 2.0))
@@ -489,7 +501,9 @@ def _second_ratio_map(spec: FamilySpec):
         return spec.g, lambda g: g
     if fam is Family.GAUSSIAN:
         return spec.gamma_sq, lambda g2: 0.0 if g2 == 0 else gaussian_omega(g2)
-    return spec.a, lambda a: spec.omega ** a
+    if fam is Family.ANALYTIC_KOROBOV:
+        return spec.a, lambda a: spec.omega ** a
+    return _Rows(spec.tables), lambda row: row[1] / row[0]
 
 
 def tail_sum_H(spec: FamilySpec, k: int, tau: float) -> float:
@@ -497,26 +511,33 @@ def tail_sum_H(spec: FamilySpec, k: int, tau: float) -> float:
 
     Finite values carry relative error below 1e-12.
     """
+    values, H = _tail_map(spec, tau)
+    return H(values(k))
+
+
+def _tail_map(spec: FamilySpec, tau: float):
+    """The parameter values H(k, tau) depends on, as a function of k, and H
+    as a function of them: the one place each family's tail sum is written."""
     if tau <= 0:
         raise InvalidInputError(f"tau must be positive, got {tau}")
     fam = spec.family
     if fam in (Family.EULER, Family.WIENER):
-        x = tau * (2.0 * spec.r.value(k) + 2.0)
-        if x <= 1.0:
-            return INF
-        # sum_{j>=2} (3/(2j-1))**x = 1.5**x zeta(x, 1.5) = 1 + sum_{n>=1} (1.5/(1.5+n))**x
-        return 1.0 + _power_tail(x, 1.5)
+        def euler_tail(r):
+            x = tau * (2.0 * r + 2.0)
+            # sum_{j>=2} (3/(2j-1))**x = 1.5**x zeta(x, 1.5) = 1 + sum_{n>=1} (1.5/(1.5+n))**x
+            return INF if x <= 1.0 else 1.0 + _power_tail(x, 1.5)
+        return spec.r.value, euler_tail
     if fam is Family.KOROBOV:
-        x = 2.0 * spec.r.value(k) * tau
-        if x <= 1.0:
-            return INF
-        return 2.0 * float(scipy_special().zeta(x))
+        def korobov_tail(r):
+            x = 2.0 * r * tau
+            return INF if x <= 1.0 else 2.0 * float(scipy_special().zeta(x))
+        return spec.r.value, korobov_tail
     if fam is Family.GAUSSIAN:
-        w = gaussian_omega(spec.gamma_sq.value(k))
-        return 1.0 / (1.0 - w ** tau)
+        return spec.gamma_sq.value, lambda g2: 1.0 / (1.0 - gaussian_omega(g2) ** tau)
     if fam is Family.ANALYTIC_KOROBOV:
-        return _analytic_korobov_tail_sum(spec.omega, spec.a.value(k), spec.b.value(k), tau)
-    return _custom_tail_sum(spec, k, tau)
+        a, b, omega = spec.a.value, spec.b.value, spec.omega
+        return (lambda k: (a(k), b(k))), lambda ab: _analytic_korobov_tail_sum(omega, *ab, tau)
+    return _Rows(spec.tables).value, lambda row: _custom_tail_sum(row, spec.tail, tau)
 
 
 def _analytic_korobov_tail_sum(omega, a_k, b_k, tau):
@@ -548,13 +569,12 @@ def _exp_power_integral(c, b, lower):
     return sp.gamma(s) * sp.gammaincc(s, c * lower ** b) / (b * c ** s)
 
 
-def _custom_tail_sum(spec, k, tau):
+def _custom_tail_sum(row, tail, tau):
     import numpy as np
 
-    row = np.asarray(spec.tables[min(k, len(spec.tables)) - 1], dtype=float)
+    row = np.asarray(row, dtype=float)
     lam2 = row[1]
     finite = float(np.sum((row[1:] / lam2) ** tau))
-    tail = spec.tail
     if tail is None:
         return finite
     last_ratio = (row[-1] / lam2) ** tau
@@ -614,28 +634,56 @@ def log_trace_profile(spec: FamilySpec, tau: float, D: int, normalized: bool) ->
     """Entry d-1 is ln sum_j lam_{d,j}**tau = sum_{k<=d} ln sum_j lam(k,j)**tau.
 
     Each factor's power sum is lam(k,1)**tau + lam(k,2)**tau * H(k,tau); the
-    normalized trace divides every lam(k,j) by lam(k,1).  The logs are added
-    in dimension order by a plain left fold, not by ``sum``, which compensates
-    from Python 3.12 on, so the entries do not depend on the Python version.
+    normalized trace divides every lam(k,j) by lam(k,1).  H and h_k come
+    through :func:`_tail_map` and :func:`_second_ratio_map`, and the
+    unnormalized lam(k,1) and lam(k,2) from the rows of the spec's
+    :class:`DimensionTable`, so no factor is built.  A dimension whose
+    parameter values (or rows) equal those of dimension k - 1 reuses its
+    terms: a constant sequence, or custom rows past the last table, costs
+    one tail sum per profile.  The logs are added in dimension order by a
+    plain left fold, not by ``sum``, which compensates from Python 3.12 on,
+    so the entries do not depend on the Python version.
     """
     import numpy as np
 
+    tail_values, tail = _tail_map(spec, tau)
+    if normalized:
+        ratio_seq, ratio = _second_ratio_map(spec)
+        ratio_values, lead = ratio_seq.value, 1.0
+    else:
+        table = _factor(spec)  # one lookup: hashing a spec of many tables costs O(tables)
+        try:
+            table.grow(D)
+        except InvalidInputError:
+            pass  # grow(k) raises it again at its k, after the dimensions before it
+        leads, seconds, grown = table.leads, table.seconds, len(table.leads)
+        lead = None
     out = np.empty(D)
     total = 0.0
-    table = _factor(spec)  # one lookup: hashing a spec of many tables costs O(tables)
+    tail_key = ratio_key = second = term = None
     for k in range(1, D + 1):
-        try:
-            H = tail_sum_H(spec, k, tau)
-        except DivergenceError:  # a tail series that did not converge
-            H = INF
-        if math.isinf(H):
-            raise DivergenceError(f"trace diverges at dimension {k} for tau={tau}",
-                                  dimension=k)
+        p = tail_values(k)
+        if p != tail_key:
+            tail_key, term = p, None
+            try:
+                H = tail(p)
+            except DivergenceError:  # a tail series that did not converge
+                H = INF
+            if math.isinf(H):
+                raise DivergenceError(f"trace diverges at dimension {k} for tau={tau}",
+                                      dimension=k)
         if normalized:
-            lead, second = 1.0, second_ratio(spec, k)
+            q = ratio_values(k)
+            if q != ratio_key:
+                ratio_key, second, term = q, ratio(q), None
         else:
-            lead, second = table.factor(k).head[:2]
-        total += math.log(lead ** tau + second ** tau * H)
+            if k > grown:
+                table.grow(k)
+            if leads[k - 1] != lead or seconds[k - 1] != second:
+                lead, second, term = leads[k - 1], seconds[k - 1], None
+        if term is None:
+            term = math.log(lead ** tau + second ** tau * H)
+        total += term
         out[k - 1] = total
     return out
 

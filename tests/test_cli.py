@@ -866,3 +866,31 @@ def test_mutated_documents_keep_the_exit_code_contract(doc, command):
             code = cli.main(command[:1] + ["--family", path] + command[1:])
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
+
+
+# runs one command in a fresh interpreter, so that its stdout is a real pipe
+MAIN = "import sys\nfrom tractal import cli\nsys.exit(cli.main(sys.argv[1:]))\n"
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+@pytest.mark.parametrize("reads", [0, 1], ids=["closed-at-once", "closed-after-one-read"])
+@pytest.mark.parametrize("argv", [
+    ["classify", "--criterion", "nor"],
+    # ~90 KB of CSV, more than a pipe holds: closed after one read, the pipe
+    # closes in the middle of the write
+    ["sweep", "--criterion", "nor", "--epsilon", "0.5,0.4,0.3,0.2", "--d", "1:800"],
+], ids=["classify", "long-sweep"])
+def test_a_closed_stdout_ends_the_command_quietly(family_file, argv, reads):
+    import subprocess
+    import sys
+
+    path = family_file("k.json", KOROBOV_DOC)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-c", MAIN, argv[0], "--family", path, *argv[1:]],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(reads)) == reads
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (cli.EXIT_OK, b"")

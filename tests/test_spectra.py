@@ -443,3 +443,49 @@ def test_analytic_korobov_exponent_beyond_the_double_range():
     fac = spectra.analytic_korobov(0.5, S.constant(1.0), S.constant(1100.0)).factor(1)
     assert fac.values(1, 6) == (1.0, 0.5, 0.5, 0.0, 0.0)
     assert fac.eigenvalue(10**6) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# log_trace_profile work: terms reused while the parameters repeat
+# ---------------------------------------------------------------------------
+
+def _counting(monkeypatch, name):
+    """Replace spectra.<name> by a wrapper that records its arguments."""
+    calls, fn = [], getattr(spectra, name)
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+    monkeypatch.setattr(spectra, name, counted)
+    return calls
+
+
+def test_qpt_profiles_of_a_constant_sequence_sum_one_tail_each(monkeypatch):
+    from tractal import complexity
+
+    spec = spectra.euler(S.constant(1))
+    want = complexity.qpt_functional(spec, 0.4, 30)
+    calls = _counting(monkeypatch, "_power_tail")
+    got = complexity.qpt_functional(spec, 0.4, 30)
+    assert len(calls) == 30  # one per profile, not 1 + 2 + ... + 30 = 465
+    assert got.tobytes() == want.tobytes()
+
+
+def test_trace_at_large_d_builds_no_factor():
+    from tractal import products
+
+    spec = spectra.korobov(S.constant(1.0), S.power(1.0, -2.0))
+    spectra._factor.cache_clear()
+    table = spec.dimension_table()
+    assert math.isfinite(products.trace_sum(products.ProductProblem.from_family(spec, 10**5), 1.0))
+    assert table.factors == {} and table.neg_heads == []
+    assert len(table.seconds) == 10**5 and table.seconds[:3] == [1.0, 0.25, 1.0 / 9.0]
+
+
+@pytest.mark.parametrize("normalized", [True, False])
+def test_custom_profile_sums_its_last_table_once(monkeypatch, normalized):
+    rows = [[1.0, 0.5, 0.25], [1.0, 0.3, 0.09, 0.01], [2.0, 0.5, 0.1]]
+    spec = spectra.custom_tabulated(rows, tail=spectra.TailModel("power", exponent=3.0))
+    calls = _counting(monkeypatch, "_custom_tail_sum")
+    spectra.log_trace_profile(spec, 0.75, 50, normalized)
+    assert [list(call[0]) for call in calls] == rows
