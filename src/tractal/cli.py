@@ -1,7 +1,8 @@
 """Command-line front end: classify, complexity, sweep, verify, oracle-compare.
 
 Exit codes: 0 success, 1 verification failure, 2 unsupported criterion,
-3 invalid input, 4 resource cap; a stdout closed by its reader exits 0.
+3 invalid input, 4 resource cap or out of memory; a stdout closed by its
+reader exits 0.
 Reports are JSON; sweeps emit CSV.
 """
 from __future__ import annotations
@@ -407,8 +408,9 @@ def main(argv=None) -> int:
         except UnsupportedCriterionError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_UNSUPPORTED_CRITERION
-        except CapExceededError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        except (CapExceededError, MemoryError) as exc:
+            # the interpreter's MemoryError carries no message
+            print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
             return EXIT_RESOURCE_CAP
         # a Warning arrives here only when the warning filters raise it as an error
         except (InvalidInputError, TractalError, Warning) as exc:

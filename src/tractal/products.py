@@ -13,11 +13,14 @@ tuple near the top has few of those, so a tuple's log value costs one
 subtraction from its parent's, whatever d is.  Both walks read the ``-ln``
 ratios in place from each factor's head, build longer ones for a dimension
 only when they read past it, and prune on the same bound.  A family's
-problem is a prefix of the family's dimension table
+problem is a view of a prefix of the family's dimension table
 (:class:`spectra.DimensionTable`), which holds lam(k, 1), its log and
-ln h_k for each k.  A walk asks the table for the heads of the prefix of
-dimensions it can reach, which builds those factors and no others, so a
-count costs what its excited dimensions cost, plus a pass over d rows in C.
+ln h_k for each k: the problem stores d and its leading product, and each
+list derived from the rows is built by the code that reads it, so the
+problems of a d-range hold no d-long list each.  A walk asks the table for
+the heads of the prefix of dimensions it can reach, which builds those
+factors and no others, so a count costs what its excited dimensions cost,
+plus a few passes over d rows in C.
 
 A count decides the tuples within a small relative window of the threshold
 by the dense dimension-order evaluation, in direct or log space as above, so
@@ -95,12 +98,19 @@ class CountResult(_CountResult):
 class ProductProblem:
     """An ordered list of factor spectra defining the product eigenvalues.
 
-    The problem is the first d rows of a :class:`spectra.DimensionTable`:
-    its family's, or one holding the given factors.  Indices are 0-based
-    here: ``factor(k)`` is the factor of dimension k + 1, and ``factors``
-    lists all d of them, both read through the table's ``factor``, which
-    builds a factor the first time it is asked for.  The walks read the
-    heads of the factors they reach through the table's ``heads``.
+    The problem is a view of the first d rows of a
+    :class:`spectra.DimensionTable`: its family's, or one holding the given
+    factors.  It stores the table, d and the family, plus three scalars: the
+    leading product, its log and ``uses_log``; ``leads`` and ``log_leads``
+    read the table's rows.  Each list derived from the rows is built by the
+    code that reads it: ``hmax`` by the walks (:func:`_hmax`), a point's
+    suffix fold by its first borderline decision, kept until the point is
+    counted (:class:`_Point`).
+    Indices are 0-based here: ``factor(k)`` is the factor of dimension
+    k + 1, and ``factors`` lists all d of them, both read through the
+    table's ``factor``, which builds a factor the first time it is asked
+    for.  The walks read the heads of the factors they reach through the
+    table's ``heads``.
     """
 
     def __init__(self, factors, family=None):
@@ -115,17 +125,20 @@ class ProductProblem:
 
     def _prefix(self, table, d, family):
         self.table, self.d, self.family = table, d, family
-        # lam(k, 1) and its log for each k, the root's eigenvalues
-        self.leads = table.leads[:d]
-        self.log_leads = table.log_leads[:d]
-        # suffix_leading[k] = prod_{k' >= k} lam(k', 1), 0-indexed, length d+1,
-        # and log_suffix_leading the same sums of logs, both folded from the end
-        self.suffix_leading = _suffix_fold(self.leads, operator.mul, 1.0)
-        self.log_suffix_leading = _suffix_fold(self.log_leads, operator.add, 0.0)
-        # hmax[k] = ln max_{k' >= k} h_k', with -inf past the last dimension
-        self.hmax = _suffix_fold(table.log_h[:d], max, -math.inf)
+        # prod_k lam(k, 1) and the sum of its logs, folded from the last dimension
+        self.leading_product = reduce(operator.mul, reversed(self.leads), 1.0)
+        self.log_leading_product = reduce(operator.add, reversed(self.log_leads), 0.0)
         self.uses_log = (self.d > _DIRECT_DIM_LIMIT
-                         or self.log_suffix_leading[0] < _DIRECT_LOG_FLOOR)
+                         or self.log_leading_product < _DIRECT_LOG_FLOOR)
+
+    @property
+    def leads(self):
+        """lam(k, 1) for each k, the root's eigenvalues."""
+        return self.table.leads[:self.d]
+
+    @property
+    def log_leads(self):
+        return self.table.log_leads[:self.d]
 
     def factor(self, k):
         return self.table.factor(k + 1)
@@ -133,14 +146,6 @@ class ProductProblem:
     @property
     def factors(self):
         return list(map(self.table.factor, range(1, self.d + 1)))
-
-    @property
-    def leading_product(self) -> float:
-        return self.suffix_leading[0]
-
-    @property
-    def log_leading_product(self) -> float:
-        return self.log_suffix_leading[0]
 
     def scaled(self, constants) -> "ProductProblem":
         """Each factor multiplied by its positive constant; family link dropped."""
@@ -153,9 +158,13 @@ class ProductProblem:
 def _suffix_fold(values, op, start):
     """``[f(0), ..., f(n - 1), start]`` with ``f(k) = op(f(k + 1), values[k])``,
     ``f(n) = start``: a fold from the end."""
-    folded = list(itertools.accumulate(reversed(values), op, initial=start))
-    folded.reverse()
-    return folded
+    return list(itertools.accumulate(reversed(values), op, initial=start))[::-1]
+
+
+def _hmax(problem):
+    """``hmax[k] = ln max_{k' >= k} h_k'`` for k = 0 .. d, 0-indexed, with
+    -inf past the last dimension: the walks' bound on a node's children."""
+    return _suffix_fold(problem.table.log_h[:problem.d], max, -math.inf)
 
 
 def family_problems(spec, ds):
@@ -200,8 +209,9 @@ def product_eigenvalues_top(problem: ProductProblem, m: int) -> np.ndarray:
     minus one ``-ln`` ratio.  A frontier visits them best ``V`` first, and a
     min-heap keeps the m best folds found so far.  A child's later siblings
     enter the frontier once it is visited, and its children in dimensions
-    >= k as one entry keyed by the bound ``hmax[k]``, so a visit costs a
-    fold and a few pushes, not one per dimension.  As in counts, one member
+    >= k as one entry keyed by the bound ``hmax[k]`` (:func:`_hmax`, folded
+    once per call), so a visit costs a fold and a few pushes, not one per
+    dimension.  As in counts, one member
     per run of equal eigenvalues is visited, with a weight ``W``, the number
     of tuples it stands for; its fold enters the heap W times, at most m.
 
@@ -227,7 +237,7 @@ def product_eigenvalues_top(problem: ProductProblem, m: int) -> np.ndarray:
     use_log = problem.uses_log
     term, op, one = (math.log, operator.add, -0.0) if use_log else (float, operator.mul, 1.0)
     band = _band(problem, use_log)
-    hmax = problem.hmax
+    hmax = _hmax(problem)
     root = problem.log_leads if use_log else problem.leads
     heap = [log_fold(root) if use_log else math.prod(root)]
     lo = -math.inf  # no child is dropped unfolded until the heap holds m folds
@@ -337,17 +347,24 @@ def check_cap(cap):
 class _Point:
     """One threshold of a walk: its problem, its window and its count so far."""
 
-    __slots__ = ("problem", "T", "log_space", "d", "lo", "hi", "extra")
+    __slots__ = ("problem", "T", "log_space", "d", "lo", "hi", "extra", "sfx")
 
     def __init__(self, problem, T, log_space, lo, hi):
         self.problem, self.T, self.log_space = problem, T, log_space
         self.d, self.lo, self.hi = problem.d, lo, hi
-        self.extra = 0          # children accepted beyond the band's sure ones
+        # the children accepted beyond the band's sure ones, and the suffix
+        # fold _dense_rule reads, from the point's first decision until it is counted
+        self.extra, self.sfx = 0, None
 
-    def accepts(self, exc, k, j):
-        """The dense rule's decision for the child exciting (k, j) of exc."""
-        lams = _tuple_terms(self.problem, (k, j, exc, 0))
-        return _dense_rule(self.problem, lams, self.T, self.log_space)
+    def accepts(self, chain):
+        """The dense rule's decision for the tuple the chain excites; the
+        first decision folds the point's leading suffix products."""
+        if self.sfx is None:
+            # sfx[k] = prod_{k' >= k} lam(k', 1), 0-indexed, length d + 1, or
+            # in log space the same sum of logs
+            self.sfx = (_suffix_fold(self.problem.log_leads, operator.add, 0.0) if self.log_space
+                        else _suffix_fold(self.problem.leads, operator.mul, 1.0))
+        return _dense_rule(self.problem, chain, self.T, self.log_space, self.sfx)
 
 
 def _walk(points, cap):
@@ -370,10 +387,15 @@ def _walk(points, cap):
     dimensions read are a prefix, and ``neg`` and ``runs`` start as the
     table's heads of that prefix (:meth:`spectra.DimensionTable.heads`),
     which builds its factors before the walk, so the loop has no check.
+    ``hmax`` (:func:`_hmax`) is folded here, once for the largest problem
+    and once for each band top of another problem.
 
     For a point, values above its window ``(lo, hi)`` from :func:`_band`
     are counted and those below it rejected; values in between are decided
-    by :func:`_dense_rule` on the point's own problem.  Every decision is
+    by :func:`_dense_rule` on the point's own problem, through
+    :meth:`_Point.accepts`, which folds the point's leading suffix products
+    once, in the point's own space, on its first such decision; the fold is
+    dropped once the point is counted.  Every decision is
     monotone in each coordinate, so a child rejected by a point has no
     descendant it accepts, and the first child it rejects in a dimension
     ends that dimension's children for it.
@@ -404,11 +426,11 @@ def _walk(points, cap):
         key = (sub.d, T, log_space)
         if key in results:
             continue
-        lo, hi = _band(sub, log_space)(T)
-        if not (0.0 > lo and (0.0 > hi or _dense_rule(sub, sub.leads, T, log_space))):
-            results[key] = CountResult(0, False, cap)
+        pt = _Point(sub, T, log_space, *_band(sub, log_space)(T))
+        if 0.0 > pt.lo and (0.0 > pt.hi or pt.accepts(None)):
+            open_pts.append(pt)
         else:
-            open_pts.append(_Point(sub, T, log_space, lo, hi))
+            results[key] = CountResult(0, False, cap)
     bands = []
     for pt in sorted(open_pts, key=operator.attrgetter("lo")):
         if bands and pt.lo <= band_hi:
@@ -420,26 +442,28 @@ def _walk(points, cap):
     # the bands share the ratios, whose dimension k is read by every band of
     # d > k; runs[k] gives the runs of equal eigenvalues in neg[k] (see
     # FactorSpectrum.ratio_runs), or is None while no run is longer than one
-    neg = runs = ()
     if open_pts:
         # every band's lo is at least the first band's, and its hmax at most
         # the largest problem's: the prefix where the one exceeds the other
         largest = max(open_pts, key=operator.attrgetter("d")).problem
-        K = bisect_left(largest.hmax, -bands[0][0].lo, key=operator.neg)
+        largest_hmax = _hmax(largest)
+        K = bisect_left(largest_hmax, -bands[0][0].lo, key=operator.neg)
         neg, runs = largest.table.heads(K)
     for band in bands:
         band.sort(key=operator.attrgetter("d"))
-        for pt, n in zip(band, _walk_group(band, cap, neg, runs)):
-            results[pt.d, pt.T, pt.log_space] = (CountResult(cap, True, cap) if n >= cap
-                                                 else CountResult(n, False, cap))
+        hmax = largest_hmax if band[-1].problem is largest else _hmax(band[-1].problem)
+        for pt, n in zip(band, _walk_group(band, cap, neg, runs, hmax)):
+            results[pt.d, pt.T, pt.log_space] = CountResult(min(n, cap), n >= cap, cap)
+            pt.sfx = None
     return [results[(sub.d, T, log_space)] for sub, T, log_space in points]
 
 
-def _walk_group(band, cap, neg, runs):
+def _walk_group(band, cap, neg, runs, hmax):
     """The walk of :func:`_walk` for one band, its points ordered by d; their counts.
 
-    The walk runs at the problem of the top point, the one of largest d, and
-    prunes at the band's ``lo``, the least of its points'.  ``acc[k]``
+    The walk runs at the problem of the top point, the one of largest d,
+    whose ``hmax`` is given, and prunes at the band's ``lo``, the least of
+    its points'.  ``acc[k]``
     counts the children in dimension k above every window, which count for
     each point with d > k; it is kept below ``dsec``, the second largest d,
     as ``tot`` is the top's count so far.  A top whose count reaches cap is
@@ -449,7 +473,6 @@ def _walk_group(band, cap, neg, runs):
     """
     pts = list(band)
     problem = pts[-1].problem
-    hmax = problem.hmax
     acc = [0] * problem.d
     tot = 1
     stack = [(0.0, 0, None)]
@@ -529,7 +552,7 @@ def _borderline(pts, nl, ln, V, k, exc, W, n, m):
             continue
         mp = bisect_left(nl, V - p.lo, n, m)
         i = bisect_left(nl, V - p.hi, n, mp)
-        while i < mp and p.accepts(exc, k, i + 2):
+        while i < mp and p.accepts((k, i + 2, exc, W)):
             i += ln[i] if ln else 1
         p.extra += (i - n) * W
         if p is top:
@@ -552,16 +575,6 @@ def _grow_ratios(fac, neg, runs, k, limit):
     return nl
 
 
-def _tuple_terms(problem, exc):
-    """The d eigenvalues of the tuple that the chain exc excites, in
-    dimension order: the leads, with ``lam(k, j)`` at each excited coordinate (k, j)."""
-    terms = problem.leads.copy()
-    while exc is not None:
-        k, j, exc, _ = exc
-        terms[k] = problem.factor(k).eigenvalue(j)
-    return terms
-
-
 def _band(problem, log_space):
     """The borderline window of a count, as a function of T.
 
@@ -578,7 +591,8 @@ def _band(problem, log_space):
     base = 1.0 + math.fsum(map(abs, problem.log_leads))
     # A direct product step that goes subnormal is off by up to 2**-1075,
     # times the factors after it (at most the largest leading suffix).
-    slack = 0.0 if log_space else problem.d * 2.0 ** -1074 * max(problem.suffix_leading)
+    slack = 0.0 if log_space else problem.d * 2.0 ** -1074 * max(
+        itertools.accumulate(reversed(problem.leads), operator.mul, initial=1.0))
 
     def band(T):
         if log_space:
@@ -592,23 +606,32 @@ def _band(problem, log_space):
     return band
 
 
-def _dense_rule(problem, lams, T, log_space):
-    """The dense dimension-order counter's decision for the one tuple whose
-    eigenvalues, in dimension order, are lams.
+def _dense_rule(problem, chain, T, log_space, sfx):
+    """The dense dimension-order counter's decision for the one tuple that
+    the chain excites: the leads, with ``lam(k, j)`` at each excited
+    coordinate (k, j).
 
     Prefixes are multiplied (or, in log space, summed with ``math.log``) in
-    dimension order, and each prefix times the leading product of the
-    remaining dimensions must exceed T; the last check is the full product.
+    dimension order, and each prefix times ``sfx[k]``, the leading product of
+    the remaining dimensions (the point's fold, see :class:`_Point`), must
+    exceed T; the last check is the full product.  The leads are read in
+    place from the table's rows between the excited terms, and the d checks
+    run as one ``accumulate``/``map`` pipeline, the same operations in the
+    same order as a loop over a d-long list of the terms.
     """
-    sfx = problem.log_suffix_leading if log_space else problem.suffix_leading
-    P = 0.0 if log_space else 1.0
-    for k, lam in enumerate(lams, 1):
+    row, op = ((problem.table.log_leads, operator.add) if log_space
+               else (problem.table.leads, operator.mul))
+    pieces, end = [], problem.d
+    while chain is not None:
+        k, j, chain, _ = chain
+        lam = problem.factor(k).eigenvalue(j)
         if lam <= 0.0:
             return False
-        P = P + math.log(lam) if log_space else P * lam
-        if not ((P + sfx[k]) > T if log_space else (P * sfx[k]) > T):
-            return False
-    return True
+        pieces += itertools.islice(row, k + 1, end), (math.log(lam) if log_space else lam,)
+        end = k
+    pieces.append(itertools.islice(row, end))
+    prefixes = itertools.accumulate(itertools.chain.from_iterable(reversed(pieces)), op)
+    return all(map(partial(operator.lt, T), map(op, prefixes, itertools.islice(sfx, 1, None))))
 
 
 def trace_sum(problem: ProductProblem, tau: float) -> float:

@@ -156,6 +156,9 @@ def korobov(r: SequenceDescriptor, g: SequenceDescriptor) -> FamilySpec:
 
 def gaussian(gamma_sq: SequenceDescriptor) -> FamilySpec:
     validate_sequence(gamma_sq, "gamma_sq", direction="nonincreasing", positive=True)
+    # gamma^2 is nonincreasing and omega increasing in it, so k = 1 decides
+    if not gaussian_omega(gamma_sq.value(1)) < 1.0:
+        raise InvalidInputError(f"gamma_sq(1) = {gamma_sq.value(1)!r}: omega rounds to 1")
     return FamilySpec(family=Family.GAUSSIAN, gamma_sq=gamma_sq)
 
 

@@ -13,7 +13,9 @@ generator ``random_family``; and from ``tractal.products`` the enumerated
 box ``box_products``.
 """
 import heapq
+import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -36,7 +38,10 @@ def dense_count(problem, T, cap, log_space):
     """
     d = problem.d
     facs = problem.factors
-    sfx = problem.log_suffix_leading if log_space else problem.suffix_leading
+    # sfx[k] = prod_{k' >= k} lam(k', 1), or the sum of their logs, folded from the end
+    leads = [math.log(f.leading) if log_space else f.leading for f in facs]
+    sfx = list(itertools.accumulate(reversed(leads), operator.add if log_space else operator.mul,
+                                    initial=0.0 if log_space else 1.0))[::-1]
     count = 0
     pushes = 0
     stack = [(0, 0.0 if log_space else 1.0)]

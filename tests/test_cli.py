@@ -464,6 +464,43 @@ def test_dimension_past_the_cap_exits_4_building_no_factor(capsys, family_file, 
     assert "dimension cap" in err
 
 
+@pytest.mark.parametrize("command, module, worker", [
+    (["sweep", "--d", "1:5"], cli.complexity, "info_complexity_grid"),
+    (["classify"], tractability, "classify"),
+])
+def test_out_of_memory_exits_4_with_one_line(capsys, family_file, monkeypatch, command, module,
+                                             worker):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(module, worker, exhausted)
+    path = family_file("k.json", KOROBOV_DOC)
+    assert run(capsys, command[:1] + ["--family", path] + command[1:]) == (
+        4, "", "error: out of memory\n")
+
+
+@pytest.mark.parametrize("gamma_sq", [4e32, 1e40])
+@pytest.mark.parametrize("command", [["classify"], ["sweep", "--d", "1:3"]])
+def test_gaussian_whose_ratio_rounds_to_one_exits_3(capsys, family_file, gamma_sq, command):
+    """omega < 1 makes the family QPT, but past gamma^2 ~ 3e32 it rounds to
+    1.0: the spec is refused rather than answered as if omega were 1."""
+    path = family_file("g.json", {"family": "gaussian",
+                                  "gamma_sq": {"kind": "power", "c": gamma_sq, "alpha": -1}})
+    code, out, err = run(capsys, command[:1] + ["--family", path] + command[1:])
+    assert (code, out) == (3, "")
+    assert err.count("\n") == 1 and err.startswith(f"error: gamma_sq(1) = {gamma_sq!r}")
+    assert "omega rounds to 1" in err
+
+
+def test_gaussian_just_below_the_rounding_is_answered(capsys, family_file):
+    path = family_file("g.json", {"family": "gaussian", "gamma_sq": {"kind": "constant", "c": 1e32}})
+    code, out, err = run(capsys, ["classify", "--family", path, "--criterion", "nor"])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert (doc["spt"], doc["qpt"]) == (False, True)
+    assert doc["b"] == -math.log(spectra.gaussian_omega(1e32)) > 0.0
+
+
 def test_dimension_cap_admits_a_range_to_the_cap():
     assert cli._parse_int_list(f"1:{products.DIMENSION_CAP}")[-1] == products.DIMENSION_CAP
 

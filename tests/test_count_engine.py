@@ -9,6 +9,7 @@ import random
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -181,13 +182,12 @@ def test_borderline_recheck_runs_on_ties(monkeypatch):
     calls = []
     accepts = products._Point.accepts
 
-    def recorded(point, exc, k, j):
+    def recorded(point, chain):
         js = [1] * point.d
-        js[k] = j
-        node = exc
+        node = chain
         while node is not None:
             js[node[0]], node = node[1], node[2]
-        calls.append((tuple(js), accepts(point, exc, k, j)))
+        calls.append((tuple(js), accepts(point, chain)))
         return calls[-1][1]
 
     monkeypatch.setattr(products._Point, "accepts", recorded)
@@ -412,6 +412,27 @@ def test_complexity_grid_matches_per_point_oracle(seed):
     assert got == want
 
 
+def test_a_d_range_grid_holds_memory_linear_in_its_length():
+    """A grid over d = 1..D holds no d-long list per problem: its traced
+    peak grows at most 2.5x per doubling of D (about 1.7x measured, 3.8x
+    while each problem held five d-long lists), and its counts are the
+    one-point counts."""
+    spec = spectra.gaussian(S.power(1.0, -2.0))
+    peaks = []
+    for D in (250, 500, 1000):
+        spectra._factor.cache_clear()
+        tracemalloc.start()
+        try:
+            grid = complexity.info_complexity_grid(spec, "nor", range(1, D + 1), [0.1, 0.03])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert all(b <= 2.5 * a for a, b in zip(peaks, peaks[1:])), peaks
+    for d in (1, 30, 31, 577, 1000):
+        assert grid[2 * d - 2: 2 * d] == helpers.per_point_complexity(
+            spec, "nor", [d], [0.1, 0.03], products.COUNTING_CAP)
+
+
 def test_growth_guard_closes_a_band_top_while_a_lower_point_stays_open(monkeypatch):
     """ln T = -10 on [A] and [A, B] is one band.  B's ratios fall slowly, so
     at the root its list runs out, and before each growth the guard reads
@@ -470,7 +491,8 @@ def test_table_problems_match_explicitly_built_problems(kind, d):
 
     def bits(p):
         return ([[x.hex() for x in xs] for xs in (
-            p.leads, p.log_leads, p.suffix_leading, p.log_suffix_leading, p.hmax)], p.uses_log)
+            p.leads, p.log_leads, [p.leading_product, p.log_leading_product], products._hmax(p))],
+            p.uses_log)
 
     assert bits(lazy) == bits(explicit)
     # ties on tuples excited in the first dimensions, as a count near the top reads
@@ -528,7 +550,8 @@ def test_a_count_builds_only_the_dimensions_it_can_reach(monkeypatch):
     assert complexity.info_complexity(p, query).n == 14423
     _, T, log_space = complexity._count_point(p, query, products.COUNTING_CAP)
     lo = products._band(p, log_space)(T)[0]
-    reach = [k + 1 for k in range(d) if p.hmax[k] > lo]
+    hmax = products._hmax(p)
+    reach = [k + 1 for k in range(d) if hmax[k] > lo]
     assert reach == list(range(1, len(reach) + 1)) and len(reach) < d
     assert sorted(p.table.factors) == reach
     assert [p.table.factors[k] for k in reach] == built

@@ -111,6 +111,21 @@ def test_gaussian_omega_domain():
         gaussian_omega(0.0)
 
 
+@pytest.mark.parametrize("gamma_sq", [S.constant(4e32), S.power(1e40, -2.0),
+                                      S.explicit([4e32, 1.0, 0.5])])
+def test_gaussian_refuses_a_ratio_that_rounds_to_one(gamma_sq):
+    """omega(gamma^2(1)) == 1.0 would make the tail sums divide by zero and
+    the leading eigenvalue 0.0; the largest gamma^2 is the first."""
+    with pytest.raises(InvalidInputError, match="omega rounds to 1"):
+        spectra.gaussian(gamma_sq)
+
+
+def test_gaussian_just_below_the_rounding_is_accepted():
+    spec = spectra.gaussian(S.constant(1e32))
+    assert gaussian_omega(1e32) < 1.0
+    assert spec.factor(1).leading == 1.0 - gaussian_omega(1e32) > 0.0
+
+
 @given(st.floats(min_value=1e-6, max_value=1e6), st.floats(min_value=1e-6, max_value=1e6))
 @settings(max_examples=200, deadline=None)
 def test_gaussian_omega_increasing_property(a, b):
