@@ -4,9 +4,10 @@
     PYTHONPATH=src python tests/record_counting_corpus.py
 
 ``tests/counting_corpus.json`` stores its inputs (family documents, count
-queries, sweep commands and trace queries) next to the exact answers.  This
-script keeps the inputs, adds the families of ``TRACE_FAMILIES`` and the
-queries of ``EXTRA_COUNTS`` and ``TRACE_QUERIES`` it lacks, recomputes every
+queries, sweep commands, trace queries and top-m queries) next to the exact
+answers.  This script keeps the inputs, adds the families of
+``TRACE_FAMILIES`` and ``TOP_FAMILIES`` and the queries of ``EXTRA_COUNTS``,
+``TRACE_QUERIES`` and ``TOP_QUERIES`` it lacks, recomputes every
 answer with the checkout's ``tractal``, and rewrites the file with the
 Python, numpy, scipy and glibc versions it ran on.  Re-record only when
 answers move on purpose, and list the moved entries in CHANGES.md.
@@ -102,6 +103,40 @@ TRACE_QUERIES = [q for name in TRACE_FAMILIES for q in (
 ]
 TRACE_INPUTS = ("op", "family", "tau", "q", "D", "d", "epsilon", "normalized")
 
+# Custom spectra whose first dimension ranks first, so a top-m with m above
+# 33 reads its ratios past the factor head (j <= 33): pairs of equal
+# eigenvalues, a run j = 30..40 that crosses the head and zeros from j = 51
+# on; or distinct eigenvalues in the head and a run j = 37..40 past it.
+_RUNS_ROW = ([1.0] + [0.98 ** (j // 2) for j in range(2, 30)] + [0.98 ** 15] * 11
+             + [0.98 ** (j - 25) for j in range(41, 51)] + [0.0] * 5)
+_LATE_RUN_ROW = ([0.99 ** j for j in range(36)] + [0.99 ** 36] * 4
+                 + [0.99 ** j for j in range(37, 45)])
+_FAST_ROW = [1.0, 0.01, 0.001, 0.0]
+TOP_FAMILIES = {
+    "top-custom-runs": {"family": "custom", "tables": [_RUNS_ROW] + [_FAST_ROW] * 34},
+    "top-custom-late-run": {"family": "custom", "tables": [_LATE_RUN_ROW, _FAST_ROW]},
+}
+# The bench's top-m mix (d -> m, korobov with euler, gaussian with analytic
+# korobov, alternately), direct space for d <= 30 and log space above; then
+# the custom spectra in both spaces and past their nonzero products, and
+# spectra without runs read past the head.
+_TOP_M = {5: 400, 9: 300, 12: 200, 16: 160, 20: 125, 25: 100, 30: 75, 35: 60,
+          40: 50, 45: 45, 50: 40, 55: 35}
+TOP_QUERIES = [{"family": name, "d": d, "m": m}
+               for i, (d, m) in enumerate(_TOP_M.items())
+               for name in (("korobov", "trace-euler-constant"),
+                            ("gaussian", "analytic_korobov"))[i % 2]] + [
+    {"family": "top-custom-runs", "d": 3, "m": 60},
+    {"family": "top-custom-runs", "d": 35, "m": 60},
+    {"family": "top-custom-runs", "d": 2, "m": 140},
+    {"family": "top-custom-runs", "d": 3, "m": 500},
+    {"family": "top-custom-late-run", "d": 2, "m": 100},
+    {"family": "top-custom-late-run", "d": 2, "m": 200},
+    {"family": "trace-euler-constant", "d": 2, "m": 150},
+    {"family": "gaussian", "d": 1, "m": 60},
+]
+TOP_INPUTS = ("family", "d", "m")
+
 
 def count_answer(specs, query):
     """n and saturation of one count query, through ``info_complexity``."""
@@ -130,6 +165,23 @@ def trace_answer(specs, query):
     except TractalError as exc:
         return {"error": f"{type(exc).__name__}: {exc}"}
     return {"values": [float(v).hex() for v in values]}
+
+
+def top_answer(specs, query):
+    """The m largest product eigenvalues of one top-m query as ``float.hex``,
+    or the error raised."""
+    try:
+        problem = products.ProductProblem.from_family(specs[query["family"]], query["d"])
+        values = products.product_eigenvalues_top(problem, query["m"])
+    except TractalError as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}
+    return {"values": [float(v).hex() for v in values]}
+
+
+def top_answers(corpus):
+    """Every top-m query of the corpus with its answer."""
+    specs = {name: cli.parse_family(doc) for name, doc in corpus["families"].items()}
+    return [dict({k: q[k] for k in TOP_INPUTS}, **top_answer(specs, q)) for q in corpus["tops"]]
 
 
 def trace_answers(corpus):
@@ -181,25 +233,31 @@ def dumps(corpus):
             f' "families": {{\n{families}\n }},\n'
             f' "counts": [\n{block(corpus["counts"])}\n ],\n'
             f' "sweeps": [\n{block(corpus["sweeps"])}\n ],\n'
-            f' "traces": [\n{block(corpus["traces"])}\n ]}}\n')
+            f' "traces": [\n{block(corpus["traces"])}\n ],\n'
+            f' "tops": [\n{block(corpus["tops"])}\n ]}}\n')
 
 
 def main():
     corpus = json.loads(CORPUS.read_text(encoding="utf-8"))
     inputs = [{k: q[k] for k in COUNT_INPUTS} for q in corpus["counts"]]
     corpus["counts"] += [q for q in EXTRA_COUNTS if q not in inputs]
-    for name, doc in TRACE_FAMILIES.items():
+    for name, doc in {**TRACE_FAMILIES, **TOP_FAMILIES}.items():
         corpus["families"].setdefault(name, doc)
     traces = corpus.setdefault("traces", [])
     inputs = [{k: q[k] for k in TRACE_INPUTS if k in q} for q in traces]
     traces += [q for q in TRACE_QUERIES if q not in inputs]
+    tops = corpus.setdefault("tops", [])
+    inputs = [{k: q[k] for k in TOP_INPUTS} for q in tops]
+    tops += [q for q in TOP_QUERIES if q not in inputs]
     with tempfile.TemporaryDirectory() as tmp:
         corpus["counts"], corpus["sweeps"] = answers(corpus, tmp)
     corpus["traces"] = trace_answers(corpus)
+    corpus["tops"] = top_answers(corpus)
     corpus["recorded_with"] = versions()
     CORPUS.write_text(dumps(corpus), encoding="utf-8")
     print(f"{CORPUS.name}: {len(corpus['counts'])} counts, {len(corpus['sweeps'])} sweeps, "
-          f"{len(corpus['traces'])} traces, recorded with {corpus['recorded_with']}")
+          f"{len(corpus['traces'])} traces, {len(corpus['tops'])} top-m queries, "
+          f"recorded with {corpus['recorded_with']}")
     return 0
 
 

@@ -7,7 +7,11 @@ ROADMAP anchor, a threshold exactly on tied products, and korobov
 ``tractal sweep`` commands, with the CSV bytes; and of 107 trace queries:
 ``log_trace_profile`` under both flags, ``pt_functional``, ``qpt_functional``,
 ``lemma_bound`` and ``trace_sum`` on every family and sequence kind, with the
-floats as ``float.hex`` and the errors raised.  The answers are re-recorded
+floats as ``float.hex`` and the errors raised; and of 32 top-m queries: the
+bench's mix of korobov, euler, gaussian and analytic korobov at d 5 to 55,
+in direct and log space, and custom spectra whose runs of equal eigenvalues
+cross the factor head, read past it and past their last nonzero eigenvalue,
+with every value as ``float.hex``.  The answers are re-recorded
 only by ``record_counting_corpus.py``, and only when they move on purpose.
 """
 import json
@@ -36,3 +40,13 @@ def test_trace_answers_are_unchanged():
     assert not differing, (f"{len(differing)} entries differ (recorded with "
                            f"{corpus['recorded_with']}):\n" + "\n".join(differing))
     assert len(traces) == 107
+
+
+def test_top_m_answers_are_unchanged():
+    corpus = json.loads(R.CORPUS.read_text(encoding="utf-8"))
+    tops = R.top_answers(corpus)
+    differing = [f"top-m {i}: stored {want}, got {got}"
+                 for i, (want, got) in enumerate(zip(corpus["tops"], tops)) if want != got]
+    assert not differing, (f"{len(differing)} entries differ (recorded with "
+                           f"{corpus['recorded_with']}):\n" + "\n".join(differing))
+    assert len(tops) == 32
