@@ -283,7 +283,12 @@ def run_oracle_compare(args) -> int:
     d = d_list[0]
     problem = products.ProductProblem.from_family(spec, d)
     J = args.j
-    oracle = products.brute_force_oracle(problem, J)
+    # a log-space count compares log sums with ln T, and their exp can round
+    # onto a subnormal threshold, so such a box is kept as logs; their exps
+    # are the values brute_force_oracle gives
+    log_box = products.brute_force_log_oracle(problem, J) if problem.uses_log else None
+    oracle = (products.brute_force_oracle(problem, J) if log_box is None
+              else np.fromiter(map(math.exp, log_box), dtype=float, count=log_box.size))
     if oracle[0] == 0.0:
         raise InvalidInputError(
             "every product in the box underflows to 0 in double precision; "
@@ -300,9 +305,6 @@ def run_oracle_compare(args) -> int:
     # clamp at the smallest positive double: a box of subnormal products
     # still has thresholds below its largest product
     thresholds = np.geomspace(max(t_lo, math.ulp(0.0)), t_hi, 17)[:-1] * 0.9999
-    # a log-space count compares log sums with ln T; their exp can round
-    # onto a subnormal threshold
-    log_box = products.brute_force_log_oracle(problem, J) if problem.uses_log else None
     for T in thresholds:
         if T <= floor:
             continue

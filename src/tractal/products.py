@@ -232,7 +232,7 @@ def product_eigenvalues_top(problem: ProductProblem, m: int) -> np.ndarray:
         raise InvalidInputError(f"m must be >= 1, got {m}")
     if m > ENUMERATION_CAP:
         raise CapExceededError(f"m={m} exceeds the enumeration cap {ENUMERATION_CAP}")
-    neg, runs = problem.table.heads(problem.d)  # as in _walk
+    heads = problem.table.heads(problem.d)  # as in _walk
     facs = problem.factors
     use_log = problem.uses_log
     term, op, one = (math.log, operator.add, -0.0) if use_log else (float, operator.mul, 1.0)
@@ -259,7 +259,7 @@ def product_eigenvalues_top(problem: ProductProblem, m: int) -> np.ndarray:
             push(V + hmax[k + 1], k + 1, -1, V, W, op(P, root[k]))
             n = 1  # its first child is the sibling after i = -1
         else:
-            n = runs[k][i] if runs[k] else 1
+            n = heads[k][1][i]
             Pk = op(P, term(facs[k].eigenvalue(i + 2)))
             f = log_fold(root[k + 1:], Pk) if use_log else math.prod(root[k + 1:], start=Pk)
             if len(heap) == m and f <= heap[0]:
@@ -278,9 +278,10 @@ def product_eigenvalues_top(problem: ProductProblem, m: int) -> np.ndarray:
         # the heap with folds no smaller than its own, so no node needs m children
         i += n
         if i + 1 < m:
-            if i == len(neg[k]):
-                _grow_ratios(facs[k], neg, runs, k, m - 1)
-            push(V - neg[k][i], k, i, V, W, P)
+            nl = heads[k][0]
+            if i == len(nl):
+                nl, _ = _grow_ratios(facs[k], heads, k, m - 1)
+            push(V - nl[i], k, i, V, W, P)
     if len(heap) < m:
         raise InvalidInputError("spectrum exhausted before m values (zero eigenvalue hit)")
     heap.sort(reverse=True)
@@ -373,20 +374,22 @@ def _walk(points, cap):
     A node is a tuple, held as its log normalised value
     ``V = sum_k ln(lam(k, j_k) / lam(k, 1))`` (zero at the root) and the
     chain of its excited coordinates.  Its children excite one more
-    dimension after its last excited one.  ``neg[k]`` holds
+    dimension after its last excited one.  ``heads[k]`` is the pair
+    ``(ratios, runs)`` of dimension k (see
+    :meth:`spectra.FactorSpectrum.ratio_runs`): the ratios
     ``-ln(lam(k, j) / lam(k, 1))`` for j = 2, 3, ... (ascending; zero
     eigenvalues give +inf), so the children of a node in dimension k that
-    clear a bound are a prefix found by bisection.  It starts as factor k's
-    ``neg_log_head`` tuple, read in place, and ``runs[k]`` as its
-    ``head_runs``; only a walk that reads past the head gives the dimension
-    longer tuples of its own (:func:`_grow_ratios`).  The walk over a node's
+    clear a bound are a prefix found by bisection, and the runs of equal
+    eigenvalues among them.  It starts as factor k's ``ratio_head``, read in
+    place; only a walk that reads past the head gives the dimension a longer
+    pair of its own (:func:`_grow_ratios`).  The walk over a node's
     dimensions stops once the node times the largest second ratio
     ``h_k = lam(k,2)/lam(k,1)`` among those left falls below the bound; h
     need not be monotone in k.  So no node, whose ``V`` is at most 0, reads
     a dimension k with ``hmax[k] <= lo``; as hmax is a suffix maximum, the
-    dimensions read are a prefix, and ``neg`` and ``runs`` start as the
-    table's heads of that prefix (:meth:`spectra.DimensionTable.heads`),
-    which builds its factors before the walk, so the loop has no check.
+    dimensions read are a prefix, and ``heads`` starts as the table's heads
+    of that prefix (:meth:`spectra.DimensionTable.heads`), which builds its
+    factors before the walk, so the loop has no check.
     ``hmax`` (:func:`_hmax`) is folded here, once for the largest problem
     and once for each band top of another problem.
 
@@ -404,8 +407,8 @@ def _walk(points, cap):
     every problem of dimension >= d, because factor k depends only on k.
     So the points whose windows overlap form a band, counted by one walk
     (:func:`_walk_group`) at its largest d, in which a child in dimension k
-    belongs to each point of dimension d > k; the bands share the ratio
-    lists.  Under the normalised criterion the points of one eps form one
+    belongs to each point of dimension d > k; the bands share the head
+    pairs.  Under the normalised criterion the points of one eps form one
     band over all d, and so they do under the absolute criterion when every
     leading eigenvalue is 1; otherwise each point is a band of its own.
 
@@ -417,20 +420,19 @@ def _walk(points, cap):
     along its chain.  Each child a node counts, it counts W times, and each
     run in a band is decided once.  A run is read only as far as its ratio
     list, so one that continues past the list's end is cut there; the rest
-    is another run once the list grows.  Dimensions without a run push as
-    before, with W = 1.
+    is another run once the list grows.  A dimension without equal
+    eigenvalues has runs of length one.
     """
     results = {}
     open_pts = []
     for sub, T, log_space in points:
         key = (sub.d, T, log_space)
-        if key in results:
+        if key in results:  # a repeated point is walked once
             continue
         pt = _Point(sub, T, log_space, *_band(sub, log_space)(T))
+        results[key] = CountResult(0, False, cap)  # unless the walk counts the point
         if 0.0 > pt.lo and (0.0 > pt.hi or pt.accepts(None)):
             open_pts.append(pt)
-        else:
-            results[key] = CountResult(0, False, cap)
     bands = []
     for pt in sorted(open_pts, key=operator.attrgetter("lo")):
         if bands and pt.lo <= band_hi:
@@ -439,26 +441,24 @@ def _walk(points, cap):
         else:
             bands.append([pt])
             band_hi = pt.hi
-    # the bands share the ratios, whose dimension k is read by every band of
-    # d > k; runs[k] gives the runs of equal eigenvalues in neg[k] (see
-    # FactorSpectrum.ratio_runs), or is None while no run is longer than one
+    # the bands share the pairs, whose dimension k is read by every band of d > k
     if open_pts:
         # every band's lo is at least the first band's, and its hmax at most
         # the largest problem's: the prefix where the one exceeds the other
         largest = max(open_pts, key=operator.attrgetter("d")).problem
         largest_hmax = _hmax(largest)
         K = bisect_left(largest_hmax, -bands[0][0].lo, key=operator.neg)
-        neg, runs = largest.table.heads(K)
+        heads = largest.table.heads(K)
     for band in bands:
         band.sort(key=operator.attrgetter("d"))
         hmax = largest_hmax if band[-1].problem is largest else _hmax(band[-1].problem)
-        for pt, n in zip(band, _walk_group(band, cap, neg, runs, hmax)):
+        for pt, n in zip(band, _walk_group(band, cap, heads, hmax)):
             results[pt.d, pt.T, pt.log_space] = CountResult(min(n, cap), n >= cap, cap)
             pt.sfx = None
     return [results[(sub.d, T, log_space)] for sub, T, log_space in points]
 
 
-def _walk_group(band, cap, neg, runs, hmax):
+def _walk_group(band, cap, heads, hmax):
     """The walk of :func:`_walk` for one band, its points ordered by d; their counts.
 
     The walk runs at the problem of the top point, the one of largest d,
@@ -488,7 +488,7 @@ def _walk_group(band, cap, neg, runs, hmax):
             for k in range(k0, top):
                 if V + hmax[k] <= lo:
                     break
-                nl = neg[k]
+                nl, ln = heads[k]
                 key = V - lo
                 m = bisect_left(nl, key)
                 while m == len(nl) < cap:
@@ -502,7 +502,7 @@ def _walk_group(band, cap, neg, runs, hmax):
                                      fac.ratio_runs(room + 1, room + 2)[0][0]) < V - hi:
                         tot = cap
                         break
-                    nl = _grow_ratios(fac, neg, runs, k, cap)
+                    nl, ln = _grow_ratios(fac, heads, k, cap)
                     m = bisect_left(nl, key, m)
                 if tot >= cap:
                     # the top is full: close it, then walk the node from k on again
@@ -513,18 +513,13 @@ def _walk_group(band, cap, neg, runs, hmax):
                     acc[k] += n_push * W
                 raw += n_push
                 if n_push < m:
-                    n_push, extra = _borderline(pts, nl, runs[k], V, k, exc, W, n_push, m)
+                    n_push, extra = _borderline(pts, nl, ln, V, k, exc, W, n_push, m)
                     tot += extra
                 # hmax[d] is -inf: no child of the last dimension is pushed
                 n_int = bisect_left(nl, V + hmax[k + 1] - lo, 0, n_push)
-                if n_int:
-                    ln = runs[k]
-                    if ln is None:
-                        stack.extend([(V - nl[i], k + 1, (k, i + 2, exc, W)) for i in range(n_int)])
-                    else:
-                        # one child per run, standing for the run's identical subtrees
-                        stack.extend([(V - nl[i], k + 1, (k, i + 2, exc, W * ln[i]))
-                                      for i in range(n_int) if ln[i]])
+                if n_int:  # one child per run, standing for the run's identical subtrees
+                    stack.extend([(V - nl[i], k + 1, (k, i + 2, exc, W * ln[i]))
+                                  for i in range(n_int) if ln[i]])
             tot += raw * W
         if tot < cap:
             break
@@ -539,10 +534,10 @@ def _borderline(pts, nl, ln, V, k, exc, W, n, m):
     """Decide the children n <= i < m, inside the band, point by point.
 
     ``pts`` are the band's open points, ordered by d, and ``ln`` gives the
-    runs of equal eigenvalues (None if there are none): the dense rule
-    decides each run once.  Adds to each point's extra the children it
-    accepts beyond the first n, times the node's weight W; returns the most
-    children a point accepts and the top's extra.
+    runs of equal eigenvalues in ``nl``: the dense rule decides each run
+    once.  Adds to each point's extra the children it accepts beyond the
+    first n, times the node's weight W; returns the most children a point
+    accepts and the top's extra.
     """
     most = n
     top_extra = 0
@@ -553,7 +548,7 @@ def _borderline(pts, nl, ln, V, k, exc, W, n, m):
         mp = bisect_left(nl, V - p.lo, n, m)
         i = bisect_left(nl, V - p.hi, n, mp)
         while i < mp and p.accepts((k, i + 2, exc, W)):
-            i += ln[i] if ln else 1
+            i += ln[i]
         p.extra += (i - n) * W
         if p is top:
             top_extra = (i - n) * W
@@ -562,17 +557,15 @@ def _borderline(pts, nl, ln, V, k, exc, W, n, m):
     return most, top_extra
 
 
-def _grow_ratios(fac, neg, runs, k, limit):
-    """Replace ``neg[k]`` and ``runs[k]`` (see :func:`_walk`) by new tuples
+def _grow_ratios(fac, heads, k, limit):
+    """Replace the pair ``heads[k]`` (see :func:`_walk`) by a new one
     extended by the next block from factor fac, to twice as many ratios but
-    at most ``limit``, and return the new ``neg[k]``; the old ones, the
-    factor's head at first, are left as they are."""
-    nl = neg[k]
-    block, ln = fac.ratio_runs(len(nl) + 2, min(2 * len(nl), limit) + 2)
-    if ln is not None or runs[k] is not None:
-        runs[k] = (runs[k] or (1,) * len(nl)) + (ln or (1,) * len(block))
-    neg[k] = nl = nl + block
-    return nl
+    at most ``limit``, and return it; the old one, the factor's head at
+    first, is left as it is."""
+    nl, ln = heads[k]
+    block, runs = fac.ratio_runs(len(nl) + 2, min(2 * len(nl), limit) + 2)
+    heads[k] = nl + block, ln + runs
+    return heads[k]
 
 
 def _band(problem, log_space):
@@ -624,9 +617,9 @@ def _dense_rule(problem, chain, T, log_space, sfx):
     pieces, end = [], problem.d
     while chain is not None:
         k, j, chain, _ = chain
+        # lam > 0: a walk excites a coordinate only at a finite -ln ratio, and
+        # the ratio is +inf wherever the eigenvalue is not > 0
         lam = problem.factor(k).eigenvalue(j)
-        if lam <= 0.0:
-            return False
         pieces += itertools.islice(row, k + 1, end), (math.log(lam) if log_space else lam,)
         end = k
     pieces.append(itertools.islice(row, end))

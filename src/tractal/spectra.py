@@ -26,15 +26,15 @@ vectorised ``power`` may round differently from the C library).  A
 :class:`FactorSpectrum` is read three ways, all from that function:
 ``eigenvalue(j)``, ``values(j0, j1)`` and ``ratio_runs(j0, j1)``, the
 ``-ln`` ratios to the leading value with their runs of equal eigenvalues.
-The walks of :mod:`tractal.products` start from the ratios and runs the
-factor holds for its head, and read past it through ``ratio_runs``.  numpy
+The walks of :mod:`tractal.products` start from the ``(ratios, runs)`` pair
+the factor holds for its head, and read past it through ``ratio_runs``.  numpy
 is imported only by the functions that return arrays, so counting runs on
 the standard library alone.
 
 Specs and factors are immutable after construction.  Each spec has one
 :class:`DimensionTable`, an append-only cache of its dimensions: rows of
 lam(k, 1), its log, lam(k, 2) and ln h_k; the factors built so far, at any
-k; and the heads of factors 1..K, the prefix the walks have read.  It is
+k; and the head pairs of factors 1..K, the prefix the walks have read.  It is
 reached only through the ``lru_cache`` of ``_factor``, so clearing that
 cache empties it.  A lock per table keeps it consistent under threads.
 """
@@ -213,13 +213,12 @@ class FactorSpectrum:
     one source of every eigenvalue, read through :meth:`eigenvalue`,
     :meth:`values` and :meth:`ratio_runs`.  The first ``HEAD`` values are
     kept as the tuple ``head``, with ``leading`` and ``log_leading``, lam(1)
-    and its ``math.log``; ``neg_log_head``, the ratios ``-ln(lam(j)/lam(1))``
-    for 2 <= j <= HEAD; and ``head_runs``, the runs of equal eigenvalues
-    among those j as :meth:`ratio_runs` gives them.  All are computed at
-    build, and the count and top-m walks read the last two in place.  Longer
-    requests are evaluated and never stored."""
+    and its ``math.log``, and ``ratio_head``, the pair ``ratio_runs(2,
+    HEAD + 1)``.  All are computed at build, and the count and top-m walks
+    read ``ratio_head`` in place.  Longer requests are evaluated and never
+    stored."""
 
-    __slots__ = ("leading", "log_leading", "_value", "head", "neg_log_head", "head_runs")
+    __slots__ = ("leading", "log_leading", "_value", "head", "ratio_head")
     # A count or top-m walk starts from the 32 ratios j = 2..33 of a dimension
     # and rarely reads more; a longer head would cost every factor built more logs.
     HEAD = 33
@@ -229,8 +228,7 @@ class FactorSpectrum:
         self.head = tuple(map(value, range(1, self.HEAD + 1)))
         self.leading = self.head[0]
         self.log_leading = _log_leading(self.leading)
-        self.neg_log_head = self._neg_logs(self.head[1:])
-        self.head_runs = _run_lengths(self.head[1:])
+        self.ratio_head = self.ratio_runs(2, self.HEAD + 1)
 
     def eigenvalue(self, j: int) -> float:
         if j < 1:
@@ -247,10 +245,11 @@ class FactorSpectrum:
         """-ln(lam(j)/lam(1)) for 2 <= j0 <= j < j1 (+inf at a zero
         eigenvalue), and the runs of equal eigenvalues there.
 
-        The runs are None when no two neighbours lam(j), lam(j + 1) in the
-        range are equal, else a tuple whose entry j - j0 is the length of the
-        run that starts at j, and 0 for a j inside a run.  Only the range is
-        read, so a run that continues past j1 - 1 ends there.
+        The runs are a tuple whose entry j - j0 is the length of the run of
+        equal eigenvalues that starts at j, and 0 for a j inside a run: all
+        ones where no two neighbours lam(j), lam(j + 1) in the range are
+        equal.  Only the range is read, so a run that continues past j1 - 1
+        ends there.
         """
         vals = self.values(j0, j1)
         return self._neg_logs(vals), _run_lengths(vals)
@@ -276,11 +275,15 @@ def _log_leading(lead):
     return math.log(lead)
 
 
+# The runs of a head without equal neighbours, one tuple for every factor
+_HEAD_ONES = (1,) * (FactorSpectrum.HEAD - 1)
+
+
 def _run_lengths(vals):
     """The runs of equal values in vals, as :meth:`FactorSpectrum.ratio_runs`
     gives them."""
     if not any(map(operator.eq, vals, vals[1:])):
-        return None
+        return _HEAD_ONES if len(vals) == len(_HEAD_ONES) else (1,) * len(vals)
     runs = [0] * len(vals)
     start = 0
     for i in range(1, len(vals) + 1):
@@ -364,21 +367,21 @@ class DimensionTable:
     reads rows in order, two eigenvalues each; a trace reads lam(k, 1) and
     lam(k, 2) from the rows, so it builds no factor.
     ``factors`` maps k to the :class:`FactorSpectrum` of dimension k once
-    :meth:`factor` has built it, at any k.  ``neg_heads`` and ``head_runs``
-    hold the ``neg_log_head`` and ``head_runs`` of factors 1, 2, ... as far
-    as :meth:`heads` has built them: a prefix, independent of the rows.  A
-    product problem is a prefix of the rows, and its walks read the heads.
+    :meth:`factor` has built it, at any k.  ``ratio_heads`` holds the
+    ``ratio_head`` pairs of factors 1, 2, ... as far as :meth:`heads` has
+    built them: a prefix, independent of the rows.  A product problem is a
+    prefix of the rows, and its walks read the heads.
     """
 
-    __slots__ = ("spec", "leads", "log_leads", "seconds", "log_h", "factors", "neg_heads",
-                 "head_runs", "_lock")
+    __slots__ = ("spec", "leads", "log_leads", "seconds", "log_h", "factors", "ratio_heads",
+                 "_lock")
 
     def __init__(self, spec):
         self.spec = spec
         self._lock = threading.RLock()  # heads builds factors under it
         self.leads, self.log_leads, self.seconds, self.log_h = [], [], [], []
         self.factors = {}
-        self.neg_heads, self.head_runs = [], []
+        self.ratio_heads = []
 
     @classmethod
     def of(cls, factors):
@@ -388,9 +391,8 @@ class DimensionTable:
         self.leads = [f.leading for f in factors]
         self.log_leads = [f.log_leading for f in factors]
         self.seconds = [f.head[1] for f in factors]
-        self.neg_heads = [f.neg_log_head for f in factors]
-        self.head_runs = [f.head_runs for f in factors]
-        self.log_h = [-nl[0] for nl in self.neg_heads]
+        self.ratio_heads = [f.ratio_head for f in factors]
+        self.log_h = [-nl[0] for nl, _ in self.ratio_heads]
         return self
 
     def grow(self, d):
@@ -423,17 +425,14 @@ class DimensionTable:
             return self.factors.setdefault(k, fac)
 
     def heads(self, K):
-        """The ``neg_log_head`` and ``head_runs`` of factors 1..K, as two
-        K-long lists, building the factors not built yet."""
-        neg, runs = self.neg_heads, self.head_runs
-        if len(neg) < K:
+        """The ``ratio_head`` pairs of factors 1..K, as a K-long list,
+        building the factors not built yet."""
+        heads = self.ratio_heads
+        if len(heads) < K:
             with self._lock:
-                for k in range(len(neg) + 1, K + 1):
-                    fac = self.factor(k)
-                    # neg last: a reader that sees k heads in neg sees k runs
-                    runs.append(fac.head_runs)
-                    neg.append(fac.neg_log_head)
-        return neg[:K], runs[:K]
+                for k in range(len(heads) + 1, K + 1):
+                    heads.append(self.factor(k).ratio_head)
+        return heads[:K]
 
 
 @lru_cache(maxsize=16)

@@ -141,6 +141,26 @@ def test_sweep_csv(capsys, family_file, tmp_path):
     assert code == 0 and [line.split(",")[3] for line in out.splitlines()[1:]] == ["1", "3"]
 
 
+def test_a_repeated_sweep_point_is_walked_once(capsys, family_file, monkeypatch):
+    """eps = 1/16 puts korobov g_k = k**-2 products on the threshold, so the
+    walk decides borderline tuples; a repeated eps decides them no more
+    often than one eps does, and repeats its row."""
+    path = family_file("k.json", KOROBOV_DOC)
+    decisions = []
+    accepts = products._Point.accepts
+    monkeypatch.setattr(products._Point, "accepts",
+                        lambda point, chain: decisions.append(chain) or accepts(point, chain))
+    outs = []
+    for eps in ("0.0625", "0.0625,0.0625"):
+        decisions.clear()
+        code, out, _ = run(capsys, ["sweep", "--family", path, "--epsilon", eps, "--d", "20"])
+        assert code == 0
+        outs.append((len(decisions), out))
+    row = "korobov,nor,0.0625,20,407,false\n"
+    assert outs == [(22, "family,criterion,epsilon,d,n,saturated\n" + row),
+                    (22, "family,criterion,epsilon,d,n,saturated\n" + row * 2)]
+
+
 def test_sweep_byte_stability(capsys, family_file, tmp_path):
     path = family_file("g.json", GAUSS_DOC)
     a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
@@ -552,19 +572,26 @@ def test_oracle_compare_log_space_problem(capsys, family_file, monkeypatch):
     assert any(np.count_nonzero(box > t) > 0 for t in thresholds)
 
 
-def test_oracle_compare_counts_against_log_sums(capsys, family_file):
+def test_oracle_compare_counts_against_log_sums(capsys, family_file, monkeypatch):
     """At T = 5e-324 this log-space box has log sums above ln T whose exp
-    rounds to T itself; counts must be compared with the log sums."""
+    rounds to T itself; counts must be compared with the log sums.  The box
+    is built once, as log sums, and the top-m values compare with their
+    exps, the values brute_force_oracle gives."""
     doc = {"family": "custom",
            "tables": [[1e-105, 5e-106, 2e-106, 1e-106], [1e-105, 4e-106, 1e-106],
                       [1e-100, 3e-101, 1e-101, 5e-102]],
            "tail": {"kind": "geometric", "ratio": 0.25}, "tau0": 0.0}
     path = family_file("s.json", doc)
+    boxes = []
+    log_box = products.brute_force_log_oracle
+    monkeypatch.setattr(products, "brute_force_log_oracle",
+                        lambda problem, J: boxes.append(J) or log_box(problem, J))
     code, out, _ = run(capsys, ["oracle-compare", "--family", path, "--d", "3",
                                 "--m", "200", "--j", "30"])
-    assert code == 0
-    rep = json.loads(out)
-    assert rep["count_mismatches"] == 0 and rep["pass"] is True
+    assert code == 0 and boxes == [30]
+    assert json.loads(out) == {"d": 3, "m": 200, "box_side": 30, "top_compared": 200,
+                               "top_max_abs_deviation": 0.0, "count_mismatches": 0,
+                               "pass": True}
 
 
 @pytest.mark.parametrize("m, want", [(5, 0), (50, 3)])

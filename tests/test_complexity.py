@@ -42,6 +42,12 @@ def test_minimal_error_initial():
     assert minimal_error(p, 0) == pytest.approx(math.sqrt(1 - OMEGA1), rel=1e-14)
 
 
+def test_minimal_error_refuses_a_negative_n():
+    p = ProductProblem.from_family(GAUSS1, 1)
+    with pytest.raises(InvalidInputError, match="n must be >= 0, got -1"):
+        minimal_error(p, -1)
+
+
 def test_minimal_error_unit_korobov():
     p = ProductProblem.from_family(UNIT_KOROBOV, 2)
     assert minimal_error(p, 4) == 1.0
@@ -57,6 +63,12 @@ def test_info_complexity_examples():
     p = ProductProblem.from_family(GAUSS1, 2)
     assert info_complexity(p, ComplexityQuery(0.5, 2, "nor")).n == 3
     assert info_complexity(p, ComplexityQuery(0.5, 2, "abs")).n == 1
+
+
+def test_info_complexity_refuses_a_query_of_another_d():
+    p = ProductProblem.from_family(GAUSS1, 2)
+    with pytest.raises(InvalidInputError, match="query d=3 does not match problem d=2"):
+        info_complexity(p, ComplexityQuery(0.5, 3, "nor"))
 
 
 def test_info_complexity_boundaries():
@@ -110,6 +122,15 @@ def test_lemma_bound_examples():
     e = ProductProblem.from_family(spectra.euler(S.constant(0)), 1)
     assert lemma_bound(e, 0.5, 1.0) == 5
     assert lemma_bound(p, 0.999, 1.0) >= info_complexity(p, ComplexityQuery(0.999, 2, "nor")).n
+
+
+def test_traces_need_a_family_backed_problem():
+    p = ProductProblem(ProductProblem.from_family(GAUSS1, 2).factors)
+    assert p.family is None
+    with pytest.raises(InvalidInputError, match="trace sums need a family-backed problem"):
+        products.trace_sum(p, 1.0)
+    with pytest.raises(InvalidInputError, match="normalized traces need a family-backed problem"):
+        lemma_bound(p, 0.5, 1.0)
 
 
 def test_lemma_bound_dominates_counts():

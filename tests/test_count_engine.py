@@ -279,7 +279,7 @@ def test_runs_are_keyed_on_eigenvalues_not_ratios():
     x = 1e-200
     row = [1.0, x, math.nextafter(x, 0.0)]
     p = ProductProblem.from_family(spectra.custom_tabulated([row, [1.0, 0.5]], tau0=0.0), 2)
-    assert p.factors[0].neg_log_head[:2] == (-math.log(x),) * 2
+    assert p.factors[0].ratio_head[0][:2] == (-math.log(x),) * 2
     assert assert_matches_dense(p, row[2], False) == 3
     assert assert_matches_dense(p, x, False) == 2
     assert assert_matches_dense(p, math.log(row[2]), True) == 2
@@ -342,11 +342,11 @@ def test_counting_leaves_factors_unchanged():
         return [[getattr(f, a) for a in spectra.FactorSpectrum.__slots__] for f in p.factors]
 
     before = state()
-    heads = [(list(f.head), list(f.neg_log_head)) for f in p.factors]
+    heads = [(list(f.head), list(map(list, f.ratio_head))) for f in p.factors]
     count_products_above(p, 1e-4)
     count_products_above_log(p, -9.0)
     assert all(x is y for now, then in zip(state(), before) for x, y in zip(now, then))
-    assert [(list(f.head), list(f.neg_log_head)) for f in p.factors] == heads
+    assert [(list(f.head), list(map(list, f.ratio_head))) for f in p.factors] == heads
 
 
 def check_grid_case(seed):
@@ -572,10 +572,10 @@ def test_a_factor_built_before_its_row_is_the_one_the_walks_read():
     spectra._factor.cache_clear()
     fac = spec.factor(3)
     p = ProductProblem.from_family(spec, 5)
-    assert p.table.neg_heads == []
+    assert p.table.ratio_heads == []
     got = count_products_above(p, 1e-3)
-    assert len(p.table.neg_heads) == 5  # the count reached every dimension
-    assert p.table.neg_heads[2] is fac.neg_log_head and p.factors[2] is fac
+    assert len(p.table.ratio_heads) == 5  # the count reached every dimension
+    assert p.table.ratio_heads[2] is fac.ratio_head and p.factors[2] is fac
     assert got == count_products_above(ProductProblem(p.factors), 1e-3)
 
 
@@ -595,8 +595,9 @@ def test_threads_sharing_a_table_leave_one_row_and_one_factor_per_dimension():
             for d in range(100, 1001, 100):
                 start.wait(timeout=60)  # every thread grows the same rows at once
                 table.grow(d)
-                neg, runs = table.heads(d // 4 + i)
-                assert len(neg) == len(runs) == d // 4 + i
+                heads = table.heads(d // 4 + i)
+                assert len(heads) == d // 4 + i
+                assert all(len(nl) == len(ln) == 32 for nl, ln in heads)
                 spec.factor(d + i)
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
@@ -615,6 +616,6 @@ def test_threads_sharing_a_table_leave_one_row_and_one_factor_per_dimension():
     want = spectra.DimensionTable(spec)
     want.grow(len(table.leads))
     assert (table.leads, table.log_leads, table.log_h) == (want.leads, want.log_leads, want.log_h)
-    assert len(table.neg_heads) == len(table.head_runs) == 1000 // 4 + 5
-    for k, (nl, ln) in enumerate(zip(table.neg_heads, table.head_runs), 1):
-        assert nl is table.factors[k].neg_log_head and ln is table.factors[k].head_runs
+    assert len(table.ratio_heads) == 1000 // 4 + 5
+    for k, head in enumerate(table.ratio_heads, 1):
+        assert head is table.factors[k].ratio_head

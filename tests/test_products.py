@@ -63,6 +63,8 @@ def test_top_korobov_unit_nine_ones():
 
 def test_top_cap():
     p = gaussian_problem(2)
+    with pytest.raises(InvalidInputError, match="m must be >= 1, got 0"):
+        product_eigenvalues_top(p, 0)
     with pytest.raises(CapExceededError):
         product_eigenvalues_top(p, products.ENUMERATION_CAP + 1)
 
@@ -188,7 +190,7 @@ def test_walks_inside_the_heads_read_the_heads_in_place(monkeypatch):
     head asks no factor for ratios: it reads each factor's head tuples in
     place, and they stay the same objects."""
     p = ProductProblem.from_family(ANCHOR, 5)
-    heads = [(f.neg_log_head, f.head_runs) for f in p.factors]
+    heads = [f.ratio_head for f in p.factors]
     asked = []
     read = spectra.FactorSpectrum.ratio_runs
     monkeypatch.setattr(spectra.FactorSpectrum, "ratio_runs",
@@ -199,9 +201,8 @@ def test_walks_inside_the_heads_read_the_heads_in_place(monkeypatch):
     assert [r.n for r in grid] == [19, 7, 97, 19, 131, 19]
     product_eigenvalues_top(p, 33)
     assert asked == []
-    assert [(f.neg_log_head, f.head_runs) for f in p.factors] == heads
-    assert all(f.neg_log_head is nl and f.head_runs is rl
-               for f, (nl, rl) in zip(p.factors, heads))
+    assert [f.ratio_head for f in p.factors] == heads
+    assert all(f.ratio_head is head for f, head in zip(p.factors, heads))
 
 
 @pytest.mark.parametrize("m", [2, 5, 100])
@@ -209,12 +210,16 @@ def test_top_reads_no_ratio_past_m(monkeypatch, m):
     """Top-m reads the ratios of each factor's head in place, and grows a
     dimension's ratios past it to at most m - 1, j <= m: no node needs m
     children, so it never asks a factor for j past m, as a count asks up to
-    its cap.  Inside the head it asks for nothing."""
+    its cap.  Inside the head it asks for nothing.  The factors are built
+    first: building one reads its head through ``ratio_runs``."""
+    problems = (gaussian_problem(1), gaussian_problem(3), unit_korobov_problem(4))
+    for p in problems:
+        p.factors
     ends = []
     read = spectra.FactorSpectrum.ratio_runs
     monkeypatch.setattr(spectra.FactorSpectrum, "ratio_runs",
                         lambda self, j0, j1: ends.append(j1) or read(self, j0, j1))
-    for p in (gaussian_problem(1), gaussian_problem(3), unit_korobov_problem(4)):
+    for p in problems:
         product_eigenvalues_top(p, m)
     assert max(ends, default=None) == (m + 1 if m > spectra.FactorSpectrum.HEAD else None)
 

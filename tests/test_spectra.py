@@ -51,6 +51,15 @@ def test_korobov_unit_leading(r, g):
         assert factor_eigenvalue(spec, k, 1) == 1.0
 
 
+def test_a_leading_eigenvalue_that_underflows_names_its_dimension():
+    # (pi/2)**-(2k + 2) is the smallest double at k = 824 and 0.0 at k = 825
+    spec = spectra.euler(S.power(1.0, 1.0))
+    assert spec.factor(824).leading == 5e-324
+    with pytest.raises(InvalidInputError,
+                       match="leading eigenvalue underflows below the smallest double at k=825"):
+        spec.factor(825)
+
+
 def test_korobov_pairing():
     spec = spectra.korobov(S.constant(1.0), S.constant(0.7))
     assert factor_eigenvalue(spec, 1, 2) == factor_eigenvalue(spec, 1, 3) == 0.7
@@ -387,15 +396,19 @@ def test_custom_power_tail_steep_exponents(tau):
 
 def test_factor_head_is_read_only_and_long_requests_leave_it():
     fac = spectra.korobov(S.constant(1.25), S.constant(0.375)).factor(1)
-    head, neg_log_head = fac.head, fac.neg_log_head
+    head, ratio_head = fac.head, fac.ratio_head
+    head_ratios, head_runs = ratio_head
     assert type(head) is tuple and len(head) == fac.HEAD
-    assert type(neg_log_head) is tuple and len(neg_log_head) == fac.HEAD - 1
+    assert type(head_ratios) is tuple and len(head_ratios) == fac.HEAD - 1
+    assert type(head_runs) is tuple and len(head_runs) == fac.HEAD - 1
     long = fac.values(1, 1001)
     assert type(long) is tuple and len(long) == 1000 and long[:fac.HEAD] == head
-    ratios = fac.ratio_runs(2, 1001)[0]
-    assert type(ratios) is tuple and len(ratios) == 999 and ratios[:fac.HEAD - 1] == neg_log_head
+    ratios, runs = fac.ratio_runs(2, 1001)
+    assert type(ratios) is tuple and len(ratios) == 999 and ratios[:fac.HEAD - 1] == head_ratios
+    assert runs[:fac.HEAD - 1] == head_runs  # the pairs j = 2m, 2m + 1 end inside the head
     assert fac.head is head and fac.values(1, 6) == head[:5]
-    assert fac.neg_log_head is neg_log_head
+    assert fac.ratio_head is ratio_head
+    assert fac.ratio_head[0] is head_ratios and fac.ratio_head[1] is head_runs
     assert fac.head[1] == 0.375 == fac.eigenvalue(2)
 
 
@@ -415,7 +428,8 @@ def _factors_for_block_identity():
 
 
 def _naive_runs(vals):
-    """Run lengths of equal neighbours, as ratio_runs gives them."""
+    """Run lengths of equal neighbours, as ratio_runs gives them: all ones
+    where no two neighbours are equal."""
     runs = [0] * len(vals)
     i = 0
     while i < len(vals):
@@ -424,7 +438,7 @@ def _naive_runs(vals):
             n += 1
         runs[i] = n
         i += n
-    return tuple(runs) if max(runs, default=1) > 1 else None
+    return tuple(runs)
 
 
 @pytest.mark.parametrize("fac", _factors_for_block_identity())
@@ -442,7 +456,9 @@ def test_blocks_equal_eigenvalues_bit_for_bit(fac, j0, j1):
     log_lead = math.log(fac.eigenvalue(1))
     ratios = tuple(log_lead - math.log(v) if v > 0.0 else math.inf for v in want[j2 - j0:])
     assert fac.ratio_runs(j2, j1) == (ratios, _naive_runs(want[j2 - j0:]))
-    assert fac.head_runs == _naive_runs(fac.head[1:])
+    head = fac.head[1:]
+    assert fac.ratio_head == (tuple(log_lead - math.log(v) if v > 0.0 else math.inf
+                                    for v in head), _naive_runs(head))
 
 
 def test_runs_are_keyed_on_eigenvalues():
@@ -450,7 +466,19 @@ def test_runs_are_keyed_on_eigenvalues():
     assert fac.ratio_runs(36, 38)[0][0] == fac.ratio_runs(36, 38)[0][1]
     runs = fac.ratio_runs(2, 40)[1]
     assert runs[:6] == (2, 0, 28, 0, 0, 0) and runs[30:] == (4, 0, 0, 0, 1, 1, 2, 0)
-    assert fac.head_runs[-2:] == (2, 0)  # the run j = 32..35, cut at the head
+    assert fac.ratio_head[1][-2:] == (2, 0)  # the run j = 32..35, cut at the head
+
+
+def test_factors_without_runs_share_one_head_runs_tuple():
+    euler = spectra.euler(S.constant(1)).factor(1)
+    ones = euler.ratio_head[1]
+    assert ones == (1,) * (spectra.FactorSpectrum.HEAD - 1)
+    assert spectra.gaussian(S.constant(0.5)).factor(3).ratio_head[1] is ones
+    assert euler.scaled(2.5).ratio_head[1] is ones
+    assert euler.ratio_runs(40, 45)[1] == (1,) * 5
+    # the zeros past a table are one run, in the factor's own tuple
+    zeros = spectra.custom_tabulated([[1.0, 0.5, 0.25]]).factor(1)
+    assert zeros.ratio_head[1] == (1, 1, 30) + (0,) * 29
 
 
 def test_analytic_korobov_exponent_beyond_the_double_range():
@@ -493,7 +521,7 @@ def test_trace_at_large_d_builds_no_factor():
     spectra._factor.cache_clear()
     table = spec.dimension_table()
     assert math.isfinite(products.trace_sum(products.ProductProblem.from_family(spec, 10**5), 1.0))
-    assert table.factors == {} and table.neg_heads == []
+    assert table.factors == {} and table.ratio_heads == []
     assert len(table.seconds) == 10**5 and table.seconds[:3] == [1.0, 0.25, 1.0 / 9.0]
 
 

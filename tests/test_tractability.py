@@ -230,6 +230,14 @@ def test_classify_gaussian_abs():
     assert rep2.p_star == Interval.point(1.0)
 
 
+def test_classify_gaussian_abs_with_undeclared_decay_rate():
+    # gamma_k^2 = 1/k from an evaluator that declares no rate
+    gamma_sq = S.explicit((), evaluator=lambda k: 1.0 / k)
+    rep = classify(spectra.gaussian(gamma_sq), "abs")
+    assert rep.p_star is None
+    assert rep.provenance["p_star"] == "open: shape-parameter decay rate undeclared"
+
+
 def test_classify_wiener():
     rep = classify(spectra.wiener(S.power(1.0, 1.0)), "nor")
     assert rep.spt is True
