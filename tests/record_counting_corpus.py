@@ -115,11 +115,20 @@ _FAST_ROW = [1.0, 0.01, 0.001, 0.0]
 TOP_FAMILIES = {
     "top-custom-runs": {"family": "custom", "tables": [_RUNS_ROW] + [_FAST_ROW] * 34},
     "top-custom-late-run": {"family": "custom", "tables": [_LATE_RUN_ROW, _FAST_ROW]},
+    # two repeated tables, the second with leads below 1 and a power tail
+    "top-custom-repeated": {"family": "custom",
+                            "tables": [[1, 0.5, 0.25]] * 3 + [[0.5, 0.25, 0.125, 0.0625]] * 37,
+                            "tail": {"kind": "power", "exponent": 2}},
+    "top-gaussian-anchor": {"family": "gaussian",
+                            "gamma_sq": {"kind": "power", "c": 1, "alpha": -2}},
 }
 # The bench's top-m mix (d -> m, korobov with euler, gaussian with analytic
 # korobov, alternately), direct space for d <= 30 and log space above; then
 # the custom spectra in both spaces and past their nonzero products, and
-# spectra without runs read past the head.
+# spectra without runs read past the head; then large d, where the m-th value
+# reaches only the leading dimensions (korobov and gaussian with k**-2
+# weights), and repeated factors: euler with constant r (whose values
+# underflow to 0.0 at d = 2000) and repeated custom tables.
 _TOP_M = {5: 400, 9: 300, 12: 200, 16: 160, 20: 125, 25: 100, 30: 75, 35: 60,
           40: 50, 45: 45, 50: 40, 55: 35}
 TOP_QUERIES = [{"family": name, "d": d, "m": m}
@@ -134,6 +143,14 @@ TOP_QUERIES = [{"family": name, "d": d, "m": m}
     {"family": "top-custom-late-run", "d": 2, "m": 200},
     {"family": "trace-euler-constant", "d": 2, "m": 150},
     {"family": "gaussian", "d": 1, "m": 60},
+    {"family": "korobov-anchor", "d": 10**4, "m": 1000},
+    {"family": "korobov-anchor", "d": 10**5, "m": 1000},
+    {"family": "top-gaussian-anchor", "d": 10**4, "m": 1000},
+    {"family": "trace-euler-constant", "d": 200, "m": 100},
+    {"family": "trace-euler-constant", "d": 2000, "m": 100},
+    {"family": "trace-custom-repeated", "d": 12, "m": 300},
+    {"family": "top-custom-repeated", "d": 20, "m": 500},
+    {"family": "top-custom-repeated", "d": 40, "m": 1000},
 ]
 TOP_INPUTS = ("family", "d", "m")
 

@@ -7,10 +7,12 @@ ROADMAP anchor, a threshold exactly on tied products, and korobov
 ``tractal sweep`` commands, with the CSV bytes; and of 107 trace queries:
 ``log_trace_profile`` under both flags, ``pt_functional``, ``qpt_functional``,
 ``lemma_bound`` and ``trace_sum`` on every family and sequence kind, with the
-floats as ``float.hex`` and the errors raised; and of 32 top-m queries: the
+floats as ``float.hex`` and the errors raised; and of 40 top-m queries: the
 bench's mix of korobov, euler, gaussian and analytic korobov at d 5 to 55,
-in direct and log space, and custom spectra whose runs of equal eigenvalues
-cross the factor head, read past it and past their last nonzero eigenvalue,
+in direct and log space; custom spectra whose runs of equal eigenvalues
+cross the factor head, read past it and past their last nonzero eigenvalue;
+korobov and gaussian with ``k**-2`` weights at d = 10**4 and 10**5; and
+euler with constant r and repeated custom tables, whose dimensions repeat;
 with every value as ``float.hex``.  The answers are re-recorded
 only by ``record_counting_corpus.py``, and only when they move on purpose.
 """
@@ -49,4 +51,4 @@ def test_top_m_answers_are_unchanged():
                  for i, (want, got) in enumerate(zip(corpus["tops"], tops)) if want != got]
     assert not differing, (f"{len(differing)} entries differ (recorded with "
                            f"{corpus['recorded_with']}):\n" + "\n".join(differing))
-    assert len(tops) == 32
+    assert len(tops) == 40
