@@ -17,10 +17,13 @@ problem is a view of a prefix of the family's dimension table
 (:class:`spectra.DimensionTable`), which holds lam(k, 1), its log and
 ln h_k for each k: the problem stores d and its leading product, and each
 list derived from the rows is built by the code that reads it, so the
-problems of a d-range hold no d-long list each.  A walk asks the table for
-the heads of the prefix of dimensions it can reach, which builds those
-factors and no others, so a count costs what its excited dimensions cost,
-plus a few passes over d rows in C.
+problems of a d-range hold no d-long list each.  A count asks the table for
+the heads of the prefix of dimensions it can reach before it walks, and
+top-m for each dimension's head when its frontier first reaches it, which
+builds those factors and no others, so either costs what its excited
+dimensions cost, plus a few passes over d rows in C.  The table builds one
+factor per distinct parameter tuple, so the dimensions of a constant
+sequence share one.
 
 A count decides the tuples within a small relative window of the threshold
 by the dense dimension-order evaluation, in direct or log space as above, so
@@ -40,7 +43,8 @@ member per run, weighted by the run's length.  Top-m walks the same
 tuples best first by log value, one member per run, and pushes each visited
 tuple's exact dimension-order product into a heap of the m best as many
 times as its weight; the log value only rules out tuples that lie a window
-below the m-th.
+below the m-th.  Both exact evaluations skip the trailing run of leads equal
+to 1.0 (0.0 in log space), which folds as the identity, bit for bit.
 """
 from __future__ import annotations
 
@@ -108,9 +112,9 @@ class ProductProblem:
     counted (:class:`_Point`).
     Indices are 0-based here: ``factor(k)`` is the factor of dimension
     k + 1, and ``factors`` lists all d of them, both read through the
-    table's ``factor``, which builds a factor the first time it is asked
-    for.  The walks read the heads of the factors they reach through the
-    table's ``heads``.
+    table's ``factor``, which builds a factor the first time its
+    parameters are asked for.  The count walk reads the heads of the factors
+    it reaches through the table's ``heads``, and top-m through ``factor``.
     """
 
     def __init__(self, factors, family=None):
@@ -159,6 +163,14 @@ def _suffix_fold(values, op, start):
     """``[f(0), ..., f(n - 1), start]`` with ``f(k) = op(f(k + 1), values[k])``,
     ``f(n) = start``: a fold from the end."""
     return list(itertools.accumulate(reversed(values), op, initial=start))[::-1]
+
+
+def _unit_run_start(row, unit):
+    """Where row's trailing run of entries equal to unit starts (len(row) if
+    none is): leads of 1.0, or 0.0 in log space, which fold as the identity,
+    bit for bit, onto any value but -0.0, and neither fold yields -0.0."""
+    differs = map(operator.ne, reversed(row), itertools.repeat(unit))
+    return len(row) - next(itertools.compress(itertools.count(), differs), len(row))
 
 
 def _hmax(problem):
@@ -218,8 +230,17 @@ def product_eigenvalues_top(problem: ProductProblem, m: int) -> np.ndarray:
     An entry of dimension k carries, in place of its parent's chain, the
     fold ``P`` of its parent's terms in dimensions < k, from the identity
     (1.0, or -0.0 in log space) on.  A child of dimension k folds its own
-    term onto P, then the leads after k: the same operations in the same
-    order as the whole fold, and one eigenvalue read per visit.
+    term onto P, then the leads after k up to the trailing run of leads
+    equal to 1.0 (0.0), whose fold is the identity (:func:`_unit_run_start`):
+    the same bits as the whole fold, and one eigenvalue read per visit.
+    So a korobov or analytic korobov visit costs O(k), and one of a family
+    whose leads are not 1.0 (euler, gaussian) still costs O(d).
+
+    The factor of dimension k, and its head, are read from the table when
+    the frontier first pops an entry of dimension k, which it does after
+    one of dimension k - 1.  A popped entry's key lies above the heap's
+    ``lo``, so only the prefix of dimensions the m-th value can reach is
+    built: at korobov ``g_k = k**-2``, d = 10**5 and m = 1000, 24 factors.
 
     Once the frontier's best ``V`` lies a borderline window below the heap's
     least fold, no tuple left can rank, and the walk stops.  A visited tuple
@@ -232,14 +253,15 @@ def product_eigenvalues_top(problem: ProductProblem, m: int) -> np.ndarray:
         raise InvalidInputError(f"m must be >= 1, got {m}")
     if m > ENUMERATION_CAP:
         raise CapExceededError(f"m={m} exceeds the enumeration cap {ENUMERATION_CAP}")
-    heads = problem.table.heads(problem.d)  # as in _walk
-    facs = problem.factors
+    facs, heads = [], []  # of dimensions 0 .. K - 1, built as the frontier reaches them
     use_log = problem.uses_log
     term, op, one = (math.log, operator.add, -0.0) if use_log else (float, operator.mul, 1.0)
     band = _band(problem, use_log)
     hmax = _hmax(problem)
     root = problem.log_leads if use_log else problem.leads
     heap = [log_fold(root) if use_log else math.prod(root)]
+    # the leads a fold reads: the trailing run of 1.0 (0.0) folds as the identity
+    fold_end = _unit_run_start(root, 0.0 if use_log else 1.0)
     lo = -math.inf  # no child is dropped unfolded until the heap holds m folds
     frontier = []
     seq = itertools.count()
@@ -258,10 +280,14 @@ def product_eigenvalues_top(problem: ProductProblem, m: int) -> np.ndarray:
             # the node's children in dimensions >= k, keyed by their bound hmax
             push(V + hmax[k + 1], k + 1, -1, V, W, op(P, root[k]))
             n = 1  # its first child is the sibling after i = -1
+            if k == len(heads):  # the first visit to dimension k: entries of k - 1 came first
+                facs.append(problem.factor(k))
+                heads.append(facs[k].ratio_head)
         else:
             n = heads[k][1][i]
             Pk = op(P, term(facs[k].eigenvalue(i + 2)))
-            f = log_fold(root[k + 1:], Pk) if use_log else math.prod(root[k + 1:], start=Pk)
+            rest = root[k + 1:fold_end]
+            f = log_fold(rest, Pk) if use_log else math.prod(rest, start=Pk)
             if len(heap) == m and f <= heap[0]:
                 continue
             for _ in range(min(W * n, m)):
@@ -361,10 +387,12 @@ class _Point:
         """The dense rule's decision for the tuple the chain excites; the
         first decision folds the point's leading suffix products."""
         if self.sfx is None:
-            # sfx[k] = prod_{k' >= k} lam(k', 1), 0-indexed, length d + 1, or
-            # in log space the same sum of logs
-            self.sfx = (_suffix_fold(self.problem.log_leads, operator.add, 0.0) if self.log_space
-                        else _suffix_fold(self.problem.leads, operator.mul, 1.0))
+            # sfx[k] = prod_{k' >= k} lam(k', 1), 0-indexed, or in log space
+            # the same sum of logs, up to the trailing run of unit leads,
+            # past which every entry is 1.0 (0.0)
+            leads, op, unit = ((self.problem.log_leads, operator.add, 0.0) if self.log_space
+                               else (self.problem.leads, operator.mul, 1.0))
+            self.sfx = _suffix_fold(leads[:_unit_run_start(leads, unit)], op, unit)
         return _dense_rule(self.problem, chain, self.T, self.log_space, self.sfx)
 
 
@@ -606,14 +634,15 @@ def _dense_rule(problem, chain, T, log_space, sfx):
 
     Prefixes are multiplied (or, in log space, summed with ``math.log``) in
     dimension order, and each prefix times ``sfx[k]``, the leading product of
-    the remaining dimensions (the point's fold, see :class:`_Point`), must
-    exceed T; the last check is the full product.  The leads are read in
+    the remaining dimensions (the point's fold, see :class:`_Point`, and 1.0,
+    or 0.0, past its end), must exceed T; the last check is the full
+    product.  The leads are read in
     place from the table's rows between the excited terms, and the d checks
     run as one ``accumulate``/``map`` pipeline, the same operations in the
     same order as a loop over a d-long list of the terms.
     """
-    row, op = ((problem.table.log_leads, operator.add) if log_space
-               else (problem.table.leads, operator.mul))
+    row, op, unit = ((problem.table.log_leads, operator.add, 0.0) if log_space
+                     else (problem.table.leads, operator.mul, 1.0))
     pieces, end = [], problem.d
     while chain is not None:
         k, j, chain, _ = chain
@@ -624,7 +653,8 @@ def _dense_rule(problem, chain, T, log_space, sfx):
         end = k
     pieces.append(itertools.islice(row, end))
     prefixes = itertools.accumulate(itertools.chain.from_iterable(reversed(pieces)), op)
-    return all(map(partial(operator.lt, T), map(op, prefixes, itertools.islice(sfx, 1, None))))
+    suffixes = itertools.chain(itertools.islice(sfx, 1, None), itertools.repeat(unit))
+    return all(map(partial(operator.lt, T), map(op, prefixes, suffixes)))
 
 
 def trace_sum(problem: ProductProblem, tau: float) -> float:

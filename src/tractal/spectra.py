@@ -34,7 +34,9 @@ the standard library alone.
 Specs and factors are immutable after construction.  Each spec has one
 :class:`DimensionTable`, an append-only cache of its dimensions: rows of
 lam(k, 1), its log, lam(k, 2) and ln h_k; the factors built so far, at any
-k; and the head pairs of factors 1..K, the prefix the walks have read.  It is
+k, one per distinct parameter tuple, so that dimensions with equal
+parameters share one; and the head pairs of factors 1..K, the prefix the
+count walk has read.  It is
 reached only through the ``lru_cache`` of ``_factor``, so clearing that
 cache empties it.  A lock per table keeps it consistent under threads.
 """
@@ -43,6 +45,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
+import struct
 import threading
 import warnings
 from functools import lru_cache
@@ -340,20 +343,35 @@ def _custom_value(row: tuple, tail: Optional[TailModel]):
     return value
 
 
-def _value(spec: FamilySpec, k: int):
-    """lam(k, j) as a scalar function of j, from the family closed form."""
+def _parameters(spec: FamilySpec, k: int) -> tuple:
+    """The floats lam(k, j) depends on besides j (and a custom spec's tail):
+    r_k; (r_k, g_k); omega_k; (omega, a_k, b_k); or table k's row."""
     if k < 1:
         raise InvalidInputError(f"dimension index must be >= 1, got {k}")
     fam = spec.family
     if fam in (Family.EULER, Family.WIENER):
-        return _euler_value(spec.r.value(k))
+        return (spec.r.value(k),)
     if fam is Family.KOROBOV:
-        return _korobov_value(spec.r.value(k), spec.g.value(k))
+        return spec.r.value(k), spec.g.value(k)
     if fam is Family.GAUSSIAN:
-        return _gaussian_value(gaussian_omega(spec.gamma_sq.value(k)))
+        return (gaussian_omega(spec.gamma_sq.value(k)),)
     if fam is Family.ANALYTIC_KOROBOV:
-        return _analytic_korobov_value(spec.omega, spec.a.value(k), spec.b.value(k))
-    return _custom_value(spec.tables[min(k, len(spec.tables)) - 1], spec.tail)
+        return spec.omega, spec.a.value(k), spec.b.value(k)
+    return spec.tables[min(k, len(spec.tables)) - 1]
+
+
+def _value(spec: FamilySpec, k: int):
+    """lam(k, j) as a scalar function of j, from the family closed form at
+    the parameters of dimension k."""
+    params = _parameters(spec, k)
+    if spec.family is Family.CUSTOM:
+        return _custom_value(params, spec.tail)
+    return _CLOSED_FORMS[spec.family](*params)
+
+
+_CLOSED_FORMS = {Family.EULER: _euler_value, Family.WIENER: _euler_value,
+                 Family.KOROBOV: _korobov_value, Family.GAUSSIAN: _gaussian_value,
+                 Family.ANALYTIC_KOROBOV: _analytic_korobov_value}
 
 
 class DimensionTable:
@@ -367,20 +385,25 @@ class DimensionTable:
     reads rows in order, two eigenvalues each; a trace reads lam(k, 1) and
     lam(k, 2) from the rows, so it builds no factor.
     ``factors`` maps k to the :class:`FactorSpectrum` of dimension k once
-    :meth:`factor` has built it, at any k.  ``ratio_heads`` holds the
+    :meth:`factor` has read it, at any k.  There is one factor per distinct
+    parameter tuple (:func:`_parameters`, keyed on its bits, so that -0.0
+    and 0.0 stay apart): the dimensions of a constant sequence, or of
+    repeated custom tables, share one object.  ``ratio_heads`` holds the
     ``ratio_head`` pairs of factors 1, 2, ... as far as :meth:`heads` has
     built them: a prefix, independent of the rows.  A product problem is a
-    prefix of the rows, and its walks read the heads.
+    prefix of the rows; its count walk reads the heads, and top-m the
+    factors.
     """
 
     __slots__ = ("spec", "leads", "log_leads", "seconds", "log_h", "factors", "ratio_heads",
-                 "_lock")
+                 "_by_parameters", "_lock")
 
     def __init__(self, spec):
         self.spec = spec
         self._lock = threading.RLock()  # heads builds factors under it
         self.leads, self.log_leads, self.seconds, self.log_h = [], [], [], []
         self.factors = {}
+        self._by_parameters = {}
         self.ratio_heads = []
 
     @classmethod
@@ -412,17 +435,21 @@ class DimensionTable:
                 self.log_h.append(-(log_lead - math.log(second)) if second > 0.0 else -math.inf)
 
     def factor(self, k: int) -> FactorSpectrum:
-        """The factor of dimension k, built the first time it is asked for."""
+        """The factor of dimension k, built the first time its parameters
+        are asked for."""
         fac = self.factors.get(k)
         if fac is not None:
             return fac
-        value = _value(self.spec, k)
-        try:
-            fac = FactorSpectrum(value)
-        except InvalidInputError as exc:
-            raise InvalidInputError(f"{exc} at k={k}") from None
+        params = _parameters(self.spec, k)
+        key = struct.pack(f"{len(params)}d", *params)
+        fac = self._by_parameters.get(key)
+        if fac is None:
+            try:
+                fac = FactorSpectrum(_value(self.spec, k))
+            except InvalidInputError as exc:
+                raise InvalidInputError(f"{exc} at k={k}") from None
         with self._lock:
-            return self.factors.setdefault(k, fac)
+            return self.factors.setdefault(k, self._by_parameters.setdefault(key, fac))
 
     def heads(self, K):
         """The ``ratio_head`` pairs of factors 1..K, as a K-long list,

@@ -483,9 +483,10 @@ def test_table_problems_match_explicitly_built_problems(kind, d):
     spaces, a grid over prefixes, top-m values, traces and lemma bounds."""
     rng = random.Random(f"{kind}-{d}")
     spec = make_problem(rng, kind, d).family
-    # the factors from a table of their own, as spec.factor(k) builds them
-    table = spectra.DimensionTable(spec)
-    explicit = ProductProblem([table.factor(k) for k in range(1, d + 1)], family=spec)
+    # one factor object per dimension from the closed form, as a table built
+    # them before it shared one between equal parameters
+    explicit = ProductProblem([spectra.FactorSpectrum(spectra._value(spec, k))
+                               for k in range(1, d + 1)], family=spec)
     spectra._factor.cache_clear()  # a fresh table, none of its factors built
     lazy = ProductProblem.from_family(spec, d)
 
@@ -529,11 +530,8 @@ def test_table_problems_match_explicitly_built_problems(kind, d):
                 == outcome(lambda: complexity.lemma_bound(explicit, 0.1, tau)))
 
 
-def test_a_count_builds_only_the_dimensions_it_can_reach(monkeypatch):
-    """ROADMAP item 11's large-d count: building the problem builds no
-    factor, the count builds exactly the prefix where hmax exceeds the
-    band's lo, a second count on the same family builds none, and another
-    family's count shares no table or factor with it."""
+def _recording_builds(monkeypatch):
+    """The list every FactorSpectrum built from now on is appended to."""
     built = []
     init = spectra.FactorSpectrum.__init__
 
@@ -542,6 +540,15 @@ def test_a_count_builds_only_the_dimensions_it_can_reach(monkeypatch):
         built.append(self)
 
     monkeypatch.setattr(spectra.FactorSpectrum, "__init__", recorded)
+    return built
+
+
+def test_a_count_builds_only_the_dimensions_it_can_reach(monkeypatch):
+    """ROADMAP item 11's large-d count: building the problem builds no
+    factor, the count builds exactly the prefix where hmax exceeds the
+    band's lo, a second count on the same family builds none, and another
+    family's count shares no table or factor with it."""
+    built = _recording_builds(monkeypatch)
     spectra._factor.cache_clear()
     d = 10 ** 5
     query = complexity.ComplexityQuery(0.01, d, "nor")
@@ -563,6 +570,81 @@ def test_a_count_builds_only_the_dimensions_it_can_reach(monkeypatch):
     complexity.info_complexity(q, complexity.ComplexityQuery(0.01, 1000, "nor"))
     assert q.table is not p.table and sorted(p.table.factors) == reach
     assert built and not {id(f) for f in built} & {id(f) for f in p.table.factors.values()}
+
+
+def test_top_m_builds_only_the_dimensions_its_frontier_reaches(monkeypatch):
+    """ROADMAP item 16's large-d top-m: at d = 10**5 the frontier reaches
+    the entries of fewer than 100 leading dimensions before the m-th value
+    stops it, so top-m builds exactly that prefix, and a second call builds
+    none and gives the same bits."""
+    built = _recording_builds(monkeypatch)
+    spectra._factor.cache_clear()
+    p = ProductProblem.from_family(ANCHOR, 10 ** 5)
+    first = products.product_eigenvalues_top(p, 1000)
+    K = len(built)
+    assert 0 < K < 100
+    assert sorted(p.table.factors) == list(range(1, K + 1))
+    assert [p.table.factors[k] for k in range(1, K + 1)] == built
+    built.clear()
+    assert products.product_eigenvalues_top(p, 1000).tobytes() == first.tobytes()
+    assert built == []
+
+
+def test_a_constant_sequence_builds_one_factor(monkeypatch):
+    """Every dimension of euler with constant r has the same parameter, so
+    a count and a top-m reaching all 50 dimensions build one factor, which
+    every dimension reads."""
+    built = _recording_builds(monkeypatch)
+    spectra._factor.cache_clear()
+    p = ProductProblem.from_family(spectra.euler(S.constant(1)), 50)
+    products.product_eigenvalues_top(p, 40)
+    count_products_above_log(p, p.log_leading_product - 5.0)
+    assert len(built) == 1
+    assert all(p.table.factor(k) is p.table.factor(1) for k in range(1, 51))
+
+
+def test_equal_parameters_share_a_factor_and_distinct_ones_do_not(monkeypatch):
+    """Repeated custom tables share one factor per distinct row, keyed on
+    its bits (a row ending in -0.0 is not one ending in 0.0); a power-law
+    family, whose parameter differs in every dimension, shares none."""
+    built = _recording_builds(monkeypatch)
+    rows = [[1.0, 0.5, 0.0]] * 3 + [[0.5, 0.25, 0.125]] * 4 + [[1.0, 0.5, -0.0]]
+    custom = spectra.custom_tabulated(rows).dimension_table()
+    facs = [custom.factor(k) for k in range(1, 9)]
+    assert len(built) == 3
+    assert facs[:3] == [built[0]] * 3 and facs[3:7] == [built[1]] * 4 and facs[7] is built[2]
+    built.clear()
+    power = spectra.gaussian(S.power(1.0, -1.0)).dimension_table()
+    assert len({id(power.factor(k)) for k in range(1, 21)}) == 20 == len(built)
+
+
+def test_a_saturating_count_of_a_constant_family_builds_one_factor(monkeypatch):
+    """The CHANGES.md case of a count that fills its cap early: korobov with
+    constant g, d = 5000, cap 400.  The walk still reads all 5000 dimensions'
+    heads before it starts, but they are one factor's."""
+    built = _recording_builds(monkeypatch)
+    spectra._factor.cache_clear()
+    p = ProductProblem.from_family(spectra.korobov(S.constant(1.0), S.constant(0.5)), 5000)
+    got = count_products_above_log(p, p.log_leading_product - 1.0, cap=400)
+    assert (got.count, got.saturated) == (400, True)
+    assert len(built) == 1 and len(p.table.ratio_heads) == 5000
+
+
+def test_a_tie_heavy_d_range_folds_no_suffix_of_unit_leads(monkeypatch):
+    """Every korobov lead is 1.0, so a point's suffix fold stops before the
+    trailing run of unit leads: each borderline decision of a d-range reads
+    a one-entry fold, not a d-long one (ROADMAP item 15)."""
+    sizes = []
+    rule = products._dense_rule
+
+    def recorded(problem, chain, T, log_space, sfx):
+        sizes.append(len(sfx))
+        return rule(problem, chain, T, log_space, sfx)
+
+    monkeypatch.setattr(products, "_dense_rule", recorded)
+    grid = complexity.info_complexity_grid(ANCHOR, "nor", range(1, 301), [0.1])
+    assert len(sizes) > 300 and set(sizes) == {1}
+    assert grid[-1].n == 155
 
 
 def test_a_factor_built_before_its_row_is_the_one_the_walks_read():
