@@ -22,6 +22,7 @@ from .errors import (
     UnsupportedCriterionError,
 )
 from .sequences import SequenceDescriptor
+from .xreal import exp_or_inf, jsonable_float
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -240,7 +241,7 @@ def run_complexity(args) -> int:
         "criterion": args.criterion,
         "n": result.n,
         "saturated": result.saturated,
-        "threshold": result.threshold,
+        "threshold": jsonable_float(result.threshold),
     }
     _emit(_dump_json(doc), args.out)
     if result.saturated and args.strict:
@@ -288,11 +289,11 @@ def run_oracle_compare(args) -> int:
     # are the values brute_force_oracle gives
     log_box = products.brute_force_log_oracle(problem, J) if problem.uses_log else None
     oracle = (products.brute_force_oracle(problem, J) if log_box is None
-              else np.fromiter(map(math.exp, log_box), dtype=float, count=log_box.size))
-    if oracle[0] == 0.0:
+              else np.fromiter(map(exp_or_inf, log_box), dtype=float, count=log_box.size))
+    if not 0.0 < oracle[0] < math.inf:
         raise InvalidInputError(
-            "every product in the box underflows to 0 in double precision; "
-            "nothing to compare")
+            "every product in the box underflows to 0, or the largest overflows, "
+            "in double precision; nothing to compare")
     m = min(args.m, oracle.size)
     top = products.product_eigenvalues_top(problem, m)
     floor = products.oracle_validity_floor(problem, J)

@@ -5,7 +5,7 @@ import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidInputError, UnsupportedCriterionError
-from .xreal import ceil_exp
+from .xreal import ceil_exp, exp_or_inf
 from . import products, spectra
 from .products import COUNTING_CAP, ProductProblem
 
@@ -41,11 +41,11 @@ class ComplexityResult(NamedTuple):
 
 def minimal_error(problem: ProductProblem, n: int) -> float:
     """e(n) = sqrt of the (n+1)-st largest product eigenvalue; e(0) is the
-    initial error sqrt(prod_k lam(k,1))."""
+    initial error sqrt(prod_k lam(k,1)).  Inf or 0.0 past the double range."""
     if n < 0:
         raise InvalidInputError(f"n must be >= 0, got {n}")
     if n == 0:
-        return math.exp(0.5 * problem.log_leading_product)
+        return exp_or_inf(0.5 * problem.log_leading_product)
     top = products.product_eigenvalues_top(problem, n + 1)
     return math.sqrt(top[-1])
 
@@ -98,7 +98,8 @@ def _count_point(problem, query, cap):
 
     The direct threshold is eps**2, times lam_{d,1} under the normalized
     criterion.  In log space, ln T is ``math.log`` of that, or, where it
-    would underflow, ``2 ln eps`` plus ``ln lam_{d,1}``.
+    would underflow or overflow, ``2 ln eps`` plus ``ln lam_{d,1}``; the
+    threshold reported is then its ``exp``, 0.0 or inf past the double range.
     """
     if problem.family is not None and query.criterion not in problem.family.criterion_support:
         raise UnsupportedCriterionError(
@@ -118,7 +119,7 @@ def _count_point(problem, query, cap):
             return threshold, threshold, False
     # CRI**2 assembled in log space, so huge d or tiny epsilon cannot underflow
     log_threshold = 2.0 * math.log(query.epsilon) + problem.log_leading_product
-    return math.exp(log_threshold), log_threshold, True
+    return exp_or_inf(log_threshold), log_threshold, True
 
 
 def lemma_bound(problem: ProductProblem, epsilon: float, tau: float) -> int:
@@ -168,8 +169,5 @@ def qpt_functional(spec, tau: float, D: int) -> np.ndarray:
     for d in range(1, D + 1):
         x = tau * (1.0 + math.log(d))
         total = float(spectra.log_trace_profile(spec, x, d, normalized=True)[-1])
-        try:
-            out[d - 1] = math.exp(total / tau - 2.0 * math.log(d))
-        except OverflowError:
-            out[d - 1] = math.inf
+        out[d - 1] = exp_or_inf(total / tau - 2.0 * math.log(d))
     return out

@@ -4,7 +4,8 @@ Products are taken over one factor per dimension in fixed order k = 1..d.
 For d <= 30 (and leading products comfortably inside the double range)
 values are accumulated by direct multiplication, which makes results
 bit-reproducible against the brute-force oracle; beyond that everything
-switches to log space.
+switches to log space, and a value whose ``exp`` leaves the double range
+reads 0.0 or inf.
 
 Counting and top-m both walk only the excitations of (1, ..., 1).  Divided
 by the leading product, a tuple's value is the product of the ratios
@@ -17,13 +18,14 @@ problem is a view of a prefix of the family's dimension table
 (:class:`spectra.DimensionTable`), which holds lam(k, 1), its log and
 ln h_k for each k: the problem stores d and its leading product, and each
 list derived from the rows is built by the code that reads it, so the
-problems of a d-range hold no d-long list each.  A count asks the table for
-the heads of the prefix of dimensions it can reach before it walks, and
-top-m for each dimension's head when its frontier first reaches it, which
-builds those factors and no others, so either costs what its excited
-dimensions cost, plus a few passes over d rows in C.  The table builds one
-factor per distinct parameter tuple, so the dimensions of a constant
-sequence share one.
+problems of a d-range hold no d-long list each.  Either walk starts from a
+copy of the heads the table has built, and asks the table for the head of
+the dimension past them when it first reaches it, right after the one
+before; a count whose top point is full asks for none.  So a walk builds
+the factors it reaches and no others, and costs what its excited dimensions
+cost, plus a few passes over d rows in C.  The table builds one factor per
+distinct parameter tuple, so the dimensions of a constant sequence share
+one.
 
 A count decides the tuples within a small relative window of the threshold
 by the dense dimension-order evaluation, in direct or log space as above, so
@@ -57,6 +59,7 @@ from functools import partial, reduce
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import CapExceededError, InvalidInputError
+from .xreal import exp_or_inf
 from . import spectra
 
 if TYPE_CHECKING:
@@ -113,8 +116,8 @@ class ProductProblem:
     Indices are 0-based here: ``factor(k)`` is the factor of dimension
     k + 1, and ``factors`` lists all d of them, both read through the
     table's ``factor``, which builds a factor the first time its
-    parameters are asked for.  The count walk reads the heads of the factors
-    it reaches through the table's ``heads``, and top-m through ``factor``.
+    parameters are asked for.  Both walks read the heads of the factors they
+    reach through the table's ``head``.
     """
 
     def __init__(self, factors, family=None):
@@ -132,7 +135,8 @@ class ProductProblem:
         # prod_k lam(k, 1) and the sum of its logs, folded from the last dimension
         self.leading_product = reduce(operator.mul, reversed(self.leads), 1.0)
         self.log_leading_product = reduce(operator.add, reversed(self.log_leads), 0.0)
-        self.uses_log = (self.d > _DIRECT_DIM_LIMIT
+        # an overflowing leading product is inf, whatever suffix overflowed
+        self.uses_log = (self.d > _DIRECT_DIM_LIMIT or self.leading_product == math.inf
                          or self.log_leading_product < _DIRECT_LOG_FLOOR)
 
     @property
@@ -213,7 +217,7 @@ def product_eigenvalues_top(problem: ProductProblem, m: int) -> np.ndarray:
     Each value is its tuple's dimension-order fold: ``math.prod`` of the d
     eigenvalues in direct space, ``math.exp`` of the left fold
     (:data:`log_fold`) of their ``math.log`` in log space (see the module
-    docstring).
+    docstring), or inf where that overflows.
 
     The tuples are the excitations of (1, ..., 1), walked as :func:`_walk`
     walks them: a node's children excite one dimension after its last
@@ -236,11 +240,13 @@ def product_eigenvalues_top(problem: ProductProblem, m: int) -> np.ndarray:
     So a korobov or analytic korobov visit costs O(k), and one of a family
     whose leads are not 1.0 (euler, gaussian) still costs O(d).
 
-    The factor of dimension k, and its head, are read from the table when
-    the frontier first pops an entry of dimension k, which it does after
-    one of dimension k - 1.  A popped entry's key lies above the heap's
-    ``lo``, so only the prefix of dimensions the m-th value can reach is
-    built: at korobov ``g_k = k**-2``, d = 10**5 and m = 1000, 24 factors.
+    As in counts, ``heads`` starts as a copy of the table's built heads,
+    and the head of dimension k, with its factor, is read through the
+    table's ``head`` when the frontier first pops an entry of dimension k,
+    which it does after one of dimension k - 1.  A popped entry's key lies
+    above the heap's ``lo``, so only the prefix of dimensions the m-th value
+    can reach is built: at korobov ``g_k = k**-2``, d = 10**5 and m = 1000,
+    24 factors.
 
     Once the frontier's best ``V`` lies a borderline window below the heap's
     least fold, no tuple left can rank, and the walk stops.  A visited tuple
@@ -253,7 +259,9 @@ def product_eigenvalues_top(problem: ProductProblem, m: int) -> np.ndarray:
         raise InvalidInputError(f"m must be >= 1, got {m}")
     if m > ENUMERATION_CAP:
         raise CapExceededError(f"m={m} exceeds the enumeration cap {ENUMERATION_CAP}")
-    facs, heads = [], []  # of dimensions 0 .. K - 1, built as the frontier reaches them
+    # the walk's own copy, as _grow_ratios replaces its entries
+    heads = problem.table.ratio_heads[:problem.d]
+    factors = problem.table.factors  # holds every factor whose head is read
     use_log = problem.uses_log
     term, op, one = (math.log, operator.add, -0.0) if use_log else (float, operator.mul, 1.0)
     band = _band(problem, use_log)
@@ -281,11 +289,10 @@ def product_eigenvalues_top(problem: ProductProblem, m: int) -> np.ndarray:
             push(V + hmax[k + 1], k + 1, -1, V, W, op(P, root[k]))
             n = 1  # its first child is the sibling after i = -1
             if k == len(heads):  # the first visit to dimension k: entries of k - 1 came first
-                facs.append(problem.factor(k))
-                heads.append(facs[k].ratio_head)
+                heads.append(problem.table.head(k + 1))
         else:
             n = heads[k][1][i]
-            Pk = op(P, term(facs[k].eigenvalue(i + 2)))
+            Pk = op(P, term(factors[k + 1].eigenvalue(i + 2)))
             rest = root[k + 1:fold_end]
             f = log_fold(rest, Pk) if use_log else math.prod(rest, start=Pk)
             if len(heap) == m and f <= heap[0]:
@@ -306,14 +313,14 @@ def product_eigenvalues_top(problem: ProductProblem, m: int) -> np.ndarray:
         if i + 1 < m:
             nl = heads[k][0]
             if i == len(nl):
-                nl, _ = _grow_ratios(facs[k], heads, k, m - 1)
+                nl, _ = _grow_ratios(factors[k + 1], heads, k, m - 1)
             push(V - nl[i], k, i, V, W, P)
     if len(heap) < m:
         raise InvalidInputError("spectrum exhausted before m values (zero eigenvalue hit)")
     heap.sort(reverse=True)
     import numpy as np
 
-    return np.array([math.exp(v) for v in heap] if use_log else heap)
+    return np.array(list(map(exp_or_inf, heap)) if use_log else heap)
 
 
 def count_products_above(problem: ProductProblem, T: float, cap: int = COUNTING_CAP) -> CountResult:
@@ -362,7 +369,7 @@ def count_grid(points, cap: int = COUNTING_CAP) -> list:
     if any(p.table is not largest.table and p.factors != largest.factors[:p.d]
            for p, _, _ in points):
         raise InvalidInputError("grid problems must share the leading factors of the largest")
-    return _walk(points, cap)
+    return _walk(points, cap, largest)
 
 
 def check_cap(cap):
@@ -396,7 +403,7 @@ class _Point:
         return _dense_rule(self.problem, chain, self.T, self.log_space, self.sfx)
 
 
-def _walk(points, cap):
+def _walk(points, cap, largest):
     """Count every point's tuples by walks of the excitations of (1, ..., 1).
 
     A node is a tuple, held as its log normalised value
@@ -414,12 +421,15 @@ def _walk(points, cap):
     dimensions stops once the node times the largest second ratio
     ``h_k = lam(k,2)/lam(k,1)`` among those left falls below the bound; h
     need not be monotone in k.  So no node, whose ``V`` is at most 0, reads
-    a dimension k with ``hmax[k] <= lo``; as hmax is a suffix maximum, the
-    dimensions read are a prefix, and ``heads`` starts as the table's heads
-    of that prefix (:meth:`spectra.DimensionTable.heads`), which builds its
-    factors before the walk, so the loop has no check.
-    ``hmax`` (:func:`_hmax`) is folded here, once for the largest problem
-    and once for each band top of another problem.
+    a dimension k with ``hmax[k] <= lo``.  A node reads its dimensions in
+    order from the one after its parent's, so the dimensions read are a
+    prefix, and the first node to read the one past ``heads`` does so right
+    after reading the one before.  ``heads`` starts as a copy of the table's
+    built heads, of the table of ``largest``, the problem of largest d, and
+    that node extends the table's prefix by one
+    (:meth:`spectra.DimensionTable.head`), which builds the factor, unless
+    its band's top is full (see :func:`_walk_group`).  The copy is the
+    walk's own, as :func:`_grow_ratios` replaces its entries.
 
     For a point, values above its window ``(lo, hi)`` from :func:`_band`
     are counted and those below it rejected; values in between are decided
@@ -452,12 +462,15 @@ def _walk(points, cap):
     eigenvalues has runs of length one.
     """
     results = {}
+    windows = {}  # one window function per problem and space
     open_pts = []
     for sub, T, log_space in points:
         key = (sub.d, T, log_space)
         if key in results:  # a repeated point is walked once
             continue
-        pt = _Point(sub, T, log_space, *_band(sub, log_space)(T))
+        if (sub.d, log_space) not in windows:
+            windows[sub.d, log_space] = _band(sub, log_space)
+        pt = _Point(sub, T, log_space, *windows[sub.d, log_space](T))
         results[key] = CountResult(0, False, cap)  # unless the walk counts the point
         if 0.0 > pt.lo and (0.0 > pt.hi or pt.accepts(None)):
             open_pts.append(pt)
@@ -470,37 +483,34 @@ def _walk(points, cap):
             bands.append([pt])
             band_hi = pt.hi
     # the bands share the pairs, whose dimension k is read by every band of d > k
-    if open_pts:
-        # every band's lo is at least the first band's, and its hmax at most
-        # the largest problem's: the prefix where the one exceeds the other
-        largest = max(open_pts, key=operator.attrgetter("d")).problem
-        largest_hmax = _hmax(largest)
-        K = bisect_left(largest_hmax, -bands[0][0].lo, key=operator.neg)
-        heads = largest.table.heads(K)
+    heads = largest.table.ratio_heads[:largest.d] if largest else []
     for band in bands:
         band.sort(key=operator.attrgetter("d"))
-        hmax = largest_hmax if band[-1].problem is largest else _hmax(band[-1].problem)
-        for pt, n in zip(band, _walk_group(band, cap, heads, hmax)):
+        for pt, n in zip(band, _walk_group(band, cap, heads, largest.table)):
             results[pt.d, pt.T, pt.log_space] = CountResult(min(n, cap), n >= cap, cap)
             pt.sfx = None
     return [results[(sub.d, T, log_space)] for sub, T, log_space in points]
 
 
-def _walk_group(band, cap, heads, hmax):
+def _walk_group(band, cap, heads, table):
     """The walk of :func:`_walk` for one band, its points ordered by d; their counts.
 
     The walk runs at the problem of the top point, the one of largest d,
-    whose ``hmax`` is given, and prunes at the band's ``lo``, the least of
-    its points'.  ``acc[k]``
-    counts the children in dimension k above every window, which count for
-    each point with d > k; it is kept below ``dsec``, the second largest d,
-    as ``tot`` is the top's count so far.  A top whose count reaches cap is
-    closed, and the node being walked is walked again from the dimension it
-    had reached: the point of the next d becomes the top, and the band
-    narrows to the points left.
+    whose ``hmax`` it folds, and prunes at the band's ``lo``, the least of
+    its points'.  ``acc[k]`` counts the children in dimension k above every
+    window, which count for each point with d > k; it is kept below
+    ``dsec``, the second largest d, as ``tot`` is the top's count so far,
+    kept current per dimension.  A top whose count reaches cap is closed,
+    and the node being walked is walked again from the dimension it had
+    reached: the point of the next d becomes the top, and the band narrows
+    to the points left.  The check comes where a node would build a factor:
+    before a ratio list grows, and before the first node to reach the
+    dimension past ``heads`` extends it with ``table``'s next head.  So a
+    count builds no factor past the dimension at which its top filled.
     """
     pts = list(band)
     problem = pts[-1].problem
+    hmax = _hmax(problem)
     acc = [0] * problem.d
     tot = 1
     stack = [(0.0, 0, None)]
@@ -512,19 +522,23 @@ def _walk_group(band, cap, heads, hmax):
         while stack and tot < cap:
             V, k0, exc = stack.pop()
             W = exc[3] if exc else 1
-            raw = 0  # the node's children counted for the top, before weighting
+            key = V - lo
             for k in range(k0, top):
                 if V + hmax[k] <= lo:
                     break
-                nl, ln = heads[k]
-                key = V - lo
+                try:
+                    nl, ln = heads[k]
+                except IndexError:  # the walk's first visit to dimension k, right after k - 1
+                    if tot >= cap:  # the top is full: close it as below, building no factor
+                        stack.append((V, k, exc))
+                        break
+                    heads.append(table.head(k + 1))
+                    nl, ln = heads[k]
                 m = bisect_left(nl, key)
                 while m == len(nl) < cap:
                     fac = problem.factor(k)
                     # A list grows only if this dimension alone does not fill
                     # the rest of the top's count, so no list grows toward cap.
-                    tot += raw * W
-                    raw = 0
                     room = cap - tot
                     if room <= 0 or (nl[room - 1] if room <= len(nl) else
                                      fac.ratio_runs(room + 1, room + 2)[0][0]) < V - hi:
@@ -539,16 +553,16 @@ def _walk_group(band, cap, heads, hmax):
                 n_push = bisect_left(nl, V - hi, 0, m)
                 if k < dsec:
                     acc[k] += n_push * W
-                raw += n_push
+                tot += n_push * W
                 if n_push < m:
-                    n_push, extra = _borderline(pts, nl, ln, V, k, exc, W, n_push, m)
-                    tot += extra
+                    extra = pts[-1].extra
+                    n_push = _borderline(pts, nl, ln, V, k, exc, W, n_push, m)
+                    tot += pts[-1].extra - extra
                 # hmax[d] is -inf: no child of the last dimension is pushed
                 n_int = bisect_left(nl, V + hmax[k + 1] - lo, 0, n_push)
                 if n_int:  # one child per run, standing for the run's identical subtrees
                     stack.extend([(V - nl[i], k + 1, (k, i + 2, exc, W * ln[i]))
                                   for i in range(n_int) if ln[i]])
-            tot += raw * W
         if tot < cap:
             break
         pts.pop()
@@ -565,11 +579,9 @@ def _borderline(pts, nl, ln, V, k, exc, W, n, m):
     runs of equal eigenvalues in ``nl``: the dense rule decides each run
     once.  Adds to each point's extra the children it accepts beyond the
     first n, times the node's weight W; returns the most children a point
-    accepts and the top's extra.
+    accepts.
     """
     most = n
-    top_extra = 0
-    top = pts[-1]
     for p in pts:
         if p.d <= k:
             continue
@@ -578,11 +590,9 @@ def _borderline(pts, nl, ln, V, k, exc, W, n, m):
         while i < mp and p.accepts((k, i + 2, exc, W)):
             i += ln[i]
         p.extra += (i - n) * W
-        if p is top:
-            top_extra = (i - n) * W
         if i > most:
             most = i
-    return most, top_extra
+    return most
 
 
 def _grow_ratios(fac, heads, k, limit):
@@ -659,11 +669,7 @@ def _dense_rule(problem, chain, T, log_space, sfx):
 
 def trace_sum(problem: ProductProblem, tau: float) -> float:
     """sum_j lam_{d,j}**tau = prod_k sum_j lam(k,j)**tau; inf beyond the double range."""
-    log_value = log_trace_sum(problem, tau)
-    try:
-        return math.exp(log_value)
-    except OverflowError:
-        return math.inf
+    return exp_or_inf(log_trace_sum(problem, tau))
 
 
 def log_trace_sum(problem: ProductProblem, tau: float) -> float:
@@ -680,14 +686,15 @@ def brute_force_oracle(problem: ProductProblem, J: int) -> np.ndarray:
 
     Each product is formed as the top-m walk forms it: by direct
     multiplication, or, for problems in log space, as ``math.exp`` of the
-    dimension-order :data:`log_fold` of ``math.log`` terms.  Exact reference
+    dimension-order :data:`log_fold` of ``math.log`` terms (inf where that
+    overflows).  Exact reference
     only for thresholds above max_k lam(k, J) * prod_{k' != k} lam(k', 1); see
     :func:`oracle_validity_floor`.
     """
     import numpy as np
 
     if problem.uses_log:
-        return np.fromiter(map(math.exp, brute_force_log_oracle(problem, J)),
+        return np.fromiter(map(exp_or_inf, brute_force_log_oracle(problem, J)),
                            dtype=float, count=J ** problem.d)
     return np.sort(box_products(problem, J))[::-1]
 

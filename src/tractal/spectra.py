@@ -389,10 +389,12 @@ class DimensionTable:
     parameter tuple (:func:`_parameters`, keyed on its bits, so that -0.0
     and 0.0 stay apart): the dimensions of a constant sequence, or of
     repeated custom tables, share one object.  ``ratio_heads`` holds the
-    ``ratio_head`` pairs of factors 1, 2, ... as far as :meth:`heads` has
-    built them: a prefix, independent of the rows.  A product problem is a
-    prefix of the rows; its count walk reads the heads, and top-m the
-    factors.
+    ``ratio_head`` pairs of factors 1, 2, ... as far as :meth:`head` has
+    built them: a prefix, independent of the rows, and the one cache of
+    heads the walks share.  A product problem is a prefix of the rows; a
+    walk, count or top-m, starts from a copy of the built heads and extends
+    the prefix by one dimension, through :meth:`head`, when it first reads
+    the dimension past it.
     """
 
     __slots__ = ("spec", "leads", "log_leads", "seconds", "log_h", "factors", "ratio_heads",
@@ -400,7 +402,7 @@ class DimensionTable:
 
     def __init__(self, spec):
         self.spec = spec
-        self._lock = threading.RLock()  # heads builds factors under it
+        self._lock = threading.RLock()  # head builds factors under it
         self.leads, self.log_leads, self.seconds, self.log_h = [], [], [], []
         self.factors = {}
         self._by_parameters = {}
@@ -451,15 +453,15 @@ class DimensionTable:
         with self._lock:
             return self.factors.setdefault(k, self._by_parameters.setdefault(key, fac))
 
-    def heads(self, K):
-        """The ``ratio_head`` pairs of factors 1..K, as a K-long list,
-        building the factors not built yet."""
+    def head(self, k):
+        """The ``ratio_head`` pair of factor k, after extending
+        ``ratio_heads`` through it, building the factors not built yet."""
         heads = self.ratio_heads
-        if len(heads) < K:
+        if len(heads) < k:
             with self._lock:
-                for k in range(len(heads) + 1, K + 1):
-                    heads.append(self.factor(k).ratio_head)
-        return heads[:K]
+                for j in range(len(heads) + 1, k + 1):
+                    heads.append(self.factor(j).ratio_head)
+        return heads[k - 1]
 
 
 @lru_cache(maxsize=16)

@@ -24,6 +24,14 @@ def two_over(x: float) -> float:
     return 2.0 / x
 
 
+def exp_or_inf(x: float) -> float:
+    """``math.exp(x)``, or +oo where that overflows the double range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return INF
+
+
 def ceil_exp(log_value: float) -> int:
     """Smallest integer >= exp(log_value), exact past the float range.
 

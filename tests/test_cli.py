@@ -543,6 +543,33 @@ def test_oracle_compare_box_underflow_is_invalid_input(capsys, family_file):
     assert err.startswith("error:") and "underflow" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("tables, d", [([[1e200, 1e199]] * 3, 3), ([[1e11, 1e10]] * 31, 30),
+                                       ([[1e11, 1e10]] * 31, 31)], ids=["1e600", "1e330", "1e341"])
+def test_leading_products_past_the_double_range_count_in_log_space(capsys, family_file, tables, d):
+    """A leading product past the largest double is inf, so the problem
+    counts in log space at any d: complexity and sweep exit 0 and report a
+    threshold past the range as "inf", and oracle-compare exits 3 with one
+    error line, as for a box that underflows."""
+    path = family_file("big.json", {"family": "custom", "tables": tables})
+    problem = products.ProductProblem.from_family(spectra.custom_tabulated(tables), d)
+    assert problem.leading_product == math.inf and problem.uses_log
+    # values whose exp overflows read inf, as trace sums do
+    assert products.product_eigenvalues_top(problem, 2).tolist() == [math.inf] * 2
+    assert products.brute_force_oracle(problem, 1).tolist() == [math.inf]
+    code, out, err = run(capsys, ["complexity", "--family", path, "--d", str(d), "--epsilon", "0.3"])
+    doc = json.loads(out)
+    assert (code, err, doc["threshold"], doc["saturated"]) == (0, "", "inf", False)
+    # the box holds every product above the threshold: the ratio after 0.1 is 0
+    log_T = 2.0 * math.log(0.3) + problem.log_leading_product
+    if d == 3:
+        assert doc["n"] == 4 == int((products.brute_force_log_oracle(problem, 2) > log_T).sum())
+    code, out, err = run(capsys, ["sweep", "--family", path, "--d", f"1:{d}", "--epsilon", "0.3"])
+    assert (code, err) == (0, "") and out.splitlines()[-1].endswith(f",{d},{doc['n']},false")
+    code, out, err = run(capsys, ["oracle-compare", "--family", path, "--d", str(d), "--j", "1"])
+    assert (code, out) == (3, "") and err.startswith("error:") and err.count("\n") == 1
+    assert "overflows" in err
+
+
 def test_oracle_compare_log_space_problem(capsys, family_file, monkeypatch):
     """A leading product below e^-300 puts d = 3 in log space; the box then
     forms its products the way the top walk does and they agree bit for bit.

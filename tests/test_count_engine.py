@@ -619,15 +619,70 @@ def test_equal_parameters_share_a_factor_and_distinct_ones_do_not(monkeypatch):
 
 
 def test_a_saturating_count_of_a_constant_family_builds_one_factor(monkeypatch):
-    """The CHANGES.md case of a count that fills its cap early: korobov with
-    constant g, d = 5000, cap 400.  The walk still reads all 5000 dimensions'
-    heads before it starts, but they are one factor's."""
+    """A count that fills its cap early: korobov with constant g, d = 5000,
+    cap 400.  Every dimension shares one factor, and the walk stops at the
+    cap: the root's children in the first 200 dimensions, a cos and sin
+    pair each, fill it, and no head past them is read."""
     built = _recording_builds(monkeypatch)
     spectra._factor.cache_clear()
     p = ProductProblem.from_family(spectra.korobov(S.constant(1.0), S.constant(0.5)), 5000)
     got = count_products_above_log(p, p.log_leading_product - 1.0, cap=400)
     assert (got.count, got.saturated) == (400, True)
-    assert len(built) == 1 and len(p.table.ratio_heads) == 5000
+    assert len(built) == 1 and len(p.table.ratio_heads) == 200
+
+
+@pytest.mark.parametrize("spec, reach", [
+    (spectra.korobov(S.constant(1.0), S.power(0.5, -0.001)), 200),
+    (spectra.gaussian(S.power(1.0, -0.01)), 399),
+], ids=["korobov", "gaussian"])
+def test_a_saturating_count_builds_no_factor_past_its_cap(monkeypatch, spec, reach):
+    """Families whose second ratios barely decay, so every one of d = 5000
+    dimensions clears the bound of a count one unit of ln below the leading
+    product: at cap 400 the count builds the factors of the dimensions read
+    before the cap filled and no more (its bound alone would build 5000 and
+    3885), and the count an explicitly built factor list gives."""
+    built = _recording_builds(monkeypatch)
+    spectra._factor.cache_clear()
+    p = ProductProblem.from_family(spec, 5000)
+    got = count_products_above_log(p, p.log_leading_product - 1.0, cap=400)
+    assert (got.count, got.saturated) == (400, True)
+    assert len(built) == len(p.table.ratio_heads) == reach
+    assert got == count_products_above_log(ProductProblem(p.factors), p.log_leading_product - 1.0,
+                                           cap=400)
+
+
+def _top(m):
+    return lambda p: products.product_eigenvalues_top(p, m)
+
+
+def _count(depth):
+    return lambda p: count_products_above_log(p, p.log_leading_product - depth)
+
+
+@pytest.mark.parametrize("first, second", [(_top(10), _count(4.0)), (_count(3.0), _top(50))],
+                         ids=["top-then-count", "count-then-top"])
+def test_a_count_and_a_top_m_share_the_table_heads(monkeypatch, first, second):
+    """Either walk extends the table's one prefix of heads: run after the
+    other on the same family and reaching further, it builds only the
+    factors of the dimensions past those the first walk reached, and both
+    read the same pair objects."""
+    built = _recording_builds(monkeypatch)
+    reached = []
+    head = spectra.DimensionTable.head
+    monkeypatch.setattr(spectra.DimensionTable, "head",
+                        lambda self, k: reached.append(k) or head(self, k))
+    spectra._factor.cache_clear()
+    p = ProductProblem.from_family(spectra.gaussian(S.power(1.0, -1.0)), 200)
+    first(p)
+    K = len(p.table.ratio_heads)
+    assert reached == list(range(1, K + 1)) and len(built) == K
+    heads = list(p.table.ratio_heads)
+    reached.clear()
+    second(p)
+    assert reached == list(range(K + 1, len(p.table.ratio_heads) + 1))
+    assert len(built) == len(p.table.ratio_heads) > K
+    assert all(a is b for a, b in zip(p.table.ratio_heads, heads))
+    assert all(h is p.table.factors[k].ratio_head for k, h in enumerate(p.table.ratio_heads, 1))
 
 
 def test_a_tie_heavy_d_range_folds_no_suffix_of_unit_leads(monkeypatch):
@@ -677,9 +732,9 @@ def test_threads_sharing_a_table_leave_one_row_and_one_factor_per_dimension():
             for d in range(100, 1001, 100):
                 start.wait(timeout=60)  # every thread grows the same rows at once
                 table.grow(d)
-                heads = table.heads(d // 4 + i)
-                assert len(heads) == d // 4 + i
-                assert all(len(nl) == len(ln) == 32 for nl, ln in heads)
+                nl, ln = table.head(d // 4 + i)
+                assert len(table.ratio_heads) >= d // 4 + i
+                assert len(nl) == len(ln) == 32
                 spec.factor(d + i)
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
