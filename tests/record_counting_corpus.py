@@ -6,8 +6,9 @@
 ``tests/counting_corpus.json`` stores its inputs (family documents, count
 queries, sweep commands, trace queries and top-m queries) next to the exact
 answers.  This script keeps the inputs, adds the families of
-``TRACE_FAMILIES`` and ``TOP_FAMILIES`` and the queries of ``EXTRA_COUNTS``,
-``TRACE_QUERIES`` and ``TOP_QUERIES`` it lacks, recomputes every
+``TRACE_FAMILIES``, ``TOP_FAMILIES`` and ``SWEEP_FAMILIES`` and the queries
+of ``EXTRA_COUNTS``, ``EXTRA_SWEEPS``, ``TRACE_QUERIES`` and ``TOP_QUERIES``
+it lacks, recomputes every
 answer with the checkout's ``tractal``, and rewrites the file with the
 Python, numpy, scipy and glibc versions it ran on.  Re-record only when
 answers move on purpose, and list the moved entries in CHANGES.md.
@@ -34,6 +35,13 @@ COUNT_INPUTS = ("family", "d", "epsilon", "criterion")
 # whose counts excite only a few hundred leading dimensions of d.
 EXTRA_COUNTS = [{"family": "korobov-anchor", "d": d, "epsilon": 0.01, "criterion": "nor"}
                 for d in (5000, 10**5)]
+# Sweep commands besides the bench's: a tie-heavy one, whose products are
+# powers of 2, so many of them equal a threshold 0.0625**2 or 0.25**2 exactly
+# and every such tie is decided by the dense rule.
+SWEEP_FAMILIES = {"sweep-ties": {"family": "custom", "tables": [[1, 0.5, 0.25]] * 40}}
+EXTRA_SWEEPS = [{"family": "sweep-ties",
+                 "argv": ["sweep", "--criterion", "abs", "--epsilon", "0.0625,0.25",
+                          "--d", "2,8,12", "--cap", "3000000"]}]
 
 # Trace queries run on families of every kind and every sequence kind, with
 # repeated custom tables and rows past the last table.
@@ -258,7 +266,9 @@ def main():
     corpus = json.loads(CORPUS.read_text(encoding="utf-8"))
     inputs = [{k: q[k] for k in COUNT_INPUTS} for q in corpus["counts"]]
     corpus["counts"] += [q for q in EXTRA_COUNTS if q not in inputs]
-    for name, doc in {**TRACE_FAMILIES, **TOP_FAMILIES}.items():
+    inputs = [{k: q[k] for k in ("family", "argv")} for q in corpus["sweeps"]]
+    corpus["sweeps"] += [q for q in EXTRA_SWEEPS if q not in inputs]
+    for name, doc in {**TRACE_FAMILIES, **TOP_FAMILIES, **SWEEP_FAMILIES}.items():
         corpus["families"].setdefault(name, doc)
     traces = corpus.setdefault("traces", [])
     inputs = [{k: q[k] for k in TRACE_INPUTS if k in q} for q in traces]
