@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedCriterionError,
 )
 from .sequences import SequenceDescriptor
-from .xreal import exp_or_inf, jsonable_float
+from .xreal import jsonable_float
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -284,12 +284,12 @@ def run_oracle_compare(args) -> int:
     d = d_list[0]
     problem = products.ProductProblem.from_family(spec, d)
     J = args.j
-    # a log-space count compares log sums with ln T, and their exp can round
-    # onto a subnormal threshold, so such a box is kept as logs; their exps
-    # are the values brute_force_oracle gives
-    log_box = products.brute_force_log_oracle(problem, J) if problem.uses_log else None
-    oracle = (products.brute_force_oracle(problem, J) if log_box is None
-              else np.fromiter(map(exp_or_inf, log_box), dtype=float, count=log_box.size))
+    # the box is kept in the problem's space: a log-space count compares log
+    # sums with ln T, and their exp can round onto a subnormal threshold;
+    # their values are the ones brute_force_oracle gives
+    space = problem.space
+    box = np.sort(products.box_folds(problem, J, space))[::-1]
+    oracle = space.values(box)
     if not 0.0 < oracle[0] < math.inf:
         raise InvalidInputError(
             "every product in the box underflows to 0, or the largest overflows, "
@@ -310,10 +310,7 @@ def run_oracle_compare(args) -> int:
         if T <= floor:
             continue
         a = products.count_products_above(problem, float(T)).count
-        if log_box is None:
-            b = int((oracle > T).sum())
-        else:
-            b = int((log_box > math.log(T)).sum())
+        b = int((box > space.term(T)).sum())
         if a != b:
             mismatches += 1
     doc = {

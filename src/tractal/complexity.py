@@ -94,12 +94,14 @@ def info_complexity_grid(spec, criterion: str, d_list, eps_list,
 
 def _count_point(problem, query, cap):
     """``(threshold, T, log_space)``: the threshold reported for query and
-    the one counted, in direct space or, with log_space set, as ln T.
+    the one counted, T itself, which :func:`products.count_grid` takes into
+    the problem's space, or, with log_space set, ln T.
 
-    The direct threshold is eps**2, times lam_{d,1} under the normalized
-    criterion.  In log space, ln T is ``math.log`` of that, or, where it
-    would underflow or overflow, ``2 ln eps`` plus ``ln lam_{d,1}``; the
-    threshold reported is then its ``exp``, 0.0 or inf past the double range.
+    The threshold is eps**2, times lam_{d,1} under the normalized
+    criterion.  Where that underflows to 0.0, and under the normalized
+    criterion whenever the problem is in log space, ln T is ``2 ln eps``,
+    plus ``ln lam_{d,1}`` under the normalized criterion; the threshold
+    reported is then its ``exp``, 0.0 or inf past the double range.
     """
     if problem.family is not None and query.criterion not in problem.family.criterion_support:
         raise UnsupportedCriterionError(
@@ -108,12 +110,10 @@ def _count_point(problem, query, cap):
     products.check_cap(cap)
     eps2 = query.epsilon * query.epsilon
     if query.criterion == spectra.ABS:
-        threshold = eps2
-        if not problem.uses_log and eps2 > 0.0:
-            return threshold, eps2, False
-        log_threshold = math.log(eps2) if eps2 > 0.0 else 2.0 * math.log(query.epsilon)
-        return threshold, log_threshold, True
-    if not problem.uses_log:
+        if eps2 > 0.0:
+            return eps2, eps2, False
+        return eps2, 2.0 * math.log(query.epsilon), True
+    if problem.space is products.DIRECT:
         threshold = eps2 * problem.leading_product
         if threshold > 0.0:
             return threshold, threshold, False

@@ -1,11 +1,13 @@
 """d-variate product spectra: top-m enumeration, counting, trace sums.
 
-Products are taken over one factor per dimension in fixed order k = 1..d.
-For d <= 30 (and leading products comfortably inside the double range)
-values are accumulated by direct multiplication, which makes results
-bit-reproducible against the brute-force oracle; beyond that everything
-switches to log space, and a value whose ``exp`` leaves the double range
-reads 0.0 or inf.
+Products are taken over one factor per dimension in fixed order k = 1..d,
+and every exact evaluation folds them in one of two spaces, each a
+:class:`Space` record: :data:`DIRECT` multiplies the eigenvalues, with
+identity 1.0, and :data:`LOG` adds their ``math.log``, with identity 0.0,
+and reads a value whose ``exp`` leaves the double range as 0.0 or inf.  A
+problem folds in DIRECT for d <= 30 and leading products comfortably inside
+the double range, which makes results bit-reproducible against the
+brute-force oracle, and in LOG beyond that.
 
 Counting and top-m both walk only the excitations of (1, ..., 1).  Divided
 by the leading product, a tuple's value is the product of the ratios
@@ -46,7 +48,7 @@ tuples best first by log value, one member per run, and pushes each visited
 tuple's exact dimension-order product into a heap of the m best as many
 times as its weight; the log value only rules out tuples that lie a window
 below the m-th.  Both exact evaluations skip the trailing run of leads equal
-to 1.0 (0.0 in log space), which folds as the identity, bit for bit.
+to the space's identity, which folds as the identity, bit for bit.
 """
 from __future__ import annotations
 
@@ -55,6 +57,7 @@ import itertools
 import math
 import operator
 from bisect import bisect_left
+from collections import namedtuple
 from functools import partial, reduce
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -76,6 +79,53 @@ DIMENSION_CAP = 10**5
 # by ``sum``, which compensates from Python 3.12 on: the bits then do not
 # depend on the Python version.
 log_fold = partial(reduce, operator.add)
+
+
+def _log(x):
+    """``math.log``, and -inf at 0.0, the log of a zero eigenvalue."""
+    return math.log(x) if x > 0.0 else -math.inf
+
+
+def _floats(values):
+    import numpy as np
+
+    return np.array(values, dtype=float)
+
+
+def _exps(logs):
+    import numpy as np
+
+    return np.fromiter(map(exp_or_inf, logs), dtype=float, count=len(logs))
+
+
+def _direct_bounds(problem):
+    # A direct product step that goes subnormal is off by up to 2**-1075,
+    # times the factors after it (at most the largest leading suffix).
+    slack = problem.d * 2.0 ** -1074 * max(_suffix_fold(problem.leads, operator.mul, 1.0))
+    return lambda T: (_log(T - slack), math.log(T + slack))
+
+
+# A space in which the exact folds evaluate a product, DIRECT or LOG.  ``term``
+# maps an eigenvalue or a threshold into the space, and ``op`` folds two of
+# its values.  ``unit`` is the fold's identity and the value of each lead in
+# the trailing run of unit leads, and ``leads`` names the row of the space's
+# leads on a problem or its table.  ``fold(terms, start)`` is the left fold of
+# terms onto start, and ``values`` turns a sequence of folds into a float
+# array of products.  ``bounds(problem)`` is the map from a threshold of the
+# space to the logs ``(lo, hi)`` between which a dimension-order fold may
+# round onto either side of it (see _band).
+# Every fold starts at ``unit``, 1.0 or 0.0, with the bits of a fold that
+# starts at its first term, since no term is -0.0: no positive double's
+# ``math.log`` is, and no sum of terms that are not -0.0 is.  So 0.0 serves
+# every log fold, top-m's included, as the exact additive identity -0.0 would.
+Space = namedtuple("Space", "term op unit leads fold values bounds")
+# Direct multiplication, for d <= 30 and leading products well inside the
+# double range: bit-reproducible against the brute-force box.
+DIRECT = Space(float, operator.mul, 1.0, "leads",
+               lambda terms, start: math.prod(terms, start=start), _floats, _direct_bounds)
+# Sums of ``math.log`` terms by the plain left fold log_fold; the value of a
+# fold is its ``exp``, 0.0 or inf past the double range.
+LOG = Space(_log, operator.add, 0.0, "log_leads", log_fold, _exps, lambda p: lambda T: (T, T))
 
 _DIRECT_DIM_LIMIT = 30
 _DIRECT_LOG_FLOOR = -300.0
@@ -107,12 +157,12 @@ class ProductProblem:
 
     The problem is a view of the first d rows of a
     :class:`spectra.DimensionTable`: its family's, or one holding the given
-    factors.  It stores the table, d and the family, plus three scalars: the
-    leading product, its log and ``uses_log``; ``leads`` and ``log_leads``
-    read the table's rows.  Each list derived from the rows is built by the
-    code that reads it: ``hmax`` by the walks (:func:`_hmax`), a point's
-    suffix fold by its first borderline decision, kept until the point is
-    counted (:class:`_Point`).
+    factors.  It stores the table, d and the family, plus the leading
+    product, its log and ``space``, the :class:`Space` its exact folds
+    evaluate in; ``leads`` and ``log_leads`` read the table's rows.  Each
+    list derived from the rows is built by the code that reads it: ``hmax``
+    by the walks (:func:`_hmax`), a point's suffix fold by its first
+    borderline decision, kept until the point is counted (:class:`_Point`).
     Indices are 0-based here: ``factor(k)`` is the factor of dimension
     k + 1, and ``factors`` lists all d of them, both read through the
     table's ``factor``, which builds a factor the first time its
@@ -136,8 +186,8 @@ class ProductProblem:
         self.leading_product = reduce(operator.mul, reversed(self.leads), 1.0)
         self.log_leading_product = reduce(operator.add, reversed(self.log_leads), 0.0)
         # an overflowing leading product is inf, whatever suffix overflowed
-        self.uses_log = (self.d > _DIRECT_DIM_LIMIT or self.leading_product == math.inf
-                         or self.log_leading_product < _DIRECT_LOG_FLOOR)
+        self.space = (LOG if self.d > _DIRECT_DIM_LIMIT or self.leading_product == math.inf
+                      or self.log_leading_product < _DIRECT_LOG_FLOOR else DIRECT)
 
     @property
     def leads(self):
@@ -155,13 +205,6 @@ class ProductProblem:
     def factors(self):
         return list(map(self.table.factor, range(1, self.d + 1)))
 
-    def scaled(self, constants) -> "ProductProblem":
-        """Each factor multiplied by its positive constant; family link dropped."""
-        constants = list(constants)
-        if len(constants) != self.d:
-            raise InvalidInputError("need one scale constant per dimension")
-        return ProductProblem([f.scaled(c) for f, c in zip(self.factors, constants)])
-
 
 def _suffix_fold(values, op, start):
     """``[f(0), ..., f(n - 1), start]`` with ``f(k) = op(f(k + 1), values[k])``,
@@ -171,8 +214,8 @@ def _suffix_fold(values, op, start):
 
 def _unit_run_start(row, unit):
     """Where row's trailing run of entries equal to unit starts (len(row) if
-    none is): leads of 1.0, or 0.0 in log space, which fold as the identity,
-    bit for bit, onto any value but -0.0, and neither fold yields -0.0."""
+    none is): leads equal to a space's ``unit``, which fold as the identity,
+    bit for bit, onto any value but -0.0, and no fold yields -0.0."""
     differs = map(operator.ne, reversed(row), itertools.repeat(unit))
     return len(row) - next(itertools.compress(itertools.count(), differs), len(row))
 
@@ -214,10 +257,10 @@ def family_problems(spec, ds):
 def product_eigenvalues_top(problem: ProductProblem, m: int) -> np.ndarray:
     """The m largest product eigenvalues, nonincreasing, with multiplicity.
 
-    Each value is its tuple's dimension-order fold: ``math.prod`` of the d
-    eigenvalues in direct space, ``math.exp`` of the left fold
-    (:data:`log_fold`) of their ``math.log`` in log space (see the module
-    docstring), or inf where that overflows.
+    Each value is its tuple's dimension-order fold in the problem's
+    :class:`Space`: ``math.prod`` of the d eigenvalues in :data:`DIRECT`,
+    ``math.exp`` of the left fold of their ``math.log`` in :data:`LOG`, or
+    inf where that overflows.
 
     The tuples are the excitations of (1, ..., 1), walked as :func:`_walk`
     walks them: a node's children excite one dimension after its last
@@ -232,10 +275,10 @@ def product_eigenvalues_top(problem: ProductProblem, m: int) -> np.ndarray:
     of tuples it stands for; its fold enters the heap W times, at most m.
 
     An entry of dimension k carries, in place of its parent's chain, the
-    fold ``P`` of its parent's terms in dimensions < k, from the identity
-    (1.0, or -0.0 in log space) on.  A child of dimension k folds its own
-    term onto P, then the leads after k up to the trailing run of leads
-    equal to 1.0 (0.0), whose fold is the identity (:func:`_unit_run_start`):
+    fold ``P`` of its parent's terms in dimensions < k, from the space's
+    ``unit`` on.  A child of dimension k folds its own term onto P, then the
+    leads after k up to the trailing run of unit leads, whose fold is the
+    identity (:func:`_unit_run_start`):
     the same bits as the whole fold, and one eigenvalue read per visit.
     So a korobov or analytic korobov visit costs O(k), and one of a family
     whose leads are not 1.0 (euler, gaussian) still costs O(d).
@@ -262,14 +305,14 @@ def product_eigenvalues_top(problem: ProductProblem, m: int) -> np.ndarray:
     # the walk's own copy, as _grow_ratios replaces its entries
     heads = problem.table.ratio_heads[:problem.d]
     factors = problem.table.factors  # holds every factor whose head is read
-    use_log = problem.uses_log
-    term, op, one = (math.log, operator.add, -0.0) if use_log else (float, operator.mul, 1.0)
-    band = _band(problem, use_log)
+    space = problem.space
+    term, op, fold, unit = space.term, space.op, space.fold, space.unit
+    band = _band(problem, space)
     hmax = _hmax(problem)
-    root = problem.log_leads if use_log else problem.leads
-    heap = [log_fold(root) if use_log else math.prod(root)]
-    # the leads a fold reads: the trailing run of 1.0 (0.0) folds as the identity
-    fold_end = _unit_run_start(root, 0.0 if use_log else 1.0)
+    root = getattr(problem, space.leads)
+    heap = [fold(root, unit)]
+    # the leads a fold reads: the trailing run of units folds as the identity
+    fold_end = _unit_run_start(root, unit)
     lo = -math.inf  # no child is dropped unfolded until the heap holds m folds
     frontier = []
     seq = itertools.count()
@@ -279,7 +322,7 @@ def product_eigenvalues_top(problem: ProductProblem, m: int) -> np.ndarray:
             heapq.heappush(frontier, (-key, next(seq), k, i, V, W, P))
 
     if m > 1:
-        push(hmax[0], 0, -1, 0.0, 1, one)
+        push(hmax[0], 0, -1, 0.0, 1, unit)
     while frontier:
         key, _, k, i, V, W, P = heapq.heappop(frontier)
         if -key <= lo:  # so is every node left, and every node not yet pushed
@@ -293,8 +336,7 @@ def product_eigenvalues_top(problem: ProductProblem, m: int) -> np.ndarray:
         else:
             n = heads[k][1][i]
             Pk = op(P, term(factors[k + 1].eigenvalue(i + 2)))
-            rest = root[k + 1:fold_end]
-            f = log_fold(rest, Pk) if use_log else math.prod(rest, start=Pk)
+            f = fold(root[k + 1:fold_end], Pk)
             if len(heap) == m and f <= heap[0]:
                 continue
             for _ in range(min(W * n, m)):
@@ -318,9 +360,7 @@ def product_eigenvalues_top(problem: ProductProblem, m: int) -> np.ndarray:
     if len(heap) < m:
         raise InvalidInputError("spectrum exhausted before m values (zero eigenvalue hit)")
     heap.sort(reverse=True)
-    import numpy as np
-
-    return np.array(list(map(exp_or_inf, heap)) if use_log else heap)
+    return space.values(heap)
 
 
 def count_products_above(problem: ProductProblem, T: float, cap: int = COUNTING_CAP) -> CountResult:
@@ -351,18 +391,20 @@ def count_grid(points, cap: int = COUNTING_CAP) -> list:
     ``count_products_above(problem, T)``, or, with log_space set, as
     ``count_products_above_log(problem, T)``.  Each problem's factors must
     be the first factors of the largest problem's, as they are for the
-    problems :func:`family_problems` builds.
+    problems :func:`family_problems` builds.  A point is counted in its
+    problem's :class:`Space`, or in :data:`LOG` when log_space is set.
     """
     points = list(points)
     for i, (problem, T, log_space) in enumerate(points):
         if log_space:
             if not math.isfinite(T):
                 raise InvalidInputError(f"log threshold must be finite, got {T}")
+            points[i] = (problem, T, LOG)
         elif not math.isfinite(T) or T <= 0:
             raise InvalidInputError(
                 f"threshold must be positive and finite, got {T} (a count at 0 would be infinite)")
-        elif problem.uses_log:
-            points[i] = (problem, math.log(T), True)
+        else:
+            points[i] = (problem, problem.space.term(T), problem.space)
     check_cap(cap)
     largest = max((p for p, _, _ in points), key=operator.attrgetter("d"), default=None)
     # problems on one table share their leading factors by construction
@@ -381,10 +423,10 @@ def check_cap(cap):
 class _Point:
     """One threshold of a walk: its problem, its window and its count so far."""
 
-    __slots__ = ("problem", "T", "log_space", "d", "lo", "hi", "extra", "sfx")
+    __slots__ = ("problem", "T", "space", "d", "lo", "hi", "extra", "sfx")
 
-    def __init__(self, problem, T, log_space, lo, hi):
-        self.problem, self.T, self.log_space = problem, T, log_space
+    def __init__(self, problem, T, space, lo, hi):
+        self.problem, self.T, self.space = problem, T, space
         self.d, self.lo, self.hi = problem.d, lo, hi
         # the children accepted beyond the band's sure ones, and the suffix
         # fold _dense_rule reads, from the point's first decision until it is counted
@@ -393,14 +435,14 @@ class _Point:
     def accepts(self, chain):
         """The dense rule's decision for the tuple the chain excites; the
         first decision folds the point's leading suffix products."""
+        sp = self.space
         if self.sfx is None:
-            # sfx[k] = prod_{k' >= k} lam(k', 1), 0-indexed, or in log space
-            # the same sum of logs, up to the trailing run of unit leads,
-            # past which every entry is 1.0 (0.0)
-            leads, op, unit = ((self.problem.log_leads, operator.add, 0.0) if self.log_space
-                               else (self.problem.leads, operator.mul, 1.0))
-            self.sfx = _suffix_fold(leads[:_unit_run_start(leads, unit)], op, unit)
-        return _dense_rule(self.problem, chain, self.T, self.log_space, self.sfx)
+            # sfx[k] = prod_{k' >= k} lam(k', 1), 0-indexed, folded in the
+            # point's space up to the trailing run of unit leads, past which
+            # every entry is the unit
+            leads = getattr(self.problem, sp.leads)
+            self.sfx = _suffix_fold(leads[:_unit_run_start(leads, sp.unit)], sp.op, sp.unit)
+        return _dense_rule(self.problem, chain, self.T, sp, self.sfx)
 
 
 def _walk(points, cap, largest):
@@ -464,13 +506,13 @@ def _walk(points, cap, largest):
     results = {}
     windows = {}  # one window function per problem and space
     open_pts = []
-    for sub, T, log_space in points:
-        key = (sub.d, T, log_space)
+    for sub, T, space in points:
+        key = (sub.d, T, space)
         if key in results:  # a repeated point is walked once
             continue
-        if (sub.d, log_space) not in windows:
-            windows[sub.d, log_space] = _band(sub, log_space)
-        pt = _Point(sub, T, log_space, *windows[sub.d, log_space](T))
+        if (sub.d, space) not in windows:
+            windows[sub.d, space] = _band(sub, space)
+        pt = _Point(sub, T, space, *windows[sub.d, space](T))
         results[key] = CountResult(0, False, cap)  # unless the walk counts the point
         if 0.0 > pt.lo and (0.0 > pt.hi or pt.accepts(None)):
             open_pts.append(pt)
@@ -487,9 +529,9 @@ def _walk(points, cap, largest):
     for band in bands:
         band.sort(key=operator.attrgetter("d"))
         for pt, n in zip(band, _walk_group(band, cap, heads, largest.table)):
-            results[pt.d, pt.T, pt.log_space] = CountResult(min(n, cap), n >= cap, cap)
+            results[pt.d, pt.T, pt.space] = CountResult(min(n, cap), n >= cap, cap)
             pt.sfx = None
-    return [results[(sub.d, T, log_space)] for sub, T, log_space in points]
+    return [results[sub.d, T, space] for sub, T, space in points]
 
 
 def _walk_group(band, cap, heads, table):
@@ -606,65 +648,58 @@ def _grow_ratios(fac, heads, k, limit):
     return heads[k]
 
 
-def _band(problem, log_space):
-    """The borderline window of a count, as a function of T.
+def _band(problem, space):
+    """The borderline window of a count in space, as a function of T.
 
-    It maps a threshold T (ln T in log space) to the normalised ``(lo, hi)``:
+    It maps a threshold T of the space to the normalised ``(lo, hi)``:
     ``ln T - ln L`` widened by a window ``w`` on each side, where L is the
     leading product.  ``w`` bounds the rounding of the walk's log values and
     of the dimension-order evaluations, plus, for subnormal direct products,
-    an absolute slack on T.  So a tuple whose log normalised value lies
-    above ``hi`` has every dimension-order evaluation above T, and one at or
-    below ``lo`` has every such evaluation at or below T.
+    an absolute slack on T (``space.bounds``).  So a tuple whose log
+    normalised value lies above ``hi`` has every dimension-order evaluation
+    above T, and one at or below ``lo`` has every such evaluation at or
+    below T.
     """
     log_L = problem.log_leading_product
     scale = _WINDOW_ULPS * (3 * problem.d + 20)
     base = 1.0 + math.fsum(map(abs, problem.log_leads))
-    # A direct product step that goes subnormal is off by up to 2**-1075,
-    # times the factors after it (at most the largest leading suffix).
-    slack = 0.0 if log_space else problem.d * 2.0 ** -1074 * max(
-        itertools.accumulate(reversed(problem.leads), operator.mul, initial=1.0))
+    bounds = space.bounds(problem)
 
     def band(T):
-        if log_space:
-            log_hi = log_lo = T
-        else:
-            log_hi = math.log(T + slack)
-            log_lo = math.log(T - slack) if T > slack else -math.inf
+        log_lo, log_hi = bounds(T)
         w = scale * (base + abs(log_hi) + abs(log_hi - log_L))
         return log_lo - log_L - w, log_hi - log_L + w
 
     return band
 
 
-def _dense_rule(problem, chain, T, log_space, sfx):
+def _dense_rule(problem, chain, T, space, sfx):
     """The dense dimension-order counter's decision for the one tuple that
     the chain excites: the leads, with ``lam(k, j)`` at each excited
     coordinate (k, j).
 
-    Prefixes are multiplied (or, in log space, summed with ``math.log``) in
-    dimension order, and each prefix times ``sfx[k]``, the leading product of
-    the remaining dimensions (the point's fold, see :class:`_Point`, and 1.0,
-    or 0.0, past its end), must exceed T; the last check is the full
-    product.  The leads are read in
-    place from the table's rows between the excited terms, and the d checks
-    run as one ``accumulate``/``map`` pipeline, the same operations in the
-    same order as a loop over a d-long list of the terms.
+    The terms are folded in dimension order in the space, and each prefix,
+    folded with ``sfx[k + 1]``, the leading product of the remaining
+    dimensions (the point's fold, see :class:`_Point`, and the unit past its
+    end), must exceed T; the last check is the full product.  Past both the
+    point's fold and the last excited dimension, each term and each suffix
+    is the unit, so each check repeats the one before, and the loop stops
+    there.
     """
-    row, op, unit = ((problem.table.log_leads, operator.add, 0.0) if log_space
-                     else (problem.table.leads, operator.mul, 1.0))
-    pieces, end = [], problem.d
+    # len(sfx) - 1 is where the point's trailing run of unit leads starts
+    end = max(len(sfx) - 1, chain[0] + 1 if chain else 1)
+    terms = getattr(problem.table, space.leads)[:end]
     while chain is not None:
         k, j, chain, _ = chain
         # lam > 0: a walk excites a coordinate only at a finite -ln ratio, and
         # the ratio is +inf wherever the eigenvalue is not > 0
-        lam = problem.factor(k).eigenvalue(j)
-        pieces += itertools.islice(row, k + 1, end), (math.log(lam) if log_space else lam,)
-        end = k
-    pieces.append(itertools.islice(row, end))
-    prefixes = itertools.accumulate(itertools.chain.from_iterable(reversed(pieces)), op)
-    suffixes = itertools.chain(itertools.islice(sfx, 1, None), itertools.repeat(unit))
-    return all(map(partial(operator.lt, T), map(op, prefixes, suffixes)))
+        terms[k] = space.term(problem.factor(k).eigenvalue(j))
+    op, P = space.op, space.unit
+    for t, s in zip(terms, sfx[1:end + 1] + [space.unit] * (end + 1 - len(sfx))):
+        P = op(P, t)
+        if not T < op(P, s):
+            return False
+    return True
 
 
 def trace_sum(problem: ProductProblem, tau: float) -> float:
@@ -684,44 +719,48 @@ def log_trace_sum(problem: ProductProblem, tau: float) -> float:
 def brute_force_oracle(problem: ProductProblem, J: int) -> np.ndarray:
     """All products over the box j_k <= J, sorted descending.
 
-    Each product is formed as the top-m walk forms it: by direct
-    multiplication, or, for problems in log space, as ``math.exp`` of the
-    dimension-order :data:`log_fold` of ``math.log`` terms (inf where that
-    overflows).  Exact reference
-    only for thresholds above max_k lam(k, J) * prod_{k' != k} lam(k', 1); see
+    Each product is formed as the top-m walk forms it, in the problem's
+    :class:`Space` (:func:`box_folds`): by direct multiplication, or as
+    ``math.exp`` of the dimension-order sum of ``math.log`` terms (inf
+    where that overflows).  Exact reference only for thresholds above
+    max_k lam(k, J) * prod_{k' != k} lam(k', 1); see
     :func:`oracle_validity_floor`.
     """
     import numpy as np
 
-    if problem.uses_log:
-        return np.fromiter(map(exp_or_inf, brute_force_log_oracle(problem, J)),
-                           dtype=float, count=J ** problem.d)
-    return np.sort(box_products(problem, J))[::-1]
+    return problem.space.values(np.sort(box_folds(problem, J, problem.space))[::-1])
 
 
 def box_products(problem: ProductProblem, J: int) -> np.ndarray:
     """All products over the box j_k <= J, unsorted, multiplied in dimension order."""
-    import numpy as np
-
-    vals = None
-    for row in _box_rows(problem, J):
-        vals = np.array(row) if vals is None else np.multiply.outer(vals, row).ravel()
-    return vals
+    return box_folds(problem, J, DIRECT)
 
 
 def brute_force_log_oracle(problem: ProductProblem, J: int) -> np.ndarray:
     """The logs of all products over the box j_k <= J, sorted descending.
 
-    Each is the dimension-order :data:`log_fold` of ``math.log`` terms, as the
-    top-m walk forms it in log space; the log-space count compares such sums, not
-    their ``exp``, with ln T.  A zero eigenvalue gives -inf.
+    Each is the dimension-order sum of ``math.log`` terms, as the top-m walk
+    forms it in log space; the log-space count compares such sums, not their
+    ``exp``, with ln T.  A zero eigenvalue gives -inf.
     """
     import numpy as np
 
-    logs = [[math.log(v) if v > 0.0 else -math.inf for v in row]
-            for row in _box_rows(problem, J)]
-    vals = np.fromiter(map(log_fold, itertools.product(*logs)), dtype=float, count=J ** problem.d)
-    return np.sort(vals)[::-1]
+    return np.sort(box_folds(problem, J, LOG))[::-1]
+
+
+def box_folds(problem: ProductProblem, J: int, space: Space) -> np.ndarray:
+    """The folds in space of all products over the box j_k <= J, unsorted,
+    the last index fastest.
+
+    The box grows by one dimension at a time, as the outer ``space.op`` of
+    the folds so far with the dimension's terms: one IEEE step per
+    dimension, in dimension order, the same bits as ``space.fold`` of each
+    tuple's terms from its first one.
+    """
+    import numpy as np
+
+    rows = [np.array(list(map(space.term, row))) for row in _box_rows(problem, J)]
+    return reduce(lambda vals, row: space.op(vals[:, None], row).ravel(), rows)
 
 
 def _box_rows(problem, J):

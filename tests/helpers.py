@@ -95,6 +95,15 @@ def per_point_complexity(spec, criterion, d_list, eps_list, cap):
             for d in d_list for eps in eps_list]
 
 
+def scaled(problem, constants):
+    """The problem with each factor multiplied by its positive constant, and
+    no family."""
+    constants = list(constants)
+    if len(constants) != problem.d:
+        raise InvalidInputError("need one scale constant per dimension")
+    return products.ProductProblem([f.scaled(c) for f, c in zip(problem.factors, constants)])
+
+
 def lattice_top(problem, m):
     """The m largest product eigenvalues by best-first search over the whole
     index lattice, kept as the reference for the library's tree walk.
@@ -105,7 +114,7 @@ def lattice_top(problem, m):
     """
     d = problem.d
     facs = problem.factors
-    use_log = problem.uses_log
+    use_log = problem.space is products.LOG
 
     def key_of(idx):
         if use_log:

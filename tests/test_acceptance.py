@@ -262,7 +262,7 @@ def test_criterion_11_nor_scale_invariance():
         name, spec = helpers.random_family(rng)
         d = rng.randint(1, 4)
         p = ProductProblem.from_family(spec, d)
-        q = p.scaled([rng.uniform(0.01, 10.0) for _ in range(d)])
+        q = helpers.scaled(p, [rng.uniform(0.01, 10.0) for _ in range(d)])
         eps = rng.uniform(0.05, 0.95)
         n0 = info_complexity(p, ComplexityQuery(eps, d, "nor")).n
         n1 = info_complexity(q, ComplexityQuery(eps, d, "nor")).n

@@ -552,7 +552,8 @@ def test_leading_products_past_the_double_range_count_in_log_space(capsys, famil
     error line, as for a box that underflows."""
     path = family_file("big.json", {"family": "custom", "tables": tables})
     problem = products.ProductProblem.from_family(spectra.custom_tabulated(tables), d)
-    assert problem.leading_product == math.inf and problem.uses_log
+    assert problem.leading_product == math.inf
+    assert problem.space is products.LOG
     # values whose exp overflows read inf, as trace sums do
     assert products.product_eigenvalues_top(problem, 2).tolist() == [math.inf] * 2
     assert products.brute_force_oracle(problem, 1).tolist() == [math.inf]
@@ -610,12 +611,12 @@ def test_oracle_compare_counts_against_log_sums(capsys, family_file, monkeypatch
            "tail": {"kind": "geometric", "ratio": 0.25}, "tau0": 0.0}
     path = family_file("s.json", doc)
     boxes = []
-    log_box = products.brute_force_log_oracle
-    monkeypatch.setattr(products, "brute_force_log_oracle",
-                        lambda problem, J: boxes.append(J) or log_box(problem, J))
+    box_folds = products.box_folds
+    monkeypatch.setattr(products, "box_folds",
+                        lambda p, J, space: boxes.append((J, space)) or box_folds(p, J, space))
     code, out, _ = run(capsys, ["oracle-compare", "--family", path, "--d", "3",
                                 "--m", "200", "--j", "30"])
-    assert code == 0 and boxes == [30]
+    assert code == 0 and boxes == [(30, products.LOG)]
     assert json.loads(out) == {"d": 3, "m": 200, "box_side": 30, "top_compared": 200,
                                "top_max_abs_deviation": 0.0, "count_mismatches": 0,
                                "pass": True}

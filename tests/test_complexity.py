@@ -155,7 +155,7 @@ def test_nor_scale_invariance():
         d = rng.randint(1, 4)
         p = ProductProblem.from_family(spec, d)
         scales = [rng.uniform(0.01, 10.0) for _ in range(d)]
-        q = p.scaled(scales)
+        q = helpers.scaled(p, scales)
         eps = rng.uniform(0.05, 0.95)
         n0 = info_complexity(p, ComplexityQuery(eps, d, "nor")).n
         n1 = info_complexity(q, ComplexityQuery(eps, d, "nor")).n

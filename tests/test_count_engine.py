@@ -67,7 +67,7 @@ def make_problem(rng, kind, d):
         rng.shuffle(factors)
         return ProductProblem(factors)
     if kind == "scaled":
-        return p.scaled([rng.choice((0.25, 0.5, 1.0, 3.0, 7.5)) for _ in range(d)])
+        return helpers.scaled(p, [rng.choice((0.25, 0.5, 1.0, 3.0, 7.5)) for _ in range(d)])
     return p
 
 
@@ -135,7 +135,7 @@ def check_case(seed):
     kind = rng.choice(KINDS)
     d = rng.choice((rng.randint(1, 6), rng.randint(25, 40)))
     p = make_problem(rng, kind, d)
-    modes = [True] if p.uses_log else [True, False]
+    modes = [True] if p.space is products.LOG else [True, False]
     made = 0
     for log_space in modes:
         if kind == "anchor":
@@ -170,7 +170,7 @@ def test_anchor_ties_in_both_modes(d):
     for km in (4, 6, 8, 12, 16):
         assert assert_matches_dense(
             p, p.log_leading_product - 2.0 * math.log(km), True, cap=10 ** 5) is not None
-        if not p.uses_log:
+        if p.space is products.DIRECT:
             assert assert_matches_dense(
                 p, p.leading_product / km ** 2, False, cap=10 ** 5) is not None
 
@@ -232,7 +232,7 @@ def test_runs_across_head_and_growth_boundaries(d):
     for j1 in ((34, 66, 130) if d < 30 else (34,)):
         for j2 in (1, 3):
             js = [j1, j2] + [1] * (d - 2)
-            for log_space in sorted({True, p.uses_log}):
+            for log_space in sorted({True, p.space is products.LOG}):
                 T = dense_value(p, js, log_space)
                 n = assert_caps_match_dense(p, T, log_space, (2, 3, 4, 50, 51, 52))
                 assert_caps_match_dense(p, T, log_space, (n - 2, n - 1, n, n + 1))
@@ -290,7 +290,7 @@ def test_subnormal_direct_thresholds(gamma_sq, T):
     """Direct products near these thresholds are subnormal, where rounding
     is absolute rather than relative."""
     p = ProductProblem.from_family(spectra.gaussian(S.constant(gamma_sq)), 2)
-    assert not p.uses_log
+    assert p.space is products.DIRECT
     assert assert_matches_dense(p, T, False, cap=10 ** 5) > 10 ** 4
 
 
@@ -373,7 +373,7 @@ def check_grid_case(seed):
         # the same threshold at every d, as under an absolute criterion
         fixed = rng.random() < 0.3
         for sub in subs:
-            log_space = fixed or sub.uses_log or rng.random() < 0.5
+            log_space = fixed or sub.space is products.LOG or rng.random() < 0.5
             base = subs[0] if fixed else sub
             tie = dense_value(base, js[:base.d], log_space)
             T = tie + jitter if log_space else tie * math.exp(jitter)
@@ -493,13 +493,13 @@ def test_table_problems_match_explicitly_built_problems(kind, d):
     def bits(p):
         return ([[x.hex() for x in xs] for xs in (
             p.leads, p.log_leads, [p.leading_product, p.log_leading_product], products._hmax(p))],
-            p.uses_log)
+            p.space)
 
     assert bits(lazy) == bits(explicit)
     # ties on tuples excited in the first dimensions, as a count near the top reads
     head = ProductProblem(explicit.factors[:8])
     thresholds = []
-    for log_space in sorted({True, explicit.uses_log}):
+    for log_space in sorted({True, explicit.space is products.LOG}):
         js = near_top_tuple(rng, head) + [1] * (d - head.d)
         tie = dense_value(explicit, js, log_space)
         jitter = rng.uniform(-1.0, 1.0)
@@ -556,7 +556,7 @@ def test_a_count_builds_only_the_dimensions_it_can_reach(monkeypatch):
     assert built == []
     assert complexity.info_complexity(p, query).n == 14423
     _, T, log_space = complexity._count_point(p, query, products.COUNTING_CAP)
-    lo = products._band(p, log_space)(T)[0]
+    lo = products._band(p, products.LOG if log_space else p.space)(T)[0]
     hmax = products._hmax(p)
     reach = [k + 1 for k in range(d) if hmax[k] > lo]
     assert reach == list(range(1, len(reach) + 1)) and len(reach) < d

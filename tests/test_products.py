@@ -78,7 +78,7 @@ def test_log_space_top_is_a_left_fold():
     spec = spectra.custom_tabulated(tables, tail=spectra.TailModel("geometric", ratio=0.25),
                                     tau0=0.0)
     p = ProductProblem.from_family(spec, 3)
-    assert p.uses_log
+    assert p.space is products.LOG
     J = 30
     folds = []
     for js in itertools.product(range(1, J + 1), repeat=3):
@@ -90,6 +90,52 @@ def test_log_space_top_is_a_left_fold():
     m = 200
     want = np.array([math.exp(v) for v in folds[:m]])
     assert product_eigenvalues_top(p, m).tobytes() == want.tobytes()
+
+
+def random_terms(rng):
+    """Up to 40 eigenvalues: normal, subnormal and huge doubles, runs of 1.0
+    and zeros, in random order."""
+    kinds = (lambda: [rng.uniform(0.0, 2.0)],
+             lambda: [math.ldexp(rng.random(), -1060)],
+             lambda: [math.ldexp(rng.random(), rng.randint(-1074, 1000))],
+             lambda: [1.0] * rng.randint(1, 6),
+             lambda: [0.0])
+    lams = []
+    while len(lams) < rng.randint(1, 40):
+        lams += rng.choice(kinds)()
+    return lams
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_space_folds_from_their_unit_keep_the_old_bits(seed):
+    """Each space folds from its unit with the bits of the plain folds:
+    ``math.prod`` of the eigenvalues, and the left fold of their logs (-inf
+    at 0.0) from the first term or from the exact additive identity -0.0."""
+    lams = random_terms(random.Random(seed))
+    logs = [math.log(v) if v > 0.0 else -math.inf for v in lams]
+    assert list(map(products.LOG.term, lams)) == logs
+    assert list(map(products.DIRECT.term, lams)) == lams
+    direct = products.DIRECT.fold(lams, products.DIRECT.unit)
+    assert direct.hex() == math.prod(lams).hex()
+    log = products.LOG.fold(logs, products.LOG.unit)
+    assert log.hex() == products.log_fold(logs).hex() == products.log_fold(logs, -0.0).hex()
+
+
+def test_outer_product_boxes_fold_each_tuple_in_dimension_order():
+    """The boxes built by outer products hold each tuple's dimension-order
+    fold, the last index fastest, with the bits of the per-tuple folds:
+    ``log_fold`` of the logs (-inf at a zero eigenvalue) and ``math.prod``."""
+    tables = [[1.0, 0.5, 0.0], [0.7, 0.2], [0.9, 1e-10, 1e-300, 0.0]]
+    p = ProductProblem.from_family(spectra.custom_tabulated(tables, tau0=0.0), 3)
+    J = 4
+    rows = [f.values(1, J + 1) for f in p.factors]
+    logs = [[math.log(v) if v > 0.0 else -math.inf for v in row] for row in rows]
+    folds = np.array([products.log_fold(t) for t in itertools.product(*logs)])
+    assert -math.inf in folds
+    assert products.box_folds(p, J, products.LOG).tobytes() == folds.tobytes()
+    assert products.brute_force_log_oracle(p, J).tobytes() == np.sort(folds)[::-1].tobytes()
+    prods = np.array([math.prod(t) for t in itertools.product(*rows)])
+    assert products.box_products(p, J).tobytes() == prods.tobytes()
 
 
 def generated_top_case(seed):
@@ -173,8 +219,8 @@ def test_top_at_m_around_the_head(name, d, log_space):
     problem runs in log space."""
     p = ProductProblem.from_family(HEAD_SPECS[name], d)
     if log_space:
-        p = p.scaled([1e-150] * d)
-    assert p.uses_log == log_space
+        p = helpers.scaled(p, [1e-150] * d)
+    assert (p.space is products.LOG) == log_space
     for m in (1, 2, 32, 33, 34, 65):
         try:
             want = helpers.lattice_top(p, m)
@@ -241,7 +287,7 @@ def test_counts_between_top_values(seed):
         if b < a * (1.0 - 1e-12):
             mid = 0.5 * (a + b)
             assert products.count_products_above_log(p, math.log(mid)).count == i + 1
-            if not p.uses_log:
+            if p.space is products.DIRECT:
                 assert count_products_above(p, mid).count == i + 1
 
 
@@ -311,7 +357,7 @@ def test_log_space_count_matches_combinatorics():
     E = 4
     T = p.leading_product * OMEGA1 ** (E + 0.5)
     expect = sum(math.comb(s + d - 1, d - 1) for s in range(E + 1))
-    assert p.uses_log
+    assert p.space is products.LOG
     assert count_products_above(p, T).count == expect
 
 
@@ -444,12 +490,12 @@ def test_permutation_covariance():
 
 def test_scaled_problem():
     p = gaussian_problem(2)
-    q = p.scaled([2.0, 0.5])
+    q = helpers.scaled(p, [2.0, 0.5])
     assert q.leading_product == pytest.approx(p.leading_product, rel=1e-14)
     with pytest.raises(InvalidInputError):
-        p.scaled([1.0])
+        helpers.scaled(p, [1.0])
     with pytest.raises(InvalidInputError):
-        p.scaled([1.0, -1.0])
+        helpers.scaled(p, [1.0, -1.0])
 
 
 def test_custom_dimension_limit():
