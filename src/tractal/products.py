@@ -89,7 +89,7 @@ def _log(x):
 def _floats(values):
     import numpy as np
 
-    return np.array(values, dtype=float)
+    return np.asarray(values, dtype=float)
 
 
 def _exps(logs):

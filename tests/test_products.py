@@ -93,21 +93,21 @@ def test_log_space_top_is_a_left_fold():
 
 
 def random_terms(rng):
-    """Up to 40 eigenvalues: normal, subnormal and huge doubles, runs of 1.0
+    """1 to 45 eigenvalues: normal, subnormal and huge doubles, runs of 1.0
     and zeros, in random order."""
     kinds = (lambda: [rng.uniform(0.0, 2.0)],
              lambda: [math.ldexp(rng.random(), -1060)],
              lambda: [math.ldexp(rng.random(), rng.randint(-1074, 1000))],
              lambda: [1.0] * rng.randint(1, 6),
              lambda: [0.0])
-    lams = []
-    while len(lams) < rng.randint(1, 40):
+    lams, n = [], rng.randint(1, 40)
+    while len(lams) < n:
         lams += rng.choice(kinds)()
     return lams
 
 
 @pytest.mark.parametrize("seed", range(200))
-def test_space_folds_from_their_unit_keep_the_old_bits(seed):
+def test_space_folds_from_their_unit_match_the_plain_folds(seed):
     """Each space folds from its unit with the bits of the plain folds:
     ``math.prod`` of the eigenvalues, and the left fold of their logs (-inf
     at 0.0) from the first term or from the exact additive identity -0.0."""
