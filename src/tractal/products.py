@@ -48,7 +48,7 @@ tuples best first by log value, one member per run, and pushes each visited
 tuple's exact dimension-order product into a heap of the m best as many
 times as its weight; the log value only rules out tuples that lie a window
 below the m-th.  Both exact evaluations skip the trailing run of leads equal
-to the space's identity, which folds as the identity, bit for bit.
+to the space's unit, which folds as the identity, bit for bit.
 """
 from __future__ import annotations
 
