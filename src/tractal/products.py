@@ -578,7 +578,7 @@ def _walk_group(band, cap, heads, table):
                     nl, ln = heads[k]
                 m = bisect_left(nl, key)
                 while m == len(nl) < cap:
-                    fac = problem.factor(k)
+                    fac = table.factors[k + 1]  # built when its head was read
                     # A list grows only if this dimension alone does not fill
                     # the rest of the top's count, so no list grows toward cap.
                     room = cap - tot
@@ -692,8 +692,9 @@ def _dense_rule(problem, chain, T, space, sfx):
     while chain is not None:
         k, j, chain, _ = chain
         # lam > 0: a walk excites a coordinate only at a finite -ln ratio, and
-        # the ratio is +inf wherever the eigenvalue is not > 0
-        terms[k] = space.term(problem.factor(k).eigenvalue(j))
+        # the ratio is +inf wherever the eigenvalue is not > 0.  The walk read
+        # dimension k's head, which built its factor.
+        terms[k] = space.term(problem.table.factors[k + 1].eigenvalue(j))
     op, P = space.op, space.unit
     for t, s in zip(terms, sfx[1:end + 1] + [space.unit] * (end + 1 - len(sfx))):
         P = op(P, t)
@@ -734,18 +735,6 @@ def brute_force_oracle(problem: ProductProblem, J: int) -> np.ndarray:
 def box_products(problem: ProductProblem, J: int) -> np.ndarray:
     """All products over the box j_k <= J, unsorted, multiplied in dimension order."""
     return box_folds(problem, J, DIRECT)
-
-
-def brute_force_log_oracle(problem: ProductProblem, J: int) -> np.ndarray:
-    """The logs of all products over the box j_k <= J, sorted descending.
-
-    Each is the dimension-order sum of ``math.log`` terms, as the top-m walk
-    forms it in log space; the log-space count compares such sums, not their
-    ``exp``, with ln T.  A zero eigenvalue gives -inf.
-    """
-    import numpy as np
-
-    return np.sort(box_folds(problem, J, LOG))[::-1]
 
 
 def box_folds(problem: ProductProblem, J: int, space: Space) -> np.ndarray:

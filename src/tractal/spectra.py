@@ -7,18 +7,26 @@ is built on: the second ratio ``h_k = lam(k,2)/lam(k,1)``, the tail ratio sum
 ``H(k, tau) = sum_{j>=2} (lam(k,j)/lam(k,2))**tau`` and its divergence
 threshold ``tau0``.
 
-Family summary (``j >= 1``, ``m = floor(j/2)``):
+Each family is one immutable record (``_RECORDS``), and every question the
+package asks of a family reads it: ``params`` and ``value``, the floats of
+dimension k and lam(k, j) from them; ``ratio``, h_k as a function of one
+parameter sequence; ``tail``, H(k, tau) as a function of one parameter of k;
+``tau0``; and ``rate``, the decay rate A of h_k, from the ratio sequence's
+asymptotics.  The closed forms (``j >= 1``, ``m = floor(j/2)``):
 
 * ``euler``            lam(k,j) = (pi*(j-1/2))**-(2*r_k+2)
-* ``wiener``           leading-order term equals the euler formula; exact
-                       values for r_k >= 1 have no closed form and are only
-                       available numerically (see :mod:`tractal.nystrom`),
-                       so ``factor_eigenvalue(require_exact=True)`` refuses
-                       them
+* ``wiener``           euler's record, with the unresolved tau0 in [0, 3/5]
+                       and the rate of the envelope (1+r_k)**-2: the euler
+                       formula is its leading-order term; exact values for
+                       r_k >= 1 have no closed form and are only available
+                       numerically (see :mod:`tractal.nystrom`), so
+                       ``factor_eigenvalue(require_exact=True)`` refuses them
 * ``korobov``          lam(k,1) = 1, lam(k,2m) = lam(k,2m+1) = g_k * m**(-2*r_k)
 * ``gaussian``         lam(k,j) = (1-w_k) * w_k**(j-1), w_k = gaussian_omega(gamma_k^2)
 * ``analytic_korobov`` lam(k,1) = 1, lam(k,2m) = lam(k,2m+1) = omega**(a_k * m**b_k)
-* ``custom``           per-dimension tables with an optional tail model
+* ``custom``           per-dimension tables with an optional tail model; h_k
+                       is the explicit sequence of the rows' ratios, whose
+                       asymptotics are the declared A and B
 
 Each formula is written once, as a scalar function of j on Python floats, so
 an eigenvalue has the same bits however it is read and on every CPU (numpy's
@@ -48,7 +56,8 @@ import operator
 import struct
 import threading
 import warnings
-from functools import lru_cache
+from collections import namedtuple
+from functools import lru_cache, partial
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .errors import (
@@ -261,13 +270,6 @@ class FactorSpectrum:
         log_lead = self.log_leading
         return tuple([log_lead - math.log(v) if v > 0.0 else math.inf for v in vals])
 
-    def scaled(self, c: float) -> "FactorSpectrum":
-        """Same spectrum with every eigenvalue multiplied by c > 0."""
-        if c <= 0:
-            raise InvalidInputError(f"scale constant must be positive, got {c}")
-        value = self._value
-        return FactorSpectrum(lambda j: c * value(j))
-
 
 def _log_leading(lead):
     """ln lam(1), after checking that lam(1) is a positive double."""
@@ -343,35 +345,105 @@ def _custom_value(row: tuple, tail: Optional[TailModel]):
     return value
 
 
+# ---------------------------------------------------------------------------
+# one record per family
+# ---------------------------------------------------------------------------
+
+
+def _row(spec, k):
+    """Table k of a custom spec, and the last table for every k past the end."""
+    return spec.tables[min(k, len(spec.tables)) - 1]
+
+
+def _custom_ratio(spec):
+    """h_k of custom tables as an explicit sequence: row k's ratio, the last
+    row's past the end, with the declared A and lim h_k = exp(-B) as its
+    asymptotics (an explicit sequence with an evaluator reads its
+    asymptotics from its declarations alone)."""
+    ratios = [row[1] / row[0] for row in spec.tables]
+    B = spec.declared_b_limit
+    return SequenceDescriptor.explicit(ratios, evaluator=lambda k: ratios[-1],
+                                       liminf_log_ratio=spec.declared_a_star,
+                                       limit=None if B is None else math.exp(-B)), lambda h: h
+
+
+def _custom_tau0(spec):
+    if spec.declared_tau0 is not None:
+        return Interval.point(spec.declared_tau0)
+    warnings.warn("tabulated spectrum has no declared tau0; reporting the "
+                  "uninformative interval [0, +oo)", stacklevel=3)
+    return Interval(0.0, INF)
+
+
+# What the package reads of one family, each field a function of the spec:
+# ``params(spec, k)``, the floats lam(k, .) depends on; ``value(spec,
+# params)``, lam(k, j) as a scalar function of j; ``ratio(spec)``, the
+# sequence h_k depends on and h_k as a function of its k-th value (and of its
+# limit, to lim h_k); ``tail(spec, tau)``, the parameter of k that H(k, tau)
+# depends on and H as a function of it; ``tau0(spec)``; and ``rate(spec,
+# sequence)``, A = liminf ln(1/h_k)/ln k from the ratio sequence's
+# asymptotics, raising UndecidableError where they do not decide it.
+_Record = namedtuple("_Record", "params value ratio tail tau0 rate")
+_EULER = _Record(
+    lambda spec, k: (spec.r.value(k),),
+    lambda spec, p: _euler_value(*p),
+    lambda spec: (spec.r, lambda r: 3.0 ** (-(2.0 * r + 2.0))),
+    lambda spec, tau: (spec.r.value, lambda r: _euler_tail_sum(tau * (2.0 * r + 2.0))),
+    lambda spec: Interval.point(1.0 / (2.0 * spec.r.value(1) + 2.0)),
+    lambda spec, r: 2.0 * math.log(3.0) * r.liminf_over_log())
+_RECORDS = {
+    Family.EULER: _EULER,
+    # The euler formula is wiener's leading-order term, exact for r_k = 0, so
+    # its factors, traces and second ratios read the euler values; its
+    # verdicts read the unresolved tau0 and the envelope (1+r_k)**-2.
+    Family.WIENER: _EULER._replace(tau0=lambda spec: Interval(0.0, 0.6),
+                                   rate=lambda spec, r: 2.0 * _growth_rate(r)),
+    Family.KOROBOV: _Record(
+        lambda spec, k: (spec.r.value(k), spec.g.value(k)),
+        lambda spec, p: _korobov_value(*p),
+        lambda spec: (spec.g, lambda g: g),
+        lambda spec, tau: (spec.r.value, lambda r: _korobov_tail_sum(2.0 * r * tau)),
+        lambda spec: Interval.point(1.0 / (2.0 * spec.r.value(1))),
+        lambda spec, g: g.liminf_log_ratio()),
+    Family.GAUSSIAN: _Record(
+        lambda spec, k: (gaussian_omega(spec.gamma_sq.value(k)),),
+        lambda spec, p: _gaussian_value(*p),
+        lambda spec: (spec.gamma_sq, lambda g2: 0.0 if g2 == 0 else gaussian_omega(g2)),
+        lambda spec, tau: (spec.gamma_sq.value,
+                           lambda g2: 1.0 / (1.0 - gaussian_omega(g2) ** tau)),
+        lambda spec: Interval.point(0.0),
+        lambda spec, g2: g2.liminf_log_ratio()),
+    Family.ANALYTIC_KOROBOV: _Record(
+        lambda spec, k: (spec.omega, spec.a.value(k), spec.b.value(k)),
+        lambda spec, p: _analytic_korobov_value(*p),
+        lambda spec: (spec.a, lambda a: spec.omega ** a),
+        lambda spec, tau: (lambda k: (spec.a.value(k), spec.b.value(k)),
+                           lambda ab: _analytic_korobov_tail_sum(spec.omega, *ab, tau)),
+        lambda spec: Interval.point(0.0),
+        lambda spec, a: math.log(1.0 / spec.omega) * a.liminf_over_log()),
+    Family.CUSTOM: _Record(
+        _row,
+        lambda spec, row: _custom_value(row, spec.tail),
+        _custom_ratio,
+        lambda spec, tau: (partial(_row, spec),
+                           lambda row: _custom_tail_sum(row, spec.tail, tau)),
+        _custom_tau0,
+        lambda spec, h: h.liminf_log_ratio()),
+}
+
+
 def _parameters(spec: FamilySpec, k: int) -> tuple:
     """The floats lam(k, j) depends on besides j (and a custom spec's tail):
     r_k; (r_k, g_k); omega_k; (omega, a_k, b_k); or table k's row."""
     if k < 1:
         raise InvalidInputError(f"dimension index must be >= 1, got {k}")
-    fam = spec.family
-    if fam in (Family.EULER, Family.WIENER):
-        return (spec.r.value(k),)
-    if fam is Family.KOROBOV:
-        return spec.r.value(k), spec.g.value(k)
-    if fam is Family.GAUSSIAN:
-        return (gaussian_omega(spec.gamma_sq.value(k)),)
-    if fam is Family.ANALYTIC_KOROBOV:
-        return spec.omega, spec.a.value(k), spec.b.value(k)
-    return spec.tables[min(k, len(spec.tables)) - 1]
+    return _RECORDS[spec.family].params(spec, k)
 
 
 def _value(spec: FamilySpec, k: int):
     """lam(k, j) as a scalar function of j, from the family closed form at
     the parameters of dimension k."""
-    params = _parameters(spec, k)
-    if spec.family is Family.CUSTOM:
-        return _custom_value(params, spec.tail)
-    return _CLOSED_FORMS[spec.family](*params)
-
-
-_CLOSED_FORMS = {Family.EULER: _euler_value, Family.WIENER: _euler_value,
-                 Family.KOROBOV: _korobov_value, Family.GAUSSIAN: _gaussian_value,
-                 Family.ANALYTIC_KOROBOV: _analytic_korobov_value}
+    return _RECORDS[spec.family].value(spec, _parameters(spec, k))
 
 
 class DimensionTable:
@@ -447,7 +519,7 @@ class DimensionTable:
         fac = self._by_parameters.get(key)
         if fac is None:
             try:
-                fac = FactorSpectrum(_value(self.spec, k))
+                fac = FactorSpectrum(_RECORDS[self.spec.family].value(self.spec, params))
             except InvalidInputError as exc:
                 raise InvalidInputError(f"{exc} at k={k}") from None
         with self._lock:
@@ -507,34 +579,8 @@ def second_ratio(spec: FamilySpec, k: int) -> float:
     ``(1+r_k)**-2`` of the true ratios instead (see
     :func:`second_ratio_limits`).
     """
-    param, h = _second_ratio_map(spec)
-    return h(param.value(k))
-
-
-class _Rows(NamedTuple):
-    """A custom spec's tables as the parameter sequence of its closed forms:
-    row k, and the last row for every k past the end."""
-
-    tables: tuple
-
-    def value(self, k):
-        return self.tables[min(k, len(self.tables)) - 1]
-
-
-def _second_ratio_map(spec: FamilySpec):
-    """The parameter sequence h_k depends on, and h_k as a function of its
-    k-th value; the function also maps the parameter's limit to lim h_k
-    (except for custom tables, whose limit is declared)."""
-    fam = spec.family
-    if fam in (Family.EULER, Family.WIENER):
-        return spec.r, lambda r: 3.0 ** (-(2.0 * r + 2.0))
-    if fam is Family.KOROBOV:
-        return spec.g, lambda g: g
-    if fam is Family.GAUSSIAN:
-        return spec.gamma_sq, lambda g2: 0.0 if g2 == 0 else gaussian_omega(g2)
-    if fam is Family.ANALYTIC_KOROBOV:
-        return spec.a, lambda a: spec.omega ** a
-    return _Rows(spec.tables), lambda row: row[1] / row[0]
+    seq, h = _RECORDS[spec.family].ratio(spec)
+    return h(seq.value(k))
 
 
 def tail_sum_H(spec: FamilySpec, k: int, tau: float) -> float:
@@ -547,28 +593,20 @@ def tail_sum_H(spec: FamilySpec, k: int, tau: float) -> float:
 
 
 def _tail_map(spec: FamilySpec, tau: float):
-    """The parameter values H(k, tau) depends on, as a function of k, and H
-    as a function of them: the one place each family's tail sum is written."""
+    """The family record's tail map at tau, after checking tau."""
     if tau <= 0:
         raise InvalidInputError(f"tau must be positive, got {tau}")
-    fam = spec.family
-    if fam in (Family.EULER, Family.WIENER):
-        def euler_tail(r):
-            x = tau * (2.0 * r + 2.0)
-            # sum_{j>=2} (3/(2j-1))**x = 1.5**x zeta(x, 1.5) = 1 + sum_{n>=1} (1.5/(1.5+n))**x
-            return INF if x <= 1.0 else 1.0 + _power_tail(x, 1.5)
-        return spec.r.value, euler_tail
-    if fam is Family.KOROBOV:
-        def korobov_tail(r):
-            x = 2.0 * r * tau
-            return INF if x <= 1.0 else 2.0 * float(scipy_special().zeta(x))
-        return spec.r.value, korobov_tail
-    if fam is Family.GAUSSIAN:
-        return spec.gamma_sq.value, lambda g2: 1.0 / (1.0 - gaussian_omega(g2) ** tau)
-    if fam is Family.ANALYTIC_KOROBOV:
-        a, b, omega = spec.a.value, spec.b.value, spec.omega
-        return (lambda k: (a(k), b(k))), lambda ab: _analytic_korobov_tail_sum(omega, *ab, tau)
-    return _Rows(spec.tables).value, lambda row: _custom_tail_sum(row, spec.tail, tau)
+    return _RECORDS[spec.family].tail(spec, tau)
+
+
+def _euler_tail_sum(x):
+    # sum_{j>=2} (3/(2j-1))**x = 1.5**x zeta(x, 1.5) = 1 + sum_{n>=1} (1.5/(1.5+n))**x
+    return INF if x <= 1.0 else 1.0 + _power_tail(x, 1.5)
+
+
+def _korobov_tail_sum(x):
+    # sum_{j>=2} (lam(j)/lam(2))**tau = 2 zeta(x), x = 2 r tau
+    return INF if x <= 1.0 else 2.0 * float(scipy_special().zeta(x))
 
 
 def _analytic_korobov_tail_sum(omega, a_k, b_k, tau):
@@ -645,20 +683,7 @@ def tau_zero(spec: FamilySpec) -> Interval:
     family, whose exact threshold is unresolved; [0, +oo) with a warning for
     tabulated spectra with no declared value.
     """
-    fam = spec.family
-    if fam is Family.EULER:
-        return Interval.point(1.0 / (2.0 * spec.r.value(1) + 2.0))
-    if fam is Family.WIENER:
-        return Interval(0.0, 0.6)
-    if fam is Family.KOROBOV:
-        return Interval.point(1.0 / (2.0 * spec.r.value(1)))
-    if fam in (Family.GAUSSIAN, Family.ANALYTIC_KOROBOV):
-        return Interval.point(0.0)
-    if spec.declared_tau0 is not None:
-        return Interval.point(spec.declared_tau0)
-    warnings.warn("tabulated spectrum has no declared tau0; reporting the "
-                  "uninformative interval [0, +oo)", stacklevel=2)
-    return Interval(0.0, INF)
+    return _RECORDS[spec.family].tau0(spec)
 
 
 def log_trace_profile(spec: FamilySpec, tau: float, D: int, normalized: bool) -> np.ndarray:
@@ -666,7 +691,7 @@ def log_trace_profile(spec: FamilySpec, tau: float, D: int, normalized: bool) ->
 
     Each factor's power sum is lam(k,1)**tau + lam(k,2)**tau * H(k,tau); the
     normalized trace divides every lam(k,j) by lam(k,1).  H and h_k come
-    through :func:`_tail_map` and :func:`_second_ratio_map`, and the
+    through the ``tail`` and ``ratio`` maps of the family's record, and the
     unnormalized lam(k,1) and lam(k,2) from the rows of the spec's
     :class:`DimensionTable`, so no factor is built.  A dimension whose
     parameter values (or rows) equal those of dimension k - 1 reuses its
@@ -679,7 +704,7 @@ def log_trace_profile(spec: FamilySpec, tau: float, D: int, normalized: bool) ->
 
     tail_values, tail = _tail_map(spec, tau)
     if normalized:
-        ratio_seq, ratio = _second_ratio_map(spec)
+        ratio_seq, ratio = _RECORDS[spec.family].ratio(spec)
         ratio_values, lead = ratio_seq.value, 1.0
     else:
         table = _factor(spec)  # one lookup: hashing a spec of many tables costs O(tables)
@@ -734,26 +759,17 @@ def _quiet(fn):
 def second_ratio_limits(spec: FamilySpec) -> tuple[Optional[float], Optional[float]]:
     """(A, lim h_k) for the second ratios h_k, A = liminf ln(1/h_k)/ln k.
 
-    Each is composed through the family map from the parameter's closed-form
-    or declared asymptotics, and is None where those do not decide it.  For
-    the wiener family A is the rate of the envelope ``(1+r_k)**-2``, and
-    the limit, that of the held ratios, decides no verdict.
+    Each is read from the asymptotics of the family record's ratio
+    sequence, closed-form or declared: A through the record's ``rate``, and
+    lim h_k as h of the sequence's limit.  Each is None where those do not
+    decide it.  For the wiener family A is the rate of the envelope
+    ``(1+r_k)**-2``, and the limit, that of the held ratios, decides no
+    verdict; for custom tables both are the declared ones.
     """
-    fam = spec.family
-    if fam is Family.CUSTOM:
-        B = spec.declared_b_limit
-        return spec.declared_a_star, None if B is None else math.exp(-B)
-    param, h = _second_ratio_map(spec)
-    if fam in (Family.KOROBOV, Family.GAUSSIAN):
-        rate = _quiet(param.liminf_log_ratio)
-    elif fam is Family.EULER:
-        rate = _quiet(lambda: 2.0 * math.log(3.0) * param.liminf_over_log())
-    elif fam is Family.WIENER:
-        rate = _quiet(lambda: 2.0 * _growth_rate(param))
-    else:
-        rate = _quiet(lambda: math.log(1.0 / spec.omega) * param.liminf_over_log())
-    limit = _quiet(param.limit)
-    return rate, None if limit is None else h(limit)
+    rec = _RECORDS[spec.family]
+    seq, h = rec.ratio(spec)
+    limit = _quiet(seq.limit)
+    return _quiet(lambda: rec.rate(spec, seq)), None if limit is None else h(limit)
 
 
 def _growth_rate(r: SequenceDescriptor) -> float:

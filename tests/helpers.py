@@ -10,7 +10,9 @@ Re-exported from ``tractal.verify``, whose checks use them too: the tail-sum
 oracle ``factor_tau_tail`` (direct summation with Euler-Maclaurin or
 geometric remainders, never the zeta reduction) and the seeded family
 generator ``random_family``; and from ``tractal.products`` the enumerated
-box ``box_products``.
+box ``box_products``.  ``scaled_factor``, ``scaled`` and
+``brute_force_log_oracle`` are test-only constructions on the library's
+factors and boxes.
 """
 import heapq
 import itertools
@@ -19,7 +21,7 @@ import operator
 
 import numpy as np
 
-from tractal import complexity, nystrom, products
+from tractal import complexity, nystrom, products, spectra
 from tractal.errors import InvalidInputError
 from tractal.products import box_products  # noqa: F401
 from tractal.verify import factor_tau_tail, random_family  # noqa: F401
@@ -95,13 +97,30 @@ def per_point_complexity(spec, criterion, d_list, eps_list, cap):
             for d in d_list for eps in eps_list]
 
 
+def scaled_factor(fac, c):
+    """The factor with every eigenvalue multiplied by c > 0."""
+    if c <= 0:
+        raise InvalidInputError(f"scale constant must be positive, got {c}")
+    return spectra.FactorSpectrum(lambda j: c * fac.eigenvalue(j))
+
+
 def scaled(problem, constants):
     """The problem with each factor multiplied by its positive constant, and
     no family."""
     constants = list(constants)
     if len(constants) != problem.d:
         raise InvalidInputError("need one scale constant per dimension")
-    return products.ProductProblem([f.scaled(c) for f, c in zip(problem.factors, constants)])
+    return products.ProductProblem(map(scaled_factor, problem.factors, constants))
+
+
+def brute_force_log_oracle(problem, J):
+    """The logs of all products over the box j_k <= J, sorted descending.
+
+    Each is the dimension-order sum of ``math.log`` terms, as the top-m walk
+    forms it in log space; the log-space count compares such sums, not their
+    ``exp``, with ln T.  A zero eigenvalue gives -inf.
+    """
+    return np.sort(products.box_folds(problem, J, products.LOG))[::-1]
 
 
 def lattice_top(problem, m):

@@ -563,7 +563,7 @@ def test_leading_products_past_the_double_range_count_in_log_space(capsys, famil
     # the box holds every product above the threshold: the ratio after 0.1 is 0
     log_T = 2.0 * math.log(0.3) + problem.log_leading_product
     if d == 3:
-        assert doc["n"] == 4 == int((products.brute_force_log_oracle(problem, 2) > log_T).sum())
+        assert doc["n"] == 4 == int((helpers.brute_force_log_oracle(problem, 2) > log_T).sum())
     code, out, err = run(capsys, ["sweep", "--family", path, "--d", f"1:{d}", "--epsilon", "0.3"])
     assert (code, err) == (0, "") and out.splitlines()[-1].endswith(f",{d},{doc['n']},false")
     code, out, err = run(capsys, ["oracle-compare", "--family", path, "--d", str(d), "--j", "1"])

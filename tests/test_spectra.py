@@ -171,6 +171,24 @@ def test_second_ratio_wiener_envelope():
     assert spectra.second_ratio_limits(spectra.wiener(S.power(1.0, 1.0)))[0] == 2.0
 
 
+def test_every_family_has_a_record():
+    """A family without a record fails here, and all_families covers every
+    record, so the map checks below read each one."""
+    assert set(spectra._RECORDS) == set(spectra.Family)
+    assert {spec.family for _, spec in all_families()} == set(spectra.Family)
+
+
+@pytest.mark.parametrize("k", [1, 2, 10, 1000])
+@pytest.mark.parametrize("name,spec", all_families())
+def test_record_ratio_map_matches_its_value_map(name, spec, k):
+    """h_k from the record's ratio map is lam(k, 2)/lam(k, 1) from its value
+    map, wiener's included: its held values are euler's."""
+    rec = spectra._RECORDS[spec.family]
+    seq, h = rec.ratio(spec)
+    value = rec.value(spec, rec.params(spec, k))
+    assert math.isclose(h(seq.value(k)), value(2) / value(1), rel_tol=1e-13, abs_tol=0.0)
+
+
 @pytest.mark.parametrize("name,spec", all_families())
 def test_second_ratio_nonincreasing_in_k(name, spec):
     prev = None
@@ -424,7 +442,7 @@ def _factors_for_block_identity():
         "power", exponent=1.5), tau0=1.0)
     no_tail = spectra.custom_tabulated([[2.0, 1.0, 0.5, 0.25]])
     facs += [power.factor(1), no_tail.factor(1), RUN_TABLE.factor(1)]
-    return facs + [f.scaled(c) for f, c in zip(facs[::3], (0.3, 7.5, 3.0, 0.3, 7.5))]
+    return facs + [helpers.scaled_factor(f, c) for f, c in zip(facs[::3], (0.3, 7.5, 3.0, 0.3, 7.5))]
 
 
 def _naive_runs(vals):
@@ -474,7 +492,7 @@ def test_factors_without_runs_share_one_head_runs_tuple():
     ones = euler.ratio_head[1]
     assert ones == (1,) * (spectra.FactorSpectrum.HEAD - 1)
     assert spectra.gaussian(S.constant(0.5)).factor(3).ratio_head[1] is ones
-    assert euler.scaled(2.5).ratio_head[1] is ones
+    assert helpers.scaled_factor(euler, 2.5).ratio_head[1] is ones
     assert euler.ratio_runs(40, 45)[1] == (1,) * 5
     # the zeros past a table are one run, in the factor's own tuple
     zeros = spectra.custom_tabulated([[1.0, 0.5, 0.25]]).factor(1)
