@@ -156,11 +156,12 @@ def _parse_float_list(text):
     return vals
 
 
-def _parse_int_list(text):
+def _parse_int_list(text, cap=products.DIMENSION_CAP):
     """A --d list: comma-separated integers and ``a:b`` ranges.
 
-    A range is checked before it is expanded: its end may not pass
-    ``products.DIMENSION_CAP``, nor the list grow past that many values.
+    No value may pass cap, the family's (``products.dimension_cap``), and a
+    range is checked before it is expanded: its end may not pass cap, nor
+    the list grow past ``products.DIMENSION_CAP`` values.
     """
     out = []
     for tok in text.split(","):
@@ -172,15 +173,18 @@ def _parse_int_list(text):
                 lo, hi = int(lo), int(hi)
             except ValueError:
                 raise InvalidInputError(f"bad range {tok!r}")
-            if hi > products.DIMENSION_CAP or len(out) + hi - lo >= products.DIMENSION_CAP:
-                raise CapExceededError(
-                    f"range {tok!r} exceeds the dimension cap {products.DIMENSION_CAP}")
+            if hi > cap:
+                raise CapExceededError(f"range {tok!r} exceeds the dimension cap {cap}")
+            if len(out) + hi - lo >= products.DIMENSION_CAP:
+                raise CapExceededError(f"range {tok!r} makes the list longer than the "
+                                       f"dimension cap {products.DIMENSION_CAP}")
             out.extend(range(lo, hi + 1))
         else:
             try:
                 out.append(int(tok))
             except ValueError:
                 raise InvalidInputError(f"bad integer {tok!r}")
+            products.check_dimension(out[-1], cap)
     if not out:
         raise InvalidInputError("empty value list")
     return out
@@ -230,7 +234,7 @@ def run_classify(args) -> int:
 def run_complexity(args) -> int:
     spec = _load_family(args.family)
     eps_list = _parse_float_list(args.epsilon)
-    d_list = _parse_int_list(args.d)
+    d_list = _parse_int_list(args.d, products.dimension_cap(spec))
     if len(eps_list) != 1 or len(d_list) != 1:
         raise InvalidInputError("complexity takes a single epsilon and a single d; use sweep for grids")
     eps, d = eps_list[0], d_list[0]
@@ -260,7 +264,7 @@ def run_sweep(args) -> int:
     """
     spec = _load_family(args.family)
     eps_list = sorted(_parse_float_list(args.epsilon), reverse=True)
-    d_list = sorted(set(_parse_int_list(args.d)))
+    d_list = sorted(set(_parse_int_list(args.d, products.dimension_cap(spec))))
     grid = [(d, eps) for d in d_list for eps in eps_list]
     results = complexity.info_complexity_grid(spec, args.criterion, d_list, eps_list, args.cap)
     if args.strict and any(r.saturated for r in results):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import InvalidInputError, UnsupportedCriterionError
@@ -41,13 +42,19 @@ class ComplexityResult(NamedTuple):
 
 def minimal_error(problem: ProductProblem, n: int) -> float:
     """e(n) = sqrt of the (n+1)-st largest product eigenvalue; e(0) is the
-    initial error sqrt(prod_k lam(k,1)).  Inf or 0.0 past the double range."""
+    initial error sqrt(prod_k lam(k,1)).  In log space, where that value is
+    not a normal double, ``exp`` of half its log fold; inf or 0.0 past the
+    double range."""
     if n < 0:
         raise InvalidInputError(f"n must be >= 0, got {n}")
     if n == 0:
         return exp_or_inf(0.5 * problem.log_leading_product)
-    top = products.product_eigenvalues_top(problem, n + 1)
-    return math.sqrt(top[-1])
+    fold = products.top_folds(problem, n + 1)[-1]
+    value = problem.space.values([fold])[0]
+    if problem.space is products.LOG and not sys.float_info.min <= value < math.inf:
+        # the value left the double range, but its square root may not have
+        return exp_or_inf(0.5 * fold)
+    return math.sqrt(value)
 
 
 def info_complexity(problem: ProductProblem, query: ComplexityQuery,
@@ -132,9 +139,11 @@ def lemma_bound(problem: ProductProblem, epsilon: float, tau: float) -> int:
 
 
 def log_normalized_trace(problem: ProductProblem, tau: float) -> float:
-    """ln sum_j (lam_{d,j}/lam_{d,1})**tau via the per-factor identity."""
+    """ln sum_j (lam_{d,j}/lam_{d,1})**tau via the per-factor identity.
+    It reads every dimension, so d may not pass ``products.DIMENSION_CAP``."""
     if problem.family is None:
         raise InvalidInputError("normalized traces need a family-backed problem")
+    products.check_dimension(problem.d)
     return float(spectra.log_trace_profile(problem.family, tau, problem.d, normalized=True)[-1])
 
 

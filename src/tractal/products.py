@@ -18,16 +18,18 @@ ratios in place from each factor's head, build longer ones for a dimension
 only when they read past it, and prune on the same bound.  A family's
 problem is a view of a prefix of the family's dimension table
 (:class:`spectra.DimensionTable`), which holds lam(k, 1), its log and
-ln h_k for each k: the problem stores d and its leading product, and each
-list derived from the rows is built by the code that reads it, so the
-problems of a d-range hold no d-long list each.  Either walk starts from a
-copy of the heads the table has built, and asks the table for the head of
-the dimension past them when it first reaches it, right after the one
-before; a count whose top point is full asks for none.  So a walk builds
-the factors it reaches and no others, and costs what its excited dimensions
-cost, plus a few passes over d rows in C.  The table builds one factor per
-distinct parameter tuple, so the dimensions of a constant sequence share
-one.
+ln h_k for each k, with two marks on them: the problem stores d, its
+``unit_end`` and its leading product, and each list derived from the rows
+is built by the code that reads it, so the problems of a d-range hold no
+d-long list each.  Either walk starts from a copy of the heads the table
+has built, and asks the table for the head of the dimension past them when
+it first reaches it, right after the one before; a count whose top point
+is full asks for none.  So a walk builds the factors it reaches and no
+others, and costs what its excited dimensions cost, plus C-speed slices of
+the leads up to ``unit_end`` and of ln h_k.  A unit-lead table's problems
+read no rows, and its walks read rows only as far as their bound reaches.
+The table builds one factor per distinct parameter tuple, so the dimensions
+of a constant sequence share one.
 
 A count decides the tuples within a small relative window of the threshold
 by the dense dimension-order evaluation, in direct or log space as above, so
@@ -47,8 +49,9 @@ member per run, weighted by the run's length.  Top-m walks the same
 tuples best first by log value, one member per run, and pushes each visited
 tuple's exact dimension-order product into a heap of the m best as many
 times as its weight; the log value only rules out tuples that lie a window
-below the m-th.  Both exact evaluations skip the trailing run of leads equal
-to the space's unit, which folds as the identity, bit for bit.
+below the m-th.  Both exact evaluations fold the leads only up to the
+problem's ``unit_end``: each lead past it is 1.0, whose term is the space's
+unit, and folds as the identity, bit for bit.
 """
 from __future__ import annotations
 
@@ -70,11 +73,16 @@ if TYPE_CHECKING:
 
 ENUMERATION_CAP = 10**7
 COUNTING_CAP = 10**8
-# The largest d a problem is built at.  Building one reads two eigenvalues per
-# dimension and builds no factor: at d = 10**5 (korobov g_k = k**-2) it took
-# 0.2-0.34 s and ~22 MB, and the nor, eps = 0.01 count then built 100 factors.
-# The rows grow with d, so d = 10**6 would hold ~0.2 GB.
+# The largest d a problem is built at, and that code reading every dimension
+# (traces, box oracles, the factor list) accepts.  Building such a problem
+# reads two eigenvalues per dimension: at d = 10**5 ~0.3 s and ~22 MB.
 DIMENSION_CAP = 10**5
+# The largest d of a unit-lead family's problem, which reads no rows.  The
+# borderline window (3d + 20) * _WINDOW_ULPS bounds the rounding of up to
+# 3d + 20 steps by its first-order term nu = (3d + 20) * 2**-53; at d = 10**12,
+# nu = 3.4e-4, so the term dropped, nu**2 / (1 - nu), is well inside the
+# window's factor 4 of margin.  (A fold of unit leads is exact anyway.)
+UNIT_LEAD_DIMENSION_CAP = 10**12
 # Log-space values add their logs in dimension order by a plain left fold, not
 # by ``sum``, which compensates from Python 3.12 on: the bits then do not
 # depend on the Python version.
@@ -101,19 +109,20 @@ def _exps(logs):
 def _direct_bounds(problem):
     # A direct product step that goes subnormal is off by up to 2**-1075,
     # times the factors after it (at most the largest leading suffix).
-    slack = problem.d * 2.0 ** -1074 * max(_suffix_fold(problem.leads, operator.mul, 1.0))
+    leads = problem.table.leads[:problem.unit_end]
+    slack = problem.d * 2.0 ** -1074 * max(_suffix_fold(leads, operator.mul, 1.0))
     return lambda T: (_log(T - slack), math.log(T + slack))
 
 
 # A space in which the exact folds evaluate a product, DIRECT or LOG.  ``term``
 # maps an eigenvalue or a threshold into the space, and ``op`` folds two of
-# its values.  ``unit`` is the fold's identity and the value of each lead in
-# the trailing run of unit leads, and ``leads`` names the row of the space's
-# leads on a problem or its table.  ``fold(terms, start)`` is the left fold of
-# terms onto start, and ``values`` turns a sequence of folds into a float
-# array of products.  ``bounds(problem)`` is the map from a threshold of the
-# space to the logs ``(lo, hi)`` between which a dimension-order fold may
-# round onto either side of it (see _band).
+# its values.  ``unit`` is the fold's identity and the term of each lead
+# equal to 1.0, and ``leads`` names the row of the space's leads on a table.
+# ``fold(terms, start)`` is the left fold of terms onto start, and ``values``
+# turns a sequence of folds into a float array of products.
+# ``bounds(problem)`` is the map from a threshold of the space to the logs
+# ``(lo, hi)`` between which a dimension-order fold may round onto either
+# side of it (see _band).
 # Every fold starts at ``unit``, 1.0 or 0.0, with the bits of a fold that
 # starts at its first term, since no term is -0.0: no positive double's
 # ``math.log`` is, and no sum of terms that are not -0.0 is.  So 0.0 serves
@@ -157,12 +166,16 @@ class ProductProblem:
 
     The problem is a view of the first d rows of a
     :class:`spectra.DimensionTable`: its family's, or one holding the given
-    factors.  It stores the table, d and the family, plus the leading
+    factors.  It stores the table, d and the family, plus ``unit_end``, the
+    number of leading rows a fold of its leads reads (the lead of every
+    dimension past it is 1.0, which folds as the identity), the leading
     product, its log and ``space``, the :class:`Space` its exact folds
-    evaluate in; ``leads`` and ``log_leads`` read the table's rows.  Each
-    list derived from the rows is built by the code that reads it: ``hmax``
-    by the walks (:func:`_hmax`), a point's suffix fold by its first
-    borderline decision, kept until the point is counted (:class:`_Point`).
+    evaluate in.  Each list derived from the rows is built by the code that
+    reads it: ``hmax`` by the walks (:func:`_hmax`), a point's suffix fold
+    by its first borderline decision, kept until the point is counted
+    (:class:`_Point`).  So a problem of a unit-lead table, whose
+    ``unit_end`` is 0, reads no row, whatever d is.  ``leads`` and
+    ``log_leads`` list all d, for the oracles.
     Indices are 0-based here: ``factor(k)`` is the factor of dimension
     k + 1, and ``factors`` lists all d of them, both read through the
     table's ``factor``, which builds a factor the first time its
@@ -182,9 +195,10 @@ class ProductProblem:
 
     def _prefix(self, table, d, family):
         self.table, self.d, self.family = table, d, family
+        self.unit_end = e = min(d, table.unit_end)
         # prod_k lam(k, 1) and the sum of its logs, folded from the last dimension
-        self.leading_product = reduce(operator.mul, reversed(self.leads), 1.0)
-        self.log_leading_product = reduce(operator.add, reversed(self.log_leads), 0.0)
+        self.leading_product = reduce(operator.mul, reversed(table.leads[:e]), 1.0)
+        self.log_leading_product = reduce(operator.add, reversed(table.log_leads[:e]), 0.0)
         # an overflowing leading product is inf, whatever suffix overflowed
         self.space = (LOG if self.d > _DIRECT_DIM_LIMIT or self.leading_product == math.inf
                       or self.log_leading_product < _DIRECT_LOG_FLOOR else DIRECT)
@@ -192,18 +206,33 @@ class ProductProblem:
     @property
     def leads(self):
         """lam(k, 1) for each k, the root's eigenvalues."""
-        return self.table.leads[:self.d]
+        check_dimension(self.d)
+        return self.table.leads[:self.unit_end] + [1.0] * (self.d - self.unit_end)
 
     @property
     def log_leads(self):
-        return self.table.log_leads[:self.d]
+        check_dimension(self.d)
+        return self.table.log_leads[:self.unit_end] + [0.0] * (self.d - self.unit_end)
 
     def factor(self, k):
         return self.table.factor(k + 1)
 
     @property
     def factors(self):
+        check_dimension(self.d)
         return list(map(self.table.factor, range(1, self.d + 1)))
+
+
+def check_dimension(d, cap=DIMENSION_CAP):
+    """Refuse a d past cap, by default the cap of code that reads every dimension."""
+    if d > cap:
+        raise CapExceededError(f"d={d} exceeds the dimension cap {cap}")
+
+
+def dimension_cap(spec):
+    """The largest d a problem of spec is built at: DIMENSION_CAP, or
+    UNIT_LEAD_DIMENSION_CAP for a unit-lead family, whose problems read no rows."""
+    return UNIT_LEAD_DIMENSION_CAP if spec.dimension_table().unit_leads else DIMENSION_CAP
 
 
 def _suffix_fold(values, op, start):
@@ -212,18 +241,22 @@ def _suffix_fold(values, op, start):
     return list(itertools.accumulate(reversed(values), op, initial=start))[::-1]
 
 
-def _unit_run_start(row, unit):
-    """Where row's trailing run of entries equal to unit starts (len(row) if
-    none is): leads equal to a space's ``unit``, which fold as the identity,
-    bit for bit, onto any value but -0.0, and no fold yields -0.0."""
-    differs = map(operator.ne, reversed(row), itertools.repeat(unit))
-    return len(row) - next(itertools.compress(itertools.count(), differs), len(row))
+def _hmax(problem, lo=-math.inf):
+    """``hmax[k] = ln max_{k' >= k} h_k'`` for k = 0 .. K, 0-indexed, with
+    ``hmax[K]`` -inf: the walks' bound on a node's children.
 
-
-def _hmax(problem):
-    """``hmax[k] = ln max_{k' >= k} h_k'`` for k = 0 .. d, 0-indexed, with
-    -inf past the last dimension: the walks' bound on a node's children."""
-    return _suffix_fold(problem.table.log_h[:problem.d], max, -math.inf)
+    K is d, past the last dimension; or, on a unit-lead table, the table's
+    :meth:`~spectra.DimensionTable.reach` at lo, past which no child of a
+    node of log value <= 0 clears lo, so the rows past K are left unread
+    and every prune at lo or above is the one the d-long list gives.  Over
+    the table's nonincreasing prefix the suffix maxima are the rows.
+    """
+    table = problem.table
+    K = table.reach(lo, problem.d) if table.unit_leads else problem.d
+    log_h = table.log_h[:K]
+    if table.nonincreasing >= K:
+        return log_h + [-math.inf]
+    return _suffix_fold(log_h, max, -math.inf)
 
 
 def family_problems(spec, ds):
@@ -235,20 +268,22 @@ def family_problems(spec, ds):
     only when something reads it.  So the problems share their leading
     factors, as the points of :func:`count_grid` must.  Being a generator,
     it raises each error where a loop of ``from_family`` calls would raise
-    it: a d below 1, past the custom tables or past the cap before any row
-    is read, and a leading eigenvalue that is not a positive double when its
-    row is.
+    it: a d below 1, past the custom tables or past the cap
+    (:func:`dimension_cap`) before any row is read, and a leading eigenvalue
+    that is not a positive double when its row is.  A unit-lead family's
+    table reads no row here.
     """
     table = spec.dimension_table()
+    cap = dimension_cap(spec)
     for d in ds:
         if d < 1:
             raise InvalidInputError(f"d must be >= 1, got {d}")
         if spec.family is spectra.Family.CUSTOM and d > len(spec.tables):
             raise InvalidInputError(
                 f"custom spec provides {len(spec.tables)} tables, requested d={d}")
-        if d > DIMENSION_CAP:
-            raise CapExceededError(f"d={d} exceeds the dimension cap {DIMENSION_CAP}")
-        table.grow(d)
+        check_dimension(d, cap)
+        if not table.unit_leads:
+            table.grow(d)
         problem = ProductProblem.__new__(ProductProblem)
         problem._prefix(table, d, spec)
         yield problem
@@ -258,9 +293,17 @@ def product_eigenvalues_top(problem: ProductProblem, m: int) -> np.ndarray:
     """The m largest product eigenvalues, nonincreasing, with multiplicity.
 
     Each value is its tuple's dimension-order fold in the problem's
-    :class:`Space`: ``math.prod`` of the d eigenvalues in :data:`DIRECT`,
-    ``math.exp`` of the left fold of their ``math.log`` in :data:`LOG`, or
-    inf where that overflows.
+    :class:`Space` (:func:`top_folds`): ``math.prod`` of the d eigenvalues
+    in :data:`DIRECT`, ``math.exp`` of the left fold of their ``math.log``
+    in :data:`LOG`, or inf where that overflows.
+    """
+    return problem.space.values(top_folds(problem, m))
+
+
+def top_folds(problem: ProductProblem, m: int) -> list:
+    """The folds of the m largest product eigenvalues in the problem's
+    :class:`Space`, nonincreasing: their values, or in :data:`LOG` their
+    logs, which stay finite where the values leave the double range.
 
     The tuples are the excitations of (1, ..., 1), walked as :func:`_walk`
     walks them: a node's children excite one dimension after its last
@@ -269,7 +312,9 @@ def product_eigenvalues_top(problem: ProductProblem, m: int) -> np.ndarray:
     min-heap keeps the m best folds found so far.  A child's later siblings
     enter the frontier once it is visited, and its children in dimensions
     >= k as one entry keyed by the bound ``hmax[k]`` (:func:`_hmax`, folded
-    once per call), so a visit costs a fold and a few pushes, not one per
+    once per call, or on a unit-lead table extended by the table's
+    :meth:`~spectra.DimensionTable.bound` as the frontier reaches each
+    dimension), so a visit costs a fold and a few pushes, not one per
     dimension.  As in counts, one member
     per run of equal eigenvalues is visited, with a weight ``W``, the number
     of tuples it stands for; its fold enters the heap W times, at most m.
@@ -277,11 +322,11 @@ def product_eigenvalues_top(problem: ProductProblem, m: int) -> np.ndarray:
     An entry of dimension k carries, in place of its parent's chain, the
     fold ``P`` of its parent's terms in dimensions < k, from the space's
     ``unit`` on.  A child of dimension k folds its own term onto P, then the
-    leads after k up to the trailing run of unit leads, whose fold is the
-    identity (:func:`_unit_run_start`):
-    the same bits as the whole fold, and one eigenvalue read per visit.
-    So a korobov or analytic korobov visit costs O(k), and one of a family
-    whose leads are not 1.0 (euler, gaussian) still costs O(d).
+    leads after k up to the problem's ``unit_end``, past which each lead
+    folds as the identity: the same bits as the whole fold, and one
+    eigenvalue read per visit.  So a korobov or analytic korobov visit costs
+    O(k), and one of a family whose leads are not 1.0 (euler, gaussian)
+    still costs O(d).
 
     As in counts, ``heads`` starts as a copy of the table's built heads,
     and the head of dimension k, with its factor, is read through the
@@ -302,17 +347,18 @@ def product_eigenvalues_top(problem: ProductProblem, m: int) -> np.ndarray:
         raise InvalidInputError(f"m must be >= 1, got {m}")
     if m > ENUMERATION_CAP:
         raise CapExceededError(f"m={m} exceeds the enumeration cap {ENUMERATION_CAP}")
+    table, d = problem.table, problem.d
     # the walk's own copy, as _grow_ratios replaces its entries
-    heads = problem.table.ratio_heads[:problem.d]
-    factors = problem.table.factors  # holds every factor whose head is read
+    heads = table.ratio_heads[:d]
+    factors = table.factors  # holds every factor whose head is read
     space = problem.space
     term, op, fold, unit = space.term, space.op, space.fold, space.unit
     band = _band(problem, space)
-    hmax = _hmax(problem)
-    root = getattr(problem, space.leads)
+    # the leads a fold reads: each lead past them folds as the identity
+    root = getattr(table, space.leads)[:problem.unit_end]
+    fold_end = len(root)
     heap = [fold(root, unit)]
-    # the leads a fold reads: the trailing run of units folds as the identity
-    fold_end = _unit_run_start(root, unit)
+    hmax = [table.bound(0, d)] if table.unit_leads else _hmax(problem)
     lo = -math.inf  # no child is dropped unfolded until the heap holds m folds
     frontier = []
     seq = itertools.count()
@@ -328,11 +374,13 @@ def product_eigenvalues_top(problem: ProductProblem, m: int) -> np.ndarray:
         if -key <= lo:  # so is every node left, and every node not yet pushed
             break
         if i < 0:
+            if k + 1 == len(hmax):  # the first visit to dimension k, on a unit-lead table
+                hmax.append(table.bound(k + 1, d))
             # the node's children in dimensions >= k, keyed by their bound hmax
-            push(V + hmax[k + 1], k + 1, -1, V, W, op(P, root[k]))
+            push(V + hmax[k + 1], k + 1, -1, V, W, op(P, root[k]) if k < fold_end else P)
             n = 1  # its first child is the sibling after i = -1
             if k == len(heads):  # the first visit to dimension k: entries of k - 1 came first
-                heads.append(problem.table.head(k + 1))
+                heads.append(table.head(k + 1))
         else:
             n = heads[k][1][i]
             Pk = op(P, term(factors[k + 1].eigenvalue(i + 2)))
@@ -360,7 +408,7 @@ def product_eigenvalues_top(problem: ProductProblem, m: int) -> np.ndarray:
     if len(heap) < m:
         raise InvalidInputError("spectrum exhausted before m values (zero eigenvalue hit)")
     heap.sort(reverse=True)
-    return space.values(heap)
+    return heap
 
 
 def count_products_above(problem: ProductProblem, T: float, cap: int = COUNTING_CAP) -> CountResult:
@@ -435,14 +483,14 @@ class _Point:
     def accepts(self, chain):
         """The dense rule's decision for the tuple the chain excites; the
         first decision folds the point's leading suffix products."""
-        sp = self.space
+        sp, problem = self.space, self.problem
         if self.sfx is None:
             # sfx[k] = prod_{k' >= k} lam(k', 1), 0-indexed, folded in the
-            # point's space up to the trailing run of unit leads, past which
-            # every entry is the unit
-            leads = getattr(self.problem, sp.leads)
-            self.sfx = _suffix_fold(leads[:_unit_run_start(leads, sp.unit)], sp.op, sp.unit)
-        return _dense_rule(self.problem, chain, self.T, sp, self.sfx)
+            # point's space up to the problem's unit_end, past which every
+            # entry is the unit
+            leads = getattr(problem.table, sp.leads)[:problem.unit_end]
+            self.sfx = _suffix_fold(leads, sp.op, sp.unit)
+        return _dense_rule(problem, chain, self.T, sp, self.sfx)
 
 
 def _walk(points, cap, largest):
@@ -538,8 +586,10 @@ def _walk_group(band, cap, heads, table):
     """The walk of :func:`_walk` for one band, its points ordered by d; their counts.
 
     The walk runs at the problem of the top point, the one of largest d,
-    whose ``hmax`` it folds, and prunes at the band's ``lo``, the least of
-    its points'.  ``acc[k]`` counts the children in dimension k above every
+    whose ``hmax`` it folds (:func:`_hmax`, to the dimension K past which
+    no child clears the band's first ``lo``), and prunes at the band's
+    ``lo``, the least of its points', which only rises as points close.
+    ``acc[k]``, for k < K, counts the children in dimension k above every
     window, which count for each point with d > k; it is kept below
     ``dsec``, the second largest d, as ``tot`` is the top's count so far,
     kept current per dimension.  A top whose count reaches cap is closed,
@@ -551,9 +601,8 @@ def _walk_group(band, cap, heads, table):
     count builds no factor past the dimension at which its top filled.
     """
     pts = list(band)
-    problem = pts[-1].problem
-    hmax = _hmax(problem)
-    acc = [0] * problem.d
+    hmax = _hmax(pts[-1].problem, min(p.lo for p in pts))
+    acc = [0] * (len(hmax) - 1)
     tot = 1
     stack = [(0.0, 0, None)]
     while pts:
@@ -662,7 +711,7 @@ def _band(problem, space):
     """
     log_L = problem.log_leading_product
     scale = _WINDOW_ULPS * (3 * problem.d + 20)
-    base = 1.0 + math.fsum(map(abs, problem.log_leads))
+    base = 1.0 + math.fsum(map(abs, problem.table.log_leads[:problem.unit_end]))
     bounds = space.bounds(problem)
 
     def band(T):
@@ -686,9 +735,11 @@ def _dense_rule(problem, chain, T, space, sfx):
     is the unit, so each check repeats the one before, and the loop stops
     there.
     """
-    # len(sfx) - 1 is where the point's trailing run of unit leads starts
+    # len(sfx) - 1 is the problem's unit_end
     end = max(len(sfx) - 1, chain[0] + 1 if chain else 1)
     terms = getattr(problem.table, space.leads)[:end]
+    if len(terms) < end:  # a unit-lead table's rows past those its walks read
+        terms += [space.unit] * (end - len(terms))
     while chain is not None:
         k, j, chain, _ = chain
         # lam > 0: a walk excites a coordinate only at a finite -ln ratio, and
@@ -709,9 +760,11 @@ def trace_sum(problem: ProductProblem, tau: float) -> float:
 
 
 def log_trace_sum(problem: ProductProblem, tau: float) -> float:
-    """ln of the trace sum; use this form for large d to avoid overflow."""
+    """ln of the trace sum; use this form for large d to avoid overflow.
+    It reads every dimension, so d may not pass DIMENSION_CAP."""
     if problem.family is None:
         raise InvalidInputError("trace sums need a family-backed problem")
+    check_dimension(problem.d)
     if tau <= 0:
         raise InvalidInputError(f"tau must be positive, got {tau}")
     return float(spectra.log_trace_profile(problem.family, tau, problem.d, normalized=False)[-1])
@@ -755,6 +808,7 @@ def box_folds(problem: ProductProblem, J: int, space: Space) -> np.ndarray:
 def _box_rows(problem, J):
     if J < 1:
         raise InvalidInputError(f"J must be >= 1, got {J}")
+    check_dimension(problem.d)
     if J ** problem.d > ENUMERATION_CAP:
         raise CapExceededError(f"J**d = {J ** problem.d} exceeds {ENUMERATION_CAP}")
     return [fac.values(1, J + 1) for fac in problem.factors]

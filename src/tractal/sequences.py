@@ -102,6 +102,14 @@ class SequenceDescriptor(NamedTuple):
     def _open_ended(self) -> bool:
         return self.kind == "explicit" and self.evaluator is not None
 
+    @property
+    def monotone_by_kind(self) -> bool:
+        """Whether :func:`validate_sequence`'s direction check covers every
+        k: a structured kind by its form, an explicit one without an
+        evaluator by its values, all checked below the window, and the
+        constant run past them.  An evaluator is checked on the window only."""
+        return not self._open_ended and len(self.values) < _VALIDATION_WINDOW
+
     def _asymptotics(self) -> tuple:
         """(liminf ln(1/s_k)/ln k, lim s_k, liminf s_k/ln k, liminf ln(s_k)/ln k),
         each None where the description does not decide it."""

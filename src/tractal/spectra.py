@@ -11,8 +11,9 @@ Each family is one immutable record (``_RECORDS``), and every question the
 package asks of a family reads it: ``params`` and ``value``, the floats of
 dimension k and lam(k, j) from them; ``ratio``, h_k as a function of one
 parameter sequence; ``tail``, H(k, tau) as a function of one parameter of k;
-``tau0``; and ``rate``, the decay rate A of h_k, from the ratio sequence's
-asymptotics.  The closed forms (``j >= 1``, ``m = floor(j/2)``):
+``tau0``; ``rate``, the decay rate A of h_k, from the ratio sequence's
+asymptotics; and ``unit_leads``, whether every lam(k, 1) is 1.0.  The
+closed forms (``j >= 1``, ``m = floor(j/2)``):
 
 * ``euler``            lam(k,j) = (pi*(j-1/2))**-(2*r_k+2)
 * ``wiener``           euler's record, with the unresolved tau0 in [0, 3/5]
@@ -41,10 +42,12 @@ the standard library alone.
 
 Specs and factors are immutable after construction.  Each spec has one
 :class:`DimensionTable`, an append-only cache of its dimensions: rows of
-lam(k, 1), its log, lam(k, 2) and ln h_k; the factors built so far, at any
-k, one per distinct parameter tuple, so that dimensions with equal
-parameters share one; and the head pairs of factors 1..K, the prefix the
-count walk has read.  It is
+lam(k, 1), its log, lam(k, 2) and ln h_k, with two marks read from them
+(where the last lead other than 1.0 lies, and how far ln h_k is
+nonincreasing); the factors built so far, at any k, one per distinct
+parameter tuple, so that dimensions with equal parameters share one; and
+the head pairs of factors 1..K, the prefix the count walk has read.  A
+unit-lead family's rows are read only as far as a walk asks.  It is
 reached only through the ``lru_cache`` of ``_factor``, so clearing that
 cache empties it.  A lock per table keeps it consistent under threads.
 """
@@ -56,6 +59,7 @@ import operator
 import struct
 import threading
 import warnings
+from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache, partial
 from typing import TYPE_CHECKING, NamedTuple, Optional
@@ -87,6 +91,8 @@ class Family(str, enum.Enum):
 
 ABS = "abs"
 NOR = "nor"
+_NOR_ONLY = frozenset((NOR,))
+_BOTH_CRITERIA = frozenset((ABS, NOR))
 
 
 class _TailModel(NamedTuple):
@@ -140,8 +146,8 @@ class FamilySpec(NamedTuple):
         # (euler, gaussian); only wiener and rescaled tables have neither.
         if self.family is Family.WIENER or (
                 self.family is Family.CUSTOM and any(row[0] != 1.0 for row in self.tables)):
-            return frozenset((NOR,))
-        return frozenset((ABS, NOR))
+            return _NOR_ONLY
+        return _BOTH_CRITERIA
 
     def factor(self, k: int) -> "FactorSpectrum":
         return _factor(self).factor(k)
@@ -383,14 +389,16 @@ def _custom_tau0(spec):
 # depends on and H as a function of it; ``tau0(spec)``; and ``rate(spec,
 # sequence)``, A = liminf ln(1/h_k)/ln k from the ratio sequence's
 # asymptotics, raising UndecidableError where they do not decide it.
-_Record = namedtuple("_Record", "params value ratio tail tau0 rate")
+# ``unit_leads`` is whether lam(k, 1) = 1.0 for every k by the closed form.
+_Record = namedtuple("_Record", "params value ratio tail tau0 rate unit_leads")
 _EULER = _Record(
     lambda spec, k: (spec.r.value(k),),
     lambda spec, p: _euler_value(*p),
     lambda spec: (spec.r, lambda r: 3.0 ** (-(2.0 * r + 2.0))),
     lambda spec, tau: (spec.r.value, lambda r: _euler_tail_sum(tau * (2.0 * r + 2.0))),
     lambda spec: Interval.point(1.0 / (2.0 * spec.r.value(1) + 2.0)),
-    lambda spec, r: 2.0 * math.log(3.0) * r.liminf_over_log())
+    lambda spec, r: 2.0 * math.log(3.0) * r.liminf_over_log(),
+    False)
 _RECORDS = {
     Family.EULER: _EULER,
     # The euler formula is wiener's leading-order term, exact for r_k = 0, so
@@ -404,7 +412,8 @@ _RECORDS = {
         lambda spec: (spec.g, lambda g: g),
         lambda spec, tau: (spec.r.value, lambda r: _korobov_tail_sum(2.0 * r * tau)),
         lambda spec: Interval.point(1.0 / (2.0 * spec.r.value(1))),
-        lambda spec, g: g.liminf_log_ratio()),
+        lambda spec, g: g.liminf_log_ratio(),
+        True),
     Family.GAUSSIAN: _Record(
         lambda spec, k: (gaussian_omega(spec.gamma_sq.value(k)),),
         lambda spec, p: _gaussian_value(*p),
@@ -412,7 +421,8 @@ _RECORDS = {
         lambda spec, tau: (spec.gamma_sq.value,
                            lambda g2: 1.0 / (1.0 - gaussian_omega(g2) ** tau)),
         lambda spec: Interval.point(0.0),
-        lambda spec, g2: g2.liminf_log_ratio()),
+        lambda spec, g2: g2.liminf_log_ratio(),
+        False),
     Family.ANALYTIC_KOROBOV: _Record(
         lambda spec, k: (spec.omega, spec.a.value(k), spec.b.value(k)),
         lambda spec, p: _analytic_korobov_value(*p),
@@ -420,7 +430,8 @@ _RECORDS = {
         lambda spec, tau: (lambda k: (spec.a.value(k), spec.b.value(k)),
                            lambda ab: _analytic_korobov_tail_sum(spec.omega, *ab, tau)),
         lambda spec: Interval.point(0.0),
-        lambda spec, a: math.log(1.0 / spec.omega) * a.liminf_over_log()),
+        lambda spec, a: math.log(1.0 / spec.omega) * a.liminf_over_log(),
+        True),
     Family.CUSTOM: _Record(
         _row,
         lambda spec, row: _custom_value(row, spec.tail),
@@ -428,7 +439,8 @@ _RECORDS = {
         lambda spec, tau: (partial(_row, spec),
                            lambda row: _custom_tail_sum(row, spec.tail, tau)),
         _custom_tau0,
-        lambda spec, h: h.liminf_log_ratio()),
+        lambda spec, h: h.liminf_log_ratio(),
+        False),
 }
 
 
@@ -446,6 +458,19 @@ def _value(spec: FamilySpec, k: int):
     return _RECORDS[spec.family].value(spec, _parameters(spec, k))
 
 
+# A unit-lead table's ln h_k is nonincreasing in k up to the rounding of its
+# parameter sequence and of the closed form: a few ulps of 1 + |ln h_k| for
+# the kinds it admits (``SequenceDescriptor.monotone_by_kind``).  A bound on
+# the ln h of the rows past k widens row k's by 2**-40 of that, thousands of
+# ulps, so it never undercuts a later row.
+_H_SLACK = 2.0 ** -40
+
+
+def _widened(log_h):
+    """log_h + _H_SLACK * (1 + |log_h|) for log_h <= 0, and -inf at -inf."""
+    return max(log_h, log_h * (1.0 - _H_SLACK) + _H_SLACK)
+
+
 class DimensionTable:
     """The dimensions of one family, read only as far as they are asked for.
 
@@ -455,7 +480,17 @@ class DimensionTable:
     ``-ln`` ratio (-inf where lam(k, 2) is 0.0): the expressions
     :class:`FactorSpectrum` evaluates, so the bits are the same.  :meth:`grow`
     reads rows in order, two eigenvalues each; a trace reads lam(k, 1) and
-    lam(k, 2) from the rows, so it builds no factor.
+    lam(k, 2) from the rows, so it builds no factor.  Two marks are kept as
+    the rows are read, from the floats alone: ``unit_end``, one past the
+    last lead other than 1.0 (past it each lead folds as the identity), and
+    ``nonincreasing``, the length of the prefix of ``log_h`` that is
+    nonincreasing (over it the suffix maxima of ``log_h`` are its entries).
+
+    ``unit_leads`` marks a family whose every lam(k, 1) is 1.0 by its closed
+    form (its record's ``unit_leads``) and whose h_k is nonincreasing by the
+    validated direction of its ratio sequence's kind.  Its problems read no
+    rows, and a walk reads rows only as far as its bound on the later h_k
+    (:meth:`reach`, :meth:`bound`) lets a child clear its threshold.
     ``factors`` maps k to the :class:`FactorSpectrum` of dimension k once
     :meth:`factor` has read it, at any k.  There is one factor per distinct
     parameter tuple (:func:`_parameters`, keyed on its bits, so that -0.0
@@ -470,43 +505,85 @@ class DimensionTable:
     """
 
     __slots__ = ("spec", "leads", "log_leads", "seconds", "log_h", "factors", "ratio_heads",
-                 "_by_parameters", "_lock")
+                 "unit_end", "nonincreasing", "unit_leads", "_by_parameters", "_lock")
 
     def __init__(self, spec):
         self.spec = spec
         self._lock = threading.RLock()  # head builds factors under it
         self.leads, self.log_leads, self.seconds, self.log_h = [], [], [], []
+        self.unit_end = self.nonincreasing = 0
         self.factors = {}
         self._by_parameters = {}
         self.ratio_heads = []
+        rec = None if spec is None else _RECORDS[spec.family]
+        self.unit_leads = (rec is not None and rec.unit_leads
+                           and rec.ratio(spec)[0].monotone_by_kind)
 
     @classmethod
     def of(cls, factors):
         """The table whose rows are the given factors, all built."""
         self = cls(None)
         self.factors = dict(enumerate(factors, 1))
-        self.leads = [f.leading for f in factors]
-        self.log_leads = [f.log_leading for f in factors]
-        self.seconds = [f.head[1] for f in factors]
         self.ratio_heads = [f.ratio_head for f in factors]
-        self.log_h = [-nl[0] for nl, _ in self.ratio_heads]
+        for f, (nl, _) in zip(factors, self.ratio_heads):
+            self._append(f.leading, f.log_leading, f.head[1], -nl[0])
         return self
+
+    def _append(self, lead, log_lead, second, log_h):
+        # the marks first and log_h last: a row is read once log_h holds it
+        k = len(self.log_h)
+        if lead != 1.0:
+            self.unit_end = k + 1
+        if self.nonincreasing == k and not (k and log_h > self.log_h[-1]):
+            self.nonincreasing = k + 1
+        self.leads.append(lead)
+        self.log_leads.append(log_lead)
+        self.seconds.append(second)
+        self.log_h.append(log_h)
 
     def grow(self, d):
         """Read the rows up to dimension d; a leading eigenvalue that is not
         a positive double raises the error building factor k would."""
+        if len(self.log_h) >= d:
+            return
         with self._lock:
-            for k in range(len(self.leads) + 1, d + 1):
+            for k in range(len(self.log_h) + 1, d + 1):
                 value = _value(self.spec, k)
                 lead, second = value(1), value(2)
                 try:
                     log_lead = _log_leading(lead)
                 except InvalidInputError as exc:
                     raise InvalidInputError(f"{exc} at k={k}") from None
-                self.leads.append(lead)
-                self.log_leads.append(log_lead)
-                self.seconds.append(second)
-                self.log_h.append(-(log_lead - math.log(second)) if second > 0.0 else -math.inf)
+                self._append(lead, log_lead, second,
+                             -(log_lead - math.log(second)) if second > 0.0 else -math.inf)
+
+    def reach(self, lo, d):
+        """The least K < d whose row's ``ln h`` is at most the one whose
+        widened bound (see :meth:`bound`) is lo, or d: past dimension K no
+        child of a node of log value <= 0 clears lo.  Reads the rows through
+        index K, 0-based, and no further; over the nonincreasing prefix it
+        bisects."""
+        cut = (lo - _H_SLACK) / (1.0 - _H_SLACK)
+        # a row's marks are set before its log_h is appended
+        end = min(self.nonincreasing, d, len(self.log_h))
+        K = bisect_left(self.log_h, -cut, 0, end, key=operator.neg)
+        if K < end:
+            return K
+        while K < d:
+            self.grow(K + 1)
+            if self.log_h[K] <= cut:
+                return K
+            K += 1
+        return d
+
+    def bound(self, k, d):
+        """A bound on ``ln h`` of every row k .. d - 1, 0-based, of a
+        unit-lead table, after reading row k: row k's widened by its
+        rounding, as h_k is nonincreasing; -inf at k = d."""
+        if k >= d:
+            return -math.inf
+        self.grow(k + 1)
+        return _widened(self.log_h[k])
 
     def factor(self, k: int) -> FactorSpectrum:
         """The factor of dimension k, built the first time its parameters

@@ -3,8 +3,9 @@
 Everything here recomputes quantities by a route different from the library:
 threshold counts come from the dense dimension-order counter, grid counts
 from one count per point, top-m values from a best-first search over the
-whole index lattice, and Nystrom matrices from numpy's own quadrature rules
-and the series recurrence.
+whole index lattice, the folds over a problem's leads from all d of its
+factors, and Nystrom matrices from numpy's own quadrature rules and the
+series recurrence.
 
 Re-exported from ``tractal.verify``, whose checks use them too: the tail-sum
 oracle ``factor_tau_tail`` (direct summation with Euler-Maclaurin or
@@ -14,6 +15,7 @@ box ``box_products``.  ``scaled_factor``, ``scaled`` and
 ``brute_force_log_oracle`` are test-only constructions on the library's
 factors and boxes.
 """
+import functools
 import heapq
 import itertools
 import math
@@ -85,6 +87,63 @@ def dense_count(problem, T, cap, log_space):
                     return products.CountResult(cap, True, cap)
                 j += 1
     return products.CountResult(count, False, cap)
+
+
+class FullFolds:
+    """The d-long folds over a problem's leads and second ratios that every
+    query once made, kept as the reference for the library's folds, which
+    stop at its table's marks (``unit_end``, ``nonincreasing``).
+
+    Every row is read from the problem's factors, not from its table: the
+    leading products, folded from the last dimension; ``hmax``, the suffix
+    maxima of ln h_k with -inf past d; ``suffix(space)``, the leading suffix
+    products in a space; ``band(space)``, the borderline window of a count;
+    and ``accepts``, the dense rule's decision over all d dimensions.
+    """
+
+    def __init__(self, problem):
+        self.problem = problem
+        facs = problem.factors
+        self.leads = [f.leading for f in facs]
+        self.log_leads = [f.log_leading for f in facs]
+        self.leading_product = functools.reduce(operator.mul, reversed(self.leads), 1.0)
+        self.log_leading_product = functools.reduce(operator.add, reversed(self.log_leads), 0.0)
+        log_h = [-f.ratio_head[0][0] for f in facs]
+        self.hmax = list(itertools.accumulate(reversed(log_h), max, initial=-math.inf))[::-1]
+
+    def suffix(self, space):
+        """``sfx[k]``, the fold of the leads of dimensions k .. d - 1 in space."""
+        leads = self.leads if space is products.DIRECT else self.log_leads
+        return list(itertools.accumulate(reversed(leads), space.op, initial=space.unit))[::-1]
+
+    def band(self, space):
+        """The window ``(lo, hi)`` of a threshold T of space, as ``_band`` made it."""
+        d, log_L = self.problem.d, self.log_leading_product
+        scale = products._WINDOW_ULPS * (3 * d + 20)
+        base = 1.0 + math.fsum(map(abs, self.log_leads))
+        slack = d * 2.0 ** -1074 * max(self.suffix(products.DIRECT))
+
+        def band(T):
+            if space is products.DIRECT:
+                log_lo = math.log(T - slack) if T - slack > 0.0 else -math.inf
+                log_hi = math.log(T + slack)
+            else:
+                log_lo = log_hi = T
+            w = scale * (base + abs(log_hi) + abs(log_hi - log_L))
+            return log_lo - log_L - w, log_hi - log_L + w
+
+        return band
+
+    def accepts(self, js, T, space):
+        """The dense rule for the tuple js: every dimension-order prefix of
+        its terms, folded with the leads after it, exceeds T."""
+        terms = [space.term(f.eigenvalue(j)) for f, j in zip(self.problem.factors, js)]
+        P = space.unit
+        for t, s in zip(terms, self.suffix(space)[1:]):
+            P = space.op(P, t)
+            if not T < space.op(P, s):
+                return False
+        return True
 
 
 def per_point_complexity(spec, criterion, d_list, eps_list, cap):

@@ -525,6 +525,42 @@ def test_dimension_cap_admits_a_range_to_the_cap():
     assert cli._parse_int_list(f"1:{products.DIMENSION_CAP}")[-1] == products.DIMENSION_CAP
 
 
+def test_unit_lead_family_counts_past_the_dimension_cap(capsys, family_file):
+    """Korobov's leads are 1.0 and its g_k nonincreasing by kind, so its
+    count at d = 10**9 is the one at 10**5, and a range may pass 10**5."""
+    path = family_file("k.json", KOROBOV_DOC)
+    docs = []
+    for d in ("100000", "1000000000"):
+        code, out, err = run(capsys, ["complexity", "--family", path, "--d", d,
+                                      "--epsilon", "0.01"])
+        assert (code, err) == (0, "")
+        docs.append(json.loads(out))
+    assert docs[0]["n"] == docs[1]["n"] == 14423 and docs[1]["d"] == 10 ** 9
+    code, out, _ = run(capsys, ["sweep", "--family", path, "--d", "99999:100001,1000000000",
+                                "--epsilon", "0.01"])
+    assert code == 0 and [line.split(",")[4] for line in out.split()[1:]] == ["14423"] * 4
+
+
+@pytest.mark.parametrize("command, doc, d", [
+    (["complexity"], GAUSS_DOC, products.DIMENSION_CAP + 1),
+    (["sweep"], GAUSS_DOC, f"5,{products.DIMENSION_CAP + 1}"),
+    (["sweep"], GAUSS_DOC, f"{products.DIMENSION_CAP}:{products.DIMENSION_CAP + 1}"),
+    (["oracle-compare", "--m", "5"], KOROBOV_DOC, products.DIMENSION_CAP + 1),
+    (["complexity"], KOROBOV_DOC, products.UNIT_LEAD_DIMENSION_CAP + 1),
+], ids=["gaussian", "gaussian-list", "gaussian-range", "korobov-oracle", "korobov"])
+def test_each_cap_is_checked_before_any_row_is_read(capsys, family_file, monkeypatch,
+                                                    command, doc, d):
+    def refuse(*args):
+        raise AssertionError("a row or a factor was read")
+
+    monkeypatch.setattr(spectra.FactorSpectrum, "__init__", refuse)
+    monkeypatch.setattr(spectra, "_value", refuse)
+    spectra._factor.cache_clear()
+    path = family_file("f.json", doc)
+    code, out, err = run(capsys, command[:1] + ["--family", path, f"--d={d}"] + command[1:])
+    assert (code, out) == (4, "") and "dimension cap" in err
+
+
 @pytest.mark.parametrize("d", ["2:4", "2,3"])
 def test_oracle_compare_takes_one_dimension(capsys, family_file, d):
     path = family_file("k.json", KOROBOV_DOC)

@@ -39,7 +39,7 @@ def test_query_validation():
 
 def test_minimal_error_initial():
     p = ProductProblem.from_family(GAUSS1, 1)
-    assert minimal_error(p, 0) == pytest.approx(math.sqrt(1 - OMEGA1), rel=1e-14)
+    assert minimal_error(p, 0) == pytest.approx(math.sqrt(1 - OMEGA1), rel=1e-14, abs=0)
 
 
 def test_minimal_error_refuses_a_negative_n():
@@ -174,7 +174,7 @@ def test_pt_functional_examples():
     single = pt_functional(GAUSS1, 1.3, 0.0, 1)
     H = spectra.tail_sum_H(GAUSS1, 1, 1.3)
     expect = (1.0 + spectra.second_ratio(GAUSS1, 1) ** 1.3 * H) ** (1 / 1.3)
-    assert single[0] == pytest.approx(expect, rel=1e-13)
+    assert single[0] == pytest.approx(expect, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("evaluate", [
@@ -193,7 +193,7 @@ def test_divergence_names_dimension(evaluate):
 def test_qpt_functional_reduces_to_pt_at_d1():
     a = qpt_functional(GAUSS1, 0.7, 1)
     b = pt_functional(GAUSS1, 0.7, 0.0, 1)
-    assert a[0] == pytest.approx(b[0], rel=1e-13)
+    assert a[0] == pytest.approx(b[0], rel=1e-13, abs=0)
 
 
 def test_qpt_functional_threshold_sides():

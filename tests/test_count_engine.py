@@ -753,6 +753,7 @@ def test_threads_sharing_a_table_leave_one_row_and_one_factor_per_dimension():
     want = spectra.DimensionTable(spec)
     want.grow(len(table.leads))
     assert (table.leads, table.log_leads, table.log_h) == (want.leads, want.log_leads, want.log_h)
+    assert (table.unit_end, table.nonincreasing) == (want.unit_end, want.nonincreasing)
     assert len(table.ratio_heads) == 1000 // 4 + 5
     for k, head in enumerate(table.ratio_heads, 1):
         assert head is table.factors[k].ratio_head

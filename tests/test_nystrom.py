@@ -33,7 +33,7 @@ def test_gauss_legendre_two_point():
 def test_weights_sum_to_one(n):
     for domain in (nystrom.UNIT_INTERVAL, nystrom.WEIGHTED_LINE):
         _, w = quadrature_rule(domain, n)
-        assert float(w.sum()) == pytest.approx(1.0, rel=1e-13)
+        assert float(w.sum()) == pytest.approx(1.0, rel=1e-13, abs=0)
         assert np.all(w > 0)
 
 
@@ -59,11 +59,11 @@ def test_hermite_single_node():
 def test_polynomial_exactness():
     x, w = quadrature_rule(nystrom.UNIT_INTERVAL, 3)  # exact through degree 5
     for deg, exact in ((3, 0.25), (5, 1.0 / 6.0)):
-        assert float(np.dot(w, x ** deg)) == pytest.approx(exact, rel=1e-14)
+        assert float(np.dot(w, x ** deg)) == pytest.approx(exact, rel=1e-14, abs=0)
     xh, wh = quadrature_rule(nystrom.WEIGHTED_LINE, 3)
     # moments of the weight exp(-x^2)/sqrt(pi): variance 1/2, fourth moment 3/4
-    assert float(np.dot(wh, xh ** 2)) == pytest.approx(0.5, rel=1e-13)
-    assert float(np.dot(wh, xh ** 4)) == pytest.approx(0.75, rel=1e-13)
+    assert float(np.dot(wh, xh ** 2)) == pytest.approx(0.5, rel=1e-13, abs=0)
+    assert float(np.dot(wh, xh ** 4)) == pytest.approx(0.75, rel=1e-13, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -126,8 +126,8 @@ def test_wiener_kernel_entry_r1():
     m = 0.3
     expect = m * (x * y - (x + y) * m / 2.0 + m * m / 3.0)
     K = kernel_matrix(wiener_integral(1), np.array([x, y]))
-    assert K[0, 1] == pytest.approx(expect, rel=1e-14)
-    assert K[1, 0] == pytest.approx(expect, rel=1e-14)
+    assert K[0, 1] == pytest.approx(expect, rel=1e-14, abs=0)
+    assert K[1, 0] == pytest.approx(expect, rel=1e-14, abs=0)
 
 
 def test_euler_base_matrix_is_min_kernel():
@@ -259,7 +259,7 @@ def test_closed_form_patterns():
     assert again == pytest.approx([1.0, 0.5, 0.5, 0.5 / 16, 0.5 / 16])
     ew = closed_form_eigenvalues(euler_iterated(1), 3)
     j = np.arange(1, 4, dtype=float)
-    assert ew == pytest.approx((math.pi * (j - 0.5)) ** -4.0, rel=1e-15)
+    assert ew == pytest.approx((math.pi * (j - 0.5)) ** -4.0, rel=1e-15, abs=0)
 
 
 def test_kernel_spec_validation():

@@ -46,7 +46,7 @@ def test_top_gaussian_d2_head():
     c = 1.0 - OMEGA1
     top = product_eigenvalues_top(p, 4)
     expect = np.array([c * c, c * c * OMEGA1, c * c * OMEGA1, c * c * OMEGA1 ** 2])
-    assert top == pytest.approx(expect, rel=1e-14)
+    assert top == pytest.approx(expect, rel=1e-14, abs=0)
     assert np.all(np.diff(top) <= 0)
 
 
@@ -407,8 +407,8 @@ def test_trace_identity_against_box(tmp_path):
             heads = [float(np.sum(np.array(f.values(1, 31)) ** tau)) for f in p.factors]
             tails = [helpers.factor_tau_tail(spec, k, tau, 30) for k in range(1, d + 1)]
             oracle = math.prod(h + t for h, t in zip(heads, tails))
-            assert float(np.sum(box ** tau)) == pytest.approx(math.prod(heads), rel=1e-12)
-            assert trace_sum(p, tau) == pytest.approx(oracle, rel=1e-9)
+            assert float(np.sum(box ** tau)) == pytest.approx(math.prod(heads), rel=1e-12, abs=0)
+            assert trace_sum(p, tau) == pytest.approx(oracle, rel=1e-9, abs=0)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +419,7 @@ def test_oracle_d1_euler():
     p = ProductProblem.from_family(spectra.euler(S.constant(0)), 1)
     vals = brute_force_oracle(p, 4)
     j = np.arange(1, 5, dtype=float)
-    assert vals == pytest.approx((math.pi * (j - 0.5)) ** -2.0, rel=1e-15)
+    assert vals == pytest.approx((math.pi * (j - 0.5)) ** -2.0, rel=1e-15, abs=0)
 
 
 def test_oracle_d2_single():
@@ -481,7 +481,7 @@ def test_permutation_covariance():
     perm = ProductProblem([p.factors[2], p.factors[0], p.factors[1]])
     top_a = product_eigenvalues_top(p, 50)
     top_b = product_eigenvalues_top(perm, 50)
-    assert top_a == pytest.approx(top_b, rel=1e-12)
+    assert top_a == pytest.approx(top_b, rel=1e-12, abs=0)
     oracle = brute_force_oracle(p, 20)
     for T in np.geomspace(oracle[40], oracle[0], 7)[:-1]:
         T = float(T) * 0.999999
@@ -491,7 +491,7 @@ def test_permutation_covariance():
 def test_scaled_problem():
     p = gaussian_problem(2)
     q = helpers.scaled(p, [2.0, 0.5])
-    assert q.leading_product == pytest.approx(p.leading_product, rel=1e-14)
+    assert q.leading_product == pytest.approx(p.leading_product, rel=1e-14, abs=0)
     with pytest.raises(InvalidInputError):
         helpers.scaled(p, [1.0])
     with pytest.raises(InvalidInputError):

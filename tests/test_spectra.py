@@ -41,7 +41,7 @@ def all_families():
 
 def test_euler_leading_value():
     spec = spectra.euler(S.constant(0))
-    assert factor_eigenvalue(spec, 1, 1) == pytest.approx((2.0 / math.pi) ** 2, rel=1e-14)
+    assert factor_eigenvalue(spec, 1, 1) == pytest.approx((2.0 / math.pi) ** 2, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("r,g", [(1.0, 1.0), (2.0, 0.3)])
@@ -68,7 +68,7 @@ def test_korobov_pairing():
 
 def test_gaussian_second_eigenvalue():
     spec = spectra.gaussian(S.constant(1.0))
-    assert factor_eigenvalue(spec, 1, 2) == pytest.approx((1 - OMEGA1) * OMEGA1, rel=1e-14)
+    assert factor_eigenvalue(spec, 1, 2) == pytest.approx((1 - OMEGA1) * OMEGA1, rel=1e-14, abs=0)
 
 
 def test_analytic_korobov_pair_value():
@@ -83,11 +83,11 @@ def test_wiener_approximate_flagging():
     spec = spectra.wiener(S.explicit([0, 2]))
     # r=0 is the plain min kernel and is exact
     assert factor_eigenvalue(spec, 1, 1, require_exact=True) == pytest.approx(
-        (2.0 / math.pi) ** 2, rel=1e-14)
+        (2.0 / math.pi) ** 2, rel=1e-14, abs=0)
     with pytest.raises(ApproximateOnlyError):
         factor_eigenvalue(spec, 2, 1, require_exact=True)
     # without the flag the leading-order term comes back
-    assert factor_eigenvalue(spec, 2, 1) == pytest.approx((2.0 / math.pi) ** 6, rel=1e-13)
+    assert factor_eigenvalue(spec, 2, 1) == pytest.approx((2.0 / math.pi) ** 6, rel=1e-13, abs=0)
 
 
 def test_bad_indices():
@@ -103,7 +103,7 @@ def test_bad_indices():
 # ---------------------------------------------------------------------------
 
 def test_gaussian_omega_exact_value():
-    assert gaussian_omega(1.0) == pytest.approx(2.0 / (3.0 + math.sqrt(5.0)), rel=1e-15)
+    assert gaussian_omega(1.0) == pytest.approx(2.0 / (3.0 + math.sqrt(5.0)), rel=1e-15, abs=0)
 
 
 def test_gaussian_omega_small_limit():
@@ -151,10 +151,12 @@ def test_gaussian_omega_increasing_property(a, b):
 # ---------------------------------------------------------------------------
 
 def test_second_ratio_values():
-    assert second_ratio(spectra.euler(S.constant(0)), 1) == pytest.approx(1.0 / 9.0, rel=1e-15)
+    assert second_ratio(spectra.euler(S.constant(0)), 1) == pytest.approx(1.0 / 9.0, rel=1e-15,
+                                                                          abs=0)
     ko = spectra.korobov(S.constant(1.0), S.power(1.0, -2.0))
-    assert second_ratio(ko, 3) == pytest.approx(1.0 / 9.0, rel=1e-15)
-    assert second_ratio(spectra.gaussian(S.constant(1.0)), 1) == pytest.approx(OMEGA1, rel=1e-14)
+    assert second_ratio(ko, 3) == pytest.approx(1.0 / 9.0, rel=1e-15, abs=0)
+    assert second_ratio(spectra.gaussian(S.constant(1.0)), 1) == pytest.approx(OMEGA1, rel=1e-14,
+                                                                               abs=0)
 
 
 def test_second_ratio_wiener_envelope():
@@ -164,9 +166,10 @@ def test_second_ratio_wiener_envelope():
     r = S.explicit([0, 1, 3])
     spec, euler = spectra.wiener(r), spectra.euler(r)
     for k, want in ((1, 1.0 / 9.0), (2, 1.0 / 81.0), (3, 3.0 ** -8)):
-        assert second_ratio(spec, k) == second_ratio(euler, k) == pytest.approx(want, rel=1e-15)
+        assert second_ratio(spec, k) == second_ratio(euler, k) == pytest.approx(want, rel=1e-15,
+                                                                                abs=0)
         fac = spec.factor(k)
-        assert second_ratio(spec, k) == pytest.approx(fac.head[1] / fac.leading, rel=1e-14)
+        assert second_ratio(spec, k) == pytest.approx(fac.head[1] / fac.leading, rel=1e-14, abs=0)
     # r_k = k: the envelope's rate 2 liminf ln(1 + r_k)/ln k, where euler's is infinite
     assert spectra.second_ratio_limits(spectra.wiener(S.power(1.0, 1.0)))[0] == 2.0
 
@@ -212,7 +215,7 @@ def test_tail_sum_korobov_zeta():
 
 def test_tail_sum_gaussian_geometric():
     spec = spectra.gaussian(S.constant(1.0))
-    assert tail_sum_H(spec, 1, 1.0) == pytest.approx(1.0 / (1.0 - OMEGA1), rel=1e-13)
+    assert tail_sum_H(spec, 1, 1.0) == pytest.approx(1.0 / (1.0 - OMEGA1), rel=1e-13, abs=0)
 
 
 def test_tail_sum_euler_divergent():
