@@ -27,9 +27,10 @@ it first reaches it, right after the one before; a count whose top point
 is full asks for none.  So a walk builds the factors it reaches and no
 others, and costs what its excited dimensions cost, plus C-speed slices of
 the leads up to ``unit_end`` and of ln h_k.  A unit-lead table's problems
-read no rows, and its walks read rows only as far as their bound reaches.
-The table builds one factor per distinct parameter tuple, so the dimensions
-of a constant sequence share one.
+read no rows, and its walks read a row only on their first visit to the
+dimension before it, and never more than DIMENSION_CAP rows.  The table builds
+one factor per distinct parameter tuple, so the dimensions of a constant
+sequence share one.
 
 A count decides the tuples within a small relative window of the threshold
 by the dense dimension-order evaluation, in direct or log space as above, so
@@ -73,11 +74,13 @@ if TYPE_CHECKING:
 
 ENUMERATION_CAP = 10**7
 COUNTING_CAP = 10**8
-# The largest d a problem is built at, and that code reading every dimension
-# (traces, box oracles, the factor list) accepts.  Building such a problem
-# reads two eigenvalues per dimension: at d = 10**5 ~0.3 s and ~22 MB.
+# The largest d a problem is built at, that code reading every dimension
+# (traces, box oracles, the factor list) accepts, and the most rows a walk
+# reads.  Building such a problem reads two eigenvalues per dimension: at
+# d = 10**5 ~0.3 s and ~22 MB.
 DIMENSION_CAP = 10**5
-# The largest d of a unit-lead family's problem, which reads no rows.  The
+# The largest d of a unit-lead family's problem, which reads no rows; its
+# walks still read at most DIMENSION_CAP rows (:func:`_bound`).  The
 # borderline window (3d + 20) * _WINDOW_ULPS bounds the rounding of up to
 # 3d + 20 steps by its first-order term nu = (3d + 20) * 2**-53; at d = 10**12,
 # nu = 3.4e-4, so the term dropped, nu**2 / (1 - nu), is well inside the
@@ -241,22 +244,37 @@ def _suffix_fold(values, op, start):
     return list(itertools.accumulate(reversed(values), op, initial=start))[::-1]
 
 
-def _hmax(problem, lo=-math.inf):
-    """``hmax[k] = ln max_{k' >= k} h_k'`` for k = 0 .. K, 0-indexed, with
-    ``hmax[K]`` -inf: the walks' bound on a node's children.
-
-    K is d, past the last dimension; or, on a unit-lead table, the table's
-    :meth:`~spectra.DimensionTable.reach` at lo, past which no child of a
-    node of log value <= 0 clears lo, so the rows past K are left unread
-    and every prune at lo or above is the one the d-long list gives.  Over
-    the table's nonincreasing prefix the suffix maxima are the rows.
-    """
-    table = problem.table
-    K = table.reach(lo, problem.d) if table.unit_leads else problem.d
-    log_h = table.log_h[:K]
-    if table.nonincreasing >= K:
+def _hmax(problem):
+    """``hmax[k] = ln max_{k' >= k} h_k'`` for k = 0 .. d, 0-indexed, with
+    ``hmax[d]`` -inf: the walks' bound on a node's children.  It reads
+    every row, which a unit-lead table may not have read yet; over the
+    table's nonincreasing prefix the suffix maxima are the rows."""
+    table, d = problem.table, problem.d
+    check_dimension(d)
+    table.grow(d)
+    log_h = table.log_h[:d]
+    if table.nonincreasing >= d:
         return log_h + [-math.inf]
     return _suffix_fold(log_h, max, -math.inf)
+
+
+def _bounds(table, d):
+    """The start of ``hmax`` for a problem of dimension d on a unit-lead
+    table: the table's ``h_bounds`` over the rows it has read, or row 1's.
+    A walk extends it by :func:`_bound` as it first reaches each dimension
+    past them."""
+    return table.h_bounds[:d] or [_bound(table, 0, d)]
+
+
+def _bound(table, k, d):
+    """``hmax[k]`` of a problem of dimension d on a unit-lead table, read as
+    a walk first needs it (:meth:`~spectra.DimensionTable.bound`).  A walk
+    that needs row k past DIMENSION_CAP, which no problem of another family
+    holds, is refused: the cap bounds the rows any query reads."""
+    if DIMENSION_CAP <= k < d:
+        raise CapExceededError(
+            f"the walk reaches dimension {k + 1}, past the dimension cap {DIMENSION_CAP}")
+    return table.bound(k, d)
 
 
 def family_problems(spec, ds):
@@ -312,12 +330,11 @@ def top_folds(problem: ProductProblem, m: int) -> list:
     min-heap keeps the m best folds found so far.  A child's later siblings
     enter the frontier once it is visited, and its children in dimensions
     >= k as one entry keyed by the bound ``hmax[k]`` (:func:`_hmax`, folded
-    once per call, or on a unit-lead table extended by the table's
-    :meth:`~spectra.DimensionTable.bound` as the frontier reaches each
-    dimension), so a visit costs a fold and a few pushes, not one per
-    dimension.  As in counts, one member
-    per run of equal eigenvalues is visited, with a weight ``W``, the number
-    of tuples it stands for; its fold enters the heap W times, at most m.
+    once per call, or on a unit-lead table started by :func:`_bounds` and
+    extended as the frontier reaches each dimension), so a visit costs a fold and a few
+    pushes, not one per dimension.  As in counts, one member per run of
+    equal eigenvalues is visited, with a weight ``W``, the number of tuples
+    it stands for; its fold enters the heap W times, at most m.
 
     An entry of dimension k carries, in place of its parent's chain, the
     fold ``P`` of its parent's terms in dimensions < k, from the space's
@@ -358,7 +375,7 @@ def top_folds(problem: ProductProblem, m: int) -> list:
     root = getattr(table, space.leads)[:problem.unit_end]
     fold_end = len(root)
     heap = [fold(root, unit)]
-    hmax = [table.bound(0, d)] if table.unit_leads else _hmax(problem)
+    hmax = _bounds(table, d) if table.unit_leads else _hmax(problem)
     lo = -math.inf  # no child is dropped unfolded until the heap holds m folds
     frontier = []
     seq = itertools.count()
@@ -374,8 +391,8 @@ def top_folds(problem: ProductProblem, m: int) -> list:
         if -key <= lo:  # so is every node left, and every node not yet pushed
             break
         if i < 0:
-            if k + 1 == len(hmax):  # the first visit to dimension k, on a unit-lead table
-                hmax.append(table.bound(k + 1, d))
+            if k + 1 == len(hmax):  # the first visit to dimension k past the rows read
+                hmax.append(_bound(table, k + 1, d))
             # the node's children in dimensions >= k, keyed by their bound hmax
             push(V + hmax[k + 1], k + 1, -1, V, W, op(P, root[k]) if k < fold_end else P)
             n = 1  # its first child is the sibling after i = -1
@@ -586,11 +603,12 @@ def _walk_group(band, cap, heads, table):
     """The walk of :func:`_walk` for one band, its points ordered by d; their counts.
 
     The walk runs at the problem of the top point, the one of largest d,
-    whose ``hmax`` it folds (:func:`_hmax`, to the dimension K past which
-    no child clears the band's first ``lo``), and prunes at the band's
-    ``lo``, the least of its points', which only rises as points close.
-    ``acc[k]``, for k < K, counts the children in dimension k above every
-    window, which count for each point with d > k; it is kept below
+    whose ``hmax`` it folds (:func:`_hmax`) or, on a unit-lead table,
+    starts by :func:`_bounds` and extends on its first visit to each
+    dimension past them, and
+    prunes at the band's ``lo``, the least of its points', which only rises
+    as points close.  ``acc[k]`` counts the children in dimension k above
+    every window, which count for each point with d > k; it is kept below
     ``dsec``, the second largest d, as ``tot`` is the top's count so far,
     kept current per dimension.  A top whose count reaches cap is closed,
     and the node being walked is walked again from the dimension it had
@@ -601,8 +619,10 @@ def _walk_group(band, cap, heads, table):
     count builds no factor past the dimension at which its top filled.
     """
     pts = list(band)
-    hmax = _hmax(pts[-1].problem, min(p.lo for p in pts))
-    acc = [0] * (len(hmax) - 1)
+    problem = pts[-1].problem
+    rows, d = problem.table, problem.d
+    hmax = _bounds(rows, d) if rows.unit_leads else _hmax(problem)
+    acc = [0] * len(hmax)
     tot = 1
     stack = [(0.0, 0, None)]
     while pts:
@@ -649,8 +669,13 @@ def _walk_group(band, cap, heads, table):
                     extra = pts[-1].extra
                     n_push = _borderline(pts, nl, ln, V, k, exc, W, n_push, m)
                     tot += pts[-1].extra - extra
-                # hmax[d] is -inf: no child of the last dimension is pushed
-                n_int = bisect_left(nl, V + hmax[k + 1] - lo, 0, n_push)
+                try:  # hmax[d] is -inf: no child of the last dimension is pushed
+                    h = hmax[k + 1]
+                except IndexError:  # the first visit to dimension k past the rows read
+                    h = _bound(rows, k + 1, d)
+                    hmax.append(h)
+                    acc.append(0)
+                n_int = bisect_left(nl, V + h - lo, 0, n_push)
                 if n_int:  # one child per run, standing for the run's identical subtrees
                     stack.extend([(V - nl[i], k + 1, (k, i + 2, exc, W * ln[i]))
                                   for i in range(n_int) if ln[i]])

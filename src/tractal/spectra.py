@@ -59,7 +59,6 @@ import operator
 import struct
 import threading
 import warnings
-from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache, partial
 from typing import TYPE_CHECKING, NamedTuple, Optional
@@ -462,13 +461,9 @@ def _value(spec: FamilySpec, k: int):
 # parameter sequence and of the closed form: a few ulps of 1 + |ln h_k| for
 # the kinds it admits (``SequenceDescriptor.monotone_by_kind``).  A bound on
 # the ln h of the rows past k widens row k's by 2**-40 of that, thousands of
-# ulps, so it never undercuts a later row.
+# ulps, so it never undercuts a later row.  As lam(k, 2) <= lam(k, 1),
+# ln h_k <= 0, and the widened value is ln h_k * (1 - 2**-40) + 2**-40.
 _H_SLACK = 2.0 ** -40
-
-
-def _widened(log_h):
-    """log_h + _H_SLACK * (1 + |log_h|) for log_h <= 0, and -inf at -inf."""
-    return max(log_h, log_h * (1.0 - _H_SLACK) + _H_SLACK)
 
 
 class DimensionTable:
@@ -476,11 +471,14 @@ class DimensionTable:
 
     Append-only.  Row k, for k = 1 .. ``len(leads)``, holds ``leads[k-1]``,
     lam(k, 1); ``log_leads[k-1]``, its ``math.log``; ``seconds[k-1]``,
-    lam(k, 2); and ``log_h[k-1]``, ``ln h_k`` as minus factor k's first
+    lam(k, 2); ``log_h[k-1]``, ``ln h_k`` as minus factor k's first
     ``-ln`` ratio (-inf where lam(k, 2) is 0.0): the expressions
-    :class:`FactorSpectrum` evaluates, so the bits are the same.  :meth:`grow`
-    reads rows in order, two eigenvalues each; a trace reads lam(k, 1) and
-    lam(k, 2) from the rows, so it builds no factor.  Two marks are kept as
+    :class:`FactorSpectrum` evaluates, so the bits are the same; and
+    ``h_bounds[k-1]``, ``ln h_k`` widened by its rounding (``_H_SLACK``),
+    which on a unit-lead table bounds the ``ln h`` of row k and of every
+    row after it.  :meth:`grow` reads rows in order, two eigenvalues each;
+    a trace reads lam(k, 1) and lam(k, 2) from the rows, so it builds no
+    factor.  Two marks are kept as
     the rows are read, from the floats alone: ``unit_end``, one past the
     last lead other than 1.0 (past it each lead folds as the identity), and
     ``nonincreasing``, the length of the prefix of ``log_h`` that is
@@ -489,8 +487,9 @@ class DimensionTable:
     ``unit_leads`` marks a family whose every lam(k, 1) is 1.0 by its closed
     form (its record's ``unit_leads``) and whose h_k is nonincreasing by the
     validated direction of its ratio sequence's kind.  Its problems read no
-    rows, and a walk reads rows only as far as its bound on the later h_k
-    (:meth:`reach`, :meth:`bound`) lets a child clear its threshold.
+    rows; a walk starts from the ``h_bounds`` of the rows read so far, or
+    from row 1's, and reads row k + 1, through :meth:`bound`, only when it
+    first reaches dimension k and the row is not read yet.
     ``factors`` maps k to the :class:`FactorSpectrum` of dimension k once
     :meth:`factor` has read it, at any k.  There is one factor per distinct
     parameter tuple (:func:`_parameters`, keyed on its bits, so that -0.0
@@ -504,13 +503,14 @@ class DimensionTable:
     the dimension past it.
     """
 
-    __slots__ = ("spec", "leads", "log_leads", "seconds", "log_h", "factors", "ratio_heads",
-                 "unit_end", "nonincreasing", "unit_leads", "_by_parameters", "_lock")
+    __slots__ = ("spec", "leads", "log_leads", "seconds", "log_h", "h_bounds", "factors",
+                 "ratio_heads", "unit_end", "nonincreasing", "unit_leads", "_by_parameters",
+                 "_lock")
 
     def __init__(self, spec):
         self.spec = spec
         self._lock = threading.RLock()  # head builds factors under it
-        self.leads, self.log_leads, self.seconds, self.log_h = [], [], [], []
+        self.leads, self.log_leads, self.seconds, self.log_h, self.h_bounds = [], [], [], [], []
         self.unit_end = self.nonincreasing = 0
         self.factors = {}
         self._by_parameters = {}
@@ -539,6 +539,7 @@ class DimensionTable:
         self.leads.append(lead)
         self.log_leads.append(log_lead)
         self.seconds.append(second)
+        self.h_bounds.append(log_h * (1.0 - _H_SLACK) + _H_SLACK)
         self.log_h.append(log_h)
 
     def grow(self, d):
@@ -557,33 +558,14 @@ class DimensionTable:
                 self._append(lead, log_lead, second,
                              -(log_lead - math.log(second)) if second > 0.0 else -math.inf)
 
-    def reach(self, lo, d):
-        """The least K < d whose row's ``ln h`` is at most the one whose
-        widened bound (see :meth:`bound`) is lo, or d: past dimension K no
-        child of a node of log value <= 0 clears lo.  Reads the rows through
-        index K, 0-based, and no further; over the nonincreasing prefix it
-        bisects."""
-        cut = (lo - _H_SLACK) / (1.0 - _H_SLACK)
-        # a row's marks are set before its log_h is appended
-        end = min(self.nonincreasing, d, len(self.log_h))
-        K = bisect_left(self.log_h, -cut, 0, end, key=operator.neg)
-        if K < end:
-            return K
-        while K < d:
-            self.grow(K + 1)
-            if self.log_h[K] <= cut:
-                return K
-            K += 1
-        return d
-
     def bound(self, k, d):
         """A bound on ``ln h`` of every row k .. d - 1, 0-based, of a
-        unit-lead table, after reading row k: row k's widened by its
-        rounding, as h_k is nonincreasing; -inf at k = d."""
+        unit-lead table, after reading row k: ``h_bounds[k]``, as h_k is
+        nonincreasing; -inf at k = d."""
         if k >= d:
             return -math.inf
         self.grow(k + 1)
-        return _widened(self.log_h[k])
+        return self.h_bounds[k]
 
     def factor(self, k: int) -> FactorSpectrum:
         """The factor of dimension k, built the first time its parameters

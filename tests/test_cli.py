@@ -541,6 +541,22 @@ def test_unit_lead_family_counts_past_the_dimension_cap(capsys, family_file):
     assert code == 0 and [line.split(",")[4] for line in out.split()[1:]] == ["14423"] * 4
 
 
+def test_unit_lead_count_past_the_rows_of_the_cap_exits_4(capsys, family_file, monkeypatch):
+    """Under a constant g_k = 0.5 no bound on h_k falls below the threshold,
+    so the count at d = 10**9 would read rows without end: it exits 4 at
+    the row past DIMENSION_CAP, having read no more rows than that."""
+    read = []
+    value = spectra._value
+    monkeypatch.setattr(spectra, "_value", lambda spec, k: read.append(k) or value(spec, k))
+    spectra._factor.cache_clear()
+    path = family_file("k.json", {"family": "korobov", "r": {"kind": "constant", "c": 1},
+                                  "g": {"kind": "constant", "c": 0.5}})
+    code, out, err = run(capsys, ["complexity", "--family", path, "--d", "1000000000",
+                                  "--epsilon", "0.1"])
+    assert (code, out) == (4, "") and "dimension cap" in err
+    assert read == list(range(1, products.DIMENSION_CAP + 1))
+
+
 @pytest.mark.parametrize("command, doc, d", [
     (["complexity"], GAUSS_DOC, products.DIMENSION_CAP + 1),
     (["sweep"], GAUSS_DOC, f"5,{products.DIMENSION_CAP + 1}"),

@@ -6,8 +6,10 @@ the prefix where ln h_k is nonincreasing.  Each is checked bit for bit
 against ``helpers.FullFolds``, the d-long folds, on custom tables with runs
 of unit leads, in both spaces.  Korobov and analytic korobov problems hold
 no rows: their walks read rows only as far as their thresholds reach, so
-they count at any d up to ``products.UNIT_LEAD_DIMENSION_CAP``.
+they count at any d up to ``products.UNIT_LEAD_DIMENSION_CAP``, and a walk
+that would read more than ``products.DIMENSION_CAP`` rows is refused.
 """
+import itertools
 import math
 import random
 import sys
@@ -168,6 +170,25 @@ def test_normalised_counts_are_nondecreasing_in_d(name):
         assert ns == sorted(ns) and ns[0] < ns[-1]
 
 
+@pytest.mark.parametrize("spec", [
+    spectra.korobov(S.constant(1.0), S.power(1.0, -2.0)),
+    spectra.korobov(S.power(1.0, 0.5), S.power(0.9, -0.3)),
+    spectra.korobov(S.constant(2.0), S.constant(0.5)),
+    spectra.analytic_korobov(0.5, S.power(1.0, 0.5), S.constant(1.0)),
+    spectra.analytic_korobov(0.9, S.power(0.1, 0.05), S.constant(0.5)),
+], ids=["korobov-k^-2", "korobov-slow", "korobov-constant", "analytic", "analytic-slow"])
+def test_each_row_bound_covers_every_later_row(spec):
+    """The walks prune a unit-lead table's later dimensions on the bound of
+    the first: ``h_bounds[k]`` is at least ``ln h`` of row k and of every
+    row after it, over 5000 rows."""
+    table = spectra.DimensionTable(spec)
+    assert table.unit_leads
+    table.grow(5000)
+    later = list(itertools.accumulate(reversed(table.log_h), max))[::-1]
+    assert all(b >= h for b, h in zip(table.h_bounds, later))
+    assert table.bound(4999, 5000) == table.h_bounds[-1] and table.bound(5000, 5000) == -math.inf
+
+
 def _recording_rows(monkeypatch):
     """The dimensions whose eigenvalue function is read from now on."""
     read = []
@@ -224,6 +245,27 @@ def test_anchor_count_at_a_billion_dimensions_builds_its_hundred_factors():
     query = complexity.ComplexityQuery(0.01, 10 ** 9, "nor")
     assert complexity.info_complexity(p, query).n == 14423
     assert len(p.table.factors) == 100 and len(p.table.log_h) == 101
+
+
+WALKS = {"count": lambda p: counts(p.family, "nor", p.d, (0.1,)),
+         "top-m": lambda p: products.product_eigenvalues_top(p, 10)}
+
+
+@pytest.mark.parametrize("g, walk", [(S.constant(0.5), "count"), (S.power(0.5, -0.001), "count"),
+                                     (S.constant(0.5), "top-m")],
+                         ids=["constant-count", "slow-power-count", "constant-top-m"])
+def test_a_walk_that_would_read_past_the_dimension_cap_is_refused(monkeypatch, g, walk):
+    """Where g_k decays too slowly for the bound on h_k to fall below the
+    threshold, a walk at d = 10**9 would read rows without end: a count, and
+    a top-m among values tied with the m-th, raise at the row past
+    DIMENSION_CAP (lowered here to 500) and read no row past it."""
+    monkeypatch.setattr(products, "DIMENSION_CAP", 500)
+    spectra._factor.cache_clear()
+    read = _recording_rows(monkeypatch)
+    p = ProductProblem.from_family(spectra.korobov(S.constant(1.0), g), 10 ** 9)
+    with pytest.raises(CapExceededError, match="dimension 501, past the dimension cap 500"):
+        WALKS[walk](p)
+    assert read == list(range(1, 501)) and len(p.table.factors) <= 500
 
 
 def _refusing_rows(monkeypatch):
@@ -322,7 +364,7 @@ def test_threads_counting_one_unit_lead_table_read_each_row_once():
     spectra._factor.cache_clear()
     want = [complexity.info_complexity_grid(spec, "nor", [d], eps) for d in ds]
     serial = spec.dimension_table()
-    rows = (list(serial.log_h), serial.unit_end, serial.nonincreasing)
+    rows = (list(serial.log_h), list(serial.h_bounds), serial.unit_end, serial.nonincreasing)
     spectra._factor.cache_clear()
     got, errors = {}, []
     start = threading.Barrier(6)
@@ -349,4 +391,4 @@ def test_threads_counting_one_unit_lead_table_read_each_row_once():
     assert not errors and not any(t.is_alive() for t in threads)
     assert all(got[i, d] == w for i in range(6) for d, w in zip(ds, want))
     table = spec.dimension_table()
-    assert (table.log_h, table.unit_end, table.nonincreasing) == rows
+    assert (table.log_h, table.h_bounds, table.unit_end, table.nonincreasing) == rows
