@@ -4,7 +4,9 @@ spectra.
 
 The names below are loaded on first use (PEP 562), so ``import tractal``
 loads no submodule, and a command loads only the modules it runs: counting
-never loads :mod:`tractal.tractability`.
+never loads :mod:`tractal.tractability`.  ``products``, ``spectra`` and
+``complexity`` give the names of the code no count runs the same way
+(:func:`_lazy`), so a counting command neither loads nor compiles it.
 """
 import importlib
 
@@ -25,18 +27,30 @@ _EXPORTS = {
     "special": ("g_function", "g_root", "riemann_zeta"),
     "xreal": ("Interval", "two_over"),
 }
-_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-
-__all__ = list(_MODULE_OF)
+__all__ = [name for names in _EXPORTS.values() for name in names]
 
 
-def __getattr__(name):
-    module = _MODULE_OF.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
-    globals()[name] = value
-    return value
+def _lazy(namespace, exports):
+    """A PEP 562 ``__getattr__`` for the module whose globals are namespace.
+
+    ``exports`` maps a submodule to names it defines: each is imported from
+    ``tractal.<submodule>`` on first use and cached in namespace, so later
+    reads are plain lookups and find the same object.
+    """
+    module_of = {name: module for module, names in exports.items() for name in names}
+    owner = namespace["__name__"]
+
+    def __getattr__(name):
+        module = module_of.get(name)
+        if module is None:
+            raise AttributeError(f"module {owner!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+        return value
+
+    return __getattr__
+
+
+__getattr__ = _lazy(globals(), _EXPORTS)
 
 
 def __dir__():

@@ -1,17 +1,20 @@
-"""Worst-case errors, information complexity, and trace-based bounds."""
+"""Information complexity n(eps, d), and the minimal errors and trace bounds beside it."""
 from __future__ import annotations
 
 import math
-import sys
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import InvalidInputError, UnsupportedCriterionError
-from .xreal import ceil_exp, exp_or_inf
-from . import products, spectra
+from .xreal import exp_or_inf
+from . import _lazy, products, spectra
 from .products import COUNTING_CAP, ProductProblem
 
-if TYPE_CHECKING:
-    import numpy as np
+# What no count runs lives in modules of its own, loaded on first use: the
+# minimal errors e(n), read from top-m, and the trace bounds and functionals.
+__getattr__ = _lazy(globals(), {
+    "topm": ("minimal_error", "log_minimal_error"),
+    "traces": ("lemma_bound", "log_normalized_trace", "pt_functional", "qpt_functional"),
+})
 
 
 class _ComplexityQuery(NamedTuple):
@@ -38,23 +41,6 @@ class ComplexityResult(NamedTuple):
     n: int
     threshold: float
     saturated: bool
-
-
-def minimal_error(problem: ProductProblem, n: int) -> float:
-    """e(n) = sqrt of the (n+1)-st largest product eigenvalue; e(0) is the
-    initial error sqrt(prod_k lam(k,1)).  In log space, where that value is
-    not a normal double, ``exp`` of half its log fold; inf or 0.0 past the
-    double range."""
-    if n < 0:
-        raise InvalidInputError(f"n must be >= 0, got {n}")
-    if n == 0:
-        return exp_or_inf(0.5 * problem.log_leading_product)
-    fold = products.top_folds(problem, n + 1)[-1]
-    value = problem.space.values([fold])[0]
-    if problem.space is products.LOG and not sys.float_info.min <= value < math.inf:
-        # the value left the double range, but its square root may not have
-        return exp_or_inf(0.5 * fold)
-    return math.sqrt(value)
 
 
 def info_complexity(problem: ProductProblem, query: ComplexityQuery,
@@ -127,56 +113,3 @@ def _count_point(problem, query, cap):
     # CRI**2 assembled in log space, so huge d or tiny epsilon cannot underflow
     log_threshold = 2.0 * math.log(query.epsilon) + problem.log_leading_product
     return exp_or_inf(log_threshold), log_threshold, True
-
-
-def lemma_bound(problem: ProductProblem, epsilon: float, tau: float) -> int:
-    """ceil(normalized trace at tau * epsilon**(-2*tau)); an upper bound for
-    the normalized-criterion complexity whenever the trace is finite."""
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidInputError(f"epsilon must lie in (0,1), got {epsilon}")
-    log_value = log_normalized_trace(problem, tau) - 2.0 * tau * math.log(epsilon)
-    return ceil_exp(log_value)
-
-
-def log_normalized_trace(problem: ProductProblem, tau: float) -> float:
-    """ln sum_j (lam_{d,j}/lam_{d,1})**tau via the per-factor identity.
-    It reads every dimension, so d may not pass ``products.DIMENSION_CAP``."""
-    if problem.family is None:
-        raise InvalidInputError("normalized traces need a family-backed problem")
-    products.check_dimension(problem.d)
-    return float(spectra.log_trace_profile(problem.family, tau, problem.d, normalized=True)[-1])
-
-
-def pt_functional(spec, tau: float, q: float, D: int) -> np.ndarray:
-    """d -> (sum_j (lam_{d,j}/lam_{d,1})**tau)**(1/tau) * d**-q for d <= D.
-
-    Boundedness of this profile over all d is the polynomial-tractability
-    criterion; a finite window can only support the verdict, never prove it.
-    Values beyond the double range are inf.
-    """
-    if tau <= 0:
-        raise InvalidInputError(f"tau must be positive, got {tau}")
-    if D < 1:
-        raise InvalidInputError(f"D must be >= 1, got {D}")
-    import numpy as np
-
-    cum = spectra.log_trace_profile(spec, tau, D, normalized=True)
-    d = np.arange(1, D + 1, dtype=float)
-    with np.errstate(over="ignore"):
-        return np.exp(cum / tau - q * np.log(d))
-
-
-def qpt_functional(spec, tau: float, D: int) -> np.ndarray:
-    """As pt_functional with exponent tau*(1+ln d) inside and d**-2 outside."""
-    if tau <= 0:
-        raise InvalidInputError(f"tau must be positive, got {tau}")
-    if D < 1:
-        raise InvalidInputError(f"D must be >= 1, got {D}")
-    import numpy as np
-
-    out = np.empty(D)
-    for d in range(1, D + 1):
-        x = tau * (1.0 + math.log(d))
-        total = float(spectra.log_trace_profile(spec, x, d, normalized=True)[-1])
-        out[d - 1] = exp_or_inf(total / tau - 2.0 * math.log(d))
-    return out

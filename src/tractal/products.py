@@ -1,4 +1,4 @@
-"""d-variate product spectra: top-m enumeration, counting, trace sums.
+"""d-variate product spectra: the problems, their evaluation spaces and counting.
 
 Products are taken over one factor per dimension in fixed order k = 1..d,
 and every exact evaluation folds them in one of two spaces, each a
@@ -46,8 +46,8 @@ eigenvalue is 1; otherwise each point is a band of its own.  A single count
 is the one-point case.  Equal eigenvalues of a dimension (the cos and
 sin pairs of the Korobov families) form a run whose members have the same
 ratio, the same dense evaluations and the same subtree, so a count walks one
-member per run, weighted by the run's length.  Top-m walks the same
-tuples best first by log value, one member per run, and pushes each visited
+member per run, weighted by the run's length.  Top-m (:mod:`tractal.topm`)
+walks the same tuples best first by log value, one member per run, and pushes each visited
 tuple's exact dimension-order product into a heap of the m best as many
 times as its weight; the log value only rules out tuples that lie a window
 below the m-th.  Both exact evaluations fold the leads only up to the
@@ -56,21 +56,25 @@ unit, and folds as the identity, bit for bit.
 """
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 import operator
 from bisect import bisect_left
 from collections import namedtuple
 from functools import partial, reduce
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from .errors import CapExceededError, InvalidInputError
 from .xreal import exp_or_inf
-from . import spectra
+from . import _lazy, spectra
 
-if TYPE_CHECKING:
-    import numpy as np
+# What no count runs lives in modules of its own, loaded on first use:
+# top-m, trace sums and the box oracle.
+__getattr__ = _lazy(globals(), {
+    "topm": ("product_eigenvalues_top", "top_folds"),
+    "traces": ("trace_sum", "log_trace_sum"),
+    "oracle": ("brute_force_oracle", "box_products", "box_folds", "oracle_validity_floor"),
+})
 
 ENUMERATION_CAP = 10**7
 COUNTING_CAP = 10**8
@@ -305,127 +309,6 @@ def family_problems(spec, ds):
         problem = ProductProblem.__new__(ProductProblem)
         problem._prefix(table, d, spec)
         yield problem
-
-
-def product_eigenvalues_top(problem: ProductProblem, m: int) -> np.ndarray:
-    """The m largest product eigenvalues, nonincreasing, with multiplicity.
-
-    Each value is its tuple's dimension-order fold in the problem's
-    :class:`Space` (:func:`top_folds`): ``math.prod`` of the d eigenvalues
-    in :data:`DIRECT`, ``math.exp`` of the left fold of their ``math.log``
-    in :data:`LOG`, or inf where that overflows.
-    """
-    return problem.space.values(top_folds(problem, m))
-
-
-def top_folds(problem: ProductProblem, m: int) -> list:
-    """The folds of the m largest product eigenvalues in the problem's
-    :class:`Space`, nonincreasing: their values, or in :data:`LOG` their
-    logs, which stay finite where the values leave the double range.
-
-    The tuples are the excitations of (1, ..., 1), walked as :func:`_walk`
-    walks them: a node's children excite one dimension after its last
-    excited one, and a child's log normalised value ``V`` is its parent's
-    minus one ``-ln`` ratio.  A frontier visits them best ``V`` first, and a
-    min-heap keeps the m best folds found so far.  A child's later siblings
-    enter the frontier once it is visited, and its children in dimensions
-    >= k as one entry keyed by the bound ``hmax[k]`` (:func:`_hmax`, folded
-    once per call, or on a unit-lead table started by :func:`_bounds` and
-    extended as the frontier reaches each dimension), so a visit costs a fold and a few
-    pushes, not one per dimension.  As in counts, one member per run of
-    equal eigenvalues is visited, with a weight ``W``, the number of tuples
-    it stands for; its fold enters the heap W times, at most m.
-
-    An entry of dimension k carries, in place of its parent's chain, the
-    fold ``P`` of its parent's terms in dimensions < k, from the space's
-    ``unit`` on.  A child of dimension k folds its own term onto P, then the
-    leads after k up to the problem's ``unit_end``, past which each lead
-    folds as the identity: the same bits as the whole fold, and one
-    eigenvalue read per visit.  So a korobov or analytic korobov visit costs
-    O(k), and one of a family whose leads are not 1.0 (euler, gaussian)
-    still costs O(d).
-
-    As in counts, ``heads`` starts as a copy of the table's built heads,
-    and the head of dimension k, with its factor, is read through the
-    table's ``head`` when the frontier first pops an entry of dimension k,
-    which it does after one of dimension k - 1.  A popped entry's key lies
-    above the heap's ``lo``, so only the prefix of dimensions the m-th value
-    can reach is built: at korobov ``g_k = k**-2``, d = 10**5 and m = 1000,
-    24 factors.
-
-    Once the frontier's best ``V`` lies a borderline window below the heap's
-    least fold, no tuple left can rank, and the walk stops.  A visited tuple
-    whose fold is no larger than the heap's least is dropped with its later
-    siblings and its subtree: replacing one term by one no larger never
-    raises a fold.  So a band of tuples tied with the m-th value costs about
-    m visits per dimension, not its size.
-    """
-    if m < 1:
-        raise InvalidInputError(f"m must be >= 1, got {m}")
-    if m > ENUMERATION_CAP:
-        raise CapExceededError(f"m={m} exceeds the enumeration cap {ENUMERATION_CAP}")
-    table, d = problem.table, problem.d
-    # the walk's own copy, as _grow_ratios replaces its entries
-    heads = table.ratio_heads[:d]
-    factors = table.factors  # holds every factor whose head is read
-    space = problem.space
-    term, op, fold, unit = space.term, space.op, space.fold, space.unit
-    band = _band(problem, space)
-    # the leads a fold reads: each lead past them folds as the identity
-    root = getattr(table, space.leads)[:problem.unit_end]
-    fold_end = len(root)
-    heap = [fold(root, unit)]
-    hmax = _bounds(table, d) if table.unit_leads else _hmax(problem)
-    lo = -math.inf  # no child is dropped unfolded until the heap holds m folds
-    frontier = []
-    seq = itertools.count()
-
-    def push(key, k, i, V, W, P):
-        if key > lo:  # never at a zero eigenvalue, where the key is -inf
-            heapq.heappush(frontier, (-key, next(seq), k, i, V, W, P))
-
-    if m > 1:
-        push(hmax[0], 0, -1, 0.0, 1, unit)
-    while frontier:
-        key, _, k, i, V, W, P = heapq.heappop(frontier)
-        if -key <= lo:  # so is every node left, and every node not yet pushed
-            break
-        if i < 0:
-            if k + 1 == len(hmax):  # the first visit to dimension k past the rows read
-                hmax.append(_bound(table, k + 1, d))
-            # the node's children in dimensions >= k, keyed by their bound hmax
-            push(V + hmax[k + 1], k + 1, -1, V, W, op(P, root[k]) if k < fold_end else P)
-            n = 1  # its first child is the sibling after i = -1
-            if k == len(heads):  # the first visit to dimension k: entries of k - 1 came first
-                heads.append(table.head(k + 1))
-        else:
-            n = heads[k][1][i]
-            Pk = op(P, term(factors[k + 1].eigenvalue(i + 2)))
-            f = fold(root[k + 1:fold_end], Pk)
-            if len(heap) == m and f <= heap[0]:
-                continue
-            for _ in range(min(W * n, m)):
-                if len(heap) < m:
-                    heapq.heappush(heap, f)
-                elif f > heap[0]:
-                    heapq.heapreplace(heap, f)
-                else:
-                    break
-            if len(heap) == m:
-                lo = band(heap[0])[0]
-            push(-key + hmax[k + 1], k + 1, -1, -key, W * n, Pk)
-        # the next sibling: a node and i + n children ranked before it fill
-        # the heap with folds no smaller than its own, so no node needs m children
-        i += n
-        if i + 1 < m:
-            nl = heads[k][0]
-            if i == len(nl):
-                nl, _ = _grow_ratios(factors[k + 1], heads, k, m - 1)
-            push(V - nl[i], k, i, V, W, P)
-    if len(heap) < m:
-        raise InvalidInputError("spectrum exhausted before m values (zero eigenvalue hit)")
-    heap.sort(reverse=True)
-    return heap
 
 
 def count_products_above(problem: ProductProblem, T: float, cap: int = COUNTING_CAP) -> CountResult:
@@ -777,71 +660,3 @@ def _dense_rule(problem, chain, T, space, sfx):
         if not T < op(P, s):
             return False
     return True
-
-
-def trace_sum(problem: ProductProblem, tau: float) -> float:
-    """sum_j lam_{d,j}**tau = prod_k sum_j lam(k,j)**tau; inf beyond the double range."""
-    return exp_or_inf(log_trace_sum(problem, tau))
-
-
-def log_trace_sum(problem: ProductProblem, tau: float) -> float:
-    """ln of the trace sum; use this form for large d to avoid overflow.
-    It reads every dimension, so d may not pass DIMENSION_CAP."""
-    if problem.family is None:
-        raise InvalidInputError("trace sums need a family-backed problem")
-    check_dimension(problem.d)
-    if tau <= 0:
-        raise InvalidInputError(f"tau must be positive, got {tau}")
-    return float(spectra.log_trace_profile(problem.family, tau, problem.d, normalized=False)[-1])
-
-
-def brute_force_oracle(problem: ProductProblem, J: int) -> np.ndarray:
-    """All products over the box j_k <= J, sorted descending.
-
-    Each product is formed as the top-m walk forms it, in the problem's
-    :class:`Space` (:func:`box_folds`): by direct multiplication, or as
-    ``math.exp`` of the dimension-order sum of ``math.log`` terms (inf
-    where that overflows).  Exact reference only for thresholds above
-    max_k lam(k, J) * prod_{k' != k} lam(k', 1); see
-    :func:`oracle_validity_floor`.
-    """
-    import numpy as np
-
-    return problem.space.values(np.sort(box_folds(problem, J, problem.space))[::-1])
-
-
-def box_products(problem: ProductProblem, J: int) -> np.ndarray:
-    """All products over the box j_k <= J, unsorted, multiplied in dimension order."""
-    return box_folds(problem, J, DIRECT)
-
-
-def box_folds(problem: ProductProblem, J: int, space: Space) -> np.ndarray:
-    """The folds in space of all products over the box j_k <= J, unsorted,
-    the last index fastest.
-
-    The box grows by one dimension at a time, as the outer ``space.op`` of
-    the folds so far with the dimension's terms: one IEEE step per
-    dimension, in dimension order, the same bits as ``space.fold`` of each
-    tuple's terms from its first one.
-    """
-    import numpy as np
-
-    rows = [np.array(list(map(space.term, row))) for row in _box_rows(problem, J)]
-    return reduce(lambda vals, row: space.op(vals[:, None], row).ravel(), rows)
-
-
-def _box_rows(problem, J):
-    if J < 1:
-        raise InvalidInputError(f"J must be >= 1, got {J}")
-    check_dimension(problem.d)
-    if J ** problem.d > ENUMERATION_CAP:
-        raise CapExceededError(f"J**d = {J ** problem.d} exceeds {ENUMERATION_CAP}")
-    return [fac.values(1, J + 1) for fac in problem.factors]
-
-
-def oracle_validity_floor(problem: ProductProblem, J: int) -> float:
-    """Thresholds above this value are counted exactly by the J-box oracle:
-    max_k lam(k, J) * prod_{k' != k} lam(k', 1)."""
-    leads = problem.leads
-    return max(fac.eigenvalue(J) * math.prod(leads[:k] + leads[k + 1:])
-               for k, fac in enumerate(problem.factors))

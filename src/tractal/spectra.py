@@ -12,8 +12,13 @@ package asks of a family reads it: ``params`` and ``value``, the floats of
 dimension k and lam(k, j) from them; ``ratio``, h_k as a function of one
 parameter sequence; ``tail``, H(k, tau) as a function of one parameter of k;
 ``tau0``; ``rate``, the decay rate A of h_k, from the ratio sequence's
-asymptotics; and ``unit_leads``, whether every lam(k, 1) is 1.0.  The
-closed forms (``j >= 1``, ``m = floor(j/2)``):
+asymptotics; and ``unit_leads``, whether every lam(k, 1) is 1.0.  This
+module builds factors and dimension tables from the records.  The tail and
+trace sums are in :mod:`tractal.traces`, and the functions that read h_k,
+tau0, A and lim h_k of one family in :mod:`tractal.limits`; this module
+gives their public names as its own (``spectra.tail_sum_H``,
+``spectra.tau_zero``, ...) and loads them on first use, so a count compiles
+neither.  The closed forms (``j >= 1``, ``m = floor(j/2)``):
 
 * ``euler``            lam(k,j) = (pi*(j-1/2))**-(2*r_k+2)
 * ``wiener``           euler's record, with the unresolved tau0 in [0, 3/5]
@@ -61,22 +66,20 @@ import threading
 import warnings
 from collections import namedtuple
 from functools import lru_cache, partial
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
-from .errors import (
-    ApproximateOnlyError,
-    DivergenceError,
-    InvalidInputError,
-    UndecidableError,
-)
+from .errors import InvalidInputError, UndecidableError
 from .sequences import SequenceDescriptor, validate_sequence
-from .special import scipy_special
 from .xreal import INF, Interval
+from . import _lazy
 
-if TYPE_CHECKING:
-    import numpy as np
-
-_REL_TOL = 1e-12
+# What no count runs lives in modules of its own, loaded on first use: the
+# tail and trace sums, and the closed-form facts the classifier reads.
+__getattr__ = _lazy(globals(), {
+    "traces": ("tail_sum_H", "log_trace_profile"),
+    "limits": ("factor_eigenvalue", "second_ratio", "second_ratio_limits", "tau_zero",
+               "korobov_exp_weights"),
+})
 
 
 class Family(str, enum.Enum):
@@ -384,8 +387,10 @@ def _custom_tau0(spec):
 # ``params(spec, k)``, the floats lam(k, .) depends on; ``value(spec,
 # params)``, lam(k, j) as a scalar function of j; ``ratio(spec)``, the
 # sequence h_k depends on and h_k as a function of its k-th value (and of its
-# limit, to lim h_k); ``tail(spec, tau)``, the parameter of k that H(k, tau)
-# depends on and H as a function of it; ``tau0(spec)``; and ``rate(spec,
+# limit, to lim h_k); ``tail(spec, tau, sums)``, the parameter of k that
+# H(k, tau) depends on and H as a function of it, from the tail sums of the
+# module sums (:mod:`tractal.traces`, their one reader, passes itself);
+# ``tau0(spec)``; and ``rate(spec,
 # sequence)``, A = liminf ln(1/h_k)/ln k from the ratio sequence's
 # asymptotics, raising UndecidableError where they do not decide it.
 # ``unit_leads`` is whether lam(k, 1) = 1.0 for every k by the closed form.
@@ -394,7 +399,8 @@ _EULER = _Record(
     lambda spec, k: (spec.r.value(k),),
     lambda spec, p: _euler_value(*p),
     lambda spec: (spec.r, lambda r: 3.0 ** (-(2.0 * r + 2.0))),
-    lambda spec, tau: (spec.r.value, lambda r: _euler_tail_sum(tau * (2.0 * r + 2.0))),
+    lambda spec, tau, sums: (spec.r.value,
+                             lambda r: sums._euler_tail_sum(tau * (2.0 * r + 2.0))),
     lambda spec: Interval.point(1.0 / (2.0 * spec.r.value(1) + 2.0)),
     lambda spec, r: 2.0 * math.log(3.0) * r.liminf_over_log(),
     False)
@@ -409,7 +415,7 @@ _RECORDS = {
         lambda spec, k: (spec.r.value(k), spec.g.value(k)),
         lambda spec, p: _korobov_value(*p),
         lambda spec: (spec.g, lambda g: g),
-        lambda spec, tau: (spec.r.value, lambda r: _korobov_tail_sum(2.0 * r * tau)),
+        lambda spec, tau, sums: (spec.r.value, lambda r: sums._korobov_tail_sum(2.0 * r * tau)),
         lambda spec: Interval.point(1.0 / (2.0 * spec.r.value(1))),
         lambda spec, g: g.liminf_log_ratio(),
         True),
@@ -417,8 +423,8 @@ _RECORDS = {
         lambda spec, k: (gaussian_omega(spec.gamma_sq.value(k)),),
         lambda spec, p: _gaussian_value(*p),
         lambda spec: (spec.gamma_sq, lambda g2: 0.0 if g2 == 0 else gaussian_omega(g2)),
-        lambda spec, tau: (spec.gamma_sq.value,
-                           lambda g2: 1.0 / (1.0 - gaussian_omega(g2) ** tau)),
+        lambda spec, tau, sums: (spec.gamma_sq.value,
+                                 lambda g2: 1.0 / (1.0 - gaussian_omega(g2) ** tau)),
         lambda spec: Interval.point(0.0),
         lambda spec, g2: g2.liminf_log_ratio(),
         False),
@@ -426,8 +432,9 @@ _RECORDS = {
         lambda spec, k: (spec.omega, spec.a.value(k), spec.b.value(k)),
         lambda spec, p: _analytic_korobov_value(*p),
         lambda spec: (spec.a, lambda a: spec.omega ** a),
-        lambda spec, tau: (lambda k: (spec.a.value(k), spec.b.value(k)),
-                           lambda ab: _analytic_korobov_tail_sum(spec.omega, *ab, tau)),
+        lambda spec, tau, sums: (
+            lambda k: (spec.a.value(k), spec.b.value(k)),
+            lambda ab: sums._analytic_korobov_tail_sum(spec.omega, *ab, tau)),
         lambda spec: Interval.point(0.0),
         lambda spec, a: math.log(1.0 / spec.omega) * a.liminf_over_log(),
         True),
@@ -435,8 +442,8 @@ _RECORDS = {
         _row,
         lambda spec, row: _custom_value(row, spec.tail),
         _custom_ratio,
-        lambda spec, tau: (partial(_row, spec),
-                           lambda row: _custom_tail_sum(row, spec.tail, tau)),
+        lambda spec, tau, sums: (partial(_row, spec),
+                                 lambda row: sums._custom_tail_sum(row, spec.tail, tau)),
         _custom_tau0,
         lambda spec, h: h.liminf_log_ratio(),
         False),
@@ -613,198 +620,8 @@ def gaussian_omega(gamma_sq: float) -> float:
     return 2.0 * gamma_sq / (1.0 + 2.0 * gamma_sq + math.sqrt(1.0 + 4.0 * gamma_sq))
 
 
-def factor_eigenvalue(spec: FamilySpec, k: int, j: int, require_exact: bool = False) -> float:
-    """Evaluate lam(k, j).
-
-    For the wiener family with ``r_k >= 1`` only the leading-order term is
-    returned; pass ``require_exact=True`` to turn that into an
-    :class:`ApproximateOnlyError` instead.  Numerical estimates live in
-    :mod:`tractal.nystrom`.
-    """
-    fac = spec.factor(k)
-    if require_exact and spec.family is Family.WIENER and spec.r.value(k) >= 1:
-        raise ApproximateOnlyError(
-            f"wiener eigenvalues with r_k={spec.r.value(k):g} >= 1 are approximate-only"
-        )
-    return fac.eigenvalue(j)
-
-
-def second_ratio(spec: FamilySpec, k: int) -> float:
-    """h_k = lam(k,2)/lam(k,1), from the family closed form.
-
-    For the wiener family that is the ratio of the values its factors hold,
-    the euler formula (exact for r_k = 0, leading-order beyond), so traces
-    read the same spectrum as counts.  Its verdicts use the decay envelope
-    ``(1+r_k)**-2`` of the true ratios instead (see
-    :func:`second_ratio_limits`).
-    """
-    seq, h = _RECORDS[spec.family].ratio(spec)
-    return h(seq.value(k))
-
-
-def tail_sum_H(spec: FamilySpec, k: int, tau: float) -> float:
-    """H(k, tau) = sum_{j>=2} (lam(k,j)/lam(k,2))**tau, +oo if divergent.
-
-    Finite values carry relative error below 1e-12.
-    """
-    values, H = _tail_map(spec, tau)
-    return H(values(k))
-
-
-def _tail_map(spec: FamilySpec, tau: float):
-    """The family record's tail map at tau, after checking tau."""
-    if tau <= 0:
-        raise InvalidInputError(f"tau must be positive, got {tau}")
-    return _RECORDS[spec.family].tail(spec, tau)
-
-
-def _euler_tail_sum(x):
-    # sum_{j>=2} (3/(2j-1))**x = 1.5**x zeta(x, 1.5) = 1 + sum_{n>=1} (1.5/(1.5+n))**x
-    return INF if x <= 1.0 else 1.0 + _power_tail(x, 1.5)
-
-
-def _korobov_tail_sum(x):
-    # sum_{j>=2} (lam(j)/lam(2))**tau = 2 zeta(x), x = 2 r tau
-    return INF if x <= 1.0 else 2.0 * float(scipy_special().zeta(x))
-
-
-def _analytic_korobov_tail_sum(omega, a_k, b_k, tau):
-    c = tau * a_k * math.log(1.0 / omega)
-    if b_k == 1.0:
-        return 2.0 / (1.0 - math.exp(-c))
-    # 2 * sum_{m>=1} exp(-c*(m**b - 1)); bracket the remainder by integrals
-    # of the decreasing integrand.
-    total = 0.0
-    m = 1
-    while True:
-        term = math.exp(-c * (m ** b_k - 1.0))
-        total += term
-        nxt = math.exp(-c * ((m + 1) ** b_k - 1.0))
-        if nxt / 2.0 <= 0.5 * _REL_TOL * total:
-            tail_lo = _exp_power_integral(c, b_k, m + 1)
-            total += math.exp(c) * tail_lo + nxt / 2.0
-            break
-        if m > 10**7:
-            raise DivergenceError("tail sum did not converge within 1e7 terms", dimension=None)
-        m += 1
-    return 2.0 * total
-
-
-def _exp_power_integral(c, b, lower):
-    """integral_{lower}^{oo} exp(-c*x**b) dx via the incomplete gamma function."""
-    sp = scipy_special()
-    s = 1.0 / b
-    return sp.gamma(s) * sp.gammaincc(s, c * lower ** b) / (b * c ** s)
-
-
-def _custom_tail_sum(row, tail, tau):
-    import numpy as np
-
-    row = np.asarray(row, dtype=float)
-    lam2 = row[1]
-    finite = float(np.sum((row[1:] / lam2) ** tau))
-    if tail is None:
-        return finite
-    last_ratio = (row[-1] / lam2) ** tau
-    if tail.kind == "geometric":
-        q = tail.ratio ** tau
-        return finite + last_ratio * q / (1.0 - q)
-    x = tail.exponent * tau
-    if x <= 1.0:
-        return INF
-    return finite + last_ratio * _power_tail(x, row.size)
-
-
-def _power_tail(x, a):
-    """sum_{n>=1} (a/(a+n))**x = a**x zeta(x, a+1) for x > 1, a >= 1 (DLMF 25.11.1).
-
-    Evaluated as (a/b)**x * (b**x zeta(x, b)), b = a + 1, with nothing
-    subtracted.  Where b**x would overflow, the multiplication theorem (DLMF
-    25.11.15) with m = floor(b) moves every Hurwitz argument into [1, 3): the
-    sum is (a/m)**x * sum_{k<m} zeta(x, (b+k)/m), which underflows only where
-    the sum itself is below the double range.
-    """
-    zeta = scipy_special().zeta
-    b = a + 1.0
-    if x * math.log(b) < 700.0:
-        return (a / b) ** x * (b ** x * float(zeta(x, b)))
-    import numpy as np
-
-    m = math.floor(b)
-    scale = math.exp(-x * math.log1p((m - a) / a))
-    return scale * float(np.sum(zeta(x, (b + np.arange(m)) / m)))
-
-
-def tau_zero(spec: FamilySpec) -> Interval:
-    """Infimum of exponents with uniformly bounded tail ratio sums.
-
-    Point interval where a closed form exists; [0, 3/5] for the wiener
-    family, whose exact threshold is unresolved; [0, +oo) with a warning for
-    tabulated spectra with no declared value.
-    """
-    return _RECORDS[spec.family].tau0(spec)
-
-
-def log_trace_profile(spec: FamilySpec, tau: float, D: int, normalized: bool) -> np.ndarray:
-    """Entry d-1 is ln sum_j lam_{d,j}**tau = sum_{k<=d} ln sum_j lam(k,j)**tau.
-
-    Each factor's power sum is lam(k,1)**tau + lam(k,2)**tau * H(k,tau); the
-    normalized trace divides every lam(k,j) by lam(k,1).  H and h_k come
-    through the ``tail`` and ``ratio`` maps of the family's record, and the
-    unnormalized lam(k,1) and lam(k,2) from the rows of the spec's
-    :class:`DimensionTable`, so no factor is built.  A dimension whose
-    parameter values (or rows) equal those of dimension k - 1 reuses its
-    terms: a constant sequence, or custom rows past the last table, costs
-    one tail sum per profile.  The logs are added in dimension order by a
-    plain left fold, not by ``sum``, which compensates from Python 3.12 on,
-    so the entries do not depend on the Python version.
-    """
-    import numpy as np
-
-    tail_values, tail = _tail_map(spec, tau)
-    if normalized:
-        ratio_seq, ratio = _RECORDS[spec.family].ratio(spec)
-        ratio_values, lead = ratio_seq.value, 1.0
-    else:
-        table = _factor(spec)  # one lookup: hashing a spec of many tables costs O(tables)
-        try:
-            table.grow(D)
-        except InvalidInputError:
-            pass  # grow(k) raises it again at its k, after the dimensions before it
-        leads, seconds, grown = table.leads, table.seconds, len(table.leads)
-        lead = None
-    out = np.empty(D)
-    total = 0.0
-    tail_key = ratio_key = second = term = None
-    for k in range(1, D + 1):
-        p = tail_values(k)
-        if p != tail_key:
-            tail_key, term = p, None
-            try:
-                H = tail(p)
-            except DivergenceError:  # a tail series that did not converge
-                H = INF
-            if math.isinf(H):
-                raise DivergenceError(f"trace diverges at dimension {k} for tau={tau}",
-                                      dimension=k)
-        if normalized:
-            q = ratio_values(k)
-            if q != ratio_key:
-                ratio_key, second, term = q, ratio(q), None
-        else:
-            if k > grown:
-                table.grow(k)
-            if leads[k - 1] != lead or seconds[k - 1] != second:
-                lead, second, term = leads[k - 1], seconds[k - 1], None
-        if term is None:
-            term = math.log(lead ** tau + second ** tau * H)
-        total += term
-        out[k - 1] = total
-    return out
-
-
 # ---------------------------------------------------------------------------
-# limits consumed by the tractability classifier
+# limits the records and :mod:`tractal.limits` read
 # ---------------------------------------------------------------------------
 
 
@@ -815,35 +632,9 @@ def _quiet(fn):
         return None
 
 
-def second_ratio_limits(spec: FamilySpec) -> tuple[Optional[float], Optional[float]]:
-    """(A, lim h_k) for the second ratios h_k, A = liminf ln(1/h_k)/ln k.
-
-    Each is read from the asymptotics of the family record's ratio
-    sequence, closed-form or declared: A through the record's ``rate``, and
-    lim h_k as h of the sequence's limit.  Each is None where those do not
-    decide it.  For the wiener family A is the rate of the envelope
-    ``(1+r_k)**-2``, and the limit, that of the held ratios, decides no
-    verdict; for custom tables both are the declared ones.
-    """
-    rec = _RECORDS[spec.family]
-    seq, h = rec.ratio(spec)
-    limit = _quiet(seq.limit)
-    return _quiet(lambda: rec.rate(spec, seq)), None if limit is None else h(limit)
-
-
 def _growth_rate(r: SequenceDescriptor) -> float:
     """liminf ln(1+r_k)/ln k; zero whenever r is bounded."""
     lim = _quiet(r.limit)
     if lim is not None and math.isfinite(lim):
         return 0.0
     return r.liminf_log_over_log()
-
-
-def korobov_exp_weights(r: SequenceDescriptor) -> SequenceDescriptor:
-    """Weights g_k = (2*pi)**(-2*r_k) tied to the smoothness sequence."""
-    ln2pi = math.log(2.0 * math.pi)
-    rate = _quiet(lambda: 2.0 * ln2pi * r.liminf_over_log())
-    rbar = _quiet(r.limit)
-    return SequenceDescriptor.explicit(
-        (), evaluator=lambda k: (2.0 * math.pi) ** (-2.0 * r.value(k)),
-        liminf_log_ratio=rate, limit=None if rbar is None else (2.0 * math.pi) ** (-2.0 * rbar))

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 import warnings
 
 import numpy as np
@@ -10,6 +11,7 @@ from tractal.complexity import (
     ComplexityQuery,
     info_complexity,
     lemma_bound,
+    log_minimal_error,
     log_normalized_trace,
     minimal_error,
     pt_functional,
@@ -57,6 +59,28 @@ def test_minimal_error_nonincreasing():
     p = ProductProblem.from_family(spectra.gaussian(S.power(1.0, -1.0)), 3)
     errs = [minimal_error(p, n) for n in range(0, 101)]
     assert all(b <= a for a, b in zip(errs, errs[1:]))
+
+
+@pytest.mark.parametrize("d", [5, 40, 2000])
+def test_log_minimal_error_stays_finite_past_the_double_range(d):
+    """Euler r = 1 at d = 2000 has ln e(0) = -1806, so minimal_error is 0.0
+    for every n; ln e(n) stays finite and nonincreasing in n, and where e(n)
+    is a normal double (d = 5 in direct space, 40 in log space) it is its log."""
+    p = ProductProblem.from_family(spectra.euler(S.constant(1)), d)
+    ns = (0, 1, 2, 3, 5, 8, 13, 21, 34)
+    logs = [log_minimal_error(p, n) for n in ns]
+    assert logs[0] == 0.5 * p.log_leading_product
+    assert all(map(math.isfinite, logs))
+    assert all(b <= a for a, b in zip(logs, logs[1:]))
+    normal = 0
+    for n, log_e in zip(ns, logs):
+        e = minimal_error(p, n)
+        if sys.float_info.min <= e < math.inf:
+            assert log_e == pytest.approx(math.log(e), rel=1e-14, abs=0)
+            normal += 1
+    assert normal == (0 if d == 2000 else len(ns))
+    with pytest.raises(InvalidInputError, match="n must be >= 0, got -1"):
+        log_minimal_error(p, -1)
 
 
 def test_info_complexity_examples():

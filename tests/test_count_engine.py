@@ -163,6 +163,39 @@ def test_engine_matches_dense_counter(seed):
     assert check_case(seed) > 0
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_minimal_errors_and_counts_agree(kind):
+    """n(eps, d) is the least n with e(n) <= eps * CRI.  So with v the
+    (n+1)-st largest top-m value, e(n)**2, at most n products lie above v,
+    and more than n lie above the next double below it; in log space v is
+    the top-m log fold and the counts are taken in log form.  Where the
+    leads are not all 1 the dense rule's prefix checks may round a product
+    tied with the threshold below it (ROADMAP item 7), so there the second
+    count is taken a relative 2**-30 below v, off the tie."""
+    rng = random.Random(f"e(n) against n(eps, d): {kind}")
+    made = 0
+    for _ in range(8):
+        p = make_problem(rng, kind, rng.choice((rng.randint(1, 6), rng.randint(25, 40))))
+        log_space = p.space is products.LOG
+        count = count_products_above_log if log_space else count_products_above
+        for n in (0, 1, 4, 20, 100):
+            try:
+                v = products.top_folds(p, n + 1)[n]
+            except InvalidInputError:  # fewer than n + 1 products are positive
+                break
+            if p.unit_end == 0:
+                below = math.nextafter(v, -math.inf)
+            elif log_space:
+                below = v - 2.0 ** -30 * (1.0 + abs(v) + math.fsum(map(abs, p.log_leads)))
+            else:
+                below = v * (1.0 - 2.0 ** -30)
+            # a count capped at n + 1 exceeds n exactly when it saturates
+            assert count(p, v, cap=n + 1).count <= n < count(p, below, cap=n + 1).count, (
+                kind, p.d, n)
+            made += 1
+    assert made >= 20
+
+
 @pytest.mark.parametrize("d", [8, 20, 35])
 def test_anchor_ties_in_both_modes(d):
     """Thresholds exactly on the anchor family's products lam_{d,1}/(k*m)**2."""

@@ -514,13 +514,15 @@ def test_analytic_korobov_exponent_beyond_the_double_range():
 # ---------------------------------------------------------------------------
 
 def _counting(monkeypatch, name):
-    """Replace spectra.<name> by a wrapper that records its arguments."""
-    calls, fn = [], getattr(spectra, name)
+    """Replace traces.<name>, a tail-sum helper, by a wrapper that records its arguments."""
+    from tractal import traces
+
+    calls, fn = [], getattr(traces, name)
 
     def counted(*args):
         calls.append(args)
         return fn(*args)
-    monkeypatch.setattr(spectra, name, counted)
+    monkeypatch.setattr(traces, name, counted)
     return calls
 
 
