@@ -4,10 +4,11 @@
     PYTHONPATH=src python tests/record_counting_corpus.py
 
 ``tests/counting_corpus.json`` stores its inputs (family documents, count
-queries, sweep commands, trace queries and top-m queries) next to the exact
-answers.  This script keeps the inputs, adds the families of
-``TRACE_FAMILIES``, ``TOP_FAMILIES`` and ``SWEEP_FAMILIES`` and the queries
-of ``EXTRA_COUNTS``, ``EXTRA_SWEEPS``, ``TRACE_QUERIES`` and ``TOP_QUERIES``
+queries, sweep commands, trace queries, top-m queries, top-m fold queries
+and e(n) queries) next to the exact answers.  This script keeps the inputs,
+adds the families of ``TRACE_FAMILIES``, ``TOP_FAMILIES`` and
+``SWEEP_FAMILIES`` and the queries of ``EXTRA_COUNTS``, ``EXTRA_SWEEPS``,
+``TRACE_QUERIES``, ``TOP_QUERIES``, ``FOLD_QUERIES`` and ``ERROR_QUERIES``
 it lacks, recomputes every
 answer with the checkout's ``tractal``, and rewrites the file with the
 Python, numpy, scipy and glibc versions it ran on.  Re-record only when
@@ -129,6 +130,9 @@ TOP_FAMILIES = {
                             "tail": {"kind": "power", "exponent": 2}},
     "top-gaussian-anchor": {"family": "gaussian",
                             "gamma_sq": {"kind": "power", "c": 1, "alpha": -2}},
+    # leading product 1e600, past the double range, so the walk runs in log
+    # space; its folds 1379.2484707034334 and ...332 differ in the last bit
+    "top-huge-leads": {"family": "custom", "tables": [[1e200, 1e199]] * 3},
 }
 # The bench's top-m mix (d -> m, korobov with euler, gaussian with analytic
 # korobov, alternately), direct space for d <= 30 and log space above; then
@@ -161,6 +165,19 @@ TOP_QUERIES = [{"family": name, "d": d, "m": m}
     {"family": "top-custom-repeated", "d": 40, "m": 1000},
 ]
 TOP_INPUTS = ("family", "d", "m")
+# The folds themselves (``topm.top_folds``), where the values hide them:
+# euler with constant r, whose values underflow to 0.0 at d = 2000, and
+# leads whose values overflow to inf.
+FOLD_QUERIES = [{"family": "trace-euler-constant", "d": d, "m": 100} for d in (200, 2000)] + [
+    {"family": "top-huge-leads", "d": 3, "m": 8}]
+# e(n) and ln e(n) at n = m // 4 of the bench's top-m mix, as the bench's
+# top op asks for them, then at euler d = 2000 and on the huge leads, where
+# e(n) leaves the double range or its square does.
+ERROR_QUERIES = [{"family": q["family"], "d": q["d"], "n": q["m"] // 4}
+                 for q in TOP_QUERIES[:2 * len(_TOP_M)]] + [
+    {"family": "trace-euler-constant", "d": 2000, "n": n} for n in (0, 10, 99)] + [
+    {"family": "top-huge-leads", "d": 3, "n": n} for n in (0, 3, 7)]
+ERROR_INPUTS = ("family", "d", "n")
 
 
 def count_answer(specs, query):
@@ -207,6 +224,27 @@ def top_answers(corpus):
     """Every top-m query of the corpus with its answer."""
     specs = {name: cli.parse_family(doc) for name, doc in corpus["families"].items()}
     return [dict({k: q[k] for k in TOP_INPUTS}, **top_answer(specs, q)) for q in corpus["tops"]]
+
+
+def fold_answers(corpus):
+    """Every top-m fold query of the corpus with its folds as ``float.hex``."""
+    specs = {name: cli.parse_family(doc) for name, doc in corpus["families"].items()}
+    return [dict({k: q[k] for k in TOP_INPUTS}, folds=[f.hex() for f in products.top_folds(
+        products.ProductProblem.from_family(specs[q["family"]], q["d"]), q["m"])])
+        for q in corpus["folds"]]
+
+
+def error_answers(corpus):
+    """Every e(n) query of the corpus with ``minimal_error`` and
+    ``log_minimal_error`` as ``float.hex``."""
+    specs = {name: cli.parse_family(doc) for name, doc in corpus["families"].items()}
+    out = []
+    for q in corpus["errors"]:
+        problem = products.ProductProblem.from_family(specs[q["family"]], q["d"])
+        out.append(dict({k: q[k] for k in ERROR_INPUTS},
+                        e=complexity.minimal_error(problem, q["n"]).hex(),
+                        log_e=complexity.log_minimal_error(problem, q["n"]).hex()))
+    return out
 
 
 def trace_answers(corpus):
@@ -259,7 +297,9 @@ def dumps(corpus):
             f' "counts": [\n{block(corpus["counts"])}\n ],\n'
             f' "sweeps": [\n{block(corpus["sweeps"])}\n ],\n'
             f' "traces": [\n{block(corpus["traces"])}\n ],\n'
-            f' "tops": [\n{block(corpus["tops"])}\n ]}}\n')
+            f' "tops": [\n{block(corpus["tops"])}\n ],\n'
+            f' "folds": [\n{block(corpus["folds"])}\n ],\n'
+            f' "errors": [\n{block(corpus["errors"])}\n ]}}\n')
 
 
 def main():
@@ -276,14 +316,22 @@ def main():
     tops = corpus.setdefault("tops", [])
     inputs = [{k: q[k] for k in TOP_INPUTS} for q in tops]
     tops += [q for q in TOP_QUERIES if q not in inputs]
+    for key, queries, names in (("folds", FOLD_QUERIES, TOP_INPUTS),
+                                ("errors", ERROR_QUERIES, ERROR_INPUTS)):
+        entries = corpus.setdefault(key, [])
+        inputs = [{k: q[k] for k in names} for q in entries]
+        entries += [q for q in queries if q not in inputs]
     with tempfile.TemporaryDirectory() as tmp:
         corpus["counts"], corpus["sweeps"] = answers(corpus, tmp)
     corpus["traces"] = trace_answers(corpus)
     corpus["tops"] = top_answers(corpus)
+    corpus["folds"] = fold_answers(corpus)
+    corpus["errors"] = error_answers(corpus)
     corpus["recorded_with"] = versions()
     CORPUS.write_text(dumps(corpus), encoding="utf-8")
     print(f"{CORPUS.name}: {len(corpus['counts'])} counts, {len(corpus['sweeps'])} sweeps, "
           f"{len(corpus['traces'])} traces, {len(corpus['tops'])} top-m queries, "
+          f"{len(corpus['folds'])} fold queries, {len(corpus['errors'])} e(n) queries, "
           f"recorded with {corpus['recorded_with']}")
     return 0
 

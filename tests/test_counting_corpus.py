@@ -14,10 +14,17 @@ in direct and log space; custom spectra whose runs of equal eigenvalues
 cross the factor head, read past it and past their last nonzero eigenvalue;
 korobov and gaussian with ``k**-2`` weights at d = 10**4 and 10**5; and
 euler with constant r and repeated custom tables, whose dimensions repeat;
-with every value as ``float.hex``.  The answers are re-recorded
+with every value as ``float.hex``; and of 3 ``top_folds`` queries, where the
+values hide the folds (euler with constant r at d = 200 and 2000, whose
+values underflow to 0.0 there, and leads of 1e200, whose values overflow);
+and of 30 e(n) queries, ``minimal_error`` and ``log_minimal_error`` as
+``float.hex``: at n = m // 4 on the bench's top-m mix, and past the double
+range on those two.  The answers are re-recorded
 only by ``record_counting_corpus.py``, and only when they move on purpose.
 """
 import json
+
+import pytest
 
 import record_counting_corpus as R
 
@@ -53,3 +60,17 @@ def test_top_m_answers_are_unchanged():
     assert not differing, (f"{len(differing)} entries differ (recorded with "
                            f"{corpus['recorded_with']}):\n" + "\n".join(differing))
     assert len(tops) == 40
+
+
+@pytest.mark.parametrize("key, answers, size", [
+    ("folds", R.fold_answers, 3),
+    ("errors", R.error_answers, 30),
+])
+def test_top_m_folds_and_minimal_errors_are_unchanged(key, answers, size):
+    corpus = json.loads(R.CORPUS.read_text(encoding="utf-8"))
+    got = answers(corpus)
+    differing = [f"{key} {i}: stored {want}, got {ans}"
+                 for i, (want, ans) in enumerate(zip(corpus[key], got)) if want != ans]
+    assert not differing, (f"{len(differing)} entries differ (recorded with "
+                           f"{corpus['recorded_with']}):\n" + "\n".join(differing))
+    assert len(got) == size
