@@ -4,13 +4,17 @@ No counting command runs this code, so it is a module of its own, loaded
 on first use through the names :mod:`tractal.products` and
 :mod:`tractal.complexity` give it (``products.product_eigenvalues_top``,
 ``complexity.minimal_error``).  The walk shares the count walk's bounds,
-heads and borderline window, which :mod:`tractal.products` defines.
+heads and borderline window, which :mod:`tractal.products` defines.  Its
+frontier hands each visit's last entry to the next visit, so a visit
+usually costs one heap operation, and breaks no tie by insertion order
+(:func:`top_folds`).  m and n are read through ``operator.index``: a
+float, even a whole one, is refused.
 """
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
+import operator
 import sys
 from typing import TYPE_CHECKING
 
@@ -44,14 +48,20 @@ def top_folds(problem: ProductProblem, m: int) -> list:
     after its last excited one, and a child's log normalised value ``V`` is
     its parent's minus one ``-ln`` ratio.  A frontier visits them best ``V``
     first, and a min-heap keeps the m best folds found so far.  A child's
-    later siblings enter the frontier once it is visited, and its children
+    next sibling enters the frontier once it is visited, and its children
     in dimensions >= k as one entry keyed by the bound ``hmax[k]``
     (``products._hmax``, folded once per call, or on a unit-lead table
     started by ``products._bounds`` and extended as the frontier reaches
-    each dimension), so a visit costs a fold and a few pushes, not one per
-    dimension.  As in counts, one member per run of equal eigenvalues is
-    visited, with a weight ``W``, the number of tuples it stands for; its
-    fold enters the heap W times, at most m.
+    each dimension), so a visit makes at most two entries, not one per
+    dimension.  It pushes the first and hands the last to the next
+    iteration, which takes ``heapq.heappushpop``: where no entry in the
+    frontier beats it, it comes straight back, and a visit costs a fold and
+    one heap operation.  An entry is a tuple of numbers, ordered by its key
+    and then by its other fields; equal keys keep no insertion order, and
+    need none, as the m largest folds are a multiset and each fold is fixed
+    by its tuple's one path.  As in counts, one member per run of equal
+    eigenvalues is visited, with a weight ``W``, the number of tuples it
+    stands for; its fold enters the heap W times, at most m.
 
     An entry of dimension k carries, in place of its parent's chain, the
     fold ``P`` of its parent's terms in dimensions < k, from the space's
@@ -71,14 +81,16 @@ def top_folds(problem: ProductProblem, m: int) -> list:
     24 factors.
 
     Once the frontier's best ``V`` lies a borderline window below the heap's
-    least fold, no tuple left can rank, and the walk stops.  A visited tuple
+    least fold, no tuple left can rank, and the walk stops.  That bound,
+    ``lo``, is re-read from the window only when the heap holds m folds and
+    its least fold has changed; an entry whose key is not above ``lo`` is
+    never made.  A visited tuple
     whose fold is no larger than the heap's least is dropped with its later
     siblings and its subtree: replacing one term by one no larger never
     raises a fold.  So a band of tuples tied with the m-th value costs about
     m visits per dimension, not its size.
     """
-    if m < 1:
-        raise InvalidInputError(f"m must be >= 1, got {m}")
+    m = _count_of("m", m, 1)
     if m > ENUMERATION_CAP:
         raise CapExceededError(f"m={m} exceeds the enumeration cap {ENUMERATION_CAP}")
     table, d = problem.table, problem.d
@@ -94,24 +106,23 @@ def top_folds(problem: ProductProblem, m: int) -> list:
     heap = [fold(root, unit)]
     hmax = _bounds(table, d) if table.unit_leads else _hmax(problem)
     lo = -math.inf  # no child is dropped unfolded until the heap holds m folds
+    least = -math.inf  # the heap's least fold, once it holds m: lo was read from it
     frontier = []
-    seq = itertools.count()
-
-    def push(key, k, i, V, W, P):
-        if key > lo:  # never at a zero eigenvalue, where the key is -inf
-            heapq.heappush(frontier, (-key, next(seq), k, i, V, W, P))
-
-    if m > 1:
-        push(hmax[0], 0, -1, 0.0, 1, unit)
-    while frontier:
-        key, _, k, i, V, W, P = heapq.heappop(frontier)
+    # the entry handed to the next iteration, which pushes it and pops the best
+    entry = (-hmax[0], 0, -1, 0.0, 1, unit) if m > 1 else None
+    while entry or frontier:
+        entry = heapq.heappushpop(frontier, entry) if entry else heapq.heappop(frontier)
+        key, k, i, V, W, P = entry
+        entry = None
         if -key <= lo:  # so is every node left, and every node not yet pushed
             break
         if i < 0:
             if k + 1 == len(hmax):  # the first visit to dimension k past the rows read
                 hmax.append(_bound(table, k + 1, d))
             # the node's children in dimensions >= k, keyed by their bound hmax
-            push(V + hmax[k + 1], k + 1, -1, V, W, op(P, root[k]) if k < fold_end else P)
+            child = V + hmax[k + 1]
+            if child > lo:  # never at a zero eigenvalue, where the key is -inf
+                entry = (-child, k + 1, -1, V, W, op(P, root[k]) if k < fold_end else P)
             n = 1  # its first child is the sibling after i = -1
             if k == len(heads):  # the first visit to dimension k: entries of k - 1 came first
                 heads.append(table.head(k + 1))
@@ -119,7 +130,7 @@ def top_folds(problem: ProductProblem, m: int) -> list:
             n = heads[k][1][i]
             Pk = op(P, term(factors[k + 1].eigenvalue(i + 2)))
             f = fold(root[k + 1:fold_end], Pk)
-            if len(heap) == m and f <= heap[0]:
+            if f <= least:
                 continue
             for _ in range(min(W * n, m)):
                 if len(heap) < m:
@@ -128,9 +139,12 @@ def top_folds(problem: ProductProblem, m: int) -> list:
                     heapq.heapreplace(heap, f)
                 else:
                     break
-            if len(heap) == m:
-                lo = band(heap[0])[0]
-            push(-key + hmax[k + 1], k + 1, -1, -key, W * n, Pk)
+            if len(heap) == m and heap[0] != least:
+                least = heap[0]
+                lo = band(least)[0]
+            child = -key + hmax[k + 1]
+            if child > lo:
+                entry = (-child, k + 1, -1, -key, W * n, Pk)
         # the next sibling: a node and i + n children ranked before it fill
         # the heap with folds no smaller than its own, so no node needs m children
         i += n
@@ -138,11 +152,27 @@ def top_folds(problem: ProductProblem, m: int) -> list:
             nl = heads[k][0]
             if i == len(nl):
                 nl, _ = _grow_ratios(factors[k + 1], heads, k, m - 1)
-            push(V - nl[i], k, i, V, W, P)
+            sibling = V - nl[i]
+            if sibling > lo:
+                if entry:
+                    heapq.heappush(frontier, entry)
+                entry = (-sibling, k, i, V, W, P)
     if len(heap) < m:
         raise InvalidInputError("spectrum exhausted before m values (zero eigenvalue hit)")
     heap.sort(reverse=True)
     return heap
+
+
+def _count_of(name, value, least):
+    """value as an int through ``operator.index``, so that 2.5, nan and
+    ``np.float64`` are refused and ``np.int64`` is read, if it is >= least."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise InvalidInputError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def minimal_error(problem: ProductProblem, n: int) -> float:
@@ -150,8 +180,7 @@ def minimal_error(problem: ProductProblem, n: int) -> float:
     initial error sqrt(prod_k lam(k,1)).  In log space, where that value is
     not a normal double, ``exp`` of half its log fold; inf or 0.0 past the
     double range."""
-    if n < 0:
-        raise InvalidInputError(f"n must be >= 0, got {n}")
+    n = _count_of("n", n, 0)
     if n == 0:
         return exp_or_inf(0.5 * problem.log_leading_product)
     fold = top_folds(problem, n + 1)[-1]
@@ -167,8 +196,7 @@ def log_minimal_error(problem: ProductProblem, n: int) -> float:
     in log space, half the ``math.log`` of its value in direct space (-inf
     at 0.0), and half the log leading product at n = 0.  Unlike
     :func:`minimal_error` it stays finite where e(n) leaves the double range."""
-    if n < 0:
-        raise InvalidInputError(f"n must be >= 0, got {n}")
+    n = _count_of("n", n, 0)
     if n == 0:
         return 0.5 * problem.log_leading_product
     fold = top_folds(problem, n + 1)[-1]

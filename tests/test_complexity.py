@@ -50,6 +50,22 @@ def test_minimal_error_refuses_a_negative_n():
         minimal_error(p, -1)
 
 
+@pytest.mark.parametrize("n", [1.5, 2.0, math.nan, np.float64(2.0), "2"])
+def test_minimal_errors_refuse_an_n_that_is_not_an_integer(n):
+    """n is read through ``operator.index``: 1.5 gave e(2), and nan e(0)."""
+    p = ProductProblem.from_family(spectra.gaussian(S.power(1.0, -2.0)), 5)
+    for error in (minimal_error, log_minimal_error):
+        with pytest.raises(InvalidInputError, match="n must be an integer"):
+            error(p, n)
+
+
+def test_minimal_errors_read_a_numpy_integer_n():
+    p = ProductProblem.from_family(spectra.gaussian(S.power(1.0, -2.0)), 5)
+    for n in (0, 2):
+        assert minimal_error(p, np.int64(n)) == minimal_error(p, n)
+        assert log_minimal_error(p, np.int64(n)) == log_minimal_error(p, n)
+
+
 def test_minimal_error_unit_korobov():
     p = ProductProblem.from_family(UNIT_KOROBOV, 2)
     assert minimal_error(p, 4) == 1.0

@@ -69,6 +69,22 @@ def test_top_cap():
         product_eigenvalues_top(p, products.ENUMERATION_CAP + 1)
 
 
+@pytest.mark.parametrize("m", [2.5, 3.0, math.nan, math.inf, np.float64(3.0), "3", None])
+def test_top_refuses_an_m_that_is_not_an_integer(m):
+    """m is read through ``operator.index``: 2.5 gave 3 values and nan one."""
+    p = gaussian_problem(5, S.power(1.0, -2.0))
+    with pytest.raises(InvalidInputError, match="m must be an integer"):
+        product_eigenvalues_top(p, m)
+    with pytest.raises(InvalidInputError, match="m must be an integer"):
+        products.top_folds(p, m)
+
+
+def test_top_reads_a_numpy_integer_m():
+    p = gaussian_problem(5, S.power(1.0, -2.0))
+    top = product_eigenvalues_top(p, np.int64(3))
+    assert top.size == 3 and top.tobytes() == product_eigenvalues_top(p, 3).tobytes()
+
+
 def test_log_space_top_is_a_left_fold():
     """In log space each top value is ``math.exp`` of the logs added one
     dimension at a time, on every Python: ``sum`` compensates from 3.12 on.
@@ -175,6 +191,28 @@ def test_top_tie_bands_match_lattice_walk(problem, m):
     top = product_eigenvalues_top(problem, m)
     assert top.tobytes() == helpers.lattice_top(problem, m).tobytes()
     assert np.array_equal(top, np.ones(m))
+
+
+@pytest.mark.parametrize("spec, d, m", [
+    (spectra.euler(S.constant(1)), 12, 2000),
+    (spectra.euler(S.constant(1)), 40, 500),
+    (spectra.custom_tabulated([[1, 0.5, 0.25]] * 40, tau0=0.0), 20, 1000),
+    (spectra.custom_tabulated([[1, 0.5, 0.25]] * 40, tau0=0.0), 35, 1000),
+    (spectra.korobov(S.constant(1.0), S.constant(0.5)), 5, 400),
+], ids=["euler-d12", "euler-d40-log", "tables-d20", "tables-d35-log", "korobov-runs-d5"])
+def test_top_with_many_ties_matches_lattice_walk(spec, d, m):
+    """The frontier breaks no tie by insertion order, so equal keys pop in
+    any order; the m largest folds are a multiset, each fixed by its
+    tuple's one path, so the values are the lattice walk's bit for bit.  The
+    spectra repeat one factor: euler r = 1 (70 distinct values in the top
+    2000 at d = 12), tables ``[1, 0.5, 0.25]`` (4 in the top 1000) and
+    korobov with constant g (pairs of equal eigenvalues), in direct and log
+    space."""
+    p = ProductProblem.from_family(spec, d)
+    assert (p.space is products.LOG) == (d > 30)
+    top = product_eigenvalues_top(p, m)
+    assert top.tobytes() == helpers.lattice_top(p, m).tobytes()
+    assert len(set(top.tolist())) < m // 5
 
 
 RUN_TABLE = [1.0, 0.5, 0.5, 0.5, 0.5, 0.25, 0.25, 0.25]
