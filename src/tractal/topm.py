@@ -84,11 +84,10 @@ def top_folds(problem: ProductProblem, m: int) -> list:
     least fold, no tuple left can rank, and the walk stops.  That bound,
     ``lo``, is re-read from the window only when the heap holds m folds and
     its least fold has changed; an entry whose key is not above ``lo`` is
-    never made.  A visited tuple
-    whose fold is no larger than the heap's least is dropped with its later
-    siblings and its subtree: replacing one term by one no larger never
-    raises a fold.  So a band of tuples tied with the m-th value costs about
-    m visits per dimension, not its size.
+    never made.  A visited tuple whose fold is no larger than the heap's
+    least is dropped with its later siblings and its subtree: replacing one
+    term by one no larger never raises a fold.  So a band of tuples tied
+    with the m-th value costs about m visits per dimension, not its size.
     """
     m = _count_of("m", m, 1)
     if m > ENUMERATION_CAP:
@@ -106,7 +105,7 @@ def top_folds(problem: ProductProblem, m: int) -> list:
     heap = [fold(root, unit)]
     hmax = _bounds(table, d) if table.unit_leads else _hmax(problem)
     lo = -math.inf  # no child is dropped unfolded until the heap holds m folds
-    least = -math.inf  # the heap's least fold, once it holds m: lo was read from it
+    least = -math.inf  # the heap's least fold once it holds m, which lo was read from
     frontier = []
     # the entry handed to the next iteration, which pushes it and pops the best
     entry = (-hmax[0], 0, -1, 0.0, 1, unit) if m > 1 else None
