@@ -33,9 +33,14 @@ CORPUS = Path(__file__).with_name("counting_corpus.json")
 COUNT_INPUTS = ("family", "d", "epsilon", "criterion")
 # Count queries the corpus holds besides the bench's, added to its inputs if
 # missing: the ROADMAP large-d rows (korobov g_k = k**-2, nor, eps = 0.01),
-# whose counts excite only a few hundred leading dimensions of d.
+# whose counts excite only a few hundred leading dimensions of d; then that
+# family and the bench's analytic korobov, whose leads are all 1, at d = 10**6
+# and 10**9 under both criteria, past products.DIMENSION_CAP.
 EXTRA_COUNTS = [{"family": "korobov-anchor", "d": d, "epsilon": 0.01, "criterion": "nor"}
-                for d in (5000, 10**5)]
+                for d in (5000, 10**5)] + [
+    {"family": name, "d": d, "epsilon": 0.01, "criterion": criterion}
+    for name in ("korobov-anchor", "analytic_korobov") for d in (10**6, 10**9)
+    for criterion in ("abs", "nor")]
 # Sweep commands besides the bench's: a tie-heavy one, whose products are
 # powers of 2, so many of them equal a threshold 0.0625**2 or 0.25**2 exactly
 # and every such tie is decided by the dense rule.

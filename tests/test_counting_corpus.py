@@ -1,9 +1,10 @@
 """The counting golden corpus: every stored answer, reproduced exactly.
 
-``counting_corpus.json`` holds the inputs and the exact answers of 202 count
+``counting_corpus.json`` holds the inputs and the exact answers of 210 count
 queries (korobov, gaussian and analytic korobov, abs and nor, d 5 to 60, the
-ROADMAP anchor, a threshold exactly on tied products, and korobov
-``g_k = k**-2`` at d = 5000 and 10**5) and of three
+ROADMAP anchor, a threshold exactly on tied products, korobov
+``g_k = k**-2`` at d = 5000 and 10**5, and it and analytic korobov at
+d = 10**6 and 10**9 under both criteria) and of three
 ``tractal sweep`` commands, with the CSV bytes: two of the bench's, and one on
 40 tables ``[1, 0.5, 0.25]`` whose thresholds tie with many products; and of 107 trace queries:
 ``log_trace_profile`` under both flags, ``pt_functional``, ``qpt_functional``,
@@ -39,7 +40,7 @@ def test_counting_corpus_answers_are_unchanged(tmp_path):
                   for i, (want, got) in enumerate(zip(corpus["sweeps"], sweeps)) if want != got]
     assert not differing, (f"{len(differing)} entries differ (recorded with "
                            f"{corpus['recorded_with']}):\n" + "\n".join(differing))
-    assert len(counts) == 202 and len(sweeps) == 3
+    assert len(counts) == 210 and len(sweeps) == 3
 
 
 def test_trace_answers_are_unchanged():
