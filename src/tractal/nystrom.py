@@ -58,32 +58,34 @@ class KernelSpec(NamedTuple):
         return WEIGHTED_LINE if self.kind == "gaussian_weighted" else UNIT_INTERVAL
 
 
+def _whole(value, what: str, least: int) -> int:
+    """value as an int, refused unless it is a finite whole number >= least."""
+    if not (least <= value < math.inf and value == int(value)):
+        raise InvalidInputError(f"{what} must be an integer >= {least}, got {value}")
+    return int(value)
+
+
 def euler_iterated(r: int) -> KernelSpec:
-    if r < 0 or r != int(r):
-        raise InvalidInputError(f"r must be a nonnegative integer, got {r}")
-    return KernelSpec(kind="euler_iterated", r=int(r))
+    return KernelSpec(kind="euler_iterated", r=_whole(r, "r", 0))
 
 
 def wiener_integral(r: int) -> KernelSpec:
-    if r < 0 or r != int(r):
-        raise InvalidInputError(f"r must be a nonnegative integer, got {r}")
-    return KernelSpec(kind="wiener_integral", r=int(r))
+    return KernelSpec(kind="wiener_integral", r=_whole(r, "r", 0))
 
 
 def korobov_series(alpha: float, beta: float, series_cutoff: int = 10**4) -> KernelSpec:
-    if alpha <= 0.5:
-        raise InvalidInputError(f"alpha must exceed 1/2 for pointwise convergence, got {alpha}")
+    if not 0.5 < alpha < math.inf:
+        raise InvalidInputError(
+            f"alpha must be finite and exceed 1/2 for pointwise convergence, got {alpha}")
     if not 0.0 < beta <= 1.0:
         raise InvalidInputError(f"beta must lie in (0,1], got {beta}")
-    if series_cutoff < 1:
-        raise InvalidInputError(f"series cutoff must be >= 1, got {series_cutoff}")
     return KernelSpec(kind="korobov_series", alpha=float(alpha), beta=float(beta),
-                      series_cutoff=int(series_cutoff))
+                      series_cutoff=_whole(series_cutoff, "series cutoff", 1))
 
 
 def gaussian_weighted(gamma_sq: float) -> KernelSpec:
-    if gamma_sq <= 0:
-        raise InvalidInputError(f"gamma^2 must be positive, got {gamma_sq}")
+    if not 0.0 < gamma_sq < math.inf:
+        raise InvalidInputError(f"gamma^2 must be positive and finite, got {gamma_sq}")
     return KernelSpec(kind="gaussian_weighted", gamma_sq=float(gamma_sq))
 
 

@@ -182,12 +182,10 @@ class ProductProblem:
     by its first borderline decision, kept until the point is counted
     (:class:`_Point`).  So a problem of a unit-lead table, whose
     ``unit_end`` is 0, reads no row, whatever d is.  ``leads`` and
-    ``log_leads`` list all d, for the oracles.
-    Indices are 0-based here: ``factor(k)`` is the factor of dimension
-    k + 1, and ``factors`` lists all d of them, both read through the
-    table's ``factor``, which builds a factor the first time its
-    parameters are asked for.  Both walks read the heads of the factors they
-    reach through the table's ``head``.
+    ``log_leads`` list all d, for the oracles, and ``factors`` all d
+    factors, read through the table's ``factor``, which builds a factor the
+    first time its parameters are asked for.  Both walks read the heads of
+    the factors they reach through the table's ``head``.
     """
 
     def __init__(self, factors, family=None):
@@ -220,9 +218,6 @@ class ProductProblem:
     def log_leads(self):
         check_dimension(self.d)
         return self.table.log_leads[:self.unit_end] + [0.0] * (self.d - self.unit_end)
-
-    def factor(self, k):
-        return self.table.factor(k + 1)
 
     @property
     def factors(self):

@@ -15,8 +15,8 @@ parameter sequence; ``tail``, H(k, tau) as a function of one parameter of k;
 asymptotics; and ``unit_leads``, whether every lam(k, 1) is 1.0.  This
 module builds factors and dimension tables from the records.  The tail and
 trace sums are in :mod:`tractal.traces`, and the functions that read h_k,
-tau0, A and lim h_k of one family in :mod:`tractal.limits`; this module
-gives their public names as its own (``spectra.tail_sum_H``,
+tau0, A and lim h_k of one family in :mod:`tractal.tractability`; this
+module gives their public names as its own (``spectra.tail_sum_H``,
 ``spectra.tau_zero``, ...) and loads them on first use, so a count compiles
 neither.  The closed forms (``j >= 1``, ``m = floor(j/2)``):
 
@@ -73,12 +73,12 @@ from .sequences import SequenceDescriptor, validate_sequence
 from .xreal import INF, Interval
 from . import _lazy
 
-# What no count runs lives in modules of its own, loaded on first use: the
-# tail and trace sums, and the closed-form facts the classifier reads.
+# What no count runs lives in other modules, loaded on first use: the tail
+# and trace sums, and the closed-form facts the classifier reads beside it.
 __getattr__ = _lazy(globals(), {
     "traces": ("tail_sum_H", "log_trace_profile"),
-    "limits": ("factor_eigenvalue", "second_ratio", "second_ratio_limits", "tau_zero",
-               "korobov_exp_weights"),
+    "tractability": ("factor_eigenvalue", "second_ratio", "second_ratio_limits", "tau_zero",
+                     "korobov_exp_weights"),
 })
 
 
@@ -621,7 +621,7 @@ def gaussian_omega(gamma_sq: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# limits the records and :mod:`tractal.limits` read
+# limits the records and :mod:`tractal.tractability` read
 # ---------------------------------------------------------------------------
 
 

@@ -42,8 +42,8 @@ def tail_sum_H(spec: spectra.FamilySpec, k: int, tau: float) -> float:
 def _tail_map(spec: spectra.FamilySpec, tau: float):
     """The family record's tail map at tau, after checking tau; the map reads
     its tail sums from this module."""
-    if tau <= 0:
-        raise InvalidInputError(f"tau must be positive, got {tau}")
+    if not 0.0 < tau < INF:
+        raise InvalidInputError(f"tau must be positive and finite, got {tau}")
     return spectra._RECORDS[spec.family].tail(spec, tau, sys.modules[__name__])
 
 
@@ -195,8 +195,6 @@ def log_trace_sum(problem: ProductProblem, tau: float) -> float:
     if problem.family is None:
         raise InvalidInputError("trace sums need a family-backed problem")
     check_dimension(problem.d)
-    if tau <= 0:
-        raise InvalidInputError(f"tau must be positive, got {tau}")
     return float(log_trace_profile(problem.family, tau, problem.d, normalized=False)[-1])
 
 
@@ -225,8 +223,8 @@ def pt_functional(spec, tau: float, q: float, D: int) -> np.ndarray:
     criterion; a finite window can only support the verdict, never prove it.
     Values beyond the double range are inf.
     """
-    if tau <= 0:
-        raise InvalidInputError(f"tau must be positive, got {tau}")
+    if not math.isfinite(q):
+        raise InvalidInputError(f"q must be finite, got {q}")
     if D < 1:
         raise InvalidInputError(f"D must be >= 1, got {D}")
     import numpy as np
@@ -239,8 +237,6 @@ def pt_functional(spec, tau: float, q: float, D: int) -> np.ndarray:
 
 def qpt_functional(spec, tau: float, D: int) -> np.ndarray:
     """As pt_functional with exponent tau*(1+ln d) inside and d**-2 outside."""
-    if tau <= 0:
-        raise InvalidInputError(f"tau must be positive, got {tau}")
     if D < 1:
         raise InvalidInputError(f"D must be >= 1, got {D}")
     import numpy as np

@@ -12,6 +12,12 @@ under the extended-real conventions of :mod:`tractal.xreal`.  Verdicts come
 only from declared or closed-form limits; finite windows of a sequence never
 produce one.  Exponents are intervals so an unresolved tau0 (the wiener
 family) is carried honestly instead of being collapsed to a point.
+
+The facts read of one family's record are defined here too: tau0, the
+second ratios h_k and their limits A and lim h_k, one eigenvalue with its
+exactness check, and the exponential Korobov weights.  No count runs them;
+:mod:`tractal.spectra` gives their names as its own (``spectra.tau_zero``
+and the others) and loads this module on their first use.
 """
 from __future__ import annotations
 
@@ -20,14 +26,78 @@ from collections.abc import Mapping
 from types import MappingProxyType
 from typing import NamedTuple, Optional
 
-from .errors import InvalidInputError, UnsupportedCriterionError
+from .errors import ApproximateOnlyError, InvalidInputError, UnsupportedCriterionError
 from .sequences import SequenceDescriptor
 from .special import g_function, g_root, riemann_zeta  # noqa: F401  (public surface)
 from .xreal import INF, Interval, jsonable_float, two_over
-from . import spectra
-from .spectra import ABS, NOR, Family, FamilySpec
+from .spectra import _RECORDS, ABS, NOR, Family, FamilySpec, _quiet
 
 _UNDECIDABLE = "undecidable from finite data"
+
+
+def factor_eigenvalue(spec: FamilySpec, k: int, j: int, require_exact: bool = False) -> float:
+    """Evaluate lam(k, j).
+
+    For the wiener family with ``r_k >= 1`` only the leading-order term is
+    returned; pass ``require_exact=True`` to turn that into an
+    :class:`ApproximateOnlyError` instead.  Numerical estimates live in
+    :mod:`tractal.nystrom`.
+    """
+    fac = spec.factor(k)
+    if require_exact and spec.family is Family.WIENER and spec.r.value(k) >= 1:
+        raise ApproximateOnlyError(
+            f"wiener eigenvalues with r_k={spec.r.value(k):g} >= 1 are approximate-only"
+        )
+    return fac.eigenvalue(j)
+
+
+def second_ratio(spec: FamilySpec, k: int) -> float:
+    """h_k = lam(k,2)/lam(k,1), from the family closed form.
+
+    For the wiener family that is the ratio of the values its factors hold,
+    the euler formula (exact for r_k = 0, leading-order beyond), so traces
+    read the same spectrum as counts.  Its verdicts use the decay envelope
+    ``(1+r_k)**-2`` of the true ratios instead (see
+    :func:`second_ratio_limits`).
+    """
+    seq, h = _RECORDS[spec.family].ratio(spec)
+    return h(seq.value(k))
+
+
+def tau_zero(spec: FamilySpec) -> Interval:
+    """Infimum of exponents with uniformly bounded tail ratio sums.
+
+    Point interval where a closed form exists; [0, 3/5] for the wiener
+    family, whose exact threshold is unresolved; [0, +oo) with a warning for
+    tabulated spectra with no declared value.
+    """
+    return _RECORDS[spec.family].tau0(spec)
+
+
+def second_ratio_limits(spec: FamilySpec) -> tuple[Optional[float], Optional[float]]:
+    """(A, lim h_k) for the second ratios h_k, A = liminf ln(1/h_k)/ln k.
+
+    Each is read from the asymptotics of the family record's ratio
+    sequence, closed-form or declared: A through the record's ``rate``, and
+    lim h_k as h of the sequence's limit.  Each is None where those do not
+    decide it.  For the wiener family A is the rate of the envelope
+    ``(1+r_k)**-2``, and the limit, that of the held ratios, decides no
+    verdict; for custom tables both are the declared ones.
+    """
+    rec = _RECORDS[spec.family]
+    seq, h = rec.ratio(spec)
+    limit = _quiet(seq.limit)
+    return _quiet(lambda: rec.rate(spec, seq)), None if limit is None else h(limit)
+
+
+def korobov_exp_weights(r: SequenceDescriptor) -> SequenceDescriptor:
+    """Weights g_k = (2*pi)**(-2*r_k) tied to the smoothness sequence."""
+    ln2pi = math.log(2.0 * math.pi)
+    rate = _quiet(lambda: 2.0 * ln2pi * r.liminf_over_log())
+    rbar = _quiet(r.limit)
+    return SequenceDescriptor.explicit(
+        (), evaluator=lambda k: (2.0 * math.pi) ** (-2.0 * r.value(k)),
+        liminf_log_ratio=rate, limit=None if rbar is None else (2.0 * math.pi) ** (-2.0 * rbar))
 
 
 def spt_exponent(a_star: float, tau0: Interval) -> Interval:
@@ -104,8 +174,8 @@ class TractabilityReport(NamedTuple):
     def st_weakly_tractable(self, s: float, t: float) -> Optional[bool]:
         """(s,t)-weak tractability: always true for t > 1; equal to QPT for
         t in (0, 1]."""
-        if s <= 0 or t <= 0:
-            raise InvalidInputError("s and t must be positive")
+        if not (s > 0 and t > 0):
+            raise InvalidInputError(f"s and t must be positive, got {s} and {t}")
         if t > 1.0:
             return True
         return self.qpt
@@ -146,8 +216,8 @@ def classify(spec: FamilySpec, criterion: str = NOR) -> TractabilityReport:
             f"criterion {criterion!r} is not supported for the {spec.family.value} family")
 
     fam = spec.family
-    tau0 = spectra.tau_zero(spec)
-    a_star, lim = spectra.second_ratio_limits(spec)
+    tau0 = tau_zero(spec)
+    a_star, lim = second_ratio_limits(spec)
     if lim is not None and (lim < 0 or lim > 1):
         raise InvalidInputError(f"second ratios must stay in (0,1], limit {lim}")
     b = None if lim is None else INF if lim == 0 else -math.log(lim)

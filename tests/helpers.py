@@ -27,6 +27,7 @@ from tractal import complexity, nystrom, products, spectra
 from tractal.errors import InvalidInputError
 from tractal.products import box_products  # noqa: F401
 from tractal.verify import factor_tau_tail, random_family  # noqa: F401
+from tractal.xreal import exp_or_inf
 
 
 def dense_count(problem, T, cap, log_space):
@@ -188,7 +189,8 @@ def lattice_top(problem, m):
 
     Every lattice neighbour of a popped tuple is pushed unless already seen,
     and each key is recomputed from all d eigenvalues: a product in
-    dimension order, or in log space the sum of their logs.
+    dimension order, or in log space the sum of their logs, whose ``exp``
+    is inf past the double range, as the library's values are.
     """
     d = problem.d
     facs = problem.factors
@@ -210,7 +212,7 @@ def lattice_top(problem, m):
         if not heap:
             raise InvalidInputError("spectrum exhausted before m values (zero eigenvalue hit)")
         negkey, idx = heapq.heappop(heap)
-        out[i] = math.exp(-negkey) if use_log else -negkey
+        out[i] = exp_or_inf(-negkey) if use_log else -negkey
         for k in range(d):
             nxt = idx[:k] + (idx[k] + 1,) + idx[k + 1:]
             if nxt not in seen:

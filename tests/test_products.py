@@ -193,6 +193,17 @@ def test_top_tie_bands_match_lattice_walk(problem, m):
     assert np.array_equal(top, np.ones(m))
 
 
+@pytest.mark.parametrize("m", [4, 8])
+def test_top_past_the_double_range_matches_lattice_walk(m):
+    """Leads of 1e200 put every product past the double range: the lattice
+    walk's values are inf, as the library's are, not an OverflowError."""
+    p = ProductProblem.from_family(spectra.custom_tabulated([[1e200, 1e199]] * 3), 3)
+    assert p.space is products.LOG
+    top = product_eigenvalues_top(p, m)
+    assert top.tobytes() == helpers.lattice_top(p, m).tobytes()
+    assert np.all(np.isinf(top))
+
+
 @pytest.mark.parametrize("spec, d, m", [
     (spectra.euler(S.constant(1)), 12, 2000),
     (spectra.euler(S.constant(1)), 40, 500),

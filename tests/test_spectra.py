@@ -243,6 +243,22 @@ def test_tail_sum_matches_direct_summation(name, spec):
         assert H == pytest.approx(head + tail, rel=1e-9)
 
 
+@pytest.mark.parametrize("tau", [0.8, 1.3])
+@pytest.mark.parametrize("J", [2, 5, 30])
+def test_power_tail_oracle_matches_tail_sum(tau, J):
+    """The oracle's custom power-tail branch, inside a table (J = 2), at its
+    end (J = 5) and past it (J = 30), and for k past the last table:
+    sum_{j>J} lam(k,j)**tau = lam(k,2)**tau * H(k,tau) - sum_{2<=j<=J}
+    lam(k,j)**tau, up to the cancellation of that difference at J = 30."""
+    spec = spectra.custom_tabulated([[2, 1, 0.25], [1.5, 0.5, 0.2, 0.1]],
+                                    tail=spectra.TailModel("power", exponent=3))
+    for k in (1, 2, 3):
+        fac = spec.factor(k)
+        want = (fac.eigenvalue(2) ** tau * tail_sum_H(spec, k, tau)
+                - math.fsum(fac.eigenvalue(j) ** tau for j in range(2, J + 1)))
+        assert math.isclose(helpers.factor_tau_tail(spec, k, tau, J), want, rel_tol=7e-13), k
+
+
 @pytest.mark.parametrize("name,spec", all_families())
 def test_tail_sum_sup_attained_at_first_dimension(name, spec):
     tau = tau_zero(spec).hi + 0.15

@@ -3,8 +3,8 @@ must importing ``tractal.nystrom``; counting commands and ``import tractal``
 must not import numpy either.  No command imports ``dataclasses`` or
 ``inspect``.  Counting commands load neither ``tractal.tractability`` nor
 ``tractal.nystrom`` nor ``tractal.verify``, nor the modules that hold what
-no count runs (top-m, the box oracle, traces, the classifier's limits) or
-``tractal.special``: with no bytecode cache, each module loaded is compiled.
+no count runs (top-m, the box oracle, traces) or ``tractal.special``: with
+no bytecode cache, each module loaded is compiled.
 
 Each case runs in a fresh interpreter, since these imports dominate a
 command's start-up and an import anywhere in the package would load them for
@@ -25,7 +25,7 @@ SRC = ROOT / "src"
 
 WATCHED = ("scipy", "numpy", "dataclasses", "inspect",
            "tractal.tractability", "tractal.nystrom", "tractal.verify", "tractal.topm",
-           "tractal.oracle", "tractal.traces", "tractal.limits", "tractal.special")
+           "tractal.oracle", "tractal.traces", "tractal.special")
 # runs the command, then reports on stderr whether each watched module was imported
 PROBE = ("import sys\n"
          "from tractal import cli\n"
@@ -169,8 +169,8 @@ NEVER_DEFINED = {("spectra", "factor_power_sum"), ("spectra", "normalized_factor
 MOVED = {("products", "product_eigenvalues_top"): "topm", ("products", "trace_sum"): "traces",
          ("products", "log_trace_sum"): "traces", ("products", "brute_force_oracle"): "oracle",
          ("products", "oracle_validity_floor"): "oracle", ("spectra", "tail_sum_H"): "traces",
-         ("spectra", "second_ratio"): "limits", ("spectra", "tau_zero"): "limits",
-         ("spectra", "factor_eigenvalue"): "limits", ("complexity", "minimal_error"): "topm",
+         ("spectra", "second_ratio"): "tractability", ("spectra", "tau_zero"): "tractability",
+         ("spectra", "factor_eigenvalue"): "tractability", ("complexity", "minimal_error"): "topm",
          ("complexity", "lemma_bound"): "traces", ("complexity", "log_normalized_trace"): "traces",
          ("complexity", "pt_functional"): "traces", ("complexity", "qpt_functional"): "traces"}
 # for each (layer, name): whether vars(module) held it before its first use,
